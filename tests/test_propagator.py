@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lzsim import (
     evolve_ensemble_dephased,
     evolve_lab_frame_toy,
 )
+from lzsim import propagator
 from conftest import FIG3A, FIG3B, FIG3D
 
 
@@ -111,6 +113,23 @@ class TestNumericalQuality:
         cfg = IntegratorConfig(steps_per_min_period=8, norm_drift_tolerance=1e-12)
         with pytest.raises(IntegrationError, match="norm drift"):
             evolve(p, cfg, t_span=(0.0, 10 * 128.0), sample_every=64.0)
+
+    def test_nan_drift_raises(self):
+        # a NaN coupling makes every state NaN; the norm check must not let
+        # that pass as "no drift over tolerance"
+        p = DriveParameters(delta_mhz=math.nan, epsilon_m_mhz=100.0, period_ns=128.0, n_periods=2)
+        with pytest.raises(IntegrationError, match="norm drift"):
+            evolve(p, sample_every=8.0)
+
+    @pytest.mark.parametrize("kw", [
+        dict(norm_drift_tolerance=math.nan),
+        dict(norm_drift_tolerance=math.inf),
+        dict(max_step_ns=math.nan),
+        dict(max_step_ns=math.inf),
+    ])
+    def test_non_finite_config_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**kw)
 
     def test_invalid_span_rejected(self):
         p = DriveParameters(**FIG3A, n_periods=2)
@@ -224,9 +243,87 @@ class TestEnsemble:
         assert amp_clean > 0.4
         assert 1.0 - amp_noisy / amp_clean < 0.10
 
+    def test_few_members_share_one_grid(self):
+        # members used to get a grid each, sized by their own offset: most
+        # seeds then disagreed on the sample count and the average crashed
+        p = DriveParameters(**FIG3A, n_periods=8)
+        for seed in range(20):
+            ens = evolve_ensemble_dephased(p, t2_star_us=1.0, n_samples=4, seed=seed,
+                                           t_span=(0.0, 1000.0))
+            assert ens.times[-1] == 1000.0
+            assert np.max(np.abs(ens.populations.sum(axis=1) - 1.0)) < 1e-8
+
     def test_preconditions(self):
         p = resonant_drive()
         with pytest.raises(ValueError):
             evolve_ensemble_dephased(p, t2_star_us=0.0, n_samples=10)
         with pytest.raises(ValueError):
             evolve_ensemble_dephased(p, t2_star_us=1.0, n_samples=0)
+
+
+class TestPeriodicKernel:
+    """The one-period dense kernel against an independent step-by-step RK4."""
+
+    CFG = dict(steps_per_min_period=100, norm_drift_tolerance=1e-6)
+    CASES = {
+        # periodic: start phase shifted, g = gcd(s, L) < s, a tail interval
+        "t_offset": (dict(**FIG3A, n_periods=3, t_offset_ns=37.0), (0.0, 384.0), 10.0,
+                     "fixed-rk4", True),
+        "t_offset_exact": (dict(**FIG3A, n_periods=3, t_offset_ns=37.0), (0.0, 384.0), 10.0,
+                           "piecewise-exact", True),
+        "mid_period_start": (dict(**FIG3A, n_periods=3), (50.0, 332.8), 7.3,
+                             "fixed-rk4", True),
+        "mid_period_start_exact": (dict(**FIG3A, n_periods=3), (50.0, 332.8), 7.3,
+                                   "piecewise-exact", True),
+        # aperiodic: constant drive, and a span of one period
+        "eps_m_zero": (dict(delta_mhz=5.0, epsilon_m_mhz=0.0, period_ns=128.0, n_periods=3),
+                       (0.0, 300.0), 7.0, "fixed-rk4", False),
+        "one_period": (dict(**FIG3A, n_periods=1), (0.0, 128.0), 4.0, "fixed-rk4", False),
+        "one_period_exact": (dict(**FIG3A, n_periods=1), (0.0, 128.0), 4.0,
+                             "piecewise-exact", False),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_step_by_step_batch(self, name):
+        drive, span, every, method, periodic = self.CASES[name]
+        p = DriveParameters(**drive)
+        cfg = IntegratorConfig(method=method, **self.CFG)
+        grid = propagator._build_grid(p, cfg, span, every)
+        n_main = grid.n_int * grid.s
+        assert (0 < grid.steps_per_period < n_main) == periodic
+        if periodic:
+            assert math.gcd(grid.s, grid.steps_per_period) < grid.s
+            assert grid.n_tail > 0
+        psi0 = QubitState(0.6, 0.8j).as_array()
+        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+        dense = propagator._propagate_sampled(grid, w_of_t, b_of_t, psi0, method)
+        stepped = propagator._propagate_batch(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
+        assert np.max(np.abs(dense - stepped)) < 1e-11
+
+    @pytest.mark.parametrize("slab", [3, 8])
+    def test_slab_size_does_not_change_states(self, monkeypatch, slab):
+        # tiny slabs carry the running product across slabs (8: two 4-step
+        # segments per slab) and split segments longer than a slab (3), as
+        # very long periods would
+        p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
+        cfg = IntegratorConfig(**self.CFG)
+        kw = dict(t_span=(50.0, 384.0), sample_every=10.0)
+        ref = evolve(p, cfg, **kw)
+        monkeypatch.setattr(propagator, "_SLAB", slab)
+        small = evolve(p, cfg, **kw)
+        assert np.max(np.abs(small.amplitudes - ref.amplitudes)) < 1e-12
+
+    def test_memory_does_not_grow_with_steps(self):
+        # same sample count, eight times the steps: only one period is held
+        def peak(n_periods):
+            p = DriveParameters(**FIG3A, n_periods=n_periods)
+            t_end = n_periods * p.period_ns
+            tracemalloc.start()
+            try:
+                evolve(p, t_span=(0.0, t_end), sample_every=t_end / 200)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(8), peak(64)
+        assert long < 1.2 * short
