@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +70,11 @@ def _scenario_to_runconfig_parts(cfg: RunConfig):
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if args.format is not None:
-        cfg = _replace(cfg, format=args.format)
+        cfg = replace(cfg, format=args.format)
     if args.workers is not None:
-        cfg = _replace(cfg, workers=args.workers)
+        cfg = replace(cfg, workers=args.workers)
 
     if cfg.scenario is not None:
         drive, t_end, sample_every = _scenario_to_runconfig_parts(cfg)
@@ -170,9 +170,9 @@ def _resonance_row(point):
 def cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
     if args.format is not None:
-        cfg = _replace(cfg, format=args.format)
+        cfg = replace(cfg, format=args.format)
     if args.workers is not None:
-        cfg = _replace(cfg, workers=args.workers)
+        cfg = replace(cfg, workers=args.workers)
     out = _out_dir(args.out, cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -243,12 +243,6 @@ def _plain_scalars(scalars: dict) -> dict:
         elif isinstance(v, (bool, int, float, str)):
             plain[k] = v
     return plain
-
-
-def _replace(cfg, **kwargs):
-    from dataclasses import replace
-
-    return replace(cfg, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,7 @@ avoided crossing at eps = 0).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,6 +66,12 @@ class DriveParameters:
     t_offset_ns: float = 0.0
 
     def __post_init__(self):
+        for name in ("delta_mhz", "epsilon_m_mhz", "period_ns", "t_offset_ns"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(self.n_periods, bool) or not isinstance(self.n_periods, numbers.Integral):
+            raise ValueError(f"n_periods must be an integer, got {self.n_periods!r}")
         # Several operations (pure dephasing runs, sweep-rate limits) need
         # delta = 0, so zero is allowed even though a real drive has delta > 0.
         if self.delta_mhz < 0:

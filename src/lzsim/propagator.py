@@ -2,27 +2,40 @@
 
 The integrator is a fixed-step classical RK4 on the 2x2 system
 ``i d|psi>/dt = H(t)|psi>`` (hbar = 1, angular units).  For a linear ODE the
-four RK4 stages collapse into a per-step transfer matrix, so propagation is
-a product of 2x2 matrices built vectorized over slabs of steps.  Steps are
-aligned to the triangle wave's quarter-period grid so the integrand is
-smooth inside every step and the method keeps its clean fourth-order
-convergence.
+four RK4 stages collapse into a per-step transfer map, so propagation is a
+product of 2x2 maps built vectorized over slabs of steps.  Steps are aligned
+to the triangle wave's quarter-period grid so the integrand is smooth inside
+every step and the method keeps its clean fourth-order convergence.
 
-Because the drive is exactly T-periodic and the aligned grid holds a whole
-number of steps per period, the step matrices repeat from one period to the
-next.  The dense route therefore integrates a single period: segments of
-steps are reduced by pairwise halving, chained into prefix products ``C[r]``
-over the period, and the state at a sample ``r`` steps into period ``q`` is
-``C[r] U^q psi0`` with ``U`` the one-period map.  A span of at most one
-period, a constant drive and the lab-frame toy (whose carrier does not
-repeat with the drive) take the same code with the whole span as the
-"period".  Memory grows with the number of samples, not of steps.
+Step maps.  H = [[w, b], [b, -w]] is traceless and real-symmetric, so an RK4
+step, the piecewise-exact step ``exp(-i h H_mid)`` and every product of them
+is a real quaternion ``a I + c i*sigma_y - i (bx sigma_x + bz sigma_z)``
+(the Cayley-Klein form of an SU(2) map that need not be exactly unitary).
+A map is stored as the pair ``(p, q) = (a - i bz, c - i bx)``, meaning
+``[[p, q], [-conj(q), conj(p)]]``; steps are built from closed forms in
+float arithmetic and multiplied as ``(p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))``.
+
+Periodic kernel.  Because the drive is exactly T-periodic and the aligned
+grid holds a whole number of steps per period, the step maps repeat from one
+period to the next.  The kernel therefore integrates a single period:
+segments of steps are reduced by pairwise halving, chained into prefix
+products ``C[r]`` over the period, and the state at a sample ``r`` steps into
+period ``q`` is ``C[r] U^q psi0`` with ``U`` the one-period map.  A span of at
+most one period, a constant drive and the lab-frame toy (whose carrier does
+not repeat with the drive) take the same code with the whole span as the
+"period".
+
+Members.  The kernel has a leading member axis: member i sees w(t) plus a
+static offset of its own on a grid shared by all members.  `evolve` and
+`evolve_lab_frame_toy` run one member at offset 0; the dephasing ensemble
+runs its members in chunks and keeps only their summed populations.  A slab
+holds at most ``_SLAB`` maps over members and steps, so memory grows with the
+number of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
-sample and an `IntegrationError` is raised on violation.  States are never
-renormalized.
+sample (of every member) and an `IntegrationError` is raised on violation.
+States are never renormalized.
 """
-
 from __future__ import annotations
 
 import math
@@ -43,10 +56,10 @@ from .model import (
 
 _METHODS = ("fixed-rk4", "piecewise-exact")
 
-#: Most steps whose transfer matrices are held at once.
-_SLAB = 1 << 16
-
-_EYE = np.eye(2, dtype=complex)
+#: Most step maps held at once, counted over members and steps.  An ensemble
+#: runs its members in chunks of at most ``isqrt(_SLAB)``, so a slab still
+#: spans at least as many steps as a chunk has members.
+_SLAB = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -186,211 +199,204 @@ def _build_grid(
 
 
 # ---------------------------------------------------------------------------
-# per-step transfer matrices (vectorized over steps)
+# step maps (p, q), vectorized over (member, step); the leading axis of a map
+# array holds p and q
 # ---------------------------------------------------------------------------
 
 
-def _stage(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """-i*H for H = [[w, b], [b, -w]], batched over the leading axis."""
-    n = w.shape[0]
-    a = np.empty((n, 2, 2), dtype=complex)
-    a[:, 0, 0] = -1j * w
-    a[:, 0, 1] = -1j * b
-    a[:, 1, 0] = -1j * b
-    a[:, 1, 1] = 1j * w
-    return a
-
-
-def _rk4_matrices(dt, w1, w2, w3, b1, b2, b3) -> np.ndarray:
-    """Per-step RK4 transfer matrices for the linear system psi' = -iH(t)psi.
-
-    w*/b* are the H matrix elements at the step start, midpoint and end.
-    """
-    a1, a2, a3 = _stage(w1, b1), _stage(w2, b2), _stage(w3, b3)
-    k1 = a1
-    k2 = a2 + (dt / 2) * (a2 @ k1)
-    k3 = a2 + (dt / 2) * (a2 @ k2)
-    k4 = a3 + dt * (a3 @ k3)
-    m = (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    m[:, 0, 0] += 1.0
-    m[:, 1, 1] += 1.0
-    return m
-
-
-def _expm_matrices(dt, w2, b2) -> np.ndarray:
-    """Exact exponential exp(-i*H_mid*dt) of the midpoint Hamiltonian."""
-    om = np.hypot(w2, b2)
-    theta = om * dt
-    cos = np.cos(theta)
-    # sin(theta)/om, continuous through om = 0 where it equals dt
-    safe = np.where(om > 0, om, 1.0)
-    sinc = np.where(om > 0, np.sin(theta) / safe, dt)
-    m = np.empty((w2.shape[0], 2, 2), dtype=complex)
-    m[:, 0, 0] = cos - 1j * w2 * sinc
-    m[:, 0, 1] = -1j * b2 * sinc
-    m[:, 1, 0] = -1j * b2 * sinc
-    m[:, 1, 1] = cos + 1j * w2 * sinc
-    return m
-
-
-def _step_matrices(method, dt, t0, lo, hi, w_of_t, b_of_t) -> np.ndarray:
-    """Transfer matrices of steps lo..hi-1 of the uniform grid t0 + dt*j."""
-    t = t0 + dt * np.arange(lo, hi)
-    if method == "fixed-rk4":
-        return _rk4_matrices(
-            dt,
-            w_of_t(t), w_of_t(t + dt / 2), w_of_t(t + dt),
-            b_of_t(t), b_of_t(t + dt / 2), b_of_t(t + dt),
-        )
-    return _expm_matrices(dt, w_of_t(t + dt / 2), b_of_t(t + dt / 2))
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched 2x2 product a @ b, written out: numpy's batched matmul is several
-    times slower on stacks of 2x2 complex matrices."""
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
+def _identity(*shape: int) -> np.ndarray:
+    out = np.zeros((2, *shape), dtype=complex)
+    out[0] = 1.0
     return out
 
 
-def _reduce(m: np.ndarray) -> np.ndarray:
-    """Ordered product m[..., n-1, :, :] @ ... @ m[..., 0, :, :] by pairwise halving."""
-    while m.shape[-3] > 1:
-        n = m.shape[-3]
-        pairs = _mul(m[..., 1:n:2, :, :], m[..., 0:n - 1:2, :, :])
-        m = np.concatenate([pairs, m[..., n - 1:, :, :]], axis=-3) if n % 2 else pairs
-    return m[..., 0, :, :]
+def _rk4_maps(h, w1, w2, w3, b1, b2, b3) -> np.ndarray:
+    """RK4 step maps of psi' = -iH(t) psi, from H at the step start, midpoint and end.
+
+    With A = -iH the stages multiply out to M = I + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    Because A2 A2 = -(w2^2 + b2^2) I is a scalar and
+    Ai Aj = -(wi wj + bi bj) I - (wi bj - bi wj) i*sigma_y, M is the real
+    quaternion with
+
+        a  = 1 - h^2/6 (W + w2 (w1 + w3) + b2 (b1 + b3) - g (w1 w3 + b1 b3))
+        c  = h^2/6 (b2 (w1 - w3) + w2 (b3 - b1) + g (w3 b1 - w1 b3))
+        bz = h/6 ((1 - 2g) (w1 + w3) + 4 w2)
+        bx = h/6 ((1 - 2g) (b1 + b3) + 4 b2)
+
+    where W = w2^2 + b2^2 and g = h^2 W / 4.  Evaluated in place: the
+    temporaries of a slab are the step count times a few doubles.
+    """
+    out = np.empty((2, *np.broadcast_shapes(w1.shape, b1.shape)), dtype=complex)
+    hh = h * h
+    g = w2 * w2
+    g += b2 * b2
+    sw, sb = w1 + w3, b1 + b3
+    t = w1 * w3
+    t += b1 * b3
+    t *= -hh / 4 * g
+    t += g
+    t += w2 * sw
+    t += b2 * sb
+    t *= -hh / 6
+    t += 1
+    out[0].real = t
+    g *= hh / 4
+    np.multiply(w3, b1, out=t)
+    t -= w1 * b3
+    t *= g
+    t += b2 * (w1 - w3)
+    t += w2 * (b3 - b1)
+    t *= hh / 6
+    out[1].real = t
+    g *= -2
+    g += 1
+    np.multiply(g, sw, out=t)
+    t += 4 * w2
+    t *= -h / 6
+    out[0].imag = t
+    np.multiply(g, sb, out=t)
+    t += 4 * b2
+    t *= -h / 6
+    out[1].imag = t
+    return out
 
 
-def _prefix(m: np.ndarray) -> np.ndarray:
-    """Inclusive ordered prefix products out[i] = m[i] @ ... @ m[0] (log-depth scan)."""
-    out = m.copy()
+def _expm_maps(h, w, b) -> np.ndarray:
+    """Exact exponential exp(-i*H_mid*h) of the midpoint Hamiltonian."""
+    om = np.hypot(w, b)
+    theta = om * h
+    # sin(theta)/om, continuous through om = 0 where it equals h
+    safe = np.where(om > 0, om, 1.0)
+    sinc = np.where(om > 0, np.sin(theta) / safe, h)
+    out = np.empty((2, *theta.shape), dtype=complex)
+    out[0].real, out[0].imag = np.cos(theta), -w * sinc
+    out[1].real, out[1].imag = 0.0, -b * sinc
+    return out
+
+
+def _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets) -> np.ndarray:
+    """Maps (2, members, hi - lo) of steps lo..hi-1 of the uniform grid t0 + dt*j.
+
+    Member i sees the Hamiltonian with w(t) + offsets[i].
+    """
+    t = t0 + dt * np.arange(lo, hi)
+    col = offsets[:, None]
+    if method == "fixed-rk4":
+        return _rk4_maps(
+            dt,
+            w_of_t(t) + col, w_of_t(t + dt / 2) + col, w_of_t(t + dt) + col,
+            b_of_t(t), b_of_t(t + dt / 2), b_of_t(t + dt),
+        )
+    return _expm_maps(dt, w_of_t(t + dt / 2) + col, b_of_t(t + dt / 2))
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))."""
+    (p1, q1), (p2, q2) = x, y
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out[0] = p1 * p2 - q1 * q2.conj()
+    out[1] = p1 * q2 + q1 * p2.conj()
+    return out
+
+
+def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """States x @ psi for maps x and states psi (..., 2)."""
+    p, q = x
+    a0, a1 = psi[..., 0], psi[..., 1]
+    return np.stack([p * a0 + q * a1, p.conj() * a1 - q.conj() * a0], axis=-1)
+
+
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """Ordered product x[..., n-1] @ ... @ x[..., 0] over the last axis, by pairwise halving."""
+    while x.shape[-1] > 1:
+        n = x.shape[-1]
+        pairs = _mul(x[..., 1:n:2], x[..., 0:n - 1:2])
+        x = np.concatenate([pairs, x[..., n - 1:]], axis=-1) if n % 2 else pairs
+    return x[..., 0]
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Inclusive ordered prefix products out[..., i] = x[..., i] @ ... @ x[..., 0].
+
+    A log-depth scan over the last axis.
+    """
+    out = x.copy()
     d = 1
-    while d < out.shape[0]:
-        out[d:] = _mul(out[d:], out[:-d])
+    while d < out.shape[-1]:
+        out[..., d:] = _mul(out[..., d:], out[..., :-d])
         d *= 2
     return out
 
 
-def _segment_products(method, dt, t0, n_seg, g, w_of_t, b_of_t):
+def _segment_products(method, dt, t0, n_seg, g, w_of_t, b_of_t, offsets):
     """Yield the products of n_seg consecutive g-step segments from t0, slab by slab.
 
-    A slab holds at most ``_SLAB`` step matrices: whole segments when a segment
-    fits, else the pieces of one segment folded into a running product.
+    Each yield is a map array (2, members, segments in the slab).  A slab
+    holds at most ``_SLAB`` step maps over all members: whole segments when a
+    segment fits, else the pieces of one segment folded into a running
+    product.
     """
-    per = _SLAB // g
+    m = offsets.size
+    steps = max(1, _SLAB // m)
+    per = steps // g
     if per:
         for lo in range(0, n_seg, per):
             hi = min(lo + per, n_seg)
-            m = _step_matrices(method, dt, t0, lo * g, hi * g, w_of_t, b_of_t)
-            yield _reduce(m.reshape(hi - lo, g, 2, 2))
+            x = _step_maps(method, dt, t0, lo * g, hi * g, w_of_t, b_of_t, offsets)
+            yield _reduce(x.reshape(2, m, hi - lo, g))
         return
     for i in range(n_seg):
-        prod = _EYE
-        for lo in range(i * g, (i + 1) * g, _SLAB):
-            m = _step_matrices(method, dt, t0, lo, min(lo + _SLAB, (i + 1) * g), w_of_t, b_of_t)
-            prod = _mul(_reduce(m), prod)
-        yield prod[None]
+        prod = _identity(m)
+        for lo in range(i * g, (i + 1) * g, steps):
+            hi = min(lo + steps, (i + 1) * g)
+            x = _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets)
+            prod = _mul(_reduce(x), prod)
+        yield prod[..., None]
 
 
-def _propagate_sampled(grid: _Grid, w_of_t, b_of_t, psi0: np.ndarray, method: str) -> np.ndarray:
-    """States at the grid's sample times for one initial state.
+def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarray,
+               method: str) -> np.ndarray:
+    """States (members, samples, 2) at the grid's sample times from one initial state.
 
-    Only the first ``L`` steps are integrated: one drive period when the grid
-    is periodic and the sampled span is longer, else the whole span.  With
-    ``g = gcd(s, L)`` the samples fall on g-step segment boundaries, so the
-    prefix products ``C`` are kept only at the segment counts a sample uses;
-    sample k is ``C[r] U^q psi0`` with ``q, r = divmod(k*s, L)`` and ``U`` the
-    product of all L steps.
+    Member i sees w(t) + offsets[i].  Only the first ``L`` steps are
+    integrated: one drive period when the grid is periodic and the sampled
+    span is longer, else the whole span.  With ``g = gcd(s, L)`` the samples
+    fall on g-step segment boundaries, so the prefix products ``C`` are kept
+    only at the segment counts a sample uses; sample k is ``C[r] U^q psi0``
+    with ``q, r = divmod(k*s, L)`` and ``U`` the product of all L steps.
     """
-    states = np.empty((grid.times.size, 2), dtype=complex)
-    states[0] = psi0
+    m = offsets.size
+    states = np.empty((m, grid.times.size, 2), dtype=complex)
+    states[:, 0] = psi0
     n_main = grid.n_int * grid.s
     if n_main:
         L = grid.steps_per_period if 0 < grid.steps_per_period < n_main else n_main
         g = math.gcd(grid.s, L)
         q, r = np.divmod(grid.s * np.arange(grid.n_int + 1), L)
         need = np.unique(r // g)
-        prefix = np.empty((need.size, 2, 2), dtype=complex)
-        prefix[0] = _EYE  # need[0] == 0: the first sample
-        u, done = _EYE, 0
-        for seg in _segment_products(method, grid.dt, grid.t0, L // g, g, w_of_t, b_of_t):
-            chained = _mul(_prefix(seg), u)  # segment counts done+1 .. done+len(seg)
+        prefix = _identity(m, need.size)  # need[0] == 0: the first sample
+        u, done = _identity(m), 0
+        for seg in _segment_products(method, grid.dt, grid.t0, L // g, g, w_of_t, b_of_t,
+                                     offsets):
+            k = seg.shape[-1]
+            chained = _mul(_prefix(seg), u[..., None])  # segment counts done+1 .. done+k
             lo = np.searchsorted(need, done + 1)
-            hi = np.searchsorted(need, done + len(seg), side="right")
-            prefix[lo:hi] = chained[need[lo:hi] - done - 1]
-            u, done = chained[-1], done + len(seg)
-        powers, p = psi0[None], u  # powers[j] = U^j psi0; p = U^len(powers)
-        while powers.shape[0] <= q[-1]:
-            powers = np.concatenate([powers, powers @ p.T])
-            p = p @ p
-        rows = prefix[np.searchsorted(need, r // g)]
-        states[: grid.n_int + 1] = np.einsum("kij,kj->ki", rows, powers[q])
+            hi = np.searchsorted(need, done + k, side="right")
+            prefix[..., lo:hi] = chained[..., need[lo:hi] - done - 1]
+            u, done = chained[..., -1], done + k
+        # powers[:, j] = U^j psi0; p = U^(number of powers)
+        powers, p = np.broadcast_to(psi0, (m, 1, 2)), u
+        while powers.shape[1] <= q[-1]:
+            powers = np.concatenate([powers, _apply(p[..., None], powers)], axis=1)
+            p = _mul(p, p)
+        rows = prefix[..., np.searchsorted(need, r // g)]
+        states[:, : grid.n_int + 1] = _apply(rows, powers[:, q])
     if grid.n_tail:
         t_tail = grid.t0 + n_main * grid.dt
         tail = next(_segment_products(method, grid.dt_tail, t_tail, 1, grid.n_tail,
-                                      w_of_t, b_of_t))
-        states[-1] = tail[0] @ states[grid.n_int]
+                                      w_of_t, b_of_t, offsets))
+        states[:, -1] = _apply(tail[..., 0], states[:, grid.n_int])
     return states
-
-
-def _propagate_batch(grid: _Grid, w_of_t, b_of_t, offsets_ang: np.ndarray,
-                     psi0: np.ndarray, method: str) -> np.ndarray:
-    """States at sample times for a batch of members with static detuning offsets.
-
-    Steps sequentially but vectorizes each step over the member axis; suited
-    to many members over a moderate number of steps.
-    """
-    m = offsets_ang.size
-    half_off = offsets_ang / 2
-    psi = np.broadcast_to(psi0, (m, 2)).astype(complex)
-    out = np.empty((m, grid.times.size, 2), dtype=complex)
-    out[:, 0] = psi
-
-    def rhs(w, b, psi):
-        d = np.empty_like(psi)
-        d[:, 0] = -1j * (w * psi[:, 0] + b * psi[:, 1])
-        d[:, 1] = -1j * (b * psi[:, 0] - w * psi[:, 1])
-        return d
-
-    sample_idx = 1
-    segments = [(grid.t0, grid.dt, grid.n_int * grid.s, grid.s)]
-    if grid.n_tail:
-        segments.append((grid.t0 + grid.n_int * grid.s * grid.dt,
-                         grid.dt_tail, grid.n_tail, grid.n_tail))
-    for t_seg, dt, n_steps, s in segments:
-        for k in range(n_steps):
-            t = t_seg + k * dt
-            if method == "fixed-rk4":
-                w1 = w_of_t(t) + half_off
-                w2 = w_of_t(t + dt / 2) + half_off
-                w3 = w_of_t(t + dt) + half_off
-                k1 = rhs(w1, b_of_t(t), psi)
-                b_mid = b_of_t(t + dt / 2)
-                k2 = rhs(w2, b_mid, psi + (dt / 2) * k1)
-                k3 = rhs(w2, b_mid, psi + (dt / 2) * k2)
-                k4 = rhs(w3, b_of_t(t + dt), psi + dt * k3)
-                psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            else:
-                w2 = w_of_t(t + dt / 2) + half_off
-                b2 = b_of_t(t + dt / 2)
-                om = np.hypot(w2, b2)
-                theta = om * dt
-                cos = np.cos(theta)
-                safe = np.where(om > 0, om, 1.0)
-                sinc = np.where(om > 0, np.sin(theta) / safe, dt)
-                a0 = (cos - 1j * w2 * sinc) * psi[:, 0] - 1j * b2 * sinc * psi[:, 1]
-                a1 = -1j * b2 * sinc * psi[:, 0] + (cos + 1j * w2 * sinc) * psi[:, 1]
-                psi = np.stack([a0, a1], axis=1)
-            if (k + 1) % s == 0:
-                out[:, sample_idx] = psi
-                sample_idx += 1
-    return out
 
 
 def _check_norms(states: np.ndarray, tol: float) -> None:
@@ -458,7 +464,7 @@ def evolve(
     off_ang = mhz_to_angular(abs(epsilon_offset_mhz))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=off_ang)
     w_of_t, b_of_t = _detuned_hamiltonian(p, epsilon_offset_mhz)
-    states = _propagate_sampled(grid, w_of_t, b_of_t, initial.as_array(), cfg.method)
+    states = _propagate(grid, w_of_t, b_of_t, np.zeros(1), initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
@@ -512,7 +518,7 @@ def evolve_lab_frame_toy(
         )
         return delta_ang * np.cos(phase)
 
-    states = _propagate_sampled(grid, w_of_t, b_of_t, initial.as_array(), cfg.method)
+    states = _propagate(grid, w_of_t, b_of_t, np.zeros(1), initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
@@ -564,36 +570,22 @@ def evolve_ensemble_dephased(
 
     readout = rotation_x(readout_rotation) if readout_rotation else None
 
-    def member_populations(states: np.ndarray) -> np.ndarray:
-        if readout is not None:
-            states = states @ readout.T
-        return np.abs(states) ** 2
-
     # one grid for every member, fine enough for the largest offset
     extra = mhz_to_angular(float(np.max(np.abs(offsets_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
+    # detuning_mhz lives in the shared drive term; the offsets carry the noise only
+    w_of_t, b_of_t = _detuned_hamiltonian(p, detuning_mhz)
 
-    if n_samples <= 16:
-        # few members: one periodic dense propagation per member (bit-identical
-        # to evolve() for a single noiseless member)
-        pops = np.zeros((grid.times.size, 2))
-        for off in offsets_mhz:
-            w_of_t, b_of_t = _detuned_hamiltonian(p, off)
-            states = _propagate_sampled(grid, w_of_t, b_of_t, initial.as_array(), cfg.method)
-            _check_norms(states, cfg.norm_drift_tolerance)
-            pops += member_populations(states)
-        return Trajectory(grid.times, pops / n_samples, Basis.DIABATIC)
+    def summed_populations(half_offsets):
+        states = _propagate(grid, w_of_t, b_of_t, half_offsets, initial.as_array(), cfg.method)
+        _check_norms(states, cfg.norm_drift_tolerance)
+        if readout is not None:
+            states = states @ readout.T
+        return np.sum(np.abs(states) ** 2, axis=0)
 
-    half_gap = p.delta_ang / 2
-
-    def w_of_t(t):
-        return mhz_to_angular(epsilon_at(p, t) + detuning_mhz) / 2
-
-    def b_of_t(t):
-        return half_gap
-
-    # detuning_mhz lives in the shared drive term; offsets carry the noise only
-    states = _propagate_batch(grid, w_of_t, b_of_t, offsets_ang, initial.as_array(), cfg.method)
-    _check_norms(states, cfg.norm_drift_tolerance)
-    pops = np.mean(member_populations(states), axis=0)
-    return Trajectory(grid.times, pops, Basis.DIABATIC)
+    # members run in chunks; only their summed populations are kept
+    chunk = math.isqrt(_SLAB)
+    half_offsets = offsets_ang / 2
+    pops = sum(summed_populations(half_offsets[lo:lo + chunk])
+               for lo in range(0, n_samples, chunk))
+    return Trajectory(grid.times, pops / n_samples, Basis.DIABATIC)

@@ -40,3 +40,57 @@ def ode_propagator(p, t1, t2, cfg=None):
         traj = evolve(p, cfg, init, t_span=(t1, t2), sample_every=(t2 - t1))
         cols.append(traj.amplitudes[-1])
     return np.array(cols).T
+
+
+def step_by_step(grid, w_of_t, b_of_t, offsets_ang, psi0, method):
+    """Reference stepper: states (members, samples, 2) at the grid's sample times.
+
+    Steps one at a time through the grid, vectorized over members only; member
+    i sees w(t) + offsets_ang[i]/2.  Independent of the periodic kernel's step
+    maps, products and period reuse, which it serves to check.
+    """
+    m = offsets_ang.size
+    half_off = offsets_ang / 2
+    psi = np.broadcast_to(psi0, (m, 2)).astype(complex)
+    out = np.empty((m, grid.times.size, 2), dtype=complex)
+    out[:, 0] = psi
+
+    def rhs(w, b, psi):
+        d = np.empty_like(psi)
+        d[:, 0] = -1j * (w * psi[:, 0] + b * psi[:, 1])
+        d[:, 1] = -1j * (b * psi[:, 0] - w * psi[:, 1])
+        return d
+
+    sample_idx = 1
+    segments = [(grid.t0, grid.dt, grid.n_int * grid.s, grid.s)]
+    if grid.n_tail:
+        segments.append((grid.t0 + grid.n_int * grid.s * grid.dt,
+                         grid.dt_tail, grid.n_tail, grid.n_tail))
+    for t_seg, dt, n_steps, s in segments:
+        for k in range(n_steps):
+            t = t_seg + k * dt
+            if method == "fixed-rk4":
+                w1 = w_of_t(t) + half_off
+                w2 = w_of_t(t + dt / 2) + half_off
+                w3 = w_of_t(t + dt) + half_off
+                k1 = rhs(w1, b_of_t(t), psi)
+                b_mid = b_of_t(t + dt / 2)
+                k2 = rhs(w2, b_mid, psi + (dt / 2) * k1)
+                k3 = rhs(w2, b_mid, psi + (dt / 2) * k2)
+                k4 = rhs(w3, b_of_t(t + dt), psi + dt * k3)
+                psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            else:
+                w2 = w_of_t(t + dt / 2) + half_off
+                b2 = b_of_t(t + dt / 2)
+                om = np.hypot(w2, b2)
+                theta = om * dt
+                cos = np.cos(theta)
+                safe = np.where(om > 0, om, 1.0)
+                sinc = np.where(om > 0, np.sin(theta) / safe, dt)
+                a0 = (cos - 1j * w2 * sinc) * psi[:, 0] - 1j * b2 * sinc * psi[:, 1]
+                a1 = -1j * b2 * sinc * psi[:, 0] + (cos + 1j * w2 * sinc) * psi[:, 1]
+                psi = np.stack([a0, a1], axis=1)
+            if (k + 1) % s == 0:
+                out[:, sample_idx] = psi
+                sample_idx += 1
+    return out

@@ -108,6 +108,15 @@ sample_every_ns = 64.0
         assert "norm drift" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("method", ["ode", "transfer-matrix"])
+    def test_non_finite_drive_rejected_at_the_boundary(self, tmp_path, capsys, method):
+        conf = write(tmp_path, "nan.conf", "delta_mhz = nan\nepsilon_m_mhz = 100.0\n"
+                     f"period_ns = 128.0\nn_periods = 4\nmethod = {method}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "delta_mhz must be finite" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_series_contract(self, tmp_path):
         conf = write(tmp_path, "run.conf", CUSTOM_CONF)
         main(["simulate", conf, "--out", str(tmp_path)])

@@ -123,6 +123,28 @@ class TestDriveValidation:
     def test_zero_delta_allowed(self):
         assert DriveParameters(0.0, 100.0, 128.0).delta_mhz == 0.0
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("delta_mhz", math.nan, "delta_mhz must be finite"),
+        ("delta_mhz", math.inf, "delta_mhz must be finite"),
+        ("epsilon_m_mhz", math.nan, "epsilon_m_mhz must be finite"),
+        ("epsilon_m_mhz", math.inf, "epsilon_m_mhz must be finite"),
+        ("period_ns", math.nan, "period_ns must be finite"),
+        ("period_ns", math.inf, "period_ns must be finite"),
+        ("t_offset_ns", math.nan, "t_offset_ns must be finite"),
+        ("t_offset_ns", -math.inf, "t_offset_ns must be finite"),
+        ("n_periods", 2.5, "n_periods must be an integer"),
+        ("n_periods", math.nan, "n_periods must be an integer"),
+    ])
+    def test_rejects_non_finite_and_non_integer(self, field, value, match):
+        kw = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0, n_periods=2,
+                  t_offset_ns=0.0)
+        kw[field] = value
+        with pytest.raises(ValueError, match=match):
+            DriveParameters(**kw)
+
+    def test_numpy_integer_periods_accepted(self):
+        assert DriveParameters(5.57, 100.0, 128.0, n_periods=np.int64(3)).total_time_ns == 384.0
+
 
 class TestNVLevels:
     def test_full_field(self):

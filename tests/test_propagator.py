@@ -14,7 +14,8 @@ from lzsim import (
     evolve_lab_frame_toy,
 )
 from lzsim import propagator
-from conftest import FIG3A, FIG3B, FIG3D
+from lzsim.model import angular_to_mhz, mhz_to_angular
+from conftest import FIG3A, FIG3B, FIG3D, step_by_step
 
 
 def resonant_drive(delta=5.0, n=8):
@@ -115,11 +116,11 @@ class TestNumericalQuality:
             evolve(p, cfg, t_span=(0.0, 10 * 128.0), sample_every=64.0)
 
     def test_nan_drift_raises(self):
-        # a NaN coupling makes every state NaN; the norm check must not let
-        # that pass as "no drift over tolerance"
-        p = DriveParameters(delta_mhz=math.nan, epsilon_m_mhz=100.0, period_ns=128.0, n_periods=2)
+        # the norm check must not let NaN states pass as "no drift over
+        # tolerance" (a NaN drive is now rejected before it gets this far)
+        states = np.full((1, 3, 2), math.nan, dtype=complex)
         with pytest.raises(IntegrationError, match="norm drift"):
-            evolve(p, sample_every=8.0)
+            propagator._check_norms(states, 1e-8)
 
     @pytest.mark.parametrize("kw", [
         dict(norm_drift_tolerance=math.nan),
@@ -296,9 +297,36 @@ class TestPeriodicKernel:
             assert grid.n_tail > 0
         psi0 = QubitState(0.6, 0.8j).as_array()
         w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
-        dense = propagator._propagate_sampled(grid, w_of_t, b_of_t, psi0, method)
-        stepped = propagator._propagate_batch(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
+        dense = propagator._propagate(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
+        stepped = step_by_step(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
+    def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method):
+        # 64 members with their own offsets, a shared detuning and a readout
+        # pulse, on a periodic grid with a tail interval; the small slab runs
+        # the members in four chunks and folds segments longer than a slab
+        p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
+        cfg = IntegratorConfig(method=method, **self.CFG)
+        t2_star_us, n, seed, detuning, readout = 0.5, 64, 5, 1.3, math.pi / 3
+        psi0 = QubitState(0.6, 0.8j)
+        kw = dict(t2_star_us=t2_star_us, n_samples=n, seed=seed, initial=psi0,
+                  t_span=(0.0, 384.0), sample_every=10.0, detuning_mhz=detuning,
+                  readout_rotation=readout)
+        # the ensemble's members and grid, rebuilt from its seed
+        offsets_ang = np.random.default_rng(seed).normal(0.0, math.sqrt(2) / t2_star_us / 1000, n)
+        extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning)))
+        grid = propagator._build_grid(p, cfg, (0.0, 384.0), 10.0, extra_omega_ang=extra)
+        assert 0 < grid.steps_per_period < grid.n_int * grid.s and grid.n_tail > 0
+        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, detuning)
+        stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang, psi0.as_array(), method)
+        stepped = stepped @ propagator.rotation_x(readout).T
+        ref = np.mean(np.abs(stepped) ** 2, axis=0)
+        for slab in (propagator._SLAB, 256):
+            monkeypatch.setattr(propagator, "_SLAB", slab)
+            ens = evolve_ensemble_dephased(p, cfg, **kw)
+            assert np.array_equal(ens.times, grid.times)
+            assert np.max(np.abs(ens.populations - ref)) < 1e-11
 
     @pytest.mark.parametrize("slab", [3, 8])
     def test_slab_size_does_not_change_states(self, monkeypatch, slab):
@@ -327,3 +355,63 @@ class TestPeriodicKernel:
 
         short, long = peak(8), peak(64)
         assert long < 1.2 * short
+
+    def test_ensemble_memory_does_not_grow_with_members(self):
+        # same grid and samples, eight times the members: members run in
+        # chunks and only their populations are accumulated
+        p = DriveParameters(**FIG3A, n_periods=2)
+        cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
+                               norm_drift_tolerance=1e-3)
+
+        def run(n_samples):
+            tracemalloc.start()
+            try:
+                ens = evolve_ensemble_dephased(p, cfg, t2_star_us=6.56, n_samples=n_samples,
+                                               seed=1, t_span=(0.0, 256.0), sample_every=1.0)
+                return ens.times, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (times_few, few), (times_many, many) = run(256), run(2048)
+        assert np.array_equal(times_few, times_many)
+        assert many < 1.2 * few
+
+
+class TestStepMaps:
+    """The closed-form (p, q) step maps against the full 2x2 matrices."""
+
+    @staticmethod
+    def matrix(x):
+        p, q = x
+        return np.array([[p, q], [-np.conj(q), np.conj(p)]])
+
+    def test_rk4_map_equals_stage_product(self):
+        rng = np.random.default_rng(3)
+        h = 0.05
+        # b varies within the step, as the lab-frame toy's coupling does
+        w1, w2, w3, b1, b2, b3 = rng.normal(0.0, 5.0, (6, 40))
+        maps = propagator._rk4_maps(h, w1, w2, w3, b1, b2, b3)
+
+        def stage(w, b):
+            return -1j * np.array([[w, b], [b, -w]])
+
+        for i in range(w1.size):
+            a1, a2, a3 = stage(w1[i], b1[i]), stage(w2[i], b2[i]), stage(w3[i], b3[i])
+            k1 = a1
+            k2 = a2 + h / 2 * a2 @ k1
+            k3 = a2 + h / 2 * a2 @ k2
+            k4 = a3 + h * a3 @ k3
+            full = np.eye(2) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            assert np.max(np.abs(self.matrix(maps[:, i]) - full)) < 1e-14
+
+    def test_exact_map_equals_expm(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(4)
+        h = 0.05
+        w, b = rng.normal(0.0, 5.0, (2, 40))
+        w[0] = b[0] = 0.0  # the sinc limit at a vanishing Hamiltonian
+        maps = propagator._expm_maps(h, w, b)
+        for i in range(w.size):
+            full = expm(-1j * h * np.array([[w[i], b[i]], [b[i], -w[i]]]))
+            assert np.max(np.abs(self.matrix(maps[:, i]) - full)) < 1e-14
