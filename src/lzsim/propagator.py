@@ -17,12 +17,14 @@ float arithmetic and multiplied as ``(p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))`
 
 Periodic kernel.  Because the drive is exactly T-periodic and the aligned
 grid holds a whole number of steps per period, the step maps repeat from one
-period to the next.  The kernel therefore integrates a single period:
-segments of steps are reduced by pairwise halving, chained into prefix
-products ``C[r]`` over the period, and the state at a sample ``r`` steps into
-period ``q`` is ``C[r] U^q psi0`` with ``U`` the one-period map.  A span of at
-most one period, a constant drive and the lab-frame toy (whose carrier does
-not repeat with the drive) take the same code with the whole span as the
+period to the next.  The kernel therefore integrates a single period: the
+state at a sample ``r`` steps into period ``q`` is ``C[r] U^q psi0``, with
+``C[r]`` the product of the first ``r`` steps and ``U = C[L]`` the one-period
+map.  The products ``C`` are formed only at the ``r`` a sample uses, from a
+tree of pairwise products over each slab of steps, so a period costs about
+one product per step however the samples fall in it.  A span of at most one
+period, a constant drive and the lab-frame toy (whose carrier does not
+repeat with the drive) take the same code with the whole span as the
 "period".
 
 Members.  The kernel has a leading member axis: member i sees w(t) plus a
@@ -36,6 +38,7 @@ Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
 States are never renormalized.
 """
+
 from __future__ import annotations
 
 import math
@@ -293,7 +296,7 @@ def _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets) -> np.ndarray:
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))."""
     (p1, q1), (p2, q2) = x, y
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out = np.empty((2, *np.broadcast(p1, p2).shape), dtype=complex)
     out[0] = p1 * p2 - q1 * q2.conj()
     out[1] = p1 * q2 + q1 * p2.conj()
     return out
@@ -306,52 +309,47 @@ def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.stack([p * a0 + q * a1, p.conj() * a1 - q.conj() * a0], axis=-1)
 
 
-def _reduce(x: np.ndarray) -> np.ndarray:
-    """Ordered product x[..., n-1] @ ... @ x[..., 0] over the last axis, by pairwise halving."""
-    while x.shape[-1] > 1:
-        n = x.shape[-1]
-        pairs = _mul(x[..., 1:n:2], x[..., 0:n - 1:2])
-        x = np.concatenate([pairs, x[..., n - 1:]], axis=-1) if n % 2 else pairs
-    return x[..., 0]
+def _prefix_at(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Ordered products x[..., c-1] @ ... @ x[..., 0] over the last axis, one per count c.
 
-
-def _prefix(x: np.ndarray) -> np.ndarray:
-    """Inclusive ordered prefix products out[..., i] = x[..., i] @ ... @ x[..., 0].
-
-    A log-depth scan over the last axis.
+    ``counts`` are in 1..n.  A tree of pairwise products (level l holds the
+    products of aligned blocks of 2**l maps) costs about n products; each
+    count then takes the blocks of its binary digits, highest first.
     """
-    out = x.copy()
-    d = 1
-    while d < out.shape[-1]:
-        out[..., d:] = _mul(out[..., d:], out[..., :-d])
-        d *= 2
-    return out
+    levels = [x]
+    while levels[-1].shape[-1] > 1:
+        y = levels[-1]
+        n = y.shape[-1] // 2 * 2
+        levels.append(_mul(y[..., 1:n:2], y[..., 0:n:2]))
+    acc = _identity(*x.shape[1:-1], counts.size)
+    start = np.zeros_like(counts)
+    bits = int(np.bitwise_or.reduce(counts))
+    for level in reversed(range(len(levels))):
+        if bits >> level & 1:
+            sel = np.flatnonzero(counts >> level & 1)
+            acc[..., sel] = _mul(levels[level][..., start[sel] >> level], acc[..., sel])
+            start[sel] += 1 << level
+    return acc
 
 
-def _segment_products(method, dt, t0, n_seg, g, w_of_t, b_of_t, offsets):
-    """Yield the products of n_seg consecutive g-step segments from t0, slab by slab.
+def _products(method, dt, t0, counts, w_of_t, b_of_t, offsets) -> np.ndarray:
+    """Maps (2, members, len(counts)): the product of the first c steps of the
+    grid t0 + dt*j for each count c of the sorted positive ``counts``.
 
-    Each yield is a map array (2, members, segments in the slab).  A slab
-    holds at most ``_SLAB`` step maps over all members: whole segments when a
-    segment fits, else the pieces of one segment folded into a running
-    product.
+    Steps stream in slabs of at most ``_SLAB`` maps over all members; each
+    slab's products are chained onto the product of the slabs before it.
     """
-    m = offsets.size
+    m, n = offsets.size, int(counts[-1])
     steps = max(1, _SLAB // m)
-    per = steps // g
-    if per:
-        for lo in range(0, n_seg, per):
-            hi = min(lo + per, n_seg)
-            x = _step_maps(method, dt, t0, lo * g, hi * g, w_of_t, b_of_t, offsets)
-            yield _reduce(x.reshape(2, m, hi - lo, g))
-        return
-    for i in range(n_seg):
-        prod = _identity(m)
-        for lo in range(i * g, (i + 1) * g, steps):
-            hi = min(lo + steps, (i + 1) * g)
-            x = _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets)
-            prod = _mul(_reduce(x), prod)
-        yield prod[..., None]
+    out = np.empty((2, m, counts.size), dtype=complex)
+    done = _identity(m)
+    for lo in range(0, n, steps):
+        hi = min(lo + steps, n)
+        x = _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets)
+        a, b = np.searchsorted(counts, (lo + 1, hi + 1))  # the counts in lo+1..hi
+        local = _mul(_prefix_at(x, np.append(counts[a:b] - lo, hi - lo)), done[..., None])
+        out[..., a:b], done = local[..., :-1], local[..., -1]
+    return out
 
 
 def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarray,
@@ -360,10 +358,9 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
 
     Member i sees w(t) + offsets[i].  Only the first ``L`` steps are
     integrated: one drive period when the grid is periodic and the sampled
-    span is longer, else the whole span.  With ``g = gcd(s, L)`` the samples
-    fall on g-step segment boundaries, so the prefix products ``C`` are kept
-    only at the segment counts a sample uses; sample k is ``C[r] U^q psi0``
-    with ``q, r = divmod(k*s, L)`` and ``U`` the product of all L steps.
+    span is longer, else the whole span.  Sample k is ``C[r] U^q psi0`` with
+    ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
+    ``U = C[L]``; C is formed only at the r a sample uses.
     """
     m = offsets.size
     states = np.empty((m, grid.times.size, 2), dtype=complex)
@@ -371,30 +368,22 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
     n_main = grid.n_int * grid.s
     if n_main:
         L = grid.steps_per_period if 0 < grid.steps_per_period < n_main else n_main
-        g = math.gcd(grid.s, L)
         q, r = np.divmod(grid.s * np.arange(grid.n_int + 1), L)
-        need = np.unique(r // g)
-        prefix = _identity(m, need.size)  # need[0] == 0: the first sample
-        u, done = _identity(m), 0
-        for seg in _segment_products(method, grid.dt, grid.t0, L // g, g, w_of_t, b_of_t,
-                                     offsets):
-            k = seg.shape[-1]
-            chained = _mul(_prefix(seg), u[..., None])  # segment counts done+1 .. done+k
-            lo = np.searchsorted(need, done + 1)
-            hi = np.searchsorted(need, done + k, side="right")
-            prefix[..., lo:hi] = chained[..., need[lo:hi] - done - 1]
-            u, done = chained[..., -1], done + k
+        need = np.unique(np.append(r, L))  # need[0] == 0 (the first sample), need[-1] == L
+        prefix = np.concatenate(
+            [_identity(m, 1), _products(method, grid.dt, grid.t0, need[1:], w_of_t, b_of_t,
+                                         offsets)], axis=-1)
         # powers[:, j] = U^j psi0; p = U^(number of powers)
-        powers, p = np.broadcast_to(psi0, (m, 1, 2)), u
+        powers, p = np.broadcast_to(psi0, (m, 1, 2)), prefix[..., -1]
         while powers.shape[1] <= q[-1]:
             powers = np.concatenate([powers, _apply(p[..., None], powers)], axis=1)
             p = _mul(p, p)
-        rows = prefix[..., np.searchsorted(need, r // g)]
+        rows = prefix[..., np.searchsorted(need, r)]
         states[:, : grid.n_int + 1] = _apply(rows, powers[:, q])
     if grid.n_tail:
         t_tail = grid.t0 + n_main * grid.dt
-        tail = next(_segment_products(method, grid.dt_tail, t_tail, 1, grid.n_tail,
-                                      w_of_t, b_of_t, offsets))
+        tail = _products(method, grid.dt_tail, t_tail, np.array([grid.n_tail]),
+                         w_of_t, b_of_t, offsets)
         states[:, -1] = _apply(tail[..., 0], states[:, grid.n_int])
     return states
 

@@ -305,7 +305,7 @@ class TestPeriodicKernel:
     def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method):
         # 64 members with their own offsets, a shared detuning and a readout
         # pulse, on a periodic grid with a tail interval; the small slab runs
-        # the members in four chunks and folds segments longer than a slab
+        # the members in four chunks of 16-step slabs
         p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
         cfg = IntegratorConfig(method=method, **self.CFG)
         t2_star_us, n, seed, detuning, readout = 0.5, 64, 5, 1.3, math.pi / 3
@@ -330,9 +330,9 @@ class TestPeriodicKernel:
 
     @pytest.mark.parametrize("slab", [3, 8])
     def test_slab_size_does_not_change_states(self, monkeypatch, slab):
-        # tiny slabs carry the running product across slabs (8: two 4-step
-        # segments per slab) and split segments longer than a slab (3), as
-        # very long periods would
+        # tiny slabs chain the running product across many slabs, with
+        # samples falling inside slabs and on their edges, as very long
+        # periods would
         p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
         cfg = IntegratorConfig(**self.CFG)
         kw = dict(t_span=(50.0, 384.0), sample_every=10.0)
@@ -415,3 +415,18 @@ class TestStepMaps:
         for i in range(w.size):
             full = expm(-1j * h * np.array([[w[i], b[i]], [b[i], -w[i]]]))
             assert np.max(np.abs(self.matrix(maps[:, i]) - full)) < 1e-14
+
+    def test_prefix_at_matches_sequential_products(self):
+        # odd lengths at several tree levels, three members, counts from 1 to n
+        rng = np.random.default_rng(5)
+        w1, w2, w3, b1, b2, b3 = rng.normal(0.0, 5.0, (6, 3, 37))
+        maps = propagator._rk4_maps(0.05, w1, w2, w3, b1, b2, b3)
+        counts = np.array([1, 2, 5, 16, 17, 31, 36, 37])
+        got = propagator._prefix_at(maps, counts)
+        for i in range(3):
+            acc = np.eye(2)
+            for c in range(1, 38):
+                acc = self.matrix(maps[:, i, c - 1]) @ acc
+                if c in counts:
+                    j = int(np.searchsorted(counts, c))
+                    assert np.max(np.abs(self.matrix(got[:, i, j]) - acc)) < 1e-13
