@@ -360,7 +360,8 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
     integrated: one drive period when the grid is periodic and the sampled
     span is longer, else the whole span.  Sample k is ``C[r] U^q psi0`` with
     ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
-    ``U = C[L]``; C is formed only at the r a sample uses.
+    ``U = C[L]``; ``C[r]`` and ``U^q`` are formed only at the r and q a
+    sample uses.
     """
     m = offsets.size
     states = np.empty((m, grid.times.size, 2), dtype=complex)
@@ -373,13 +374,17 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
         prefix = np.concatenate(
             [_identity(m, 1), _products(method, grid.dt, grid.t0, need[1:], w_of_t, b_of_t,
                                          offsets)], axis=-1)
-        # powers[:, j] = U^j psi0; p = U^(number of powers)
-        powers, p = np.broadcast_to(psi0, (m, 1, 2)), prefix[..., -1]
-        while powers.shape[1] <= q[-1]:
-            powers = np.concatenate([powers, _apply(p[..., None], powers)], axis=1)
-            p = _mul(p, p)
+        # U^q for each distinct q by squaring; powers of U commute, so the
+        # bits of q multiply in any order
+        periods = np.unique(q)
+        powers, u = _identity(m, periods.size), prefix[..., -1]
+        for bit in range(int(periods[-1]).bit_length()):
+            sel = np.flatnonzero(periods >> bit & 1)
+            powers[..., sel] = _mul(u[..., None], powers[..., sel])
+            u = _mul(u, u)
         rows = prefix[..., np.searchsorted(need, r)]
-        states[:, : grid.n_int + 1] = _apply(rows, powers[:, q])
+        psi = _apply(powers, psi0)[:, np.searchsorted(periods, q)]
+        states[:, : grid.n_int + 1] = _apply(rows, psi)
     if grid.n_tail:
         t_tail = grid.t0 + n_main * grid.dt
         tail = _products(method, grid.dt_tail, t_tail, np.array([grid.n_tail]),

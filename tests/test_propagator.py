@@ -376,6 +376,25 @@ class TestPeriodicKernel:
         assert np.array_equal(times_few, times_many)
         assert many < 1.2 * few
 
+    def test_ensemble_memory_does_not_grow_with_periods(self):
+        # same 11 samples over 8 and 1024 periods: U^q is formed only for the
+        # q the samples use, not for every power up to the last
+        cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
+                               norm_drift_tolerance=1e-3)
+
+        def peak(n_periods):
+            p = DriveParameters(**FIG3A, n_periods=n_periods)
+            t_end = n_periods * p.period_ns
+            tracemalloc.start()
+            try:
+                evolve_ensemble_dephased(p, cfg, t2_star_us=6.56, n_samples=256, seed=1,
+                                         t_span=(0.0, t_end), sample_every=t_end / 10)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1024) < 1.2 * peak(8)
+
 
 class TestStepMaps:
     """The closed-form (p, q) step maps against the full 2x2 matrices."""
