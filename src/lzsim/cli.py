@@ -155,7 +155,7 @@ def cmd_reproduce(args) -> int:
         scalars_path,
         json.dumps(
             {"scalars": _plain_scalars(result.scalars), "provenance": result.provenance},
-            sort_keys=True, indent=2,
+            sort_keys=True, indent=2, allow_nan=False,
         ) + "\n",
     )
     files.append(str(scalars_path))
@@ -210,7 +210,8 @@ def cmd_sweep(args) -> int:
     else:
         doc = {"schema": 1, "provenance": provenance, "columns": columns,
                "rows": [list(r) for r in rows]}
-        atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        atomic_write_text(path, text + "\n")
     summary["files"] = [str(path)]
     _emit(summary)
     return 0

@@ -236,7 +236,6 @@ class SweepConfig:
     format: str
     out_dir: str | None
     workers: int
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
@@ -319,5 +318,4 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         format=v["format"],
         out_dir=v["out_dir"],
         workers=v["workers"],
-        raw=v,
     )

@@ -128,7 +128,7 @@ class QubitState:
 
     def __post_init__(self):
         norm_sq = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm_sq - 1.0) > 1e-9:
+        if not abs(norm_sq - 1.0) <= 1e-9:
             raise ValueError(f"state not normalized: |amp|^2 = {norm_sq!r}")
 
     @classmethod

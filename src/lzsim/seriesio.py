@@ -59,16 +59,15 @@ def series_table(
     traj: Trajectory,
     drive: DriveParameters | None = None,
     adiabatic: Trajectory | None = None,
-) -> tuple[list[str], list[list[float | None]]]:
-    """Column names and row values for a trajectory.
+) -> tuple[list[str], np.ndarray]:
+    """Column names and the (rows, columns) float table of a trajectory.
 
     Optional columns: the instantaneous detuning (needs the drive) and
     adiabatic-basis populations, populated only at the sample times the
-    masked adiabatic trajectory kept (None elsewhere).
+    masked adiabatic trajectory kept (NaN elsewhere, written as empty cells).
     """
     columns = ["t_ns", "P0", "P1"]
     cols: list[np.ndarray] = [traj.times, traj.p0, traj.p1]
-    optional: list[np.ndarray] = []
     if drive is not None:
         columns.append("epsilon_MHz")
         cols.append(np.asarray(epsilon_at(drive, traj.times)))
@@ -86,40 +85,45 @@ def series_table(
             raise ValueError("adiabatic overlay samples are not a subset of the base grid")
         g[idx] = adiabatic.p0
         e[idx] = adiabatic.p1
-        optional = [g, e]
-    data = np.column_stack(cols + optional)
-    rows: list[list[float | None]] = []
-    for row in data:
-        rows.append([None if isinstance(x, float) and np.isnan(x) else float(x) for x in row])
+        cols += [g, e]
+    data = np.column_stack(cols).astype(float, copy=False)
     # probabilities must sit in [0, 1]; clamp defensible float dust only
-    for row in rows:
-        for j, name in enumerate(columns):
-            if name.startswith("P") and row[j] is not None:
-                if row[j] < -1e-9 or row[j] > 1 + 1e-9:
-                    raise ValueError(f"column {name} out of [0, 1]: {row[j]}")
-                row[j] = min(1.0, max(0.0, row[j]))
-    return columns, rows
+    p_cols = [j for j, name in enumerate(columns) if name.startswith("P")]
+    probs = data[:, p_cols]
+    bad = np.argwhere((probs < -1e-9) | (probs > 1 + 1e-9))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"column {columns[p_cols[j]]} out of [0, 1]: {float(probs[i, j])}")
+    np.clip(probs, 0.0, 1.0, out=probs)
+    probs += 0.0  # turns a clamped -0.0 into 0.0
+    data[:, p_cols] = probs
+    return columns, data
 
 
 def render_series_csv(columns, rows, provenance: dict) -> str:
+    """Header, column names and one line per row; NaN cells are left empty."""
     flat: dict[str, str] = {}
     _flatten("", provenance, flat)
     lines = [f"# lzsim-series schema={SCHEMA_VERSION}"]
     lines += [f"# {k} = {v}" for k, v in sorted(flat.items())]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join("" if x is None else repr(x) for x in row))
-    return "\n".join(lines) + "\n"
+    data = np.asarray(rows, dtype=float)
+    body = [",".join(map(repr, row)) for row in data.tolist()]
+    if np.isnan(data).any():
+        # repr writes NaN as 'nan', and no other float's repr contains it
+        body = [line.replace("nan", "") for line in body]
+    return "\n".join(lines + body + [""])
 
 
 def render_series_json(columns, rows, provenance: dict) -> str:
+    data = np.asarray(rows, dtype=float)
     doc = {
         "schema": SCHEMA_VERSION,
         "provenance": provenance,
         "columns": list(columns),
-        "rows": rows,
+        "rows": np.where(np.isnan(data), None, data).tolist(),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_series(
@@ -175,4 +179,4 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
 
 def render_table_csv(columns, rows, provenance: dict) -> str:
     """Plain table (sweep output): same header discipline as series files."""
-    return render_series_csv(columns, [list(r) for r in rows], provenance)
+    return render_series_csv(columns, rows, provenance)

@@ -40,6 +40,11 @@ the triangle is symmetric about its turning points).  For the bare nodes
 interference (no transfer, ever) happens at zeta + phi_s = 0 mod pi and
 resonant transfer at zeta + phi_s = pi/2 mod pi; with the kicks this holds
 to O(kappa).
+
+``period_steps`` gives the four factors of one drive as checked 2x2
+unitaries.  ``resonance_scan`` composes G1 for a whole grid of periods or
+amplitudes at once, as (n, 2, 2) arrays built from the same closed forms
+(``_period_rotations``); ``single_period_rotation`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -306,55 +311,113 @@ def period_steps(p: DriveParameters) -> list[TransferStep]:
     return [_kicked_node(p, node, tc1, u1), u1, _kicked_node(p, node, tc2, u2), u2]
 
 
-def _su2_axis_angle(g: np.ndarray) -> tuple[float, np.ndarray]:
-    """Rotation angle in [0, pi] and Bloch axis of a U(2) matrix.
-
-    The global phase is removed by dividing out sqrt(det) and fixing the
-    trace real-positive; at angle pi the leftover sign ambiguity is broken
-    by preferring non-negative z, then x, then y axis components.
-    """
-    det = np.linalg.det(g)
-    gs = g / cmath.sqrt(det)
-    tr = np.trace(gs)
-    if tr.real < 0:
-        gs = -gs
-        tr = -tr
-    cos_half = min(1.0, max(-1.0, tr.real / 2))
-    angle = 2 * math.acos(cos_half)
-    sin_half = math.sin(angle / 2)
-    if sin_half < 1e-12:
-        return 0.0, np.array([0.0, 0.0, 1.0])
-    a, b = gs[0, 0], gs[0, 1]
-    c = gs[1, 0]
-    nx = -(b + c).imag / (2 * sin_half)
-    ny = -(b - c).real / (2 * sin_half)
-    nz = -(a - gs[1, 1]).imag / (2 * sin_half)
-    axis = np.array([nx, ny, nz])
-    axis /= np.linalg.norm(axis)
-    if abs(angle - math.pi) < 1e-12:
-        for comp in (2, 0, 1):
-            if abs(axis[comp]) > 1e-12:
-                if axis[comp] < 0:
-                    axis = -axis
-                break
-    return angle, axis
-
-
-def _check_impulse_regime(p: DriveParameters) -> None:
-    if p.epsilon_m_mhz == 0:
+def _check_impulse_regime(delta_mhz: float, epsilon_m_mhz) -> None:
+    """Refuse amplitudes the model cannot compose and warn, once, where it degrades."""
+    eps = np.asarray(epsilon_m_mhz, dtype=float)
+    if np.any(eps == 0):
         raise DegenerateDriveError("drive has no crossings to compose")
-    if p.epsilon_m_mhz <= p.delta_mhz:
+    low = eps <= delta_mhz
+    if np.any(low):
         raise ValueError(
             "adiabatic-impulse model needs epsilon_m > delta "
-            f"(got {p.epsilon_m_mhz} <= {p.delta_mhz})"
+            f"(got {float(eps[low][0])} <= {delta_mhz})"
         )
-    if p.epsilon_m_mhz < 5 * p.delta_mhz:
+    if np.any(eps < 5 * delta_mhz):
         warnings.warn(
-            f"epsilon_m/delta = {p.epsilon_m_mhz / p.delta_mhz:.2f} < 5: "
+            f"epsilon_m/delta = {float(np.min(eps)) / delta_mhz:.2f} < 5: "
             "the adiabatic-impulse model degrades at small sweep amplitudes",
             ModelAccuracyWarning,
             stacklevel=3,
         )
+
+
+def _period_rotations(
+    p: DriveParameters, epsilon_m_mhz: np.ndarray, period_ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G1 and its rotation for every (epsilon_m, T) pair of a grid.
+
+    The drives share ``p``'s gap and start offset.  Each G1 is the product
+    of ``period_steps``, U M2 U M1, composed for the whole grid at once from
+    closed forms: P and phi_s of ``LZNode.from_drive``, the half-period phase
+    zeta = A(eps_m)/slope with A(u) = (u hypot(u, m) + m^2 asinh(u/m))/2 the
+    antiderivative ``free_phase`` integrates (both half periods hold one
+    turning point and are equal), the first crossing's orientation of
+    ``_sweep_direction`` and the kicks of ``_kicked_node``.  Angle and axis
+    follow the convention of an SU(2) rotation: the global phase is removed
+    by dividing out sqrt(det) and fixing the trace real-positive, so the
+    angle lies in [0, pi]; at angle pi the leftover sign is broken by
+    preferring a non-negative z, then x, then y axis component.
+
+    Returns ``g1`` (n, 2, 2), ``angles`` (n,) and ``axes`` (n, 3).
+    """
+    if p.delta_mhz <= 0:
+        raise ValueError(f"delta_adiab must be positive, got delta_mhz = {p.delta_mhz}")
+    m = p.delta_ang
+    t_off = p.t_offset_ns
+    eps_m = mhz_to_angular(epsilon_m_mhz)
+    T = period_ns
+    rate = mhz_to_angular(4 * epsilon_m_mhz / T)  # sweep rate at a crossing
+    d = m**2 / (4 * rate)
+    p_lz = np.exp(-2 * np.pi * d)
+    phi_s = np.pi / 4 + d * (np.log(d) - 1.0) + loggamma(1 - 1j * d).imag
+    zeta = (eps_m * np.hypot(eps_m, m) + m * m * np.arcsinh(eps_m / m)) / 2 / (4 * eps_m / T)
+    e_plus = np.exp(1j * zeta)
+    e_minus = e_plus.conj()
+
+    # +1 where the first crossing after t = 0 sweeps the detuning up
+    tc1 = np.fmod(T / 4 - t_off, T / 2)
+    tc1 = np.where(tc1 < 0, tc1 + T / 2, tc1)
+    phase = np.fmod(tc1 + t_off, T)
+    phase = np.where(phase < 0, phase + T, phase)
+    up = np.where(np.abs(phase - T / 4) < T / 8, 1.0, -1.0)
+    kick = m * rate / np.hypot(eps_m, m) ** 3
+
+    alpha = np.sqrt(1.0 - p_lz) * np.exp(1j * phi_s)
+    gamma = np.sqrt(p_lz)
+    n = zeta.size
+
+    def node(sign):
+        # the turning point after an up-sweep kicks by -kick, after a down-sweep by +kick
+        cos_k, sin_k = np.cos(sign * kick), 1j * np.sin(sign * kick)
+        k = np.empty((n, 2, 2), dtype=complex)
+        k[:, 0, 0] = k[:, 1, 1] = cos_k
+        k[:, 0, 1] = sin_k * e_minus
+        k[:, 1, 0] = sin_k * e_plus
+        bare = np.empty((n, 2, 2), dtype=complex)
+        bare[:, 0, 0] = alpha
+        bare[:, 0, 1] = sign * gamma
+        bare[:, 1, 0] = -sign * gamma
+        bare[:, 1, 1] = alpha.conj()
+        return k @ bare
+
+    free = np.zeros((n, 2, 2), dtype=complex)
+    free[:, 0, 0] = e_plus
+    free[:, 1, 1] = e_minus
+    g1 = free @ node(-up) @ free @ node(up)
+    err = np.max(np.abs(g1.conj().transpose(0, 2, 1) @ g1 - np.eye(2)))
+    if not err <= 1e-12:
+        raise ValueError(f"G1 not unitary: max deviation {err:.2e}")
+
+    det = g1[:, 0, 0] * g1[:, 1, 1] - g1[:, 0, 1] * g1[:, 1, 0]
+    gs = g1 / np.sqrt(det)[:, None, None]
+    tr = gs[:, 0, 0] + gs[:, 1, 1]
+    gs = np.where((tr.real < 0)[:, None, None], -gs, gs)
+    angles = 2 * np.arccos(np.minimum(1.0, np.abs(tr.real) / 2))
+    a, b, c, dd = gs[:, 0, 0], gs[:, 0, 1], gs[:, 1, 0], gs[:, 1, 1]
+    axes = np.stack([-(b + c).imag, -(b - c).real, -(a - dd).imag], axis=1)
+    norm = np.linalg.norm(axes, axis=1, keepdims=True)
+    axes /= np.where(norm > 0, norm, 1.0)  # zero only at angle 0, set below
+    at_pi = np.abs(angles - np.pi) < 1e-12
+    if np.any(at_pi):
+        zxy = axes[:, [2, 0, 1]]
+        lead = zxy[np.arange(n), np.argmax(np.abs(zxy) > 1e-12, axis=1)]
+        axes[at_pi & (lead < 0)] *= -1
+    still = np.sin(angles / 2) < 1e-12
+    angles[still] = 0.0
+    axes[still] = (0.0, 0.0, 1.0)
+    if not np.all((angles >= 0.0) & (angles <= np.pi + 1e-12)):
+        raise ValueError("rotation angles must lie in [0, pi]")
+    return g1, angles, axes
 
 
 def single_period_rotation(p: DriveParameters) -> PeriodRotation:
@@ -366,12 +429,11 @@ def single_period_rotation(p: DriveParameters) -> PeriodRotation:
     trace is 2[P + (1-P) cos 2(zeta + phi_s)].  Resonant driving corresponds
     to the axis lying in the Bloch xy plane; a vanishing rotation angle means
     destructive interference (no transfer no matter how long the drive runs).
+    This is the one-point case of ``resonance_scan``.
     """
-    _check_impulse_regime(p)
-    n1, u1, n2, u2 = period_steps(p)
-    g1 = u2.matrix @ n2.matrix @ u1.matrix @ n1.matrix
-    angle, axis = _su2_axis_angle(g1)
-    return PeriodRotation(g1, angle, axis)
+    _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)
+    g1, angles, axes = _period_rotations(p, np.array([p.epsilon_m_mhz]), np.array([p.period_ns]))
+    return PeriodRotation(g1[0], float(angles[0]), axes[0])
 
 
 def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None = None) -> Trajectory:
@@ -396,7 +458,7 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     crossings = crossing_times(p)
     if not crossings:
         raise DegenerateDriveError("drive has no crossings to compose")
-    _check_impulse_regime(p)
+    _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)
     node = LZNode.from_drive(p)
     T = p.period_ns
     tc1 = crossings[0]
@@ -461,22 +523,26 @@ def resonance_scan(p_base: DriveParameters, parameter: str, values) -> list[Scan
     """G1 rotation diagnostics over a grid of ``period_ns`` or ``epsilon_m_mhz``.
 
     Resonances show up as minima of |axis_z|; destructive-interference points
-    as minima of the rotation angle.
+    as minima of the rotation angle.  The grid is checked as
+    ``DriveParameters`` checks each drive, and G1 is composed for all points
+    at once.
     """
     if parameter not in ("period_ns", "epsilon_m_mhz"):
         raise ValueError(f"parameter must be 'period_ns' or 'epsilon_m_mhz', got {parameter!r}")
-    values = list(values)
-    if not values:
-        raise ValueError("scan grid is empty")
-    points = []
-    for v in values:
-        drive = DriveParameters(
-            delta_mhz=p_base.delta_mhz,
-            epsilon_m_mhz=v if parameter == "epsilon_m_mhz" else p_base.epsilon_m_mhz,
-            period_ns=v if parameter == "period_ns" else p_base.period_ns,
-            n_periods=p_base.n_periods,
-            t_offset_ns=p_base.t_offset_ns,
-        )
-        rot = single_period_rotation(drive)
-        points.append(ScanPoint(float(v), rot.rotation_angle, float(rot.axis[2])))
-    return points
+    grid = np.asarray(list(values), dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("scan grid must be a non-empty list of values")
+    bad = ~np.isfinite(grid)
+    if np.any(bad):
+        raise ValueError(f"{parameter} must be finite, got {float(grid[bad][0])}")
+    if parameter == "period_ns":
+        if np.any(grid <= 0):
+            raise ValueError(f"period_ns must be positive, got {float(grid[grid <= 0][0])}")
+        eps_m, period = np.full(grid.size, p_base.epsilon_m_mhz), grid
+    else:
+        if np.any(grid < 0):
+            raise ValueError(f"epsilon_m_mhz must be >= 0, got {float(grid[grid < 0][0])}")
+        eps_m, period = grid, np.full(grid.size, p_base.period_ns)
+    _check_impulse_regime(p_base.delta_mhz, eps_m)
+    _, angles, axes = _period_rotations(p_base, eps_m, period)
+    return [ScanPoint(v, a, z) for v, a, z in zip(grid.tolist(), angles.tolist(), axes[:, 2].tolist())]

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,42 @@ def ode_propagator(p, t1, t2, cfg=None):
         traj = evolve(p, cfg, init, t_span=(t1, t2), sample_every=(t2 - t1))
         cols.append(traj.amplitudes[-1])
     return np.array(cols).T
+
+
+def su2_axis_angle(g):
+    """Reference rotation angle in [0, pi] and Bloch axis of one U(2) matrix.
+
+    The global phase is removed by dividing out sqrt(det) and fixing the
+    trace real-positive; at angle pi the leftover sign ambiguity is broken
+    by preferring non-negative z, then x, then y axis components.  Written
+    per matrix, independently of the batched extraction in
+    ``transfer_matrix._period_rotations``, which it serves to check.
+    """
+    det = np.linalg.det(g)
+    gs = g / cmath.sqrt(det)
+    tr = np.trace(gs)
+    if tr.real < 0:
+        gs = -gs
+        tr = -tr
+    cos_half = min(1.0, max(-1.0, tr.real / 2))
+    angle = 2 * math.acos(cos_half)
+    sin_half = math.sin(angle / 2)
+    if sin_half < 1e-12:
+        return 0.0, np.array([0.0, 0.0, 1.0])
+    a, b = gs[0, 0], gs[0, 1]
+    c = gs[1, 0]
+    nx = -(b + c).imag / (2 * sin_half)
+    ny = -(b - c).real / (2 * sin_half)
+    nz = -(a - gs[1, 1]).imag / (2 * sin_half)
+    axis = np.array([nx, ny, nz])
+    axis /= np.linalg.norm(axis)
+    if abs(angle - math.pi) < 1e-12:
+        for comp in (2, 0, 1):
+            if abs(axis[comp]) > 1e-12:
+                if axis[comp] < 0:
+                    axis = -axis
+                break
+    return angle, axis
 
 
 def step_by_step(grid, w_of_t, b_of_t, offsets_ang, psi0, method):

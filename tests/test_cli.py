@@ -117,6 +117,22 @@ sample_every_ns = 64.0
         assert "delta_mhz must be finite" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    def test_nan_preparation_rotation_rejected_at_the_boundary(self, tmp_path, capsys):
+        conf = write(tmp_path, "nan.conf", """\
+delta_mhz = 0.0
+epsilon_m_mhz = 0.0
+period_ns = 1000.0
+n_periods = 4
+t2_star_us = 6.56
+n_noise_samples = 32
+preparation_rotation_rad = nan
+sample_every_ns = 100.0
+""")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "not normalized" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_series_contract(self, tmp_path):
         conf = write(tmp_path, "run.conf", CUSTOM_CONF)
         main(["simulate", conf, "--out", str(tmp_path)])
@@ -206,6 +222,31 @@ delta_mhz = 5.57
 epsilon_m_mhz = 100.0
 """)
         assert main(["sweep", conf, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("parameter, bad, message", [
+        ("period_ns", "nan", "period_ns must be finite"),
+        ("period_ns", "inf", "period_ns must be finite"),
+        ("period_ns", "0.0", "period_ns must be positive"),
+        ("period_ns", "-5.0", "period_ns must be positive"),
+        ("epsilon_m_mhz", "5.57", "needs epsilon_m > delta"),
+        ("epsilon_m_mhz", "3.0", "needs epsilon_m > delta"),
+        ("epsilon_m_mhz", "0.0", "no crossings"),
+        ("epsilon_m_mhz", "-1.0", "epsilon_m_mhz must be >= 0"),
+    ])
+    def test_bad_grid_point_rejected(self, tmp_path, capsys, parameter, bad, message):
+        # one bad point among good ones; the fig3a gap is 5.57 MHz
+        conf = write(tmp_path, "sweep.conf", f"""\
+sweep = resonance
+scan_parameter = {parameter}
+scan_values = 128.0, {bad}, 150.0
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+period_ns = 128.0
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_large_grid_rows_in_order(self, tmp_path):
         conf = write(tmp_path, "sweep.conf", """\

@@ -1,0 +1,132 @@
+"""Series tables and their rendering: the [0, 1] bound, the clamp of float
+dust, empty overlay cells, and the exact bytes of real outputs."""
+
+import json
+
+import numpy as np
+import pytest
+
+from lzsim import DriveParameters, run_figure, stroboscopic_evolve
+from lzsim.cli import main
+from lzsim.model import Basis, epsilon_at
+from lzsim.propagator import Trajectory
+from lzsim.seriesio import read_series, write_series
+from conftest import FIG3A
+
+
+def _traj(times, p0, p1, basis=Basis.DIABATIC):
+    return Trajectory(np.asarray(times, dtype=float), np.column_stack([p0, p1]), basis)
+
+
+def _data_lines(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def _reference_rows(traj, drive=None, adiabatic=None):
+    """Row values cell by cell, as series files have always been written:
+    NaN -> None, P columns checked against [0, 1] within 1e-9 and clamped."""
+    columns = ["t_ns", "P0", "P1"]
+    cols = [traj.times, traj.p0, traj.p1]
+    if drive is not None:
+        columns.append("epsilon_MHz")
+        cols.append(np.asarray(epsilon_at(drive, traj.times)))
+    if adiabatic is not None:
+        columns += ["P_adiab_g", "P_adiab_e"]
+        g = np.full(traj.times.size, np.nan)
+        e = np.full(traj.times.size, np.nan)
+        idx = np.searchsorted(traj.times, adiabatic.times)
+        g[idx] = adiabatic.p0
+        e[idx] = adiabatic.p1
+        cols += [g, e]
+    rows = []
+    for row in np.column_stack(cols):
+        cells = []
+        for name, x in zip(columns, row):
+            if np.isnan(x):
+                cells.append(None)
+                continue
+            x = float(x)
+            if name.startswith("P"):
+                assert -1e-9 <= x <= 1 + 1e-9
+                x = min(1.0, max(0.0, x))
+            cells.append(x)
+        rows.append(cells)
+    return columns, rows
+
+
+def _reference_csv_lines(columns, rows):
+    return [",".join(columns)] + [",".join("" if x is None else repr(x) for x in row)
+                                  for row in rows]
+
+
+class TestBounds:
+    def test_float_dust_is_clamped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_series(path, _traj([0.0, 1.0], [-1e-10, 1.0 + 1e-10], [1.0, -0.0]), {})
+        assert _data_lines(path) == ["t_ns,P0,P1", "0.0,0.0,1.0", "1.0,1.0,0.0"]
+
+    @pytest.mark.parametrize("bad", [-1e-8, 1.0 + 1e-8])
+    def test_out_of_range_probability_raises(self, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match=r"out of \[0, 1\]"):
+            write_series(path, _traj([0.0, 1.0], [0.5, bad], [0.5, 0.5]), {})
+        assert not list(tmp_path.iterdir())
+
+
+class TestEmptyCells:
+    def _overlay_case(self):
+        base = _traj([0.0, 1.0, 2.0], [0.5, 0.25, 0.125], [0.5, 0.75, 0.875])
+        overlay = _traj([1.0], [0.0625], [0.9375], Basis.ADIABATIC)
+        return base, overlay
+
+    def test_csv_overlay_cells_stay_empty(self, tmp_path):
+        base, overlay = self._overlay_case()
+        path = tmp_path / "s.csv"
+        write_series(path, base, {}, adiabatic=overlay)
+        assert _data_lines(path) == [
+            "t_ns,P0,P1,P_adiab_g,P_adiab_e",
+            "0.0,0.5,0.5,,",
+            "1.0,0.25,0.75,0.0625,0.9375",
+            "2.0,0.125,0.875,,",
+        ]
+        _, _, data = read_series(path)
+        assert np.isnan(data[0, 3:]).all() and np.isnan(data[2, 3:]).all()
+
+    def test_json_overlay_cells_are_null(self, tmp_path):
+        base, overlay = self._overlay_case()
+        path = tmp_path / "s.json"
+        write_series(path, base, {}, fmt="json", adiabatic=overlay)
+        doc = json.loads(path.read_text())
+        assert doc["rows"] == [[0.0, 0.5, 0.5, None, None],
+                               [1.0, 0.25, 0.75, 0.0625, 0.9375],
+                               [2.0, 0.125, 0.875, None, None]]
+
+
+class TestBytes:
+    """Whole outputs of real runs against the cell-by-cell reference rows."""
+
+    def test_fig3c_reproduce(self, tmp_path):
+        assert main(["reproduce", "fig3c", "--out", str(tmp_path)]) == 0
+        result = run_figure("fig3c")
+        drive = DriveParameters(**result.provenance["scenario"]["drive"])
+        columns, rows = _reference_rows(result.series["ode"], drive, result.series["adiabatic"])
+        assert any(None in row for row in rows)  # the masked overlay has empty cells
+        assert _data_lines(tmp_path / "fig3c_series.csv") == _reference_csv_lines(columns, rows)
+
+        assert main(["reproduce", "fig3c", "--out", str(tmp_path), "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "fig3c_series.json").read_text())
+        assert doc["columns"] == columns
+        assert doc["rows"] == rows
+        text = (tmp_path / "fig3c_series.json").read_text()
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_transfer_matrix_simulate_200_periods(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("delta_mhz = 5.57\nepsilon_m_mhz = 100.0\nperiod_ns = 128.0\n"
+                        "n_periods = 200\nmethod = transfer-matrix\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(conf), "--out", str(out)]) == 0
+        drive = DriveParameters(**FIG3A, n_periods=200)
+        columns, rows = _reference_rows(stroboscopic_evolve(drive, 200), drive)
+        assert len(rows) == 401
+        assert _data_lines(out / "custom_series.csv") == _reference_csv_lines(columns, rows)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from lzsim import (
     DegenerateDriveError,
@@ -23,12 +25,12 @@ from lzsim import (
 from lzsim.model import crossing_times, eigenbasis_at, epsilon_at
 from lzsim.transfer_matrix import (
     StepKind,
-    _su2_axis_angle,
+    _sweep_direction,
     adiabaticity,
     free_step,
     period_steps,
 )
-from conftest import FIG3A, FIG3B, FIG3D, ode_propagator
+from conftest import FIG3A, FIG3B, FIG3D, ode_propagator, su2_axis_angle
 
 FAST = DriveParameters(**FIG3A, n_periods=8)
 SLOW = DriveParameters(**FIG3B, n_periods=8)
@@ -222,7 +224,7 @@ class TestPeriodRotation:
         # bare crossing nodes alone miss by 0.15-1.4% (the turning-point kicks)
         p = DriveParameters(**params, n_periods=2)
         tc = crossing_times(p)[0]
-        dense, _ = _su2_axis_angle(ode_propagator(p, tc, tc + p.period_ns))
+        dense, _ = su2_axis_angle(ode_propagator(p, tc, tc + p.period_ns))
         model = single_period_rotation(p).rotation_angle
         assert abs(model - dense) / dense < 1e-3
 
@@ -380,3 +382,81 @@ class TestResonanceScan:
         pts = resonance_scan(FAST, "period_ns", [120.0, 128.0, 136.0])
         by_value = {pt.value: pt for pt in pts}
         assert abs(by_value[128.0].axis_z) < math.sin(math.radians(15))
+
+
+def _factorized_scan(base, parameter, values):
+    """(angle, axis_z) per grid point from the per-point factorization."""
+    out = []
+    for v in values:
+        n1, u1, n2, u2 = period_steps(dataclasses.replace(base, **{parameter: float(v)}))
+        angle, axis = su2_axis_angle(u2.matrix @ n2.matrix @ u1.matrix @ n1.matrix)
+        out.append((angle, axis[2]))
+    return np.array(out)
+
+
+def _scan_columns(points):
+    return np.array([(pt.rotation_angle, pt.axis_z) for pt in points])
+
+
+class TestBatchedScan:
+    """``resonance_scan`` composes G1 for a whole grid at once; the per-point
+    ``period_steps`` product and ``su2_axis_angle`` are its oracle."""
+
+    @pytest.mark.parametrize("parameter, start, stop, n, t_offset", [
+        ("period_ns", 100.0, 200.0, 2000, 0.0),
+        ("epsilon_m_mhz", 30.0, 200.0, 2000, 0.0),
+        ("period_ns", 100.0, 200.0, 201, 40.0),
+    ], ids=["period", "epsilon_m", "period-offset40"])
+    def test_matches_per_point_factorization(self, parameter, start, stop, n, t_offset):
+        base = DriveParameters(**FIG3A, t_offset_ns=t_offset)
+        values = np.linspace(start, stop, n)
+        if t_offset:
+            # the first crossing sweeps down below T = 160 ns and up above it
+            sweeps = {_sweep_direction(d, crossing_times(d)[0]) for d in
+                      (dataclasses.replace(base, period_ns=T) for T in (values[0], values[-1]))}
+            assert sweeps == {"up", "down"}
+        got = _scan_columns(resonance_scan(base, parameter, values))
+        assert np.max(np.abs(got - _factorized_scan(base, parameter, values))) <= 1e-11
+
+    def test_near_destructive_point(self):
+        got = _scan_columns(resonance_scan(FAST, "period_ns", [149.22]))
+        assert got[0, 0] < 1e-3
+        assert np.max(np.abs(got - _factorized_scan(FAST, "period_ns", [149.22]))) <= 1e-11
+
+    def test_angle_pi_axis_tie_break(self):
+        # Tr G1 = 0 near 517 ns at the fig3b gap and amplitude; a few ulps
+        # around the root the trace rounds to either sign, so the phase fix
+        # negates G1 on one side and only the tie-break keeps the axis
+        slow = DriveParameters(**FIG3B)
+
+        def half_trace(T):
+            n1, u1, n2, u2 = period_steps(dataclasses.replace(slow, period_ns=T))
+            return (u2.matrix @ n2.matrix @ u1.matrix @ n1.matrix).trace().real / 2
+
+        t_pi = brentq(half_trace, 516.0, 518.0, xtol=1e-13, rtol=8.9e-16)
+        grid = [t_pi + k * np.spacing(t_pi) for k in range(-12, 13)]
+        assert {np.sign(half_trace(T)) for T in grid} == {-1.0, 1.0}
+        got = _scan_columns(resonance_scan(slow, "period_ns", grid))
+        assert np.all(np.abs(got[:, 0] - math.pi) < 1e-12)
+        assert np.all(got[:, 1] > 0)
+        assert np.max(np.abs(got - _factorized_scan(slow, "period_ns", grid))) <= 1e-11
+
+    def test_warns_once_below_sweep_ratio_5(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resonance_scan(FAST, "epsilon_m_mhz", [20.0, 25.0, 27.0, 100.0])
+        assert [w.category for w in caught] == [ModelAccuracyWarning]
+
+    @pytest.mark.parametrize("period", [120.0, 170.0], ids=["down-first", "up-first"])
+    def test_one_point_matches_factorization(self, period):
+        # angle and axis_z do not depend on the first crossing's orientation
+        # (it conjugates G1 by sigma_z); G1 and the axis' x and y do
+        drive = DriveParameters(**{**FIG3A, "period_ns": period}, t_offset_ns=40.0)
+        n1, u1, n2, u2 = period_steps(drive)
+        g1 = u2.matrix @ n2.matrix @ u1.matrix @ n1.matrix
+        angle, axis = su2_axis_angle(g1)
+        rot = single_period_rotation(drive)
+        assert np.max(np.abs(rot.g1 - g1)) <= 1e-11
+        assert abs(rot.rotation_angle - angle) <= 1e-11
+        assert np.max(np.abs(rot.axis - axis)) <= 1e-11
+
