@@ -27,18 +27,24 @@ from .errors import (
     NoOscillationError,
 )
 from .experiments import (
-    DEFAULT_SEED,
     FIGURE_IDS,
     PRESETS,
     NoiseSpec,
     ScenarioSpec,
+    provenance,
     run_figure,
     run_lz_probability_sweep,
     run_scenario,
 )
 from .model import Basis, DriveParameters
 from .propagator import Trajectory
-from .seriesio import atomic_write_text, read_series, render_table_csv, write_series
+from .seriesio import (
+    atomic_write_text,
+    read_series,
+    render_series_json,
+    render_table_csv,
+    write_series,
+)
 from .transfer_matrix import resonance_scan
 
 _USAGE_ERROR = 2
@@ -73,8 +79,6 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.format is not None:
         cfg = replace(cfg, format=args.format)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
 
     if cfg.scenario is not None:
         drive, t_end, sample_every = _scenario_to_runconfig_parts(cfg)
@@ -127,8 +131,7 @@ def cmd_reproduce(args) -> int:
     figure = args.figure
     if figure not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure!r}; valid: {', '.join(FIGURE_IDS)}")
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    result = run_figure(figure, seed=seed)
+    result = run_figure(figure)
     fmt = args.format or "csv"
     out = _out_dir(args.out, None)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,20 +174,19 @@ def cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
     if args.format is not None:
         cfg = replace(cfg, format=args.format)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
     out = _out_dir(args.out, cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    provenance = {
-        "schema_version": 1,
-        "generator": f"lzsim {__version__}",
+    prov = provenance({
         "sweep": cfg.kind,
         "scan_parameter": cfg.scan_parameter,
         "drive": asdict(cfg.drive),
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-    }
+        # named as the sweep config keys, so the header reruns the sweep
+        "integrator": {
+            "steps_per_min_period": cfg.integrator.steps_per_min_period,
+            "norm_tolerance": cfg.integrator.norm_drift_tolerance,
+        },
+    })
     summary: dict = {"sweep": cfg.kind, "points": len(cfg.scan_values)}
     if cfg.kind == "resonance":
         points = resonance_scan(cfg.drive, cfg.scan_parameter, cfg.scan_values)
@@ -197,7 +199,7 @@ def cmd_sweep(args) -> int:
     else:
         res = run_lz_probability_sweep(
             cfg.drive.delta_mhz, cfg.drive.epsilon_m_mhz, cfg.scan_values,
-            cfg=cfg.integrator, workers=cfg.workers,
+            cfg=cfg.integrator,
         )
         columns = ["period_ns", "transfer_probability"]
         rows = res.points
@@ -205,13 +207,8 @@ def cmd_sweep(args) -> int:
         summary["fit_residual_rms"] = res.fit_residual_rms
 
     path = out / f"sweep_{cfg.kind}.{cfg.format}"
-    if cfg.format == "csv":
-        atomic_write_text(path, render_table_csv(columns, rows, provenance))
-    else:
-        doc = {"schema": 1, "provenance": provenance, "columns": columns,
-               "rows": [list(r) for r in rows]}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        atomic_write_text(path, text + "\n")
+    render = render_table_csv if cfg.format == "csv" else render_series_json
+    atomic_write_text(path, render(columns, rows, prov))
     summary["files"] = [str(path)]
     _emit(summary)
     return 0
@@ -258,12 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--out", help="output directory (default: $LZSIM_OUT_DIR or .)")
         sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--workers", type=int)
 
     sp = sub.add_parser("simulate", help="run a config file and write a series file")
     sp.add_argument("config")
     add_common(sp)
+    sp.add_argument("--seed", type=int, help="seed of the dephasing ensemble")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("reproduce", help="run a named figure preset")

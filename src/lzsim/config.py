@@ -9,6 +9,7 @@ validated before any computation starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {s!r}")
+    return value
+
+
 def _parse_float_list(s: str) -> list[float]:
-    values = [float(tok) for tok in s.split(",") if tok.strip()]
+    values = [_parse_float(tok) for tok in s.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty list")
     return values
@@ -36,49 +44,46 @@ def _parse_float_list(s: str) -> list[float]:
 #: key -> (converter, default); defaults of None mean "absent unless given"
 _SIMULATE_SCHEMA = {
     "scenario": (str, None),
-    "delta_mhz": (float, None),
-    "epsilon_m_mhz": (float, None),
-    "period_ns": (float, None),
+    "delta_mhz": (_parse_float, None),
+    "epsilon_m_mhz": (_parse_float, None),
+    "period_ns": (_parse_float, None),
     "n_periods": (int, None),
-    "t_offset_ns": (float, 0.0),
+    "t_offset_ns": (_parse_float, 0.0),
     "method": (str, "ode"),
-    "t_end_ns": (float, None),
-    "sample_every_ns": (float, None),
+    "t_end_ns": (_parse_float, None),
+    "sample_every_ns": (_parse_float, None),
     "steps_per_min_period": (int, 400),
-    "max_step_ns": (float, None),
-    "norm_tolerance": (float, 1e-8),
+    "max_step_ns": (_parse_float, None),
+    "norm_tolerance": (_parse_float, 1e-8),
     "integrator_method": (str, "fixed-rk4"),
-    "t2_star_us": (float, None),
+    "t2_star_us": (_parse_float, None),
     "n_noise_samples": (int, 2000),
-    "detuning_mhz": (float, 0.0),
-    "preparation_rotation_rad": (float, 0.0),
-    "readout_rotation_rad": (float, 0.0),
+    "detuning_mhz": (_parse_float, 0.0),
+    "preparation_rotation_rad": (_parse_float, 0.0),
+    "readout_rotation_rad": (_parse_float, 0.0),
     "report_rabi": (_parse_bool, False),
     "seed": (int, DEFAULT_SEED),
     "format": (str, "csv"),
     "out_dir": (str, None),
-    "workers": (int, 1),
 }
 
 _SWEEP_SCHEMA = {
     "sweep": (str, None),
     "scan_parameter": (str, "period_ns"),
-    "scan_start": (float, None),
-    "scan_stop": (float, None),
+    "scan_start": (_parse_float, None),
+    "scan_stop": (_parse_float, None),
     "scan_points": (int, None),
     "scan_values": (_parse_float_list, None),
     "period_values_ns": (_parse_float_list, None),
-    "delta_mhz": (float, None),
-    "epsilon_m_mhz": (float, None),
-    "period_ns": (float, None),
+    "delta_mhz": (_parse_float, None),
+    "epsilon_m_mhz": (_parse_float, None),
+    "period_ns": (_parse_float, None),
     "n_periods": (int, 1),
-    "t_offset_ns": (float, 0.0),
+    "t_offset_ns": (_parse_float, 0.0),
     "steps_per_min_period": (int, 400),
-    "norm_tolerance": (float, 1e-8),
-    "seed": (int, DEFAULT_SEED),
+    "norm_tolerance": (_parse_float, 1e-8),
     "format": (str, "csv"),
     "out_dir": (str, None),
-    "workers": (int, 1),
 }
 
 
@@ -125,7 +130,6 @@ class RunConfig:
     seed: int
     format: str
     out_dir: str | None
-    workers: int
     raw: dict = field(repr=False, default_factory=dict)
 
 
@@ -173,8 +177,6 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: method must be ode|transfer-matrix|both, got {v['method']!r}")
     if v["format"] not in ("csv", "json"):
         raise ConfigError(f"{source}: format must be csv|json, got {v['format']!r}")
-    if v["workers"] < 1:
-        raise ConfigError(f"{source}: workers must be >= 1, got {v['workers']}")
     if v["t2_star_us"] is not None and not v["t2_star_us"] > 0:
         raise ConfigError(f"{source}: t2_star_us must be positive, got {v['t2_star_us']}")
     if v["n_noise_samples"] < 1:
@@ -205,7 +207,6 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         seed=v["seed"],
         format=v["format"],
         out_dir=v["out_dir"],
-        workers=v["workers"],
         raw=v,
     )
 
@@ -232,10 +233,8 @@ class SweepConfig:
     scan_parameter: str
     scan_values: list[float]
     integrator: IntegratorConfig
-    seed: int
     format: str
     out_dir: str | None
-    workers: int
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
@@ -257,8 +256,6 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
             raise ConfigError(f"{source}: missing key {key!r}")
     if v["format"] not in ("csv", "json"):
         raise ConfigError(f"{source}: format must be csv|json, got {v['format']!r}")
-    if v["workers"] < 1:
-        raise ConfigError(f"{source}: workers must be >= 1, got {v['workers']}")
 
     if kind == "resonance":
         if v["scan_parameter"] not in ("period_ns", "epsilon_m_mhz"):
@@ -291,6 +288,8 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         scan_parameter = "period_ns"
     if not values:
         raise ConfigError(f"{source}: empty scan grid")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{source}: scan grid from scan_start/scan_stop is not finite")
 
     period = v["period_ns"] if v["period_ns"] is not None else values[0]
     try:
@@ -312,10 +311,8 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         kind=kind,
         drive=drive,
         scan_parameter=scan_parameter,
-        scan_values=[float(x) for x in values],
+        scan_values=values,
         integrator=integrator,
-        seed=v["seed"],
         format=v["format"],
         out_dir=v["out_dir"],
-        workers=v["workers"],
     )

@@ -10,7 +10,6 @@ name so golden outputs are never silently invalidated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -107,12 +106,19 @@ class ExperimentResult:
     provenance: dict
 
 
-def _provenance(spec: ScenarioSpec, extra: dict | None = None) -> dict:
-    block = {
+def provenance(body: dict) -> dict:
+    """The provenance block of every output file: a shared header plus ``body``."""
+    return {
         "schema_version": 1,
         "generator": f"lzsim {__version__}",
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        **body,
+    }
+
+
+def _scenario_provenance(spec: ScenarioSpec, extra: dict | None = None) -> dict:
+    return provenance({
         "scenario": {
             "name": spec.name,
             "drive": asdict(spec.drive),
@@ -123,10 +129,8 @@ def _provenance(spec: ScenarioSpec, extra: dict | None = None) -> dict:
             "seed": spec.seed,
             "integrator": asdict(spec.integrator),
         },
-    }
-    if extra:
-        block.update(extra)
-    return block
+        **(extra or {}),
+    })
 
 
 def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
@@ -180,16 +184,14 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
         strob_p0 = np.interp(common, strob.times, strob.p0)
         scalars["method_max_p0_diff"] = float(np.max(np.abs(ode_p0 - strob_p0)))
 
-    return ExperimentResult(spec.name, series, scalars, _provenance(spec))
+    return ExperimentResult(spec.name, series, scalars, _scenario_provenance(spec))
 
 
 def _make_drive(preset: dict) -> DriveParameters:
     return DriveParameters(**preset["drive"])
 
 
-def run_double_passage(
-    regime: str, drive: DriveParameters | None = None, seed: int = DEFAULT_SEED
-) -> ExperimentResult:
+def run_double_passage(regime: str, drive: DriveParameters | None = None) -> ExperimentResult:
     """One drive period (two crossings) in the fast or slow passage regime.
 
     The drive defaults to the matching long-drive parameter class; the
@@ -212,7 +214,6 @@ def run_double_passage(
         method="both" if drive.delta_mhz > 0 else "ode",
         t_end_ns=drive.period_ns,
         sample_every_ns=drive.period_ns / 64,
-        seed=seed,
     )
     result = run_scenario(spec)
     ode = result.series["ode"]
@@ -224,9 +225,7 @@ def run_double_passage(
     return result
 
 
-def run_long_drive(
-    figure: str, overrides: dict | None = None, seed: int = DEFAULT_SEED
-) -> ExperimentResult:
+def run_long_drive(figure: str, overrides: dict | None = None) -> ExperimentResult:
     """A long-drive figure scenario (fig3a..fig3d), optionally overridden.
 
     fig3c additionally reports the adiabatic-basis series restricted to
@@ -251,7 +250,7 @@ def run_long_drive(
         name = figure + "+" + ",".join(f"{k}={overrides[k]}" for k in sorted(overrides))
     drive = DriveParameters(**drive_kwargs)
     spec = ScenarioSpec(name=name, drive=drive, method="ode",
-                        t_end_ns=t_end, sample_every_ns=sample_every, seed=seed)
+                        t_end_ns=t_end, sample_every_ns=sample_every)
     result = run_scenario(spec)
     ode = result.series["ode"]
 
@@ -274,7 +273,7 @@ def run_long_drive(
     return result
 
 
-def run_cdt_comparison(seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_cdt_comparison() -> ExperimentResult:
     """Constructive vs destructive interference over the same 1 us window.
 
     Two runs at the fast-passage drive parameters differing only in the
@@ -291,7 +290,7 @@ def run_cdt_comparison(seed: int = DEFAULT_SEED) -> ExperimentResult:
     drive_d = DriveParameters(**dk)
 
     spec = ScenarioSpec(name="fig4", drive=drive_c, method="ode",
-                        t_end_ns=t_end, sample_every_ns=sample_every, seed=seed)
+                        t_end_ns=t_end, sample_every_ns=sample_every)
     constructive = evolve(drive_c, spec.integrator, t_span=(0, t_end), sample_every=sample_every)
     destructive = evolve(drive_d, spec.integrator, t_span=(0, t_end), sample_every=sample_every)
     scalars = {
@@ -301,7 +300,7 @@ def run_cdt_comparison(seed: int = DEFAULT_SEED) -> ExperimentResult:
         "period_constructive_ns": drive_c.period_ns,
         "period_destructive_ns": drive_d.period_ns,
     }
-    prov = _provenance(spec, {"destructive_drive": asdict(drive_d)})
+    prov = _scenario_provenance(spec, {"destructive_drive": asdict(drive_d)})
     return ExperimentResult(
         "fig4",
         {"constructive": constructive, "destructive": destructive},
@@ -319,19 +318,11 @@ class LZSweepResult:
     fit_residual_rms: float
 
 
-def _single_passage_transfer(job: tuple) -> float:
-    delta_mhz, epsilon_m_mhz, period_ns, cfg = job
-    drive = DriveParameters(delta_mhz, epsilon_m_mhz, period_ns, n_periods=1)
-    traj = evolve(drive, cfg, t_span=(0.0, period_ns / 2), sample_every=period_ns / 2)
-    return float(traj.p1[-1])
-
-
 def run_lz_probability_sweep(
     delta_mhz: float,
     epsilon_m_mhz: float,
     periods_ns: list[float],
     cfg: IntegratorConfig | None = None,
-    workers: int = 1,
 ) -> LZSweepResult:
     """Single-passage |0> -> |1> transfer vs sweep period, via the ODE.
 
@@ -339,19 +330,16 @@ def run_lz_probability_sweep(
     triangle period) and the transfer probability is read at the apex.  The
     curve is then fitted to 1 - exp(-pi^2 delta^2 T / (4 eps_m) * 1e-3) to
     recover the coupling, the same extraction used on measured sweep data.
-    Grid points are independent; with workers > 1 they are evaluated in a
-    process pool and merged back in grid order.
+    Points are evaluated in grid order.
     """
     if not periods_ns:
         raise ValueError("periods_ns must not be empty")
     cfg = cfg or IntegratorConfig()
-    jobs = [(delta_mhz, epsilon_m_mhz, float(T), cfg) for T in periods_ns]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            transfers = list(pool.map(_single_passage_transfer, jobs))
-    else:
-        transfers = [_single_passage_transfer(job) for job in jobs]
-    points = [(float(T), prob) for T, prob in zip(periods_ns, transfers)]
+    points = []
+    for T in map(float, periods_ns):
+        drive = DriveParameters(delta_mhz, epsilon_m_mhz, T, n_periods=1)
+        traj = evolve(drive, cfg, t_span=(0.0, T / 2), sample_every=T / 2)
+        points.append((T, float(traj.p1[-1])))
 
     t_arr = np.array([pt[0] for pt in points])
     p_arr = np.array([pt[1] for pt in points])
@@ -367,12 +355,12 @@ def run_lz_probability_sweep(
     return LZSweepResult(points, float(abs(popt[0])), float(np.sqrt(np.mean(resid**2))))
 
 
-def run_figure(figure: str, seed: int = DEFAULT_SEED) -> ExperimentResult:
+def run_figure(figure: str) -> ExperimentResult:
     """Dispatch a figure id to its runner."""
     if figure not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure!r}; valid: {', '.join(FIGURE_IDS)}")
     if figure in ("fig2c", "fig2d"):
-        return run_double_passage("fast" if figure == "fig2c" else "slow", seed=seed)
+        return run_double_passage("fast" if figure == "fig2c" else "slow")
     if figure == "fig4":
-        return run_cdt_comparison(seed=seed)
-    return run_long_drive(figure, seed=seed)
+        return run_cdt_comparison()
+    return run_long_drive(figure)

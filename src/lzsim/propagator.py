@@ -130,12 +130,6 @@ class Trajectory:
     def p1(self) -> np.ndarray:
         return self.populations[:, 1]
 
-    def state_at(self, i: int) -> QubitState:
-        if self.amplitudes is None:
-            raise ValueError("trajectory carries no per-sample amplitudes")
-        a0, a1 = self.amplitudes[i]
-        return QubitState(complex(a0), complex(a1), self.basis)
-
 
 # ---------------------------------------------------------------------------
 # step grid
@@ -171,6 +165,9 @@ def _build_grid(
     else:
         natural = p.period_ns / cfg.steps_per_min_period
     dt_cap = natural if cfg.max_step_ns is None else min(natural, cfg.max_step_ns)
+    # inf when the step underflows; past int64 the count cannot be indexed either
+    if not span / dt_cap < 2**63:
+        raise ValueError(f"{span / dt_cap:.3g} steps over {span} ns: too many to integrate")
     if p.epsilon_m_mhz > 0:
         # align to the quarter-period grid so kinks sit on step boundaries
         base = p.period_ns / 4

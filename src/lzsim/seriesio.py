@@ -87,6 +87,10 @@ def series_table(
         e[idx] = adiabatic.p1
         cols += [g, e]
     data = np.column_stack(cols).astype(float, copy=False)
+    # only the overlay cells may be NaN (outside its mask)
+    nan_rows = np.flatnonzero(np.isnan(data[:, 1:3]).any(axis=1))
+    if nan_rows.size:
+        raise ValueError(f"P0/P1 hold NaN at t_ns = {float(data[nan_rows[0], 0])}")
     # probabilities must sit in [0, 1]; clamp defensible float dust only
     p_cols = [j for j, name in enumerate(columns) if name.startswith("P")]
     probs = data[:, p_cols]

@@ -114,7 +114,7 @@ sample_every_ns = 64.0
                      f"period_ns = 128.0\nn_periods = 4\nmethod = {method}\n")
         out = tmp_path / "out"
         assert main(["simulate", conf, "--out", str(out)]) == 2
-        assert "delta_mhz must be finite" in capsys.readouterr().err
+        assert "'delta_mhz': must be finite" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_nan_preparation_rotation_rejected_at_the_boundary(self, tmp_path, capsys):
@@ -130,7 +130,19 @@ sample_every_ns = 100.0
 """)
         out = tmp_path / "out"
         assert main(["simulate", conf, "--out", str(out)]) == 2
-        assert "not normalized" in capsys.readouterr().err
+        assert "'preparation_rotation_rad': must be finite" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("lines, message", [
+        ("scenario = fig2c\nt2_star_us = 1\ndetuning_mhz = inf\n", "'detuning_mhz': must be finite"),
+        ("scenario = fig2c\nsample_every_ns = inf\n", "'sample_every_ns': must be finite"),
+        ("scenario = fig2c\nt2_star_us = 1\ndetuning_mhz = 1e308\n", "too many to integrate"),
+    ], ids=["detuning-inf", "sample-every-inf", "detuning-1e308"])
+    def test_non_finite_and_overflowing_values_exit_2(self, tmp_path, capsys, lines, message):
+        conf = write(tmp_path, "run.conf", lines)
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_series_contract(self, tmp_path):
@@ -224,8 +236,8 @@ epsilon_m_mhz = 100.0
         assert main(["sweep", conf, "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("parameter, bad, message", [
-        ("period_ns", "nan", "period_ns must be finite"),
-        ("period_ns", "inf", "period_ns must be finite"),
+        ("period_ns", "nan", "'scan_values': must be finite"),
+        ("period_ns", "inf", "'scan_values': must be finite"),
         ("period_ns", "0.0", "period_ns must be positive"),
         ("period_ns", "-5.0", "period_ns must be positive"),
         ("epsilon_m_mhz", "5.57", "needs epsilon_m > delta"),
@@ -273,21 +285,48 @@ period_values_ns = 160, 320, 640, 1280, 2560
         summary = json.loads(capsys.readouterr().out)
         assert summary["delta_fit_mhz"] == pytest.approx(5.57, rel=0.02)
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_provenance_header_reruns_the_sweep(self, tmp_path):
         conf = write(tmp_path, "sweep.conf", """\
 sweep = lz_probability
 delta_mhz = 5.57
 epsilon_m_mhz = 100.0
 period_values_ns = 160, 640, 2560
+steps_per_min_period = 300
+norm_tolerance = 1e-9
 """)
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        assert main(["sweep", conf, "--out", str(out1), "--workers", "1"]) == 0
-        assert main(["sweep", conf, "--out", str(out2), "--workers", "2"]) == 0
-        a = (out1 / "sweep_lz_probability.csv").read_text()
-        b = (out2 / "sweep_lz_probability.csv").read_text()
-        # provenance records the worker count; the data rows must be identical
-        assert [l for l in a.splitlines() if not l.startswith("#")] == \
-               [l for l in b.splitlines() if not l.startswith("#")]
+        assert main(["sweep", conf, "--out", str(tmp_path), "--format", "json"]) == 0
+        meta, _, data = read_series(tmp_path / "sweep_lz_probability.json")
+        assert {"schema_version", "generator", "numpy_version", "scipy_version"} <= set(meta)
+        assert meta["integrator"] == {"steps_per_min_period": 300, "norm_tolerance": 1e-9}
+        assert "seed" not in meta and "workers" not in meta
+
+        rerun = write(tmp_path, "rerun.conf", "".join(
+            f"{key} = {value}\n" for key, value in [
+                ("sweep", meta["sweep"]),
+                ("delta_mhz", meta["drive"]["delta_mhz"]),
+                ("epsilon_m_mhz", meta["drive"]["epsilon_m_mhz"]),
+                ("period_values_ns", ", ".join(map(repr, data[:, 0].tolist()))),
+                *meta["integrator"].items(),
+            ]))
+        out = tmp_path / "rerun"
+        assert main(["sweep", rerun, "--out", str(out), "--format", "json"]) == 0
+        meta2, _, data2 = read_series(out / "sweep_lz_probability.json")
+        assert meta2 == meta
+        assert np.array_equal(data2, data)
+
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys):
+        conf = write(tmp_path, "sweep.conf", "sweep = resonance\nscan_values = 128.0\n"
+                     "delta_mhz = 5.57\nepsilon_m_mhz = 100.0\n")
+        for argv in (["simulate", conf, "--workers", "2"],
+                     ["reproduce", "fig2c", "--workers", "2"],
+                     ["sweep", conf, "--workers", "2"],
+                     ["reproduce", "fig2c", "--seed", "1"],
+                     ["sweep", conf, "--seed", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:

@@ -116,13 +116,6 @@ class TestLZSweep:
         with pytest.raises(ValueError):
             run_lz_probability_sweep(5.57, 100.0, [])
 
-    def test_workers_do_not_change_results(self):
-        periods = [160.0, 640.0, 2560.0]
-        serial = run_lz_probability_sweep(5.57, 100.0, periods, workers=1)
-        parallel = run_lz_probability_sweep(5.57, 100.0, periods, workers=2)
-        assert serial.points == parallel.points
-        assert serial.delta_fit_mhz == parallel.delta_fit_mhz
-
 
 class TestScenario:
     def test_both_reports_comparison(self):

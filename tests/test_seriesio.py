@@ -72,6 +72,15 @@ class TestBounds:
             write_series(path, _traj([0.0, 1.0], [0.5, bad], [0.5, 0.5]), {})
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nan_population_raises(self, tmp_path, column):
+        p = [[0.5, 0.5], [0.5, 0.5]]
+        p[column][1] = np.nan
+        path = tmp_path / "s.csv"
+        with pytest.raises(ValueError, match="NaN at t_ns = 1.0"):
+            write_series(path, _traj([0.0, 1.0], *p), {})
+        assert not list(tmp_path.iterdir())
+
 
 class TestEmptyCells:
     def _overlay_case(self):
