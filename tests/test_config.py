@@ -64,8 +64,6 @@ _WORDS = st.sampled_from(["resonance", "lz_probability", "period_ns", "epsilon_m
                           "json", "true", "no", "1", ""])
 _JUNK = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 _ANY = st.one_of(_FLOAT_TEXT, _INT_TEXT, _WORDS, _JUNK)
-
-
 _TYPED = {
     _parse_float: _FLOAT_TEXT,
     _parse_float_list: st.lists(_FLOAT_TEXT, min_size=1, max_size=4).map(", ".join),
@@ -112,6 +110,7 @@ _SWEEP_BASES = [
 ]
 
 
+# derandomized: the same examples on every run, so the suite's verdict is stable
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_config_text(_SIMULATE_SCHEMA, _RUN_BASES))
 def test_fuzz_run_config(text):
