@@ -206,6 +206,8 @@ def cmd_sweep(args) -> int:
         summary["delta_fit_mhz"] = res.delta_fit_mhz
         summary["fit_residual_rms"] = res.fit_residual_rms
 
+    if not np.isfinite(np.asarray(rows, dtype=float)).all():
+        raise ValueError(f"{cfg.kind} sweep produced a non-finite value; nothing written")
     path = out / f"sweep_{cfg.kind}.{cfg.format}"
     render = render_table_csv if cfg.format == "csv" else render_series_json
     atomic_write_text(path, render(columns, rows, prov))

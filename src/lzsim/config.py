@@ -34,6 +34,14 @@ def _parse_float(s: str) -> float:
     return value
 
 
+def _parse_t2_star(s: str) -> float:
+    # +inf is a real value here: T2* = inf drops the dephasing noise
+    value = float(s)
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"must be finite or inf, got {s!r}")
+    return value
+
+
 def _parse_float_list(s: str) -> list[float]:
     values = [_parse_float(tok) for tok in s.split(",") if tok.strip()]
     if not values:
@@ -56,7 +64,7 @@ _SIMULATE_SCHEMA = {
     "max_step_ns": (_parse_float, None),
     "norm_tolerance": (_parse_float, 1e-8),
     "integrator_method": (str, "fixed-rk4"),
-    "t2_star_us": (_parse_float, None),
+    "t2_star_us": (_parse_t2_star, None),
     "n_noise_samples": (int, 2000),
     "detuning_mhz": (_parse_float, 0.0),
     "preparation_rotation_rad": (_parse_float, 0.0),

@@ -181,6 +181,8 @@ def _build_grid(
         sample_every = span / 1000
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
+    if not sample_every / dt < 2**63:
+        raise ValueError(f"sample_every {sample_every} ns is {sample_every / dt:.3g} steps: too many")
     s = max(1, round(sample_every / dt))
     spacing = s * dt
     n_int = int(span / spacing + 1e-9)

@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lzsim import cli
 from lzsim.cli import main
 from lzsim.config import parse_run_config, echo_run_config
 from lzsim.errors import ConfigError
@@ -137,7 +140,8 @@ sample_every_ns = 100.0
         ("scenario = fig2c\nt2_star_us = 1\ndetuning_mhz = inf\n", "'detuning_mhz': must be finite"),
         ("scenario = fig2c\nsample_every_ns = inf\n", "'sample_every_ns': must be finite"),
         ("scenario = fig2c\nt2_star_us = 1\ndetuning_mhz = 1e308\n", "too many to integrate"),
-    ], ids=["detuning-inf", "sample-every-inf", "detuning-1e308"])
+        ("scenario = fig2c\nsample_every_ns = 1e308\n", "steps: too many"),
+    ], ids=["detuning-inf", "sample-every-inf", "detuning-1e308", "sample-every-1e308"])
     def test_non_finite_and_overflowing_values_exit_2(self, tmp_path, capsys, lines, message):
         conf = write(tmp_path, "run.conf", lines)
         out = tmp_path / "out"
@@ -234,6 +238,22 @@ delta_mhz = 5.57
 epsilon_m_mhz = 100.0
 """)
         assert main(["sweep", conf, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_row_refused(self, tmp_path, capsys, monkeypatch, fmt):
+        point = SimpleNamespace(value=128.0, rotation_angle=math.nan, axis_z=0.1)
+        monkeypatch.setattr(cli, "resonance_scan", lambda *args: [point])
+        conf = write(tmp_path, "sweep.conf", f"""\
+sweep = resonance
+scan_values = 128.0
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+format = {fmt}
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("parameter, bad, message", [
         ("period_ns", "nan", "'scan_values': must be finite"),

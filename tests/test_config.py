@@ -1,8 +1,9 @@
 """Config parsing: keys that no longer exist, and a fuzz of both parsers.
 
 The fuzz property: on any text, `parse_run_config` and `parse_sweep_config`
-either return a config whose float fields are all finite or raise
-`ConfigError`; any other exception is a bug at the boundary.
+either return a config whose float fields are all finite (save `t2_star_us`,
+which may be +inf: no dephasing noise) or raise `ConfigError`; any other
+exception is a bug at the boundary.
 """
 
 import dataclasses
@@ -16,12 +17,23 @@ from lzsim.config import (
     _SWEEP_SCHEMA,
     _parse_float,
     _parse_float_list,
+    _parse_t2_star,
     parse_run_config,
     parse_sweep_config,
 )
 from lzsim.errors import ConfigError
 
 SWEEP = "sweep = resonance\nscan_values = 128.0\ndelta_mhz = 5.57\nepsilon_m_mhz = 100.0\n"
+
+
+class TestT2Star:
+    def test_inf_drops_the_noise(self):
+        assert parse_run_config("scenario = fig3a\nt2_star_us = inf\n").t2_star_us == math.inf
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "0", "-1"])
+    def test_refused(self, value):
+        with pytest.raises(ConfigError, match="t2_star_us"):
+            parse_run_config(f"scenario = fig3a\nt2_star_us = {value}\n")
 
 
 class TestRemovedKeys:
@@ -66,6 +78,7 @@ _JUNK = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 _ANY = st.one_of(_FLOAT_TEXT, _INT_TEXT, _WORDS, _JUNK)
 _TYPED = {
     _parse_float: _FLOAT_TEXT,
+    _parse_t2_star: _FLOAT_TEXT,
     _parse_float_list: st.lists(_FLOAT_TEXT, min_size=1, max_size=4).map(", ".join),
     int: _INT_TEXT,
 }
@@ -97,6 +110,10 @@ def _check(parse, text):
         cfg = parse(text)
     except ConfigError:
         return
+    t2 = getattr(cfg, "t2_star_us", None)
+    assert t2 is None or t2 > 0, f"t2_star_us = {t2} from {text!r}"
+    if t2 == math.inf:
+        cfg = dataclasses.replace(cfg, t2_star_us=None)
     bad = [x for x in _floats(cfg) if not math.isfinite(x)]
     assert not bad, f"non-finite fields {bad} from {text!r}"
 

@@ -378,6 +378,12 @@ class TestResonanceScan:
         with pytest.raises(ValueError):
             resonance_scan(FAST, "delta_mhz", [5.0])
 
+    @pytest.mark.parametrize("parameter", ["period_ns", "epsilon_m_mhz"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, parameter, bad):
+        with pytest.raises(ValueError, match=f"{parameter} must be finite"):
+            resonance_scan(FAST, parameter, [128.0, bad])
+
     def test_near_xy_axis_at_resonant_period(self):
         pts = resonance_scan(FAST, "period_ns", [120.0, 128.0, 136.0])
         by_value = {pt.value: pt for pt in pts}
