@@ -75,8 +75,6 @@ def _scenario_to_runconfig_parts(cfg: RunConfig):
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.format is not None:
         cfg = replace(cfg, format=args.format)
 
@@ -93,7 +91,6 @@ def cmd_simulate(args) -> int:
     if cfg.t2_star_us is not None:
         noise = NoiseSpec(
             t2_star_us=cfg.t2_star_us,
-            n_samples=cfg.n_noise_samples,
             detuning_mhz=cfg.detuning_mhz,
             preparation_rotation=cfg.preparation_rotation_rad,
             readout_rotation=cfg.readout_rotation_rad,
@@ -105,7 +102,6 @@ def cmd_simulate(args) -> int:
         t_end_ns=t_end,
         sample_every_ns=sample_every,
         noise=noise,
-        seed=cfg.seed,
         integrator=cfg.integrator,
     )
     result = run_scenario(spec)
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a config file and write a series file")
     sp.add_argument("config")
     add_common(sp)
-    sp.add_argument("--seed", type=int, help="seed of the dephasing ensemble")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("reproduce", help="run a named figure preset")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .experiments import DEFAULT_SEED, FIGURE_IDS
+from .experiments import FIGURE_IDS
 from .model import DriveParameters
 from .propagator import IntegratorConfig
 
@@ -25,6 +25,15 @@ def _parse_bool(s: str) -> bool:
     if s.lower() in ("false", "no", "0"):
         return False
     raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_int(s: str) -> int:
+    # past int64 no count can be indexed, and past float range it cannot
+    # even be compared with a step size
+    value = int(s)
+    if abs(value) >= 2**63:
+        raise ValueError("must be an integer below 2**63 in magnitude")
+    return value
 
 
 def _parse_float(s: str) -> float:
@@ -55,22 +64,23 @@ _SIMULATE_SCHEMA = {
     "delta_mhz": (_parse_float, None),
     "epsilon_m_mhz": (_parse_float, None),
     "period_ns": (_parse_float, None),
-    "n_periods": (int, None),
+    "n_periods": (_parse_int, None),
     "t_offset_ns": (_parse_float, 0.0),
     "method": (str, "ode"),
     "t_end_ns": (_parse_float, None),
     "sample_every_ns": (_parse_float, None),
-    "steps_per_min_period": (int, 400),
+    "steps_per_min_period": (_parse_int, 400),
     "max_step_ns": (_parse_float, None),
     "norm_tolerance": (_parse_float, 1e-8),
     "integrator_method": (str, "fixed-rk4"),
     "t2_star_us": (_parse_t2_star, None),
-    "n_noise_samples": (int, 2000),
     "detuning_mhz": (_parse_float, 0.0),
     "preparation_rotation_rad": (_parse_float, 0.0),
     "readout_rotation_rad": (_parse_float, 0.0),
     "report_rabi": (_parse_bool, False),
-    "seed": (int, DEFAULT_SEED),
+    # accepted and ignored: the dephasing average is deterministic, and
+    # configs written for the earlier Monte Carlo average still carry a seed
+    "seed": (_parse_int, None),
     "format": (str, "csv"),
     "out_dir": (str, None),
 }
@@ -80,15 +90,15 @@ _SWEEP_SCHEMA = {
     "scan_parameter": (str, "period_ns"),
     "scan_start": (_parse_float, None),
     "scan_stop": (_parse_float, None),
-    "scan_points": (int, None),
+    "scan_points": (_parse_int, None),
     "scan_values": (_parse_float_list, None),
     "period_values_ns": (_parse_float_list, None),
     "delta_mhz": (_parse_float, None),
     "epsilon_m_mhz": (_parse_float, None),
     "period_ns": (_parse_float, None),
-    "n_periods": (int, 1),
+    "n_periods": (_parse_int, 1),
     "t_offset_ns": (_parse_float, 0.0),
-    "steps_per_min_period": (int, 400),
+    "steps_per_min_period": (_parse_int, 400),
     "norm_tolerance": (_parse_float, 1e-8),
     "format": (str, "csv"),
     "out_dir": (str, None),
@@ -130,12 +140,10 @@ class RunConfig:
     sample_every_ns: float | None
     integrator: IntegratorConfig
     t2_star_us: float | None
-    n_noise_samples: int
     detuning_mhz: float
     preparation_rotation_rad: float
     readout_rotation_rad: float
     report_rabi: bool
-    seed: int
     format: str
     out_dir: str | None
     raw: dict = field(repr=False, default_factory=dict)
@@ -152,6 +160,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
     v = _parse_pairs(text, _SIMULATE_SCHEMA, source)
+    del v["seed"]
 
     drive_keys = ("delta_mhz", "epsilon_m_mhz", "period_ns", "n_periods")
     has_drive = any(v[k] is not None for k in drive_keys)
@@ -187,8 +196,6 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: format must be csv|json, got {v['format']!r}")
     if v["t2_star_us"] is not None and not v["t2_star_us"] > 0:
         raise ConfigError(f"{source}: t2_star_us must be positive, got {v['t2_star_us']}")
-    if v["n_noise_samples"] < 1:
-        raise ConfigError(f"{source}: n_noise_samples must be >= 1, got {v['n_noise_samples']}")
     try:
         integrator = IntegratorConfig(
             max_step_ns=v["max_step_ns"],
@@ -207,12 +214,10 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         sample_every_ns=v["sample_every_ns"],
         integrator=integrator,
         t2_star_us=v["t2_star_us"],
-        n_noise_samples=v["n_noise_samples"],
         detuning_mhz=v["detuning_mhz"],
         preparation_rotation_rad=v["preparation_rotation_rad"],
         readout_rotation_rad=v["readout_rotation_rad"],
         report_rabi=v["report_rabi"],
-        seed=v["seed"],
         format=v["format"],
         out_dir=v["out_dir"],
         raw=v,

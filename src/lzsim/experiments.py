@@ -29,10 +29,6 @@ from .propagator import (
 )
 from .transfer_matrix import lz_probability, single_period_rotation, stroboscopic_evolve
 
-#: Seed used when a scenario does not specify one; fixed so default runs
-#: are reproducible.
-DEFAULT_SEED = 20240807
-
 FIGURE_IDS = ("fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d", "fig4")
 
 _FAST_DRIVE = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0)
@@ -72,7 +68,6 @@ class NoiseSpec:
     """
 
     t2_star_us: float
-    n_samples: int
     detuning_mhz: float = 0.0
     preparation_rotation: float = 0.0
     readout_rotation: float = 0.0
@@ -88,7 +83,6 @@ class ScenarioSpec:
     t_end_ns: float | None = None
     sample_every_ns: float | None = None
     noise: NoiseSpec | None = None
-    seed: int = DEFAULT_SEED
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def __post_init__(self):
@@ -117,7 +111,22 @@ def provenance(body: dict) -> dict:
     }
 
 
-def _scenario_provenance(spec: ScenarioSpec, extra: dict | None = None) -> dict:
+def _noise_provenance(noise: NoiseSpec | None, nodes: int | None) -> dict | None:
+    """The noise request plus ``nodes``, the quadrature nodes of the dephasing
+    average when it ran.  T2* = inf is written as the string "inf": JSON has no
+    inf, and the string reads back through the ``t2_star_us`` parser."""
+    if noise is None:
+        return None
+    block = asdict(noise)
+    if math.isinf(noise.t2_star_us):
+        block["t2_star_us"] = "inf"
+    if nodes is not None:
+        block["nodes"] = nodes
+    return block
+
+
+def _scenario_provenance(spec: ScenarioSpec, extra: dict | None = None,
+                         noise_nodes: int | None = None) -> dict:
     return provenance({
         "scenario": {
             "name": spec.name,
@@ -125,8 +134,7 @@ def _scenario_provenance(spec: ScenarioSpec, extra: dict | None = None) -> dict:
             "method": spec.method,
             "t_end_ns": spec.t_end_ns,
             "sample_every_ns": spec.sample_every_ns,
-            "noise": asdict(spec.noise) if spec.noise else None,
-            "seed": spec.seed,
+            "noise": _noise_provenance(spec.noise, noise_nodes),
             "integrator": asdict(spec.integrator),
         },
         **(extra or {}),
@@ -153,8 +161,6 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
             series["ode"] = evolve_ensemble_dephased(
                 drive, spec.integrator,
                 t2_star_us=spec.noise.t2_star_us,
-                n_samples=spec.noise.n_samples,
-                seed=spec.seed,
                 initial=init,
                 t_span=(0.0, t_end),
                 sample_every=spec.sample_every_ns,
@@ -184,7 +190,9 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
         strob_p0 = np.interp(common, strob.times, strob.p0)
         scalars["method_max_p0_diff"] = float(np.max(np.abs(ode_p0 - strob_p0)))
 
-    return ExperimentResult(spec.name, series, scalars, _scenario_provenance(spec))
+    nodes = series["ode"].noise_nodes if "ode" in series else None
+    return ExperimentResult(spec.name, series, scalars,
+                            _scenario_provenance(spec, noise_nodes=nodes))
 
 
 def _make_drive(preset: dict) -> DriveParameters:

@@ -29,10 +29,11 @@ repeat with the drive) take the same code with the whole span as the
 
 Members.  The kernel has a leading member axis: member i sees w(t) plus a
 static offset of its own on a grid shared by all members.  `evolve` and
-`evolve_lab_frame_toy` run one member at offset 0; the dephasing ensemble
-runs its members in chunks and keeps only their summed populations.  A slab
-holds at most ``_SLAB`` maps over members and steps, so memory grows with the
-number of samples, not of steps or members.
+`evolve_lab_frame_toy` run one member at offset 0; the dephasing average
+runs the nodes of a quadrature over the Gaussian offset as members, in
+chunks, and keeps only their weighted populations.  A slab holds at most
+``_SLAB`` maps over members and steps, so memory grows with the number of
+samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -45,6 +46,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import IntegrationError
 from .model import (
@@ -63,6 +65,10 @@ _METHODS = ("fixed-rk4", "piecewise-exact")
 #: runs its members in chunks of at most ``isqrt(_SLAB)``, so a slab still
 #: spans at least as many steps as a chunk has members.
 _SLAB = 1 << 14
+
+#: Most quadrature nodes of a dephasing average; past it the run is refused
+#: before anything is allocated.
+_MAX_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,12 +108,15 @@ class Trajectory:
 
     ``amplitudes`` holds the complex state per sample for single realizations
     and is None for ensemble averages, where no pure state exists.
+    ``noise_nodes`` is the number of quadrature nodes averaged over the
+    dephasing noise (1 for a single realization).
     """
 
     times: np.ndarray
     populations: np.ndarray
     basis: Basis
     amplitudes: np.ndarray | None = None
+    noise_nodes: int = 1
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -522,29 +531,81 @@ def rotation_x(angle: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
+def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_k and weights w_k (summing to 1) with sum w_k f(x_k) = E f(X), X ~ N(0, 1).
+
+    ``spread`` is the largest rate at which f may oscillate in x: a member at
+    offset sigma*x that evolves for a time t gains a phase sigma*x*t, so its
+    populations are entire functions of x of exponential type sigma*t.  The
+    hardest such f is the free-induction signal cos(spread*x), which both
+    rules below average to about 1e-14: Gauss-Hermite with 8 + 5a + a^2/4
+    nodes at spread a, or the trapezoid rule in x with Gaussian weights,
+    spacing 2 pi/(a + 8) (its aliasing sits past a + 8) out to |x| = 8.5.
+    The rule with fewer nodes is used: Gauss-Hermite up to about a = 4.5, the
+    trapezoid above, whose count grows linearly in a (``hermegauss`` also
+    overflows past about 370 nodes).  No noise (spread 0) is one node at 0.
+    """
+    if spread == 0:
+        return np.zeros(1), np.ones(1)
+    k = 8.5 * (spread + 8) / (2 * math.pi)  # trapezoid nodes on either side of 0
+    if not k < _MAX_NODES / 2:
+        raise ValueError(f"a noise phase spread of {spread:.3g} rad needs more than "
+                         f"{_MAX_NODES} quadrature nodes; raise t2_star_us or shorten the span")
+    k = math.ceil(k)
+    n_hermite = math.ceil(8 + 5 * spread + spread * spread / 4)
+    if n_hermite <= 2 * k + 1:
+        x, w = hermegauss(n_hermite)
+    else:
+        x = 2 * math.pi / (spread + 8) * np.arange(-k, k + 1)
+        w = np.exp(-x * x / 2)
+    return x, w / w.sum()
+
+
+def _dephased_populations(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray,
+                          weights: np.ndarray, psi0: np.ndarray, cfg: IntegratorConfig,
+                          readout: np.ndarray | None) -> np.ndarray:
+    """Populations (samples, 2) summed over members with ``weights``.
+
+    Member i sees w(t) + offsets[i]; ``readout`` (a 2x2 matrix or None) acts
+    on every member before populations are read.  Members run in chunks, so
+    only the summed populations outlive a chunk.
+    """
+    chunk = math.isqrt(_SLAB)
+    pops = np.zeros((grid.times.size, 2))
+    for lo in range(0, offsets.size, chunk):
+        states = _propagate(grid, w_of_t, b_of_t, offsets[lo:lo + chunk], psi0, cfg.method)
+        _check_norms(states, cfg.norm_drift_tolerance)
+        if readout is not None:
+            states = states @ readout.T
+        pops += np.tensordot(weights[lo:lo + chunk], np.abs(states) ** 2, axes=1)
+    return pops
+
+
 def evolve_ensemble_dephased(
     p: DriveParameters,
     cfg: IntegratorConfig | None = None,
     t2_star_us: float = math.inf,
-    n_samples: int = 1,
-    seed: int = 0,
     initial: QubitState | None = None,
     t_span: tuple[float, float] | None = None,
     sample_every: float | None = None,
     detuning_mhz: float = 0.0,
     readout_rotation: float = 0.0,
 ) -> Trajectory:
-    """Average populations over static Gaussian detuning offsets.
+    """Average populations over a static Gaussian detuning offset.
 
-    Each member sees eps(t) + detuning + delta_i with delta_i drawn from a
-    zero-mean Gaussian of angular standard deviation sqrt(2)/T2* (rad/us),
-    the quasi-static noise model whose free-induction envelope is the
-    Gaussian exp[-(t/T2*)^2].  ``readout_rotation`` applies an instantaneous
-    x-rotation (the closing pulse of a Ramsey sequence) to every member
-    before populations are read off, which maps coherence into population.
+    The offset delta is a zero-mean Gaussian of angular standard deviation
+    sigma = sqrt(2)/T2* (rad/us), the quasi-static noise model whose
+    free-induction envelope is the Gaussian exp[-(t/T2*)^2]; every member
+    sees eps(t) + detuning + delta.  The average over delta is a quadrature
+    (`_noise_nodes`) whose node count follows the phase spread sigma*t over
+    the span, so it is deterministic and exact to about 1e-14 in the
+    average itself.  T2* = inf is one member at offset 0, the same numbers
+    as `evolve`.  ``readout_rotation`` applies an instantaneous x-rotation
+    (the closing pulse of a Ramsey sequence) to every member before
+    populations are read off, which maps coherence into population.
 
-    Deterministic for a fixed seed.  The returned trajectory carries averaged
-    populations and no amplitudes.
+    The returned trajectory carries averaged populations, no amplitudes, and
+    the number of nodes in ``noise_nodes``.
     """
     cfg = cfg or IntegratorConfig()
     initial = initial or QubitState.ket0()
@@ -552,33 +613,19 @@ def evolve_ensemble_dephased(
         raise ValueError("ensemble evolution expects a diabatic-basis initial state")
     if not t2_star_us > 0:
         raise ValueError("t2_star_us must be positive (inf disables the noise)")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     t_span = _validate_span(p, t_span or (0.0, p.total_time_ns))
 
-    rng = np.random.default_rng(seed)
     sigma_ang_per_ns = 0.0 if math.isinf(t2_star_us) else math.sqrt(2) / t2_star_us / 1000.0
-    offsets_ang = rng.normal(0.0, sigma_ang_per_ns, n_samples)
+    nodes, weights = _noise_nodes(sigma_ang_per_ns * (t_span[1] - t_span[0]))
+    offsets_ang = sigma_ang_per_ns * nodes
     offsets_mhz = angular_to_mhz(offsets_ang) + detuning_mhz
-
-    readout = rotation_x(readout_rotation) if readout_rotation else None
 
     # one grid for every member, fine enough for the largest offset
     extra = mhz_to_angular(float(np.max(np.abs(offsets_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
     # detuning_mhz lives in the shared drive term; the offsets carry the noise only
     w_of_t, b_of_t = _detuned_hamiltonian(p, detuning_mhz)
-
-    def summed_populations(half_offsets):
-        states = _propagate(grid, w_of_t, b_of_t, half_offsets, initial.as_array(), cfg.method)
-        _check_norms(states, cfg.norm_drift_tolerance)
-        if readout is not None:
-            states = states @ readout.T
-        return np.sum(np.abs(states) ** 2, axis=0)
-
-    # members run in chunks; only their summed populations are kept
-    chunk = math.isqrt(_SLAB)
-    half_offsets = offsets_ang / 2
-    pops = sum(summed_populations(half_offsets[lo:lo + chunk])
-               for lo in range(0, n_samples, chunk))
-    return Trajectory(grid.times, pops / n_samples, Basis.DIABATIC)
+    readout = rotation_x(readout_rotation) if readout_rotation else None
+    pops = _dephased_populations(grid, w_of_t, b_of_t, offsets_ang / 2, weights,
+                                 initial.as_array(), cfg, readout)
+    return Trajectory(grid.times, pops, Basis.DIABATIC, noise_nodes=nodes.size)

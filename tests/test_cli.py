@@ -84,18 +84,47 @@ epsilon_m_mhz = 0.0
 period_ns = 1000.0
 n_periods = 4
 t2_star_us = 6.56
-n_noise_samples = 32
 detuning_mhz = 0.56
 preparation_rotation_rad = 1.5707963267948966
 readout_rotation_rad = 1.5707963267948966
 sample_every_ns = 100.0
-seed = 11
 """)
         assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
         _, columns, data = read_series(tmp_path / "custom_series.csv")
         p0 = data[:, columns.index("P0")]
         assert p0[0] == pytest.approx(0.0, abs=1e-9)  # fringe starts at full contrast
         assert np.max(p0) > 0.5
+
+    def test_seed_key_is_ignored(self, tmp_path):
+        # the dephasing average is a quadrature: configs differing only in the
+        # leftover seed key write the same bytes, and the file records the
+        # node count instead of a seed
+        files = []
+        for seed in (1, 2):
+            conf = write(tmp_path, f"run{seed}.conf", "scenario = fig3a\nt_end_ns = 512.0\n"
+                         f"t2_star_us = 6.56\nseed = {seed}\n")
+            out = tmp_path / f"out{seed}"
+            assert main(["simulate", conf, "--out", str(out)]) == 0
+            files.append((out / "fig3a_series.csv").read_bytes())
+        assert files[0] == files[1]
+        meta, _, _ = read_series(tmp_path / "out1" / "fig3a_series.csv")
+        assert meta["scenario.noise.nodes"] == "9"
+        assert not any("seed" in key for key in meta)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_infinite_t2_star_reruns_from_its_header(self, tmp_path, fmt):
+        conf = write(tmp_path, "run.conf", f"scenario = fig2c\nt2_star_us = inf\nformat = {fmt}\n")
+        assert main(["simulate", conf, "--out", str(tmp_path / "a")]) == 0
+        meta, _, data = read_series(tmp_path / "a" / f"fig2c_series.{fmt}")
+        noise = meta["scenario"]["noise"] if fmt == "json" else {
+            key.rpartition(".")[2]: value for key, value in meta.items()
+            if key.startswith("scenario.noise.")}
+        assert noise["t2_star_us"] == "inf" and int(noise["nodes"]) == 1
+        rerun = write(tmp_path, "rerun.conf", f"scenario = fig2c\nformat = {fmt}\n"
+                      f"t2_star_us = {noise['t2_star_us']}\n")
+        assert main(["simulate", rerun, "--out", str(tmp_path / "b")]) == 0
+        _, _, data2 = read_series(tmp_path / "b" / f"fig2c_series.{fmt}")
+        assert np.array_equal(data, data2)
 
     def test_integration_failure_exit_code(self, tmp_path, capsys):
         conf = write(tmp_path, "run.conf", """\
@@ -127,7 +156,6 @@ epsilon_m_mhz = 0.0
 period_ns = 1000.0
 n_periods = 4
 t2_star_us = 6.56
-n_noise_samples = 32
 preparation_rotation_rad = nan
 sample_every_ns = 100.0
 """)
@@ -147,6 +175,19 @@ sample_every_ns = 100.0
         out = tmp_path / "out"
         assert main(["simulate", conf, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "scenario = fig2c\nsteps_per_min_period = 1" + "0" * 400 + "\n"),
+        ("simulate", "scenario = fig2c\nsteps_per_min_period = 9223372036854775808\n"),
+        ("sweep", "sweep = lz_probability\ndelta_mhz = 5.57\nepsilon_m_mhz = 100.0\n"
+                  "period_values_ns = 160\nsteps_per_min_period = 1" + "0" * 400 + "\n"),
+    ], ids=["simulate-1e400", "simulate-2**63", "sweep-1e400"])
+    def test_integer_past_int64_exits_2(self, tmp_path, capsys, command, text):
+        conf = write(tmp_path, "run.conf", text)
+        out = tmp_path / "out"
+        assert main([command, conf, "--out", str(out)]) == 2
+        assert "bad value for 'steps_per_min_period'" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_series_contract(self, tmp_path):
@@ -340,6 +381,7 @@ norm_tolerance = 1e-9
         for argv in (["simulate", conf, "--workers", "2"],
                      ["reproduce", "fig2c", "--workers", "2"],
                      ["sweep", conf, "--workers", "2"],
+                     ["simulate", conf, "--seed", "1"],
                      ["reproduce", "fig2c", "--seed", "1"],
                      ["sweep", conf, "--seed", "1"]):
             with pytest.raises(SystemExit) as exc:
@@ -380,7 +422,7 @@ sample_every_ns = 4.0
 
 class TestConfigRoundTrip:
     def test_parse_echo_parse(self):
-        cfg = parse_run_config(CUSTOM_CONF + "seed = 99\nformat = json\n")
+        cfg = parse_run_config(CUSTOM_CONF + "format = json\n")
         echoed = echo_run_config(cfg)
         cfg2 = parse_run_config(echoed)
         assert cfg2 == cfg

@@ -2,8 +2,9 @@
 
 The fuzz property: on any text, `parse_run_config` and `parse_sweep_config`
 either return a config whose float fields are all finite (save `t2_star_us`,
-which may be +inf: no dephasing noise) or raise `ConfigError`; any other
-exception is a bug at the boundary.
+which may be +inf: no dephasing noise) and whose integer fields are below
+2**63 in magnitude, or raise `ConfigError`; any other exception is a bug at
+the boundary.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ from lzsim.config import (
     _SWEEP_SCHEMA,
     _parse_float,
     _parse_float_list,
+    _parse_int,
     _parse_t2_star,
     parse_run_config,
     parse_sweep_config,
@@ -48,17 +50,30 @@ class TestRemovedKeys:
         with pytest.raises(ConfigError, match="unknown key 'workers'"):
             parse_run_config("scenario = fig3a\nworkers = 2\n")
 
+    def test_simulate_config_refuses_n_noise_samples(self):
+        # the dephasing average is a quadrature whose node count follows T2*
+        with pytest.raises(ConfigError, match="unknown key 'n_noise_samples'"):
+            parse_run_config("scenario = fig3a\nt2_star_us = 6.56\nn_noise_samples = 32\n")
 
-def _floats(obj):
-    """Every float reachable from a config's fields."""
-    if isinstance(obj, float):
+    def test_simulate_config_ignores_seed(self):
+        # still accepted, so configs written for the Monte Carlo average run
+        cfg = parse_run_config("scenario = fig3a\nt2_star_us = 6.56\nseed = 7\n")
+        assert cfg == parse_run_config("scenario = fig3a\nt2_star_us = 6.56\n")
+        assert not hasattr(cfg, "seed")
+        with pytest.raises(ConfigError, match="bad value for 'seed'"):
+            parse_run_config("scenario = fig3a\nseed = seven\n")
+
+
+def _numbers(obj):
+    """Every float and int reachable from a config's fields."""
+    if isinstance(obj, (float, int)) and not isinstance(obj, bool):
         yield obj
     elif isinstance(obj, (list, tuple)):
         for x in obj:
-            yield from _floats(x)
+            yield from _numbers(x)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            yield from _floats(getattr(obj, f.name))
+            yield from _numbers(getattr(obj, f.name))
 
 
 _EDGE_FLOATS = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e308", "-1e308",
@@ -69,8 +84,12 @@ _FLOAT_TEXT = st.one_of(
     st.floats(0.1, 1000.0).map(repr),
     st.floats().map(repr),
 )
-# bounded so a drawn scan_points does not allocate a huge grid
-_INT_TEXT = st.integers(-10**5, 10**5).map(str)
+# bounded so a drawn scan_points does not allocate a huge grid; the edge
+# values are past int64 and must be refused
+_INT_TEXT = st.one_of(
+    st.integers(-10**5, 10**5).map(str),
+    st.sampled_from([str(2**63), str(-2**63), "1" + "0" * 400]),
+)
 _WORDS = st.sampled_from(["resonance", "lz_probability", "period_ns", "epsilon_m_mhz", "fig3a",
                           "fig4", "ode", "both", "transfer-matrix", "piecewise-exact", "csv",
                           "json", "true", "no", "1", ""])
@@ -80,7 +99,7 @@ _TYPED = {
     _parse_float: _FLOAT_TEXT,
     _parse_t2_star: _FLOAT_TEXT,
     _parse_float_list: st.lists(_FLOAT_TEXT, min_size=1, max_size=4).map(", ".join),
-    int: _INT_TEXT,
+    _parse_int: _INT_TEXT,
 }
 
 
@@ -114,8 +133,11 @@ def _check(parse, text):
     assert t2 is None or t2 > 0, f"t2_star_us = {t2} from {text!r}"
     if t2 == math.inf:
         cfg = dataclasses.replace(cfg, t2_star_us=None)
-    bad = [x for x in _floats(cfg) if not math.isfinite(x)]
+    numbers = list(_numbers(cfg))
+    bad = [x for x in numbers if isinstance(x, float) and not math.isfinite(x)]
     assert not bad, f"non-finite fields {bad} from {text!r}"
+    big = [x for x in numbers if isinstance(x, int) and abs(x) >= 2**63]
+    assert not big, f"integer fields past int64 from {text!r}"
 
 
 _GAP = {"delta_mhz": "5.57", "epsilon_m_mhz": "100.0"}

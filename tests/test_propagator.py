@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from lzsim import (
     DriveParameters,
@@ -213,21 +214,22 @@ class TestEnsemble:
         p = DriveParameters(**FIG3A, n_periods=4)
         kw = dict(t_span=(0.0, 4 * 128.0), sample_every=8.0)
         single = evolve(p, **kw)
-        ens = evolve_ensemble_dephased(p, t2_star_us=math.inf, n_samples=1, seed=7, **kw)
+        ens = evolve_ensemble_dephased(p, t2_star_us=math.inf, **kw)
         assert np.array_equal(ens.populations, single.populations)
         assert ens.amplitudes is None
+        assert ens.noise_nodes == 1
 
-    def test_seed_determinism(self):
+    def test_rerun_determinism(self):
+        # the average is a quadrature, not a draw: a rerun gives the same bytes
         p = DriveParameters(delta_mhz=0.0, epsilon_m_mhz=0.0, period_ns=500.0, n_periods=10)
         init = QubitState(1 / math.sqrt(2), -1j / math.sqrt(2))
-        kw = dict(t2_star_us=6.56, n_samples=64, initial=init,
-                  t_span=(0.0, 4000.0), sample_every=50.0,
+        kw = dict(t2_star_us=6.56, initial=init, t_span=(0.0, 4000.0), sample_every=50.0,
                   readout_rotation=math.pi / 2)
-        a = evolve_ensemble_dephased(p, seed=123, **kw)
-        b = evolve_ensemble_dephased(p, seed=123, **kw)
-        c = evolve_ensemble_dephased(p, seed=124, **kw)
-        assert np.array_equal(a.populations, b.populations)
-        assert not np.array_equal(a.populations, c.populations)
+        a = evolve_ensemble_dephased(p, **kw)
+        b = evolve_ensemble_dephased(p, **kw)
+        assert a.populations.tobytes() == b.populations.tobytes()
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.noise_nodes == b.noise_nodes > 1
 
     def test_driven_oscillation_survives_dephasing(self, fig3a_drive):
         # quasi-static detuning noise is echoed away by the sweep: the
@@ -235,9 +237,7 @@ class TestEnsemble:
         cfg = IntegratorConfig(steps_per_min_period=60, norm_drift_tolerance=1e-3)
         kw = dict(t_span=(0.0, 8000.0), sample_every=16.0)
         clean = evolve(fig3a_drive, cfg, **kw)
-        noisy = evolve_ensemble_dephased(
-            fig3a_drive, cfg, t2_star_us=6.56, n_samples=256, seed=42, **kw
-        )
+        noisy = evolve_ensemble_dephased(fig3a_drive, cfg, t2_star_us=6.56, **kw)
         window = noisy.times > 6500.0
         amp_clean = (clean.p0[window].max() - clean.p0[window].min()) / 2
         amp_noisy = (noisy.p0[window].max() - noisy.p0[window].min()) / 2
@@ -246,20 +246,85 @@ class TestEnsemble:
 
     def test_few_members_share_one_grid(self):
         # members used to get a grid each, sized by their own offset: most
-        # seeds then disagreed on the sample count and the average crashed
+        # ensembles then disagreed on the sample count and the average crashed
         p = DriveParameters(**FIG3A, n_periods=8)
-        for seed in range(20):
-            ens = evolve_ensemble_dephased(p, t2_star_us=1.0, n_samples=4, seed=seed,
-                                           t_span=(0.0, 1000.0))
+        for t2_star_us in (0.3, 0.5, 1.0, 2.0, 6.56, 50.0):
+            ens = evolve_ensemble_dephased(p, t2_star_us=t2_star_us, t_span=(0.0, 1000.0))
             assert ens.times[-1] == 1000.0
             assert np.max(np.abs(ens.populations.sum(axis=1) - 1.0)) < 1e-8
 
     def test_preconditions(self):
         p = resonant_drive()
-        with pytest.raises(ValueError):
-            evolve_ensemble_dephased(p, t2_star_us=0.0, n_samples=10)
-        with pytest.raises(ValueError):
-            evolve_ensemble_dephased(p, t2_star_us=1.0, n_samples=0)
+        for t2_star_us in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="t2_star_us"):
+                evolve_ensemble_dephased(p, t2_star_us=t2_star_us)
+        # a phase spread past a million nodes (or infinite, from a subnormal
+        # T2*) is refused before any allocation
+        for t2_star_us in (1e-9, 1e-320):
+            with pytest.raises(ValueError, match="quadrature nodes"):
+                evolve_ensemble_dephased(p, t2_star_us=t2_star_us)
+
+
+class TestNoiseQuadrature:
+    """The quadrature over the Gaussian offset that replaced the Monte Carlo draw."""
+
+    @pytest.mark.parametrize("spread", [0.11, 1.7, 2.8, 4.0, 5.0, 11.3, 29.0, 100.0])
+    def test_free_induction_signal_is_exact(self, spread):
+        # E cos(a X) = exp(-a^2/2) for every a up to the spread: the fastest
+        # oscillation the rule must resolve, both sides of the switch of rule
+        x, w = propagator._noise_nodes(spread)
+        a = np.linspace(0.0, spread, 500)
+        assert abs(w.sum() - 1.0) < 1e-15
+        assert np.max(np.abs(np.cos(np.outer(a, x)) @ w - np.exp(-a * a / 2))) < 1e-13
+
+    def test_node_count_follows_the_spread(self):
+        counts = [propagator._noise_nodes(a)[0].size for a in (0.0, 0.11, 1.7, 11.3, 100.0)]
+        assert counts == [1, 9, 18, 55, 295]
+
+    SETUPS = {
+        # drive, span, sample spacing, T2* (us), initial state, readout rotation
+        "fig3a": (dict(**FIG3A, n_periods=63), (0.0, 8000.0), 8.0, 6.56, QubitState.ket0(), 0.0),
+        "fig3d": (dict(**FIG3D, n_periods=10), (0.0, 5920.0), 37.0, 6.56, QubitState.ket0(), 0.0),
+        "ramsey": (dict(delta_mhz=0.0, epsilon_m_mhz=0.0, period_ns=1000.0, n_periods=13),
+                   (0.0, 13000.0), 25.0, 6.56, QubitState(1 / math.sqrt(2), -1j / math.sqrt(2)),
+                   math.pi / 2),
+    }
+
+    @pytest.mark.parametrize("name", list(SETUPS))
+    def test_doubling_the_nodes_moves_populations_below_1e9(self, name):
+        # both node sets run on one grid, sized by the larger set's largest
+        # node: the sample times depend on it, and interpolating between two
+        # grids would hide the convergence
+        drive, span, every, t2_star_us, init, readout = self.SETUPS[name]
+        p, cfg = DriveParameters(**drive), IntegratorConfig()
+        sigma = math.sqrt(2) / t2_star_us / 1000.0
+        x, w = propagator._noise_nodes(sigma * (span[1] - span[0]))
+        x2, w2 = hermegauss(2 * x.size)
+        w2 = w2 / w2.sum()
+        grid = propagator._build_grid(p, cfg, span, every,
+                                      extra_omega_ang=sigma * float(np.max(x2)))
+        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+
+        def populations(nodes, weights):
+            return propagator._dephased_populations(
+                grid, w_of_t, b_of_t, sigma * nodes / 2, weights, init.as_array(), cfg,
+                propagator.rotation_x(readout) if readout else None)
+
+        assert np.max(np.abs(populations(x, w) - populations(x2, w2))) < 1e-9
+
+    def test_ramsey_signal_is_the_gaussian_envelope(self):
+        # free induction after a pi/2 pulse: 1 - 2 P0 = exp(-(t/T2*)^2) up to
+        # the integrator's error, for T2* long and short against the span
+        # (Gauss-Hermite and trapezoid nodes)
+        drive = DriveParameters(delta_mhz=0.0, epsilon_m_mhz=0.0, period_ns=1000.0,
+                                n_periods=13)
+        init = QubitState(1 / math.sqrt(2), -1j / math.sqrt(2))
+        for t2_star_us in (6.56, 1.0):
+            traj = evolve_ensemble_dephased(drive, t2_star_us=t2_star_us, initial=init,
+                                            t_span=(0.0, 13000.0), sample_every=25.0,
+                                            readout_rotation=math.pi / 2)
+            envelope = np.exp(-((traj.times / (1000.0 * t2_star_us)) ** 2))
+            assert np.max(np.abs(1.0 - 2.0 * traj.p0 - envelope)) < 1e-8
 
 
 class TestPeriodicKernel:
@@ -303,30 +368,35 @@ class TestPeriodicKernel:
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
     def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method):
-        # 64 members with their own offsets, a shared detuning and a readout
-        # pulse, on a periodic grid with a tail interval; the small slab runs
-        # the members in four chunks of 16-step slabs
+        # quadrature nodes as members (Gauss-Hermite at T2* = 0.5 us, trapezoid
+        # at 0.1 us), a shared detuning and a readout pulse, on a periodic grid
+        # with a tail interval; the small slab runs the members in chunks of
+        # four over 4-step slabs
         p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
         cfg = IntegratorConfig(method=method, **self.CFG)
-        t2_star_us, n, seed, detuning, readout = 0.5, 64, 5, 1.3, math.pi / 3
+        detuning, readout = 1.3, math.pi / 3
         psi0 = QubitState(0.6, 0.8j)
-        kw = dict(t2_star_us=t2_star_us, n_samples=n, seed=seed, initial=psi0,
-                  t_span=(0.0, 384.0), sample_every=10.0, detuning_mhz=detuning,
-                  readout_rotation=readout)
-        # the ensemble's members and grid, rebuilt from its seed
-        offsets_ang = np.random.default_rng(seed).normal(0.0, math.sqrt(2) / t2_star_us / 1000, n)
-        extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning)))
-        grid = propagator._build_grid(p, cfg, (0.0, 384.0), 10.0, extra_omega_ang=extra)
-        assert 0 < grid.steps_per_period < grid.n_int * grid.s and grid.n_tail > 0
-        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, detuning)
-        stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang, psi0.as_array(), method)
-        stepped = stepped @ propagator.rotation_x(readout).T
-        ref = np.mean(np.abs(stepped) ** 2, axis=0)
-        for slab in (propagator._SLAB, 256):
-            monkeypatch.setattr(propagator, "_SLAB", slab)
-            ens = evolve_ensemble_dephased(p, cfg, **kw)
-            assert np.array_equal(ens.times, grid.times)
-            assert np.max(np.abs(ens.populations - ref)) < 1e-11
+        for t2_star_us in (0.5, 0.1):
+            kw = dict(t2_star_us=t2_star_us, initial=psi0, t_span=(0.0, 384.0),
+                      sample_every=10.0, detuning_mhz=detuning, readout_rotation=readout)
+            # the ensemble's members and grid, rebuilt from its nodes
+            sigma = math.sqrt(2) / t2_star_us / 1000
+            nodes, weights = propagator._noise_nodes(sigma * 384.0)
+            offsets_ang = sigma * nodes
+            extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning)))
+            grid = propagator._build_grid(p, cfg, (0.0, 384.0), 10.0, extra_omega_ang=extra)
+            assert 0 < grid.steps_per_period < grid.n_int * grid.s and grid.n_tail > 0
+            w_of_t, b_of_t = propagator._detuned_hamiltonian(p, detuning)
+            stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang, psi0.as_array(), method)
+            stepped = stepped @ propagator.rotation_x(readout).T
+            ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
+            for slab in (propagator._SLAB, 16):
+                monkeypatch.setattr(propagator, "_SLAB", slab)
+                ens = evolve_ensemble_dephased(p, cfg, **kw)
+                assert ens.noise_nodes == nodes.size > 4
+                assert np.array_equal(ens.times, grid.times)
+                assert np.max(np.abs(ens.populations - ref)) < 1e-11
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("slab", [3, 8])
     def test_slab_size_does_not_change_states(self, monkeypatch, slab):
@@ -356,39 +426,52 @@ class TestPeriodicKernel:
         short, long = peak(8), peak(64)
         assert long < 1.2 * short
 
+    @staticmethod
+    def _members(n):
+        # n members spread over +-4 sigma of the T2* = 6.56 us noise, equal weights
+        sigma = math.sqrt(2) / 6.56 / 1000
+        return sigma * np.linspace(-4.0, 4.0, n) / 2, np.full(n, 1.0 / n)
+
     def test_ensemble_memory_does_not_grow_with_members(self):
         # same grid and samples, eight times the members: members run in
-        # chunks and only their populations are accumulated
+        # chunks and only their weighted populations are accumulated
         p = DriveParameters(**FIG3A, n_periods=2)
         cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
                                norm_drift_tolerance=1e-3)
+        grid = propagator._build_grid(p, cfg, (0.0, 256.0), 1.0, extra_omega_ang=1e-3)
+        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+        psi0 = QubitState.ket0().as_array()
 
-        def run(n_samples):
+        def peak(n_members):
+            half_offsets, weights = self._members(n_members)
             tracemalloc.start()
             try:
-                ens = evolve_ensemble_dephased(p, cfg, t2_star_us=6.56, n_samples=n_samples,
-                                               seed=1, t_span=(0.0, 256.0), sample_every=1.0)
-                return ens.times, tracemalloc.get_traced_memory()[1]
+                propagator._dephased_populations(grid, w_of_t, b_of_t, half_offsets, weights,
+                                                 psi0, cfg, None)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        (times_few, few), (times_many, many) = run(256), run(2048)
-        assert np.array_equal(times_few, times_many)
-        assert many < 1.2 * few
+        assert peak(2048) < 1.2 * peak(256)
 
     def test_ensemble_memory_does_not_grow_with_periods(self):
         # same 11 samples over 8 and 1024 periods: U^q is formed only for the
         # q the samples use, not for every power up to the last
         cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
                                norm_drift_tolerance=1e-3)
+        half_offsets, weights = self._members(256)
+        psi0 = QubitState.ket0().as_array()
 
         def peak(n_periods):
             p = DriveParameters(**FIG3A, n_periods=n_periods)
             t_end = n_periods * p.period_ns
+            grid = propagator._build_grid(p, cfg, (0.0, t_end), t_end / 10,
+                                          extra_omega_ang=1e-3)
+            w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
             tracemalloc.start()
             try:
-                evolve_ensemble_dephased(p, cfg, t2_star_us=6.56, n_samples=256, seed=1,
-                                         t_span=(0.0, t_end), sample_every=t_end / 10)
+                propagator._dephased_populations(grid, w_of_t, b_of_t, half_offsets, weights,
+                                                 psi0, cfg, None)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
