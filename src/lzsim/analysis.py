@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitFailureError, NoOscillationError
 from .model import Basis, DriveParameters, crossing_times, eigenbasis_at, epsilon_at
@@ -190,6 +189,8 @@ def ramsey_fit(traj: Trajectory) -> FitResult:
         a0 = float((np.max(x) - np.min(x)) / 2)
     span = float(t_us[-1] - t_us[0])
     p0 = [a0, span / 2, f0, c0]
+    from scipy.optimize import curve_fit
+
     try:
         popt, _ = curve_fit(
             model, t_us, x, p0=p0,

@@ -85,6 +85,9 @@ _SIMULATE_SCHEMA = {
     "out_dir": (str, None),
 }
 
+#: the dephasing-ensemble keys, used by the dense route only
+_NOISE_KEYS = ("t2_star_us", "detuning_mhz", "preparation_rotation_rad", "readout_rotation_rad")
+
 _SWEEP_SCHEMA = {
     "sweep": (str, None),
     "scan_parameter": (str, "period_ns"),
@@ -196,6 +199,14 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: format must be csv|json, got {v['format']!r}")
     if v["t2_star_us"] is not None and not v["t2_star_us"] > 0:
         raise ConfigError(f"{source}: t2_star_us must be positive, got {v['t2_star_us']}")
+    if v["method"] == "transfer-matrix":
+        # the impulse model has no noise; the header would record it all the same
+        for key in _NOISE_KEYS:
+            if v[key] != _SIMULATE_SCHEMA[key][1]:
+                raise ConfigError(
+                    f"{source}: method = transfer-matrix has no noise model and would "
+                    f"ignore {key!r}; use method = ode or both"
+                )
     try:
         integrator = IntegratorConfig(
             max_step_ns=v["max_step_ns"],

@@ -9,12 +9,11 @@ name so golden outputs are never silently invalidated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy
-from scipy.optimize import curve_fit
 
 from . import __version__
 from .analysis import AdiabaticMask, detect_steps, rabi_frequency, to_adiabatic
@@ -100,13 +99,22 @@ class ExperimentResult:
     provenance: dict
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read from its package metadata: importing
+    scipy itself would cost more than most runs."""
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def provenance(body: dict) -> dict:
     """The provenance block of every output file: a shared header plus ``body``."""
     return {
         "schema_version": 1,
         "generator": f"lzsim {__version__}",
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": _scipy_version(),
         **body,
     }
 
@@ -354,6 +362,8 @@ def run_lz_probability_sweep(
 
     def model(T, d):
         return 1.0 - np.exp(-(math.pi**2) * d * d * T / (4 * epsilon_m_mhz) * 1e-3)
+
+    from scipy.optimize import curve_fit
 
     try:
         popt, _ = curve_fit(model, t_arr, p_arr, p0=[max(delta_mhz, 0.1)], maxfev=10000)

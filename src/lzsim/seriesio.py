@@ -162,7 +162,7 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
         return doc["provenance"], list(doc["columns"]), np.array(rows, dtype=float)
     meta: dict[str, str] = {}
     columns: list[str] = []
-    rows = []
+    rows: list[str] = []
     for line in text.splitlines():
         if line.startswith("#"):
             body = line[1:].strip()
@@ -175,10 +175,22 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
         if not columns:
             columns = line.split(",")
             continue
-        rows.append([np.nan if tok == "" else float(tok) for tok in line.split(",")])
+        rows.append(line)
     if not columns:
         raise ValueError(f"{path}: no column header found")
-    return meta, columns, np.array(rows, dtype=float)
+    if not rows:
+        return meta, columns, np.array([], dtype=float)
+    return meta, columns, np.loadtxt(_fill_empty_cells(rows), delimiter=",", comments=None, ndmin=2)
+
+
+def _fill_empty_cells(lines: list[str]) -> list[str]:
+    """The CSV data lines with every empty cell written as 'nan', which the
+    one-call parser reads as NaN (it refuses empty cells)."""
+    body = "\n" + "\n".join(lines) + "\n"
+    for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
+        body = body.replace(",,", ",nan,")
+    body = body.replace("\n,", "\nnan,").replace(",\n", ",nan\n")
+    return body[1:-1].split("\n")
 
 
 def render_table_csv(columns, rows, provenance: dict) -> str:

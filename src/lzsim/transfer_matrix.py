@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import DegenerateDriveError, ModelAccuracyWarning
 from .model import (
@@ -174,8 +173,38 @@ def stokes_phase(delta_adiab: float) -> float:
     """
     if delta_adiab <= 0:
         raise ValueError(f"delta_adiab must be positive, got {delta_adiab}")
-    d = float(delta_adiab)
-    return math.pi / 4 + d * (math.log(d) - 1.0) + float(loggamma(1 - 1j * d).imag)
+    return float(_stokes_phases(np.float64(delta_adiab)))
+
+
+#: Coefficients B_2k / (2k (2k - 1)) of the Stirling series of log Gamma, k = 1..9
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400, 43867 / 244188)
+#: Recurrence shift: the series is summed at 1 + _SHIFT - i delta, where its
+#: first omitted term is below 1e-20
+_SHIFT = 16
+
+
+def _arg_gamma(d: np.ndarray) -> np.ndarray:
+    """Im log Gamma(1 - i d) for real d >= 0, elementwise.
+
+    The recurrence log Gamma(z) = log Gamma(z + N) - sum_k log(z + k) moves the
+    argument to |w| >= 17, where the Stirling series converges to rounding.
+    The imaginary part of each log(z + k) is atan2(-d, 1 + k), continuous in d,
+    so the result stays on the continuous branch (that of
+    ``scipy.special.loggamma``), not wrapped into (-pi, pi].
+    """
+    w = (1.0 + _SHIFT) - 1j * d
+    inv2 = (1.0 / w) ** 2
+    series = np.zeros_like(w)
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    shifted = ((w - 0.5) * np.log(w) - w + series / w).imag
+    return shifted - np.arctan2(-d[..., None], 1.0 + np.arange(_SHIFT)).sum(axis=-1)
+
+
+def _stokes_phases(d: np.ndarray) -> np.ndarray:
+    """phi_s = pi/4 + d (ln d - 1) + arg Gamma(1 - i d), elementwise for d > 0."""
+    return np.pi / 4 + d * (np.log(d) - 1.0) + _arg_gamma(d)
 
 
 def mixing_matrix(node: LZNode, at_time: float = 0.0, sweep: str = "up") -> TransferStep:
@@ -359,7 +388,7 @@ def _period_rotations(
     rate = mhz_to_angular(4 * epsilon_m_mhz / T)  # sweep rate at a crossing
     d = m**2 / (4 * rate)
     p_lz = np.exp(-2 * np.pi * d)
-    phi_s = np.pi / 4 + d * (np.log(d) - 1.0) + loggamma(1 - 1j * d).imag
+    phi_s = _stokes_phases(d)
     zeta = (eps_m * np.hypot(eps_m, m) + m * m * np.arcsinh(eps_m / m)) / 2 / (4 * eps_m / T)
     e_plus = np.exp(1j * zeta)
     e_minus = e_plus.conj()
@@ -489,14 +518,9 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
                        @ half_first)
     second_to_first = to_first @ u_free(tc1 + 3 * T / 4, tc1 + T) @ half_second
 
-    at_first = np.empty((n, 2), dtype=complex)
-    at_second = np.empty((n, 2), dtype=complex)
     psi = to_first @ (u_free(0.0, tc1) @ (dressing @ psi))
-    for k in range(n):
-        at_first[k] = psi
-        psi = first_to_second @ psi
-        at_second[k] = psi
-        psi = second_to_first @ psi
+    at_first = _unitary_powers(second_to_first @ first_to_second, psi, n)
+    at_second = at_first @ first_to_second.T
 
     t_base = tc1 + T * np.arange(n)
     times = np.empty(2 * n + 1)
@@ -508,6 +532,24 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     amps[1::2] = at_first @ eigenbasis_at(p, tc1 + T / 4).T
     amps[2::2] = at_second @ eigenbasis_at(p, tc1 + 3 * T / 4).T
     return Trajectory(times, np.abs(amps) ** 2, Basis.DIABATIC, amplitudes=amps)
+
+
+def _unitary_powers(u: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
+    """Rows u^k psi for k = 0..n-1, for a 2x2 unitary ``u``, in closed form.
+
+    u = e^{i phi} S with S in SU(2), S = cos(h) I + sin(h) B, B = -i n.sigma,
+    so u^k = e^{i k phi} (cos(k h) I + sin(k h) B): every power at once,
+    without the rounding drift of repeated products.
+    """
+    phi = np.angle(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) / 2
+    s = u * np.exp(-1j * phi)
+    cos_h = (s[0, 0] + s[1, 1]).real / 2
+    b = s - cos_h * np.eye(2)
+    sin_h = math.sqrt(abs(b[0, 0]) ** 2 + abs(b[0, 1]) ** 2)
+    b_psi = b @ psi / sin_h if sin_h > 0 else np.zeros(2, dtype=complex)
+    kh = np.arange(n) * math.atan2(sin_h, cos_h)
+    return np.exp(1j * phi * np.arange(n))[:, None] * (
+        np.cos(kh)[:, None] * psi + np.sin(kh)[:, None] * b_psi)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,28 @@ sample_every_ns = 64.0
         assert "'delta_mhz': must be finite" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("line", ["t2_star_us = 0.5", "detuning_mhz = 0.56",
+                                      "preparation_rotation_rad = 1.5",
+                                      "readout_rotation_rad = 1.5"])
+    def test_transfer_matrix_refuses_noise_keys(self, tmp_path, capsys, fmt, line):
+        # the impulse model has no noise; the key would go into the header unused
+        conf = write(tmp_path, "run.conf", f"scenario = fig3a\nmethod = transfer-matrix\n"
+                     f"format = {fmt}\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        key = line.partition(" = ")[0]
+        assert f"method = transfer-matrix has no noise model and would ignore '{key}'" \
+            in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_both_keeps_the_noise(self, tmp_path):
+        conf = write(tmp_path, "run.conf", "scenario = fig3a\nmethod = both\nt_end_ns = 512.0\n"
+                     "t2_star_us = 6.56\n")
+        assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
+        meta, _, _ = read_series(tmp_path / "fig3a_ode_series.csv")
+        assert meta["scenario.noise.t2_star_us"] == "6.56"
+
     def test_nan_preparation_rotation_rejected_at_the_boundary(self, tmp_path, capsys):
         conf = write(tmp_path, "nan.conf", """\
 delta_mhz = 0.0

@@ -82,6 +82,24 @@ class TestBounds:
         assert not list(tmp_path.iterdir())
 
 
+def _per_token_read(path):
+    """A CSV series file parsed one token at a time with float(), empty -> NaN."""
+    meta, columns, rows = {}, [], []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body and not body.startswith("lzsim-series"):
+                k, _, v = body.partition("=")
+                meta[k.strip()] = v.strip()
+        elif not line.strip():
+            continue
+        elif not columns:
+            columns = line.split(",")
+        else:
+            rows.append([np.nan if tok == "" else float(tok) for tok in line.split(",")])
+    return meta, columns, np.array(rows, dtype=float)
+
+
 class TestEmptyCells:
     def _overlay_case(self):
         base = _traj([0.0, 1.0, 2.0], [0.5, 0.25, 0.125], [0.5, 0.75, 0.875])
@@ -100,6 +118,20 @@ class TestEmptyCells:
         ]
         _, _, data = read_series(path)
         assert np.isnan(data[0, 3:]).all() and np.isnan(data[2, 3:]).all()
+
+    def test_csv_read_back_bit_for_bit(self, tmp_path):
+        # the masked fig3c overlay, and hand-made rows with empty cells at the
+        # start, in runs and at the end of a line
+        assert main(["reproduce", "fig3c", "--out", str(tmp_path)]) == 0
+        hand = tmp_path / "hand.csv"
+        hand.write_text("# lzsim-series schema=1\n# a = 1,,2\nx,y,z,w\n"
+                        ",1.5,,\n0.1,,,-2e-300\n\n,,,\n1e308,nan,inf,0.30000000000000004\n")
+        for path in (tmp_path / "fig3c_series.csv", hand):
+            meta, columns, data = read_series(path)
+            ref_meta, ref_columns, ref_data = _per_token_read(path)
+            assert (meta, columns) == (ref_meta, ref_columns)
+            assert data.shape == ref_data.shape and data.tobytes() == ref_data.tobytes()
+        assert np.isnan(data).sum() == 10 and read_series(hand)[0] == {"a": "1,,2"}
 
     def test_json_overlay_cells_are_null(self, tmp_path):
         base, overlay = self._overlay_case()

@@ -25,7 +25,9 @@ from lzsim import (
 from lzsim.model import crossing_times, eigenbasis_at, epsilon_at
 from lzsim.transfer_matrix import (
     StepKind,
+    _arg_gamma,
     _sweep_direction,
+    _unitary_powers,
     adiabaticity,
     free_step,
     period_steps,
@@ -62,6 +64,17 @@ class TestLZProbability:
 
 
 class TestStokesPhase:
+    def test_arg_gamma_matches_scipy(self):
+        # Im log Gamma(1 - i d) on the continuous branch of scipy's loggamma
+        from scipy.special import loggamma
+
+        d = np.logspace(-8, 6, 4001)
+        ref = loggamma(1 - 1j * d).imag
+        err = np.abs(_arg_gamma(d) - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) <= 1e-13
+        # a scalar, as stokes_phase passes it
+        assert float(_arg_gamma(np.float64(2.0))) == pytest.approx(loggamma(1 - 2j).imag, abs=1e-13)
+
     def test_sudden_limit(self):
         assert stokes_phase(1e-12) == pytest.approx(math.pi / 4, abs=1e-9)
 
@@ -356,6 +369,24 @@ class TestStroboscopic:
     def test_requires_positive_periods(self):
         with pytest.raises(ValueError):
             stroboscopic_evolve(FAST, 0)
+
+    @pytest.mark.parametrize("n, tol", [(200, 1e-12), (20000, 1e-10)])
+    def test_closed_form_powers_match_the_period_loop(self, n, tol):
+        m1, u1, m2, u2 = (s.matrix for s in period_steps(FAST))
+        g1 = u2 @ m2 @ u1 @ m1
+        psi = np.array([0.6, 0.8j])
+        loop = np.empty((n, 2), dtype=complex)
+        for k in range(n):
+            loop[k] = psi
+            psi = g1 @ psi
+        assert np.max(np.abs(_unitary_powers(g1, loop[0], n) - loop)) <= tol
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0, np.exp(0.3j)])
+    def test_closed_form_powers_of_a_multiple_of_identity(self, scale):
+        psi = np.array([0.6, 0.8j])
+        got = _unitary_powers(scale * np.eye(2), psi, 5)
+        expected = np.array([scale**k * psi for k in range(5)])
+        assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_conversion_reaches_above_09_on_resonance(self):
         strob = stroboscopic_evolve(DriveParameters(**FIG3A, n_periods=60), 60)
