@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, NoOscillationError
-from .model import Basis, DriveParameters, crossing_times, eigenbasis_at, epsilon_at
+from .model import Basis, DriveParameters, crossing_times, epsilon_at, mixing_angle_at
 from .propagator import Trajectory
 
 
@@ -58,6 +58,17 @@ def basis_discrepancy(ratio: float) -> float:
     return (1.0 - ratio / math.hypot(ratio, 1.0)) / 2.0
 
 
+def _eigenbasis_rotation(p: DriveParameters, times: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Each sample's amplitudes times the eigenbasis matrix [[-s, c], [c, s]]
+    (`eigenbasis_at`) at its time.  The matrix is real, symmetric and
+    orthogonal, hence its own inverse: the same rotation takes diabatic
+    amplitudes to adiabatic ones and back."""
+    half = mixing_angle_at(p, times) / 2
+    c, s = np.cos(half), np.sin(half)
+    a0, a1 = amps[:, 0], amps[:, 1]
+    return np.column_stack([-s * a0 + c * a1, c * a0 + s * a1])
+
+
 def to_adiabatic(traj: Trajectory, p: DriveParameters, mask: AdiabaticMask | None = None) -> Trajectory:
     """Rotate a diabatic trajectory into the instantaneous eigenbasis.
 
@@ -77,10 +88,7 @@ def to_adiabatic(traj: Trajectory, p: DriveParameters, mask: AdiabaticMask | Non
     if idx.size == 0:
         raise ValueError("mask keeps no samples; drive never leaves the crossing region")
     times = traj.times[idx]
-    amps = np.empty((idx.size, 2), dtype=complex)
-    for j, i in enumerate(idx):
-        v = eigenbasis_at(p, traj.times[i])
-        amps[j] = v.conj().T @ traj.amplitudes[i]
+    amps = _eigenbasis_rotation(p, times, traj.amplitudes[idx])
     return Trajectory(times, np.abs(amps) ** 2, Basis.ADIABATIC, amplitudes=amps)
 
 
@@ -90,9 +98,7 @@ def to_diabatic(traj: Trajectory, p: DriveParameters) -> Trajectory:
         raise ValueError("trajectory is not in the adiabatic basis")
     if traj.amplitudes is None:
         raise ValueError("basis conversion needs per-sample amplitudes")
-    amps = np.empty_like(traj.amplitudes)
-    for i, t in enumerate(traj.times):
-        amps[i] = eigenbasis_at(p, t) @ traj.amplitudes[i]
+    amps = _eigenbasis_rotation(p, traj.times, traj.amplitudes)
     return Trajectory(traj.times, np.abs(amps) ** 2, Basis.DIABATIC, amplitudes=amps)
 
 

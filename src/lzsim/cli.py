@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import rabi_frequency
-from .config import RunConfig, load_run_config, load_sweep_config
+from .config import load_run_config, load_sweep_config
 from .errors import (
     ConfigError,
     DegenerateDriveError,
@@ -28,9 +28,7 @@ from .errors import (
 )
 from .experiments import (
     FIGURE_IDS,
-    PRESETS,
-    NoiseSpec,
-    ScenarioSpec,
+    ExperimentResult,
     provenance,
     run_figure,
     run_lz_probability_sweep,
@@ -60,62 +58,34 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _scenario_to_runconfig_parts(cfg: RunConfig):
-    """Resolve a scenario id from a run config into drive/duration/sampling."""
-    preset = PRESETS[cfg.scenario]
-    if cfg.scenario == "fig4":
-        raise ConfigError("scenario fig4 is a two-arm comparison; use 'reproduce fig4'")
-    drive = DriveParameters(**preset["drive"])
-    t_end = cfg.t_end_ns if cfg.t_end_ns is not None else preset["t_end_ns"]
-    sample_every = (
-        cfg.sample_every_ns if cfg.sample_every_ns is not None else preset["sample_every_ns"]
-    )
-    return drive, t_end, sample_every
+def _write_series(out: Path, result: ExperimentResult, fmt: str) -> list[str]:
+    """Write each series of a run as ``<name>[_<series>]_series.<fmt>``.
+
+    The suffix is added only when more than one file is written; the
+    ``adiabatic`` series goes in as columns of the ``ode`` file.  A series
+    whose drive differs from the scenario's finds it in the provenance under
+    ``<series>_drive``.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    prov = result.provenance
+    adiabatic = result.series.get("adiabatic")
+    written = {k: traj for k, traj in result.series.items() if k != "adiabatic"}
+    files = []
+    for series_name, traj in written.items():
+        suffix = "" if len(written) == 1 else f"_{series_name}"
+        path = out / f"{result.name}{suffix}_series.{fmt}"
+        drive = DriveParameters(**prov.get(f"{series_name}_drive", prov["scenario"]["drive"]))
+        write_series(path, traj, prov, fmt=fmt, drive=drive,
+                     adiabatic=adiabatic if series_name == "ode" else None)
+        files.append(str(path))
+    return files
 
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
-    if args.format is not None:
-        cfg = replace(cfg, format=args.format)
-
-    if cfg.scenario is not None:
-        drive, t_end, sample_every = _scenario_to_runconfig_parts(cfg)
-        name = cfg.scenario
-    else:
-        drive = cfg.drive
-        t_end = cfg.t_end_ns
-        sample_every = cfg.sample_every_ns
-        name = "custom"
-
-    noise = None
-    if cfg.t2_star_us is not None:
-        noise = NoiseSpec(
-            t2_star_us=cfg.t2_star_us,
-            detuning_mhz=cfg.detuning_mhz,
-            preparation_rotation=cfg.preparation_rotation_rad,
-            readout_rotation=cfg.readout_rotation_rad,
-        )
-    spec = ScenarioSpec(
-        name=name,
-        drive=drive,
-        method=cfg.method,
-        t_end_ns=t_end,
-        sample_every_ns=sample_every,
-        noise=noise,
-        integrator=cfg.integrator,
-    )
-    result = run_scenario(spec)
-
-    out = _out_dir(args.out, cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for series_name, traj in result.series.items():
-        suffix = "" if len(result.series) == 1 else f"_{series_name}"
-        path = out / f"{name}{suffix}_series.{cfg.format}"
-        write_series(path, traj, result.provenance, fmt=cfg.format, drive=drive)
-        files.append(str(path))
-
-    summary = {"name": name, "files": files, **_plain_scalars(result.scalars)}
+    result = run_scenario(cfg.spec)
+    files = _write_series(_out_dir(args.out, cfg.out_dir), result, args.format or cfg.format)
+    summary = {"name": result.name, "files": files, **_plain_scalars(result.scalars)}
     if cfg.report_rabi and "ode" in result.series:
         fit = rabi_frequency(result.series["ode"])
         summary["rabi_frequency_mhz"] = fit.frequency_mhz
@@ -128,26 +98,8 @@ def cmd_reproduce(args) -> int:
     if figure not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {figure!r}; valid: {', '.join(FIGURE_IDS)}")
     result = run_figure(figure)
-    fmt = args.format or "csv"
     out = _out_dir(args.out, None)
-    out.mkdir(parents=True, exist_ok=True)
-
-    drive = DriveParameters(**result.provenance["scenario"]["drive"])
-    files = []
-    adiabatic = result.series.get("adiabatic")
-    written = [k for k in result.series if k != "adiabatic"]
-    for series_name, traj in result.series.items():
-        if series_name == "adiabatic":
-            continue  # merged into the ode series columns
-        suffix = "" if len(written) == 1 else f"_{series_name}"
-        path = out / f"{figure}{suffix}_series.{fmt}"
-        overlay = adiabatic if series_name == "ode" else None
-        series_drive = drive
-        if series_name == "destructive":
-            series_drive = DriveParameters(**result.provenance["destructive_drive"])
-        write_series(path, traj, result.provenance, fmt=fmt, drive=series_drive,
-                     adiabatic=overlay)
-        files.append(str(path))
+    files = _write_series(out, result, args.format or "csv")
 
     scalars_path = out / f"{figure}_scalars.json"
     atomic_write_text(

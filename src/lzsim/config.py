@@ -1,4 +1,4 @@
-"""Flat key=value run configuration: parsing, validation, canonical echo.
+"""Flat key=value run configuration: parsing and validation.
 
 The format is deliberately primitive: one ``key = value`` pair per line,
 ``#`` comments, no sections, and explicit units inside key names
@@ -10,11 +10,11 @@ validated before any computation starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .experiments import FIGURE_IDS
+from .experiments import PRESETS, NoiseSpec, ScenarioSpec
 from .model import DriveParameters
 from .propagator import IntegratorConfig
 
@@ -46,8 +46,8 @@ def _parse_float(s: str) -> float:
 def _parse_t2_star(s: str) -> float:
     # +inf is a real value here: T2* = inf drops the dephasing noise
     value = float(s)
-    if math.isnan(value) or value == -math.inf:
-        raise ValueError(f"must be finite or inf, got {s!r}")
+    if not value > 0:
+        raise ValueError(f"must be positive or inf, got {s!r}")
     return value
 
 
@@ -65,7 +65,7 @@ _SIMULATE_SCHEMA = {
     "epsilon_m_mhz": (_parse_float, None),
     "period_ns": (_parse_float, None),
     "n_periods": (_parse_int, None),
-    "t_offset_ns": (_parse_float, 0.0),
+    "t_offset_ns": (_parse_float, None),
     "method": (str, "ode"),
     "t_end_ns": (_parse_float, None),
     "sample_every_ns": (_parse_float, None),
@@ -85,8 +85,13 @@ _SIMULATE_SCHEMA = {
     "out_dir": (str, None),
 }
 
-#: the dephasing-ensemble keys, used by the dense route only
+#: the dephasing-ensemble keys: the dense route applies them, the last three
+#: only together with t2_star_us
 _NOISE_KEYS = ("t2_star_us", "detuning_mhz", "preparation_rotation_rad", "readout_rotation_rad")
+
+#: a resonance sweep holds about 0.86 KB per point, so this is about 1 GB;
+#: checked before the grid is built
+_MAX_SCAN_POINTS = 1 << 20
 
 _SWEEP_SCHEMA = {
     "sweep": (str, None),
@@ -134,118 +139,99 @@ def _parse_pairs(text: str, schema: dict, source: str) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated simulate-run request: a scenario id or raw drive parameters."""
+    """Validated simulate-run request: the scenario it runs and how to write it."""
 
-    scenario: str | None
-    drive: DriveParameters | None
-    method: str
-    t_end_ns: float | None
-    sample_every_ns: float | None
-    integrator: IntegratorConfig
-    t2_star_us: float | None
-    detuning_mhz: float
-    preparation_rotation_rad: float
-    readout_rotation_rad: float
+    spec: ScenarioSpec
     report_rabi: bool
     format: str
     out_dir: str | None
-    raw: dict = field(repr=False, default_factory=dict)
+
+
+def _read_config(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_run_config(text, source=str(path))
+    return parse_run_config(_read_config(path), source=str(path))
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
+    """Parse a simulate config into the scenario it runs.
+
+    A ``scenario`` id resolves to its preset's drive, and to the preset's
+    ``t_end_ns`` and ``sample_every_ns`` unless those are given.
+    """
     v = _parse_pairs(text, _SIMULATE_SCHEMA, source)
-    del v["seed"]
 
-    drive_keys = ("delta_mhz", "epsilon_m_mhz", "period_ns", "n_periods")
-    has_drive = any(v[k] is not None for k in drive_keys)
-    if v["scenario"] is not None and has_drive:
-        raise ConfigError(f"{source}: give either 'scenario' or raw drive keys, not both")
-    if v["scenario"] is None and not has_drive:
-        raise ConfigError(f"{source}: missing 'scenario' or drive keys {drive_keys}")
-
-    drive = None
-    if v["scenario"] is not None:
-        if v["scenario"] not in FIGURE_IDS:
-            raise ConfigError(
-                f"{source}: unknown scenario {v['scenario']!r}; valid: {', '.join(FIGURE_IDS)}"
-            )
-    else:
-        missing = [k for k in drive_keys if v[k] is None and k != "n_periods"]
-        if missing:
-            raise ConfigError(f"{source}: missing drive keys: {missing}")
-        try:
-            drive = DriveParameters(
-                delta_mhz=v["delta_mhz"],
-                epsilon_m_mhz=v["epsilon_m_mhz"],
-                period_ns=v["period_ns"],
-                n_periods=v["n_periods"] if v["n_periods"] is not None else 1,
-                t_offset_ns=v["t_offset_ns"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from exc
-
-    if v["method"] not in ("ode", "transfer-matrix", "both"):
-        raise ConfigError(f"{source}: method must be ode|transfer-matrix|both, got {v['method']!r}")
+    drive_keys = ("delta_mhz", "epsilon_m_mhz", "period_ns", "n_periods", "t_offset_ns")
     if v["format"] not in ("csv", "json"):
         raise ConfigError(f"{source}: format must be csv|json, got {v['format']!r}")
-    if v["t2_star_us"] is not None and not v["t2_star_us"] > 0:
-        raise ConfigError(f"{source}: t2_star_us must be positive, got {v['t2_star_us']}")
-    if v["method"] == "transfer-matrix":
-        # the impulse model has no noise; the header would record it all the same
-        for key in _NOISE_KEYS:
-            if v[key] != _SIMULATE_SCHEMA[key][1]:
-                raise ConfigError(
-                    f"{source}: method = transfer-matrix has no noise model and would "
-                    f"ignore {key!r}; use method = ode or both"
-                )
+    for key in _NOISE_KEYS:
+        if v[key] == _SIMULATE_SCHEMA[key][1]:
+            continue
+        if v["method"] == "transfer-matrix":
+            # the impulse model has no noise; the header would record it all the same
+            raise ConfigError(
+                f"{source}: method = transfer-matrix has no noise model and would "
+                f"ignore {key!r}; use method = ode or both"
+            )
+        if v["t2_star_us"] is None:
+            raise ConfigError(
+                f"{source}: {key!r} applies only to the dephasing ensemble; set t2_star_us, "
+                f"or t2_star_us = inf to apply it without dephasing noise"
+            )
+
+    if v["scenario"] is not None:
+        name = v["scenario"]
+        if any(v[k] is not None for k in drive_keys):
+            raise ConfigError(f"{source}: give either 'scenario' or raw drive keys, not both")
+        if name not in PRESETS:
+            raise ConfigError(f"{source}: unknown scenario {name!r}; valid: {', '.join(PRESETS)}")
+        if name == "fig4":
+            raise ConfigError(f"{source}: scenario fig4 is a two-arm comparison; "
+                              "use 'reproduce fig4'")
+        preset = PRESETS[name]
+        drive = preset["drive"]
+        for key in ("t_end_ns", "sample_every_ns"):
+            if v[key] is None:
+                v[key] = preset[key]
+    else:
+        name = "custom"
+        missing = [k for k in ("delta_mhz", "epsilon_m_mhz", "period_ns") if v[k] is None]
+        if missing:
+            raise ConfigError(f"{source}: missing 'scenario' or drive keys {missing}")
+        # the absent optional keys take the DriveParameters defaults
+        drive = {k: v[k] for k in drive_keys if v[k] is not None}
+
+    noise = None
+    if v["t2_star_us"] is not None:
+        noise = NoiseSpec(
+            t2_star_us=v["t2_star_us"],
+            detuning_mhz=v["detuning_mhz"],
+            preparation_rotation=v["preparation_rotation_rad"],
+            readout_rotation=v["readout_rotation_rad"],
+        )
     try:
-        integrator = IntegratorConfig(
-            max_step_ns=v["max_step_ns"],
-            steps_per_min_period=v["steps_per_min_period"],
-            norm_drift_tolerance=v["norm_tolerance"],
-            method=v["integrator_method"],
+        spec = ScenarioSpec(
+            name=name,
+            drive=DriveParameters(**drive),
+            method=v["method"],
+            t_end_ns=v["t_end_ns"],
+            sample_every_ns=v["sample_every_ns"],
+            noise=noise,
+            integrator=IntegratorConfig(
+                max_step_ns=v["max_step_ns"],
+                steps_per_min_period=v["steps_per_min_period"],
+                norm_drift_tolerance=v["norm_tolerance"],
+                method=v["integrator_method"],
+            ),
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-    return RunConfig(
-        scenario=v["scenario"],
-        drive=drive,
-        method=v["method"],
-        t_end_ns=v["t_end_ns"],
-        sample_every_ns=v["sample_every_ns"],
-        integrator=integrator,
-        t2_star_us=v["t2_star_us"],
-        detuning_mhz=v["detuning_mhz"],
-        preparation_rotation_rad=v["preparation_rotation_rad"],
-        readout_rotation_rad=v["readout_rotation_rad"],
-        report_rabi=v["report_rabi"],
-        format=v["format"],
-        out_dir=v["out_dir"],
-        raw=v,
-    )
-
-
-def echo_run_config(cfg: RunConfig) -> str:
-    """Canonical text form; parsing the echo reproduces the config."""
-    lines = []
-    for key in _SIMULATE_SCHEMA:
-        value = cfg.raw.get(key)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return RunConfig(spec, v["report_rabi"], v["format"], v["out_dir"])
 
 
 @dataclass(frozen=True)
@@ -262,12 +248,7 @@ class SweepConfig:
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_sweep_config(text, source=str(path))
+    return parse_sweep_config(_read_config(path), source=str(path))
 
 
 def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
@@ -295,8 +276,9 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
                     f"{source}: resonance sweep needs scan_values or scan_start/scan_stop/scan_points"
                 )
             n = v["scan_points"]
-            if n < 1:
-                raise ConfigError(f"{source}: scan_points must be >= 1, got {n}")
+            if not 1 <= n <= _MAX_SCAN_POINTS:
+                raise ConfigError(
+                    f"{source}: scan_points must be in 1..{_MAX_SCAN_POINTS}, got {n}")
             if n == 1:
                 values = [v["scan_start"]]
             else:
@@ -310,8 +292,6 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         if not values:
             raise ConfigError(f"{source}: lz_probability sweep needs period_values_ns")
         scan_parameter = "period_ns"
-    if not values:
-        raise ConfigError(f"{source}: empty scan grid")
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{source}: scan grid from scan_start/scan_stop is not finite")
 

@@ -1,12 +1,16 @@
-"""The benchmark's requests still parse: every config and command line that
+"""The benchmark still fits the program: every config and command line that
 `perfbench/workloads.py` builds is accepted by the CLI parser and the config
-parsers.
+parsers, and every function that `perfbench/layers.py` wraps is still bound
+in its module.
 
 The benchmark may not change together with the program, so a removed key or
-flag that a workload still sends would fail every request of that workload.
-`workloads.py` is loaded read-only, by path.
+flag that a workload still sends would fail every request of that workload,
+and a renamed function would fail the traced run.  Both files are read by
+path, without importing perfbench.
 """
 
+import ast
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -17,6 +21,7 @@ from lzsim.cli import build_parser
 from lzsim.config import parse_run_config, parse_sweep_config
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +47,21 @@ def test_every_workload_request_parses(workloads, seed):
             if args.command in parsers:
                 config = Path(args.config).name
                 parsers[args.command](wl.configs[config], source=f"{name}/{config}")
+
+
+def _timed_names():
+    """The (module, function) pairs of the ``TIMED`` tuple in layers.py."""
+    tree = ast.parse(LAYERS.read_text(), str(LAYERS))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TIMED" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError(f"no TIMED tuple in {LAYERS}")
+
+
+def test_every_timed_function_is_bound():
+    names = _timed_names()
+    assert len(names) > 10
+    unbound = [f"{module}.{function}" for module, function in names
+               if not callable(getattr(importlib.import_module(module), function, None))]
+    assert not unbound, f"wrapped by perfbench/layers.py but gone: {unbound}"

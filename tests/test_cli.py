@@ -8,7 +8,7 @@ import pytest
 
 from lzsim import cli
 from lzsim.cli import main
-from lzsim.config import parse_run_config, echo_run_config
+from lzsim.config import parse_run_config
 from lzsim.errors import ConfigError
 from lzsim.seriesio import read_series
 
@@ -164,6 +164,24 @@ sample_every_ns = 64.0
             in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("key", ["detuning_mhz", "preparation_rotation_rad",
+                                     "readout_rotation_rad"])
+    def test_noise_key_without_t2_star_refused(self, tmp_path, capsys, key):
+        # without t2_star_us there is no ensemble to apply the key to
+        conf = write(tmp_path, "run.conf", f"scenario = fig2c\n{key} = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "t2_star_us = inf" in err
+        assert not out.exists()
+
+    def test_fig4_scenario_refused(self, tmp_path, capsys):
+        conf = write(tmp_path, "run.conf", "scenario = fig4\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "use 'reproduce fig4'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_both_keeps_the_noise(self, tmp_path):
         conf = write(tmp_path, "run.conf", "scenario = fig3a\nmethod = both\nt_end_ns = 512.0\n"
                      "t2_star_us = 6.56\n")
@@ -301,6 +319,21 @@ delta_mhz = 5.57
 epsilon_m_mhz = 100.0
 """)
         assert main(["sweep", conf, "--out", str(tmp_path)]) == 2
+
+    def test_scan_points_bounded_before_the_grid(self, tmp_path, capsys):
+        # a grid of 10**12 points would exhaust memory while it is built
+        conf = write(tmp_path, "sweep.conf", """\
+sweep = resonance
+scan_start = 140
+scan_stop = 158
+scan_points = 1000000000000
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert "scan_points must be in 1..1048576" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_row_refused(self, tmp_path, capsys, monkeypatch, fmt):
@@ -443,12 +476,6 @@ sample_every_ns = 4.0
 
 
 class TestConfigRoundTrip:
-    def test_parse_echo_parse(self):
-        cfg = parse_run_config(CUSTOM_CONF + "format = json\n")
-        echoed = echo_run_config(cfg)
-        cfg2 = parse_run_config(echoed)
-        assert cfg2 == cfg
-
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_run_config("scenario = fig3a\nscenario = fig3b\n")

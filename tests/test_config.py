@@ -24,18 +24,36 @@ from lzsim.config import (
     parse_sweep_config,
 )
 from lzsim.errors import ConfigError
+from lzsim.experiments import PRESETS
+from lzsim.model import DriveParameters
 
 SWEEP = "sweep = resonance\nscan_values = 128.0\ndelta_mhz = 5.57\nepsilon_m_mhz = 100.0\n"
 
 
 class TestT2Star:
     def test_inf_drops_the_noise(self):
-        assert parse_run_config("scenario = fig3a\nt2_star_us = inf\n").t2_star_us == math.inf
+        cfg = parse_run_config("scenario = fig3a\nt2_star_us = inf\n")
+        assert cfg.spec.noise.t2_star_us == math.inf
 
     @pytest.mark.parametrize("value", ["nan", "-inf", "0", "-1"])
     def test_refused(self, value):
         with pytest.raises(ConfigError, match="t2_star_us"):
             parse_run_config(f"scenario = fig3a\nt2_star_us = {value}\n")
+
+
+class TestPresets:
+    def test_preset_fills_what_is_absent(self):
+        spec = parse_run_config("scenario = fig3b\nt_end_ns = 1212.0\n").spec
+        preset = PRESETS["fig3b"]
+        assert spec.name == "fig3b"
+        assert spec.drive == DriveParameters(**preset["drive"])
+        assert spec.t_end_ns == 1212.0
+        assert spec.sample_every_ns == preset["sample_every_ns"]
+
+    def test_preset_refuses_a_drive_offset(self):
+        # the preset fixes the whole drive; the offset would go unused
+        with pytest.raises(ConfigError, match="either 'scenario' or raw drive keys"):
+            parse_run_config("scenario = fig3a\nt_offset_ns = 19.0\n")
 
 
 class TestRemovedKeys:
@@ -129,10 +147,12 @@ def _check(parse, text):
         cfg = parse(text)
     except ConfigError:
         return
-    t2 = getattr(cfg, "t2_star_us", None)
+    noise = cfg.spec.noise if hasattr(cfg, "spec") else None
+    t2 = noise.t2_star_us if noise is not None else None
     assert t2 is None or t2 > 0, f"t2_star_us = {t2} from {text!r}"
     if t2 == math.inf:
-        cfg = dataclasses.replace(cfg, t2_star_us=None)
+        cfg = dataclasses.replace(cfg, spec=dataclasses.replace(
+            cfg.spec, noise=dataclasses.replace(noise, t2_star_us=None)))
     numbers = list(_numbers(cfg))
     bad = [x for x in numbers if isinstance(x, float) and not math.isfinite(x)]
     assert not bad, f"non-finite fields {bad} from {text!r}"
