@@ -63,10 +63,7 @@ from .experiments import (
     LZSweepResult,
     NoiseSpec,
     ScenarioSpec,
-    run_cdt_comparison,
-    run_double_passage,
     run_figure,
-    run_long_drive,
     run_lz_probability_sweep,
     run_scenario,
 )

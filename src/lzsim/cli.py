@@ -27,7 +27,6 @@ from .errors import (
     NoOscillationError,
 )
 from .experiments import (
-    FIGURE_IDS,
     ExperimentResult,
     provenance,
     run_figure,
@@ -95,8 +94,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce(args) -> int:
     figure = args.figure
-    if figure not in FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {figure!r}; valid: {', '.join(FIGURE_IDS)}")
     result = run_figure(figure)
     out = _out_dir(args.out, None)
     files = _write_series(out, result, args.format or "csv")
@@ -123,7 +120,6 @@ def cmd_sweep(args) -> int:
     if args.format is not None:
         cfg = replace(cfg, format=args.format)
     out = _out_dir(args.out, cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     prov = provenance({
         "sweep": cfg.kind,
@@ -156,6 +152,7 @@ def cmd_sweep(args) -> int:
 
     if not np.isfinite(np.asarray(rows, dtype=float)).all():
         raise ValueError(f"{cfg.kind} sweep produced a non-finite value; nothing written")
+    out.mkdir(parents=True, exist_ok=True)
     path = out / f"sweep_{cfg.kind}.{cfg.format}"
     render = render_table_csv if cfg.format == "csv" else render_series_json
     atomic_write_text(path, render(columns, rows, prov))

@@ -194,17 +194,15 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}: scenario fig4 is a two-arm comparison; "
                               "use 'reproduce fig4'")
         preset = PRESETS[name]
-        drive = preset["drive"]
+        drive = preset.drive
         for key in ("t_end_ns", "sample_every_ns"):
             if v[key] is None:
-                v[key] = preset[key]
+                v[key] = getattr(preset, key)
     else:
-        name = "custom"
+        name, drive = "custom", None
         missing = [k for k in ("delta_mhz", "epsilon_m_mhz", "period_ns") if v[k] is None]
         if missing:
             raise ConfigError(f"{source}: missing 'scenario' or drive keys {missing}")
-        # the absent optional keys take the DriveParameters defaults
-        drive = {k: v[k] for k in drive_keys if v[k] is not None}
 
     noise = None
     if v["t2_star_us"] is not None:
@@ -215,9 +213,12 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
             readout_rotation=v["readout_rotation_rad"],
         )
     try:
+        if drive is None:
+            # the absent optional keys take the DriveParameters defaults
+            drive = DriveParameters(**{k: v[k] for k in drive_keys if v[k] is not None})
         spec = ScenarioSpec(
             name=name,
-            drive=DriveParameters(**drive),
+            drive=drive,
             method=v["method"],
             t_end_ns=v["t_end_ns"],
             sample_every_ns=v["sample_every_ns"],

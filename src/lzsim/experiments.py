@@ -1,17 +1,17 @@
 """Canned, parameterized experiment scenarios with full provenance.
 
-Each runner wires the model, propagator, transfer-matrix and analysis layers
-into a named scenario and returns an `ExperimentResult` whose provenance is
-complete enough to re-run bit-identically.  The figure presets freeze the
-published drive-parameter sets; overriding any of them derives a new scenario
-name so golden outputs are never silently invalidated.
+Every run is a `ScenarioSpec` executed by `run_scenario`, which wires the
+model, propagator and transfer-matrix layers together and returns an
+`ExperimentResult` whose provenance is complete enough to re-run
+bit-identically.  `PRESETS` freezes the published figure scenarios, and
+`run_figure` runs one and applies that figure's analysis.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,33 +27,6 @@ from .propagator import (
     rotation_x,
 )
 from .transfer_matrix import lz_probability, single_period_rotation, stroboscopic_evolve
-
-FIGURE_IDS = ("fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d", "fig4")
-
-_FAST_DRIVE = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0)
-_SLOW_DRIVE = dict(delta_mhz=9.60, epsilon_m_mhz=50.4, period_ns=606.0)
-_MID_DRIVE = dict(delta_mhz=5.84, epsilon_m_mhz=100.0, period_ns=592.0)
-
-#: Frozen figure presets: drive, duration and sampling of each scenario.
-PRESETS: dict[str, dict] = {
-    # double passages: one period, two crossings
-    "fig2c": dict(drive=dict(_FAST_DRIVE, n_periods=1), t_end_ns=128.0,
-                  sample_every_ns=128.0 / 64, regime="fast"),
-    "fig2d": dict(drive=dict(_SLOW_DRIVE, n_periods=1), t_end_ns=606.0,
-                  sample_every_ns=606.0 / 64, regime="slow"),
-    # long drives
-    "fig3a": dict(drive=dict(_FAST_DRIVE, n_periods=63), t_end_ns=8000.0,
-                  sample_every_ns=8.0),
-    "fig3b": dict(drive=dict(_SLOW_DRIVE, n_periods=15), t_end_ns=15 * 606.0,
-                  sample_every_ns=606.0 / 16),
-    "fig3c": dict(drive=dict(_SLOW_DRIVE, n_periods=15), t_end_ns=15 * 606.0,
-                  sample_every_ns=606.0 / 32),
-    "fig3d": dict(drive=dict(_MID_DRIVE, n_periods=10), t_end_ns=10 * 592.0,
-                  sample_every_ns=592.0 / 16),
-    # constructive vs destructive pair over the same window
-    "fig4": dict(drive=dict(_FAST_DRIVE, n_periods=8), t_end_ns=1000.0,
-                 sample_every_ns=2.0, period_destructive_ns=149.0),
-}
 
 
 @dataclass(frozen=True)
@@ -87,6 +60,35 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.method not in ("ode", "transfer-matrix", "both"):
             raise ValueError(f"unknown method {self.method!r}")
+
+
+_FAST_DRIVE = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0)
+_SLOW_DRIVE = dict(delta_mhz=9.60, epsilon_m_mhz=50.4, period_ns=606.0)
+_MID_DRIVE = dict(delta_mhz=5.84, epsilon_m_mhz=100.0, period_ns=592.0)
+
+#: Frozen figure presets: the scenario each figure id runs.
+PRESETS: dict[str, ScenarioSpec] = {spec.name: spec for spec in (
+    # double passages: one period, two crossings, with the impulse overlay
+    ScenarioSpec("fig2c", DriveParameters(**_FAST_DRIVE, n_periods=1), method="both",
+                 t_end_ns=128.0, sample_every_ns=128.0 / 64),
+    ScenarioSpec("fig2d", DriveParameters(**_SLOW_DRIVE, n_periods=1), method="both",
+                 t_end_ns=606.0, sample_every_ns=606.0 / 64),
+    # long drives
+    ScenarioSpec("fig3a", DriveParameters(**_FAST_DRIVE, n_periods=63),
+                 t_end_ns=8000.0, sample_every_ns=8.0),
+    ScenarioSpec("fig3b", DriveParameters(**_SLOW_DRIVE, n_periods=15),
+                 t_end_ns=15 * 606.0, sample_every_ns=606.0 / 16),
+    ScenarioSpec("fig3c", DriveParameters(**_SLOW_DRIVE, n_periods=15),
+                 t_end_ns=15 * 606.0, sample_every_ns=606.0 / 32),
+    ScenarioSpec("fig3d", DriveParameters(**_MID_DRIVE, n_periods=10),
+                 t_end_ns=10 * 592.0, sample_every_ns=592.0 / 16),
+    # the constructive arm of the constructive vs destructive pair
+    ScenarioSpec("fig4", DriveParameters(**_FAST_DRIVE, n_periods=8),
+                 t_end_ns=1000.0, sample_every_ns=2.0),
+)}
+
+#: fig4's destructive arm: the constructive drive over the same window at this period.
+_PERIOD_DESTRUCTIVE_NS = 149.0
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,7 @@ def _noise_provenance(noise: NoiseSpec | None, nodes: int | None) -> dict | None
     return block
 
 
-def _scenario_provenance(spec: ScenarioSpec, extra: dict | None = None,
-                         noise_nodes: int | None = None) -> dict:
+def _scenario_provenance(spec: ScenarioSpec, noise_nodes: int | None) -> dict:
     return provenance({
         "scenario": {
             "name": spec.name,
@@ -145,7 +146,6 @@ def _scenario_provenance(spec: ScenarioSpec, extra: dict | None = None,
             "noise": _noise_provenance(spec.noise, noise_nodes),
             "integrator": asdict(spec.integrator),
         },
-        **(extra or {}),
     })
 
 
@@ -200,129 +200,7 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
 
     nodes = series["ode"].noise_nodes if "ode" in series else None
     return ExperimentResult(spec.name, series, scalars,
-                            _scenario_provenance(spec, noise_nodes=nodes))
-
-
-def _make_drive(preset: dict) -> DriveParameters:
-    return DriveParameters(**preset["drive"])
-
-
-def run_double_passage(regime: str, drive: DriveParameters | None = None) -> ExperimentResult:
-    """One drive period (two crossings) in the fast or slow passage regime.
-
-    The drive defaults to the matching long-drive parameter class; the
-    substitution is visible in the provenance.  Scalars report the
-    single-passage transfer P1 at the apex (after the full crossing region)
-    and the per-crossing step sizes.
-    """
-    if regime not in ("fast", "slow"):
-        raise ValueError(f"regime must be 'fast' or 'slow', got {regime!r}")
-    preset_name = "fig2c" if regime == "fast" else "fig2d"
-    preset = PRESETS[preset_name]
-    drive = drive or _make_drive(preset)
-    crossings = 2 * drive.n_periods
-    if crossings != 2:
-        raise ValueError(f"double passage needs exactly one period, got {drive.n_periods}")
-    spec = ScenarioSpec(
-        name=preset_name if drive == _make_drive(preset) else f"double-passage-{regime}-custom",
-        drive=drive,
-        # the impulse overlay is meaningless without a gap
-        method="both" if drive.delta_mhz > 0 else "ode",
-        t_end_ns=drive.period_ns,
-        sample_every_ns=drive.period_ns / 64,
-    )
-    result = run_scenario(spec)
-    ode = result.series["ode"]
-    t_apex = drive.period_ns / 2
-    result.scalars["first_passage_transfer"] = float(np.interp(t_apex, ode.times, ode.p1))
-    steps = detect_steps(ode, drive)
-    result.scalars["step_jumps_p0"] = [s.jump for s in steps]
-    result.scalars["step_window_fraction"] = 0.1
-    return result
-
-
-def run_long_drive(figure: str, overrides: dict | None = None) -> ExperimentResult:
-    """A long-drive figure scenario (fig3a..fig3d), optionally overridden.
-
-    fig3c additionally reports the adiabatic-basis series restricted to
-    samples with |eps| > 3*delta.  Overrides derive a new scenario name.
-    """
-    if figure not in ("fig3a", "fig3b", "fig3c", "fig3d"):
-        raise ValueError(f"figure must be fig3a..fig3d, got {figure!r}")
-    preset = PRESETS[figure]
-    drive_kwargs = dict(preset["drive"])
-    t_end = preset["t_end_ns"]
-    sample_every = preset["sample_every_ns"]
-    name = figure
-    if overrides:
-        unknown = set(overrides) - set(drive_kwargs) - {"t_end_ns", "sample_every_ns"}
-        if unknown:
-            raise ValueError(f"unknown overrides: {sorted(unknown)}")
-        t_end = overrides.get("t_end_ns", t_end)
-        sample_every = overrides.get("sample_every_ns", sample_every)
-        for k in drive_kwargs:
-            if k in overrides:
-                drive_kwargs[k] = overrides[k]
-        name = figure + "+" + ",".join(f"{k}={overrides[k]}" for k in sorted(overrides))
-    drive = DriveParameters(**drive_kwargs)
-    spec = ScenarioSpec(name=name, drive=drive, method="ode",
-                        t_end_ns=t_end, sample_every_ns=sample_every)
-    result = run_scenario(spec)
-    ode = result.series["ode"]
-
-    if figure == "fig3a":
-        fit = rabi_frequency(ode)
-        result.scalars["rabi_frequency_mhz"] = fit.frequency_mhz
-        result.scalars["rabi_fit_residual_rms"] = fit.residual_rms
-    if figure == "fig3c":
-        mask = AdiabaticMask.build(ode, drive)
-        result.series["adiabatic"] = to_adiabatic(ode, drive, mask)
-        result.scalars["adiabatic_threshold_ratio"] = mask.threshold_ratio
-        result.scalars["adiabatic_kept_samples"] = len(mask.kept_indices)
-    if figure == "fig3d":
-        steps = [s for s in detect_steps(ode, drive) if s.complete]
-        jumps = [s.jump for s in steps]
-        result.scalars["step_jumps_p0"] = jumps
-        result.scalars["steps_alternate"] = bool(
-            all(a * b < 0 for a, b in zip(jumps[:-1], jumps[1:]))
-        )
-    return result
-
-
-def run_cdt_comparison() -> ExperimentResult:
-    """Constructive vs destructive interference over the same 1 us window.
-
-    Two runs at the fast-passage drive parameters differing only in the
-    period (128 ns vs 149 ns); scalars report the maximum |0> -> |1>
-    conversion of each arm.
-    """
-    preset = PRESETS["fig4"]
-    t_end = preset["t_end_ns"]
-    sample_every = preset["sample_every_ns"]
-    drive_c = DriveParameters(**preset["drive"])
-    dk = dict(preset["drive"])
-    dk["period_ns"] = preset["period_destructive_ns"]
-    dk["n_periods"] = math.ceil(t_end / dk["period_ns"])
-    drive_d = DriveParameters(**dk)
-
-    spec = ScenarioSpec(name="fig4", drive=drive_c, method="ode",
-                        t_end_ns=t_end, sample_every_ns=sample_every)
-    constructive = evolve(drive_c, spec.integrator, t_span=(0, t_end), sample_every=sample_every)
-    destructive = evolve(drive_d, spec.integrator, t_span=(0, t_end), sample_every=sample_every)
-    scalars = {
-        "p_lz": lz_probability(drive_c),
-        "max_p1_constructive": float(np.max(constructive.p1)),
-        "max_p1_destructive": float(np.max(destructive.p1)),
-        "period_constructive_ns": drive_c.period_ns,
-        "period_destructive_ns": drive_d.period_ns,
-    }
-    prov = _scenario_provenance(spec, {"destructive_drive": asdict(drive_d)})
-    return ExperimentResult(
-        "fig4",
-        {"constructive": constructive, "destructive": destructive},
-        scalars,
-        prov,
-    )
+                            _scenario_provenance(spec, nodes))
 
 
 @dataclass(frozen=True)
@@ -373,12 +251,71 @@ def run_lz_probability_sweep(
     return LZSweepResult(points, float(abs(popt[0])), float(np.sqrt(np.mean(resid**2))))
 
 
+def _double_passage(spec: ScenarioSpec, result: ExperimentResult) -> None:
+    """The transfer P1 at the apex, after the first crossing, and the step sizes."""
+    ode = result.series["ode"]
+    t_apex = spec.drive.period_ns / 2
+    result.scalars["first_passage_transfer"] = float(np.interp(t_apex, ode.times, ode.p1))
+    result.scalars["step_jumps_p0"] = [s.jump for s in detect_steps(ode, spec.drive)]
+    result.scalars["step_window_fraction"] = 0.1
+
+
+def _rabi_fit(spec: ScenarioSpec, result: ExperimentResult) -> None:
+    fit = rabi_frequency(result.series["ode"])
+    result.scalars["rabi_frequency_mhz"] = fit.frequency_mhz
+    result.scalars["rabi_fit_residual_rms"] = fit.residual_rms
+
+
+def _adiabatic_overlay(spec: ScenarioSpec, result: ExperimentResult) -> None:
+    """The adiabatic-basis series, restricted to samples with |eps| > 3*delta."""
+    ode = result.series["ode"]
+    mask = AdiabaticMask.build(ode, spec.drive)
+    result.series["adiabatic"] = to_adiabatic(ode, spec.drive, mask)
+    result.scalars["adiabatic_threshold_ratio"] = mask.threshold_ratio
+    result.scalars["adiabatic_kept_samples"] = len(mask.kept_indices)
+
+
+def _alternating_steps(spec: ScenarioSpec, result: ExperimentResult) -> None:
+    jumps = [s.jump for s in detect_steps(result.series["ode"], spec.drive) if s.complete]
+    result.scalars["step_jumps_p0"] = jumps
+    result.scalars["steps_alternate"] = bool(
+        all(a * b < 0 for a, b in zip(jumps[:-1], jumps[1:]))
+    )
+
+
+def _destructive_arm(spec: ScenarioSpec, result: ExperimentResult) -> None:
+    """Runs the destructive arm and reports each arm's largest |0> -> |1> conversion."""
+    drive = replace(spec.drive, period_ns=_PERIOD_DESTRUCTIVE_NS,
+                    n_periods=math.ceil(spec.t_end_ns / _PERIOD_DESTRUCTIVE_NS))
+    constructive = result.series.pop("ode")
+    destructive = run_scenario(replace(spec, drive=drive)).series["ode"]
+    result.series.update(constructive=constructive, destructive=destructive)
+    result.scalars.update(
+        max_p1_constructive=float(np.max(constructive.p1)),
+        max_p1_destructive=float(np.max(destructive.p1)),
+        period_constructive_ns=spec.drive.period_ns,
+        period_destructive_ns=drive.period_ns,
+    )
+    result.provenance["destructive_drive"] = asdict(drive)
+
+
+#: The analysis each figure adds to its scenario's result.
+_ANALYSES = {
+    "fig2c": _double_passage,
+    "fig2d": _double_passage,
+    "fig3a": _rabi_fit,
+    "fig3c": _adiabatic_overlay,
+    "fig3d": _alternating_steps,
+    "fig4": _destructive_arm,
+}
+
+
 def run_figure(figure: str) -> ExperimentResult:
-    """Dispatch a figure id to its runner."""
-    if figure not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure!r}; valid: {', '.join(FIGURE_IDS)}")
-    if figure in ("fig2c", "fig2d"):
-        return run_double_passage("fast" if figure == "fig2c" else "slow")
-    if figure == "fig4":
-        return run_cdt_comparison()
-    return run_long_drive(figure)
+    """Run a figure's preset scenario, then that figure's analysis."""
+    if figure not in PRESETS:
+        raise ValueError(f"unknown figure id {figure!r}; valid: {', '.join(PRESETS)}")
+    spec = PRESETS[figure]
+    result = run_scenario(spec)
+    if figure in _ANALYSES:
+        _ANALYSES[figure](spec, result)
+    return result

@@ -70,6 +70,12 @@ _SLAB = 1 << 14
 #: before anything is allocated.
 _MAX_NODES = 1 << 20
 
+#: Most steps one member integrates: one drive period, or the whole span when
+#: the grid does not repeat, plus the tail.  The RK4 kernel runs about 4e6
+#: steps/s per member (fig2c at 5.1e6 steps on one core of a 2-vCPU Xeon), so
+#: this is about 18 min; past it the run is refused before any step is taken.
+_MAX_STEPS = 1 << 32
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -155,6 +161,19 @@ class _Grid:
     dt_tail: float
     times: np.ndarray  # sample times, first = t0, last = t_end
     steps_per_period: int  # drive period in steps when the grid is aligned to it, else 0
+
+    def __post_init__(self):
+        steps = self.main_steps + self.n_tail
+        if steps > _MAX_STEPS:
+            raise ValueError(f"{steps:.3g} steps per member exceed {_MAX_STEPS}; "
+                             "lower steps_per_min_period or raise max_step_ns")
+
+    @property
+    def main_steps(self) -> int:
+        """Steps integrated before the tail: one drive period when the grid is
+        periodic and the sampled span is longer, else the whole sampled span."""
+        n_main = self.n_int * self.s
+        return self.steps_per_period if 0 < self.steps_per_period < n_main else n_main
 
 
 def _build_grid(
@@ -376,7 +395,7 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
     states[:, 0] = psi0
     n_main = grid.n_int * grid.s
     if n_main:
-        L = grid.steps_per_period if 0 < grid.steps_per_period < n_main else n_main
+        L = grid.main_steps
         q, r = np.divmod(grid.s * np.arange(grid.n_int + 1), L)
         need = np.unique(np.append(r, L))  # need[0] == 0 (the first sample), need[-1] == L
         prefix = np.concatenate(

@@ -31,7 +31,7 @@ from lzsim import (
     rabi_frequency,
     ramsey_fit,
     resonance_scan,
-    run_long_drive,
+    run_figure,
     single_period_rotation,
     stroboscopic_evolve,
 )
@@ -173,7 +173,7 @@ class TestCriterion6AdiabaticThreshold:
                       f"(1 - cos theta)/2 = {value:.5f} vs 0.0257, below 3%")
 
     def test_pipeline_drops_exactly_the_masked_samples(self):
-        result = run_long_drive("fig3c")
+        result = run_figure("fig3c")
         ode = result.series["ode"]
         adiab = result.series["adiabatic"]
         drive = DriveParameters(**FIG3B, n_periods=15)
@@ -298,8 +298,8 @@ class TestCriterion8PropertySuite:
                       f"|peak - 4P(1-P)| = {abs(peak - target):.2e} vs 1e-9")
 
     def test_determinism(self):
-        a = run_long_drive("fig3d")
-        b = run_long_drive("fig3d")
+        a = run_figure("fig3d")
+        b = run_figure("fig3d")
         ok = (np.array_equal(a.series["ode"].populations, b.series["ode"].populations)
               and np.array_equal(a.series["ode"].times, b.series["ode"].times)
               and a.scalars == b.scalars)

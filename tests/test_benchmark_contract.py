@@ -1,7 +1,7 @@
 """The benchmark still fits the program: every config and command line that
 `perfbench/workloads.py` builds is accepted by the CLI parser and the config
-parsers, and every function that `perfbench/layers.py` wraps is still bound
-in its module.
+parsers, every figure it reproduces is a preset, and every function that
+`perfbench/layers.py` wraps is still bound in its module.
 
 The benchmark may not change together with the program, so a removed key or
 flag that a workload still sends would fail every request of that workload,
@@ -19,6 +19,7 @@ import pytest
 
 from lzsim.cli import build_parser
 from lzsim.config import parse_run_config, parse_sweep_config
+from lzsim.experiments import PRESETS
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -47,6 +48,12 @@ def test_every_workload_request_parses(workloads, seed):
             if args.command in parsers:
                 config = Path(args.config).name
                 parsers[args.command](wl.configs[config], source=f"{name}/{config}")
+
+
+def test_every_requested_preset_exists(workloads):
+    # the parser accepts any reproduce id, so a renamed preset would pass above
+    missing = set(workloads.PRESET_PERIODS) - set(PRESETS)
+    assert not missing, f"reproduced by perfbench/workloads.py but not a preset: {missing}"
 
 
 def _timed_names():

@@ -1,12 +1,13 @@
 import json
 import math
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lzsim import cli
+from lzsim import cli, propagator
 from lzsim.cli import main
 from lzsim.config import parse_run_config
 from lzsim.errors import ConfigError
@@ -230,6 +231,21 @@ sample_every_ns = 100.0
         assert "bad value for 'steps_per_min_period'" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    def test_absurd_step_count_refused_before_integrating(self, tmp_path, capsys, monkeypatch):
+        # about 1.3e16 steps, where fig2c normally takes 5e3
+        def integrate(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(propagator, "_propagate", integrate)
+        conf = write(tmp_path, "run.conf",
+                     "scenario = fig2c\nsteps_per_min_period = 1000000000000000\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "lower steps_per_min_period or raise max_step_ns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_series_contract(self, tmp_path):
         conf = write(tmp_path, "run.conf", CUSTOM_CONF)
         main(["simulate", conf, "--out", str(tmp_path)])
@@ -273,6 +289,19 @@ class TestReproduce:
         assert np.all(np.abs(data[filled, ie]) > 3 * 9.60)
         assert np.all(np.abs(data[~filled, ie]) <= 3 * 9.60)
         assert filled.sum() > 0 and (~filled).sum() > 0
+
+    @pytest.mark.parametrize("figure", ["fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d"])
+    def test_simulate_scenario_runs_the_same_preset(self, tmp_path, figure):
+        # reproduce <id> and simulate with scenario = <id> read one preset table
+        assert main(["reproduce", figure, "--out", str(tmp_path / "r")]) == 0
+        conf = write(tmp_path, "run.conf", f"scenario = {figure}\nmethod = ode\n")
+        assert main(["simulate", conf, "--out", str(tmp_path / "s")]) == 0
+        ode = "_ode" if figure in ("fig2c", "fig2d") else ""
+        _, r_cols, r_data = read_series(tmp_path / "r" / f"{figure}{ode}_series.csv")
+        _, s_cols, s_data = read_series(tmp_path / "s" / f"{figure}_series.csv")
+        columns = ["t_ns", "P0", "P1", "epsilon_MHz"]
+        assert s_cols == columns
+        assert np.array_equal(r_data[:, [r_cols.index(c) for c in columns]], s_data)
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LZSIM_OUT_DIR", str(tmp_path / "envout"))
@@ -349,7 +378,7 @@ format = {fmt}
         out = tmp_path / "out"
         assert main(["sweep", conf, "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("parameter, bad, message", [
         ("period_ns", "nan", "'scan_values': must be finite"),
@@ -374,7 +403,7 @@ period_ns = 128.0
         out = tmp_path / "out"
         assert main(["sweep", conf, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
     def test_large_grid_rows_in_order(self, tmp_path):
         conf = write(tmp_path, "sweep.conf", """\

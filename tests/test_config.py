@@ -25,7 +25,6 @@ from lzsim.config import (
 )
 from lzsim.errors import ConfigError
 from lzsim.experiments import PRESETS
-from lzsim.model import DriveParameters
 
 SWEEP = "sweep = resonance\nscan_values = 128.0\ndelta_mhz = 5.57\nepsilon_m_mhz = 100.0\n"
 
@@ -46,9 +45,9 @@ class TestPresets:
         spec = parse_run_config("scenario = fig3b\nt_end_ns = 1212.0\n").spec
         preset = PRESETS["fig3b"]
         assert spec.name == "fig3b"
-        assert spec.drive == DriveParameters(**preset["drive"])
+        assert spec.drive == preset.drive
         assert spec.t_end_ns == 1212.0
-        assert spec.sample_every_ns == preset["sample_every_ns"]
+        assert spec.sample_every_ns == preset.sample_every_ns
 
     def test_preset_refuses_a_drive_offset(self):
         # the preset fixes the whole drive; the offset would go unused

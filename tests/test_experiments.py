@@ -5,42 +5,29 @@ from lzsim import (
     DriveParameters,
     ScenarioSpec,
     lz_probability,
-    run_cdt_comparison,
-    run_double_passage,
     run_figure,
-    run_long_drive,
     run_lz_probability_sweep,
     run_scenario,
 )
-from lzsim.experiments import FIGURE_IDS, PRESETS
+from lzsim.experiments import PRESETS
 from lzsim.model import epsilon_at
 from conftest import FIG3A
 
 
 class TestDoublePassage:
     def test_fast_regime_transfer(self):
-        result = run_double_passage("fast")
+        result = run_figure("fig2c")
         expected = 1 - result.scalars["p_lz"]
         assert result.scalars["first_passage_transfer"] == pytest.approx(expected, abs=0.02)
 
     def test_slow_regime_transfer(self):
-        result = run_double_passage("slow")
+        result = run_figure("fig2d")
         expected = 1 - result.scalars["p_lz"]  # ~0.935
         assert expected == pytest.approx(0.935, abs=0.002)
         assert result.scalars["first_passage_transfer"] == pytest.approx(expected, abs=0.02)
 
-    def test_zero_gap_flat(self):
-        drive = DriveParameters(0.0, 100.0, 128.0, n_periods=1)
-        result = run_double_passage("fast", drive=drive)
-        traj = result.series["ode"]
-        assert np.max(np.abs(traj.p0 - 1.0)) < 1e-9
-
-    def test_one_period_enforced(self):
-        with pytest.raises(ValueError):
-            run_double_passage("fast", drive=DriveParameters(**FIG3A, n_periods=2))
-
     def test_transfer_matrix_overlay_present(self):
-        result = run_double_passage("slow")
+        result = run_figure("fig2d")
         assert "transfer_matrix" in result.series
         assert "method_max_p0_diff" in result.scalars
         assert result.scalars["method_max_p0_diff"] < 0.05
@@ -48,53 +35,50 @@ class TestDoublePassage:
 
 class TestLongDrives:
     def test_fig3a_scalars(self):
-        result = run_long_drive("fig3a")
+        result = run_figure("fig3a")
         assert result.scalars["p_lz"] == pytest.approx(0.91, abs=0.005)
         # frozen from two independent integrations of the stated parameters
         assert result.scalars["rabi_frequency_mhz"] == pytest.approx(1.5508, abs=0.003)
         assert len(result.series["ode"]) >= 1000
 
     def test_fig3b_scalar(self):
-        result = run_long_drive("fig3b")
+        result = run_figure("fig3b")
         assert result.scalars["p_lz"] == pytest.approx(0.065, abs=0.002)
 
     def test_fig3d_scalars(self):
-        result = run_long_drive("fig3d")
+        result = run_figure("fig3d")
         assert result.scalars["p_lz"] == pytest.approx(0.61, abs=0.005)
         assert result.scalars["steps_alternate"] is True
 
     def test_fig3c_adiabatic_series(self):
-        result = run_long_drive("fig3c")
+        result = run_figure("fig3c")
         adiab = result.series["adiabatic"]
-        drive = DriveParameters(**PRESETS["fig3c"]["drive"])
+        drive = PRESETS["fig3c"].drive
         eps = np.abs(np.asarray(epsilon_at(drive, adiab.times)))
         assert np.all(eps > 3 * drive.delta_mhz)
         assert result.scalars["adiabatic_kept_samples"] == len(adiab)
 
-    def test_override_derives_new_name(self):
-        result = run_long_drive("fig3a", overrides={"period_ns": 130.0, "t_end_ns": 1000.0})
-        assert result.name.startswith("fig3a+")
-        assert result.provenance["scenario"]["drive"]["period_ns"] == 130.0
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError):
-            run_long_drive("fig3a", overrides={"amplitude": 3})
-
     def test_scalar_consistency_same_code_path(self):
-        result = run_long_drive("fig3d")
-        drive = DriveParameters(**PRESETS["fig3d"]["drive"])
-        assert result.scalars["p_lz"] == lz_probability(drive)
+        result = run_figure("fig3d")
+        assert result.scalars["p_lz"] == lz_probability(PRESETS["fig3d"].drive)
 
 
 class TestCdtComparison:
     def test_constructive_vs_destructive(self):
-        result = run_cdt_comparison()
+        result = run_figure("fig4")
         assert result.scalars["max_p1_constructive"] > 0.9
         assert result.scalars["max_p1_destructive"] < 0.15
 
+    def test_destructive_arm_covers_the_window(self):
+        result = run_figure("fig4")
+        assert list(result.series) == ["constructive", "destructive"]
+        destructive = DriveParameters(**result.provenance["destructive_drive"])
+        assert destructive == DriveParameters(5.57, 100.0, 149.0, n_periods=7)
+        assert result.series["destructive"].times[-1] == PRESETS["fig4"].t_end_ns
+
     def test_deterministic_series(self):
-        a = run_cdt_comparison()
-        b = run_cdt_comparison()
+        a = run_figure("fig4")
+        b = run_figure("fig4")
         for key in a.series:
             assert np.array_equal(a.series[key].populations, b.series[key].populations)
             assert np.array_equal(a.series[key].times, b.series[key].times)
@@ -128,22 +112,22 @@ class TestScenario:
         assert "method_max_p0_diff" in result.scalars
 
     def test_provenance_echoes_request(self):
-        result = run_long_drive("fig3b")
+        result = run_figure("fig3b")
         scenario = result.provenance["scenario"]
         assert scenario["drive"]["delta_mhz"] == 9.60
         assert "seed" not in scenario
         assert result.provenance["schema_version"] == 1
 
     def test_determinism_bit_identical(self):
-        a = run_long_drive("fig3d")
-        b = run_long_drive("fig3d")
+        a = run_figure("fig3d")
+        b = run_figure("fig3d")
         assert np.array_equal(a.series["ode"].populations, b.series["ode"].populations)
         assert a.scalars == b.scalars
 
     def test_all_figures_dispatch(self):
-        for figure in FIGURE_IDS:
+        for figure in PRESETS:
             assert run_figure(figure).name == figure
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="valid: fig2c, fig2d, fig3a"):
             run_figure("fig9z")
