@@ -17,21 +17,37 @@ float arithmetic and multiplied as ``(p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))`
 
 Periodic kernel.  Because the drive is exactly T-periodic and the aligned
 grid holds a whole number of steps per period, the step maps repeat from one
-period to the next.  The kernel therefore integrates a single period: the
-state at a sample ``r`` steps into period ``q`` is ``C[r] U^q psi0``, with
-``C[r]`` the product of the first ``r`` steps and ``U = C[L]`` the one-period
-map.  The products ``C`` are formed only at the ``r`` a sample uses, from a
-tree of pairwise products over each slab of steps, so a period costs about
-one product per step however the samples fall in it.  A span of at most one
-period, a constant drive and the lab-frame toy (whose carrier does not
-repeat with the drive) take the same code with the whole span as the
-"period".
+period to the next.  The state at a sample ``r`` steps into period ``q`` is
+``C[r] U^q psi0``, with ``C[r]`` the product of the first ``r`` steps and
+``U = C[L]`` the one-period map.  The products ``C`` are formed only at the
+``r`` a sample uses, from a tree of pairwise products over each slab of
+steps, so a period costs about one product per step however the samples
+fall in it.  Unless the grid mirrors (below), a span of at most one period,
+a constant drive and the lab-frame toy (whose carrier does not repeat with
+the drive) take the same code with the whole span as the "period".
+
+Mirrored period.  When the grid starts on a turning point of the triangle,
+the drive has two reflections over a period: ``eps(T - t) = eps(t)`` (time
+reversal; H is real symmetric) and ``eps(T/2 - t) = -eps(t)``, so that
+``H(T/2 - t) = sigma_x H(t) sigma_x`` (generalized parity).  Both step rules
+keep them exactly, because an RK4 map obeys ``M(H1, H2, H3)^T = M(H3, H2, H1)``
+and the midpoint exponential is symmetric, so every mirrored step is the
+transpose of a computed one.  Only the first quarter ``Q`` is integrated;
+``U(T/2) = sigma_x Q^T sigma_x Q``, ``U(T) = U(T/2)^T U(T/2)``, and every
+other prefix is ``C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q`` on the second
+quarter and ``C[r] = C[L - r]^-T U`` on the second half.  A static offset
+keeps only the time reversal, so members with offsets integrate the first
+half.  Other starts, a constant drive and the lab-frame toy mirror nothing
+and integrate the whole period (or span).  On a mirrored grid ``w`` is
+linear inside every step, so RK4 takes its midpoint as the mean of the
+step's ends and the Hamiltonian is evaluated once per step boundary.
 
 Members.  The kernel has a leading member axis: member i sees w(t) plus a
-static offset of its own on a grid shared by all members.  `evolve` and
-`evolve_lab_frame_toy` run one member at offset 0; the dephasing average
-runs the nodes of a quadrature over the Gaussian offset as members, in
-chunks, and keeps only their weighted populations.  A slab holds at most
+static offset of its own on a grid shared by all members.  `evolve` runs
+one member at its detuning offset, `evolve_lab_frame_toy` one at offset 0;
+the dephasing average runs the nodes of a quadrature over the Gaussian
+offset, plus the detuning, as members, in chunks, and keeps only their
+weighted populations.  A slab holds at most
 ``_SLAB`` maps over members and steps, so memory grows with the number of
 samples, not of steps or members.
 
@@ -42,6 +58,7 @@ States are never renormalized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -70,11 +87,18 @@ _SLAB = 1 << 14
 #: before anything is allocated.
 _MAX_NODES = 1 << 20
 
-#: Most steps one member integrates: one drive period, or the whole span when
-#: the grid does not repeat, plus the tail.  The RK4 kernel runs about 4e6
-#: steps/s per member (fig2c at 5.1e6 steps on one core of a 2-vCPU Xeon), so
-#: this is about 18 min; past it the run is refused before any step is taken.
+#: Most steps in one member's period map: one drive period, or the whole span
+#: when the grid does not repeat, plus the tail.  A mirrored grid integrates a
+#: quarter or half of that period (see `_propagate`), but the cap counts the
+#: whole period, so the same grids are refused whatever the start.  Unmirrored,
+#: the RK4 kernel runs about 4e6 steps/s per member (fig2c at 5.1e6 steps on one
+#: core of a 2-vCPU Xeon), so this is about 18 min; past it the run is refused
+#: before any step is taken.
 _MAX_STEPS = 1 << 32
+
+#: Most samples of one run: one member's (samples, 2) complex states then take
+#: at most 1 GiB.  Past it the run is refused before the sample times are made.
+_MAX_SAMPLES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -161,6 +185,7 @@ class _Grid:
     dt_tail: float
     times: np.ndarray  # sample times, first = t0, last = t_end
     steps_per_period: int  # drive period in steps when the grid is aligned to it, else 0
+    mirrored: bool    # the grid starts on a turning point of the drive (see _propagate)
 
     def __post_init__(self):
         steps = self.main_steps + self.n_tail
@@ -202,9 +227,12 @@ def _build_grid(
         per_quarter = math.ceil(base / dt_cap)
         dt = base / per_quarter
         steps_per_period = 4 * per_quarter
+        # eps = -eps_m or +eps_m at the start: the drive mirrors about T/4 and T/2
+        turn = math.remainder(t0 + p.t_offset_ns, p.period_ns / 2)
+        mirrored = abs(turn) <= 1e-12 * p.period_ns
     else:
         dt = dt_cap
-        steps_per_period = 0
+        steps_per_period, mirrored = 0, False
     if sample_every is None:
         sample_every = span / 1000
     if sample_every <= 0:
@@ -222,10 +250,14 @@ def _build_grid(
     else:
         n_tail = math.ceil(tail / dt)
         dt_tail = tail / n_tail
+    samples = n_int + 1 + (n_tail > 0)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"{samples:.3g} samples exceed {_MAX_SAMPLES}; raise sample_every_ns "
+                         "or shorten the span")
     times = t0 + spacing * np.arange(n_int + 1)
     if n_tail:
         times = np.append(times, t1)
-    return _Grid(t0, dt, s, n_int, n_tail, dt_tail, times, steps_per_period)
+    return _Grid(t0, dt, s, n_int, n_tail, dt_tail, times, steps_per_period, mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +288,7 @@ def _rk4_maps(h, w1, w2, w3, b1, b2, b3) -> np.ndarray:
     where W = w2^2 + b2^2 and g = h^2 W / 4.  Evaluated in place: the
     temporaries of a slab are the step count times a few doubles.
     """
-    out = np.empty((2, *np.broadcast_shapes(w1.shape, b1.shape)), dtype=complex)
+    out = np.empty((2, *np.broadcast_shapes(np.shape(w1), np.shape(b1))), dtype=complex)
     hh = h * h
     g = w2 * w2
     g += b2 * b2
@@ -304,29 +336,54 @@ def _expm_maps(h, w, b) -> np.ndarray:
     return out
 
 
-def _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets) -> np.ndarray:
+def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, lo, hi) -> np.ndarray:
     """Maps (2, members, hi - lo) of steps lo..hi-1 of the uniform grid t0 + dt*j.
 
-    Member i sees the Hamiltonian with w(t) + offsets[i].
+    Member i sees the Hamiltonian with w(t) + offsets[i]; ``b_of_t`` may
+    return a scalar, a constant coupling.  When ``linear``, w and b are linear
+    inside every step, so RK4 takes its midpoint values as the mean of the
+    step's ends and the Hamiltonian is evaluated once per step boundary.
     """
-    t = t0 + dt * np.arange(lo, hi)
+    t = t0 + dt * np.arange(lo, hi + 1)
+    mid = t[:-1] + dt / 2
     col = offsets[:, None]
-    if method == "fixed-rk4":
-        return _rk4_maps(
-            dt,
-            w_of_t(t) + col, w_of_t(t + dt / 2) + col, w_of_t(t + dt) + col,
-            b_of_t(t), b_of_t(t + dt / 2), b_of_t(t + dt),
-        )
-    return _expm_maps(dt, w_of_t(t + dt / 2) + col, b_of_t(t + dt / 2))
+    if method != "fixed-rk4":
+        return _expm_maps(dt, w_of_t(mid) + col, b_of_t(mid))
+    w, b = w_of_t(t) + col, b_of_t(t)
+    w1, w3 = w[:, :-1], w[:, 1:]
+    b1, b3 = (b, b) if np.ndim(b) == 0 else (b[:-1], b[1:])
+    if linear:
+        w2, b2 = (w1 + w3) / 2, (b1 + b3) / 2
+    else:
+        w2, b2 = w_of_t(mid) + col, b_of_t(mid)
+    return _rk4_maps(dt, w1, w2, w3, b1, b2, b3)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))."""
-    (p1, q1), (p2, q2) = x, y
-    out = np.empty((2, *np.broadcast(p1, p2).shape), dtype=complex)
-    out[0] = p1 * p2 - q1 * q2.conj()
-    out[1] = p1 * q2 + q1 * p2.conj()
+    """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)),
+    the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y."""
+    row = np.conj(y[::-1])
+    row[0] *= -1
+    out = x[0] * y
+    out += x[1] * row
     return out
+
+
+def _mirror(x: np.ndarray, flip: bool, inverse: bool = False) -> np.ndarray:
+    """Maps x^T, or x^-T when ``inverse``, conjugated by sigma_x when ``flip``.
+
+    In (p, q) form x^T = (p, -conj(q)), x^-T = (conj(p), conj(q))/(|p|^2 + |q|^2)
+    and sigma_x x sigma_x = (conj(p), -conj(q)).
+    """
+    p, q = x
+    if inverse:
+        norm = np.abs(p) ** 2 + np.abs(q) ** 2
+        p, q = p.conj() / norm, q.conj() / norm
+    else:
+        q = -q.conj()
+    if flip:
+        p, q = p.conj(), -q.conj()
+    return np.stack([p, q])
 
 
 def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -359,23 +416,61 @@ def _prefix_at(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _products(method, dt, t0, counts, w_of_t, b_of_t, offsets) -> np.ndarray:
-    """Maps (2, members, len(counts)): the product of the first c steps of the
-    grid t0 + dt*j for each count c of the sorted positive ``counts``.
+def _products(steps, m: int, counts: np.ndarray, most: int = 0) -> np.ndarray:
+    """Maps (2, m, len(counts)): the product of the first c steps for each count
+    c of the sorted positive ``counts``; ``steps(lo, hi)`` builds the maps
+    (2, m, hi - lo) of steps lo..hi-1 for m members.
 
-    Steps stream in slabs of at most ``_SLAB`` maps over all members; each
-    slab's products are chained onto the product of the slabs before it.
+    Steps stream in slabs of at most ``_SLAB`` maps over all members, and of
+    at most ``most`` steps when that is positive; each slab's products are
+    chained onto the product of the slabs before it.
     """
-    m, n = offsets.size, int(counts[-1])
-    steps = max(1, _SLAB // m)
+    n = int(counts[-1])
+    per_slab = max(1, _SLAB // m)
+    if most > 0:
+        per_slab = min(per_slab, most)
     out = np.empty((2, m, counts.size), dtype=complex)
-    done = _identity(m)
-    for lo in range(0, n, steps):
-        hi = min(lo + steps, n)
-        x = _step_maps(method, dt, t0, lo, hi, w_of_t, b_of_t, offsets)
+    for lo in range(0, n, per_slab):
+        hi = min(lo + per_slab, n)
+        x = steps(lo, hi)
         a, b = np.searchsorted(counts, (lo + 1, hi + 1))  # the counts in lo+1..hi
-        local = _mul(_prefix_at(x, np.append(counts[a:b] - lo, hi - lo)), done[..., None])
+        local = _prefix_at(x, np.append(counts[a:b] - lo, hi - lo))
+        if lo:
+            local = _mul(local, done[..., None])
         out[..., a:b], done = local[..., :-1], local[..., -1]
+    return out
+
+
+def _mirrored_prefix(steps, m: int, need: np.ndarray, span: int, flips: tuple) -> np.ndarray:
+    """Maps (2, m, len(need)): the product C[r] of the first r steps for each
+    of the sorted counts ``need`` in 0..span.
+
+    Each entry of ``flips`` is a reflection of the step maps about the middle
+    of ``span`` steps, then of span/2 steps, and so on: step span-1-j is the
+    transpose of step j, conjugated by sigma_x when the entry is True.  Then
+    ``C[span] = R(X^T) X`` with ``X = C[span/2]`` and ``R`` that conjugation
+    (or none), and ``C[r] = R(C[span - r]^-T) C[span]`` past the middle, so
+    only the counts up to the middle are formed, by the next reflection or,
+    when none is left, by integrating ``steps``.
+    """
+    half = span // 2
+    if not flips:
+        out = _identity(m, need.size)
+        first = np.searchsorted(need, 1)
+        if first < need.size:
+            out[..., first:] = _products(steps, m, need[first:])
+        return out
+    if need[-1] <= half:
+        return _mirrored_prefix(steps, m, need, half, flips[1:])
+    upper = need > half
+    inner = np.unique(np.concatenate([need[~upper], span - need[upper], [half]]))
+    c = _mirrored_prefix(steps, m, inner, half, flips[1:])
+    x = c[..., -1]  # C[half], the largest count of inner
+    full = _mul(_mirror(x, flips[0]), x)
+    out = np.empty((2, m, need.size), dtype=complex)
+    out[..., ~upper] = c[..., np.searchsorted(inner, need[~upper])]
+    mirrored = c[..., np.searchsorted(inner, span - need[upper])]
+    out[..., upper] = _mul(_mirror(mirrored, flips[0], inverse=True), full[..., None])
     return out
 
 
@@ -383,24 +478,31 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
                method: str) -> np.ndarray:
     """States (members, samples, 2) at the grid's sample times from one initial state.
 
-    Member i sees w(t) + offsets[i].  Only the first ``L`` steps are
-    integrated: one drive period when the grid is periodic and the sampled
-    span is longer, else the whole span.  Sample k is ``C[r] U^q psi0`` with
+    Member i sees w(t) + offsets[i]; ``w_of_t`` and ``b_of_t`` must be the
+    bare triangle drive when ``grid.mirrored``, and static offsets go in
+    ``offsets``.  Sample k is ``C[r] U^q psi0`` with
     ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
-    ``U = C[L]``; ``C[r]`` and ``U^q`` are formed only at the r and q a
-    sample uses.
+    ``U = C[L]``, where L is one drive period when the grid is periodic and
+    mirrors or the sampled span is longer, else the whole span.  ``C[r]`` and
+    ``U^q`` are formed only at the r and q a sample uses.  On a mirrored grid
+    only the first quarter of the period is integrated, or the first half when
+    any member carries an offset, which breaks the sigma_x reflection; the
+    rest comes from `_mirrored_prefix`.
     """
     m = offsets.size
     states = np.empty((m, grid.times.size, 2), dtype=complex)
     states[:, 0] = psi0
     n_main = grid.n_int * grid.s
     if n_main:
-        L = grid.main_steps
+        flips = (False, True) if grid.mirrored else ()
+        if np.any(offsets):  # keeps the time reversal, breaks the sigma_x reflection
+            flips = flips[:1]
+        L = grid.steps_per_period if flips else grid.main_steps
         q, r = np.divmod(grid.s * np.arange(grid.n_int + 1), L)
-        need = np.unique(np.append(r, L))  # need[0] == 0 (the first sample), need[-1] == L
-        prefix = np.concatenate(
-            [_identity(m, 1), _products(method, grid.dt, grid.t0, need[1:], w_of_t, b_of_t,
-                                         offsets)], axis=-1)
+        need = np.unique(np.append(r, L) if q[-1] else r)  # need[0] == 0, the first sample
+        steps = functools.partial(_step_maps, method, grid.dt, grid.t0, w_of_t, b_of_t,
+                                  offsets, grid.mirrored)
+        prefix = _mirrored_prefix(steps, m, need, L, flips)
         # U^q for each distinct q by squaring; powers of U commute, so the
         # bits of q multiply in any order
         periods = np.unique(q)
@@ -413,9 +515,12 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
         psi = _apply(powers, psi0)[:, np.searchsorted(periods, q)]
         states[:, : grid.n_int + 1] = _apply(rows, psi)
     if grid.n_tail:
+        # the tail grows with the sample spacing; streamed in slabs of at most
+        # a quarter period, it holds no more maps than the mirrored period
         t_tail = grid.t0 + n_main * grid.dt
-        tail = _products(method, grid.dt_tail, t_tail, np.array([grid.n_tail]),
-                         w_of_t, b_of_t, offsets)
+        steps = functools.partial(_step_maps, method, grid.dt_tail, t_tail, w_of_t, b_of_t,
+                                  offsets, False)
+        tail = _products(steps, m, np.array([grid.n_tail]), grid.steps_per_period // 4)
         states[:, -1] = _apply(tail[..., 0], states[:, grid.n_int])
     return states
 
@@ -443,15 +548,19 @@ def _validate_span(p: DriveParameters, t_span):
     return t0, t1
 
 
-def _detuned_hamiltonian(p: DriveParameters, offset_mhz: float):
-    """Matrix elements w(t), b(t) of H = (eps(t) + offset)/2 sigma_z + delta/2 sigma_x."""
+def _drive_hamiltonian(p: DriveParameters):
+    """Matrix elements w(t), b of H = eps(t)/2 sigma_z + delta/2 sigma_x; b is constant.
+
+    A static detuning enters the kernel as a member offset, not here, so the
+    kernel can tell which of the drive's reflections it keeps.
+    """
     half_gap = p.delta_ang / 2
 
     def w_of_t(t):
-        return mhz_to_angular(epsilon_at(p, t) + offset_mhz) / 2
+        return mhz_to_angular(epsilon_at(p, t)) / 2
 
     def b_of_t(t):
-        return np.full_like(np.asarray(t, dtype=float), half_gap)
+        return half_gap
 
     return w_of_t, b_of_t
 
@@ -484,8 +593,9 @@ def evolve(
     t_span = _validate_span(p, t_span or (0.0, p.total_time_ns))
     off_ang = mhz_to_angular(abs(epsilon_offset_mhz))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=off_ang)
-    w_of_t, b_of_t = _detuned_hamiltonian(p, epsilon_offset_mhz)
-    states = _propagate(grid, w_of_t, b_of_t, np.zeros(1), initial.as_array(), cfg.method)[0]
+    w_of_t, b_of_t = _drive_hamiltonian(p)
+    offset = np.array([mhz_to_angular(epsilon_offset_mhz) / 2])
+    states = _propagate(grid, w_of_t, b_of_t, offset, initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
@@ -522,12 +632,12 @@ def evolve_lab_frame_toy(
     t_span = _validate_span(drive, t_span or (0.0, drive.total_time_ns))
     omega0_ang = mhz_to_angular(omega0_mhz)
     delta_ang = mhz_to_angular(delta_mhz)
-    # the carrier phase omega0*t does not repeat with the drive period, so the
-    # whole span is integrated
+    # the carrier phase omega0*t neither repeats with the drive period nor
+    # mirrors with it, so the whole span is integrated
     grid = replace(
         _build_grid(drive, cfg, t_span, sample_every,
                     extra_omega_ang=omega0_ang + 2 * delta_ang),
-        steps_per_period=0,
+        steps_per_period=0, mirrored=False,
     )
 
     def w_of_t(t):
@@ -642,9 +752,9 @@ def evolve_ensemble_dephased(
     # one grid for every member, fine enough for the largest offset
     extra = mhz_to_angular(float(np.max(np.abs(offsets_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
-    # detuning_mhz lives in the shared drive term; the offsets carry the noise only
-    w_of_t, b_of_t = _detuned_hamiltonian(p, detuning_mhz)
+    w_of_t, b_of_t = _drive_hamiltonian(p)
     readout = rotation_x(readout_rotation) if readout_rotation else None
-    pops = _dephased_populations(grid, w_of_t, b_of_t, offsets_ang / 2, weights,
+    pops = _dephased_populations(grid, w_of_t, b_of_t,
+                                 (offsets_ang + mhz_to_angular(detuning_mhz)) / 2, weights,
                                  initial.as_array(), cfg, readout)
     return Trajectory(grid.times, pops, Basis.DIABATIC, noise_nodes=nodes.size)

@@ -246,6 +246,16 @@ sample_every_ns = 100.0
         assert "lower steps_per_min_period or raise max_step_ns" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_absurd_sample_count_refused_before_allocating(self, tmp_path, capsys):
+        # 1e15 samples, where one period is 5128 steps
+        conf = write(tmp_path, "run.conf",
+                     "delta_mhz = 5.57\nepsilon_m_mhz = 100.0\nperiod_ns = 128.0\n"
+                     "n_periods = 100000000000\nt_end_ns = 1e12\nsample_every_ns = 0.001\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "raise sample_every_ns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_series_contract(self, tmp_path):
         conf = write(tmp_path, "run.conf", CUSTOM_CONF)
         main(["simulate", conf, "--out", str(tmp_path)])

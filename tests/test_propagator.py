@@ -303,7 +303,7 @@ class TestNoiseQuadrature:
         w2 = w2 / w2.sum()
         grid = propagator._build_grid(p, cfg, span, every,
                                       extra_omega_ang=sigma * float(np.max(x2)))
-        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
 
         def populations(nodes, weights):
             return propagator._dephased_populations(
@@ -361,7 +361,7 @@ class TestPeriodicKernel:
             assert math.gcd(grid.s, grid.steps_per_period) < grid.s
             assert grid.n_tail > 0
         psi0 = QubitState(0.6, 0.8j).as_array()
-        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
         dense = propagator._propagate(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
         stepped = step_by_step(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
@@ -386,8 +386,9 @@ class TestPeriodicKernel:
             extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning)))
             grid = propagator._build_grid(p, cfg, (0.0, 384.0), 10.0, extra_omega_ang=extra)
             assert 0 < grid.steps_per_period < grid.n_int * grid.s and grid.n_tail > 0
-            w_of_t, b_of_t = propagator._detuned_hamiltonian(p, detuning)
-            stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang, psi0.as_array(), method)
+            w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+            stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang + mhz_to_angular(detuning),
+                                   psi0.as_array(), method)
             stepped = stepped @ propagator.rotation_x(readout).T
             ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
             for slab in (propagator._SLAB, 16):
@@ -439,7 +440,7 @@ class TestPeriodicKernel:
         cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
                                norm_drift_tolerance=1e-3)
         grid = propagator._build_grid(p, cfg, (0.0, 256.0), 1.0, extra_omega_ang=1e-3)
-        w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
         psi0 = QubitState.ket0().as_array()
 
         def peak(n_members):
@@ -467,7 +468,7 @@ class TestPeriodicKernel:
             t_end = n_periods * p.period_ns
             grid = propagator._build_grid(p, cfg, (0.0, t_end), t_end / 10,
                                           extra_omega_ang=1e-3)
-            w_of_t, b_of_t = propagator._detuned_hamiltonian(p, 0.0)
+            w_of_t, b_of_t = propagator._drive_hamiltonian(p)
             tracemalloc.start()
             try:
                 propagator._dephased_populations(grid, w_of_t, b_of_t, half_offsets, weights,
@@ -477,6 +478,145 @@ class TestPeriodicKernel:
                 tracemalloc.stop()
 
         assert peak(1024) < 1.2 * peak(8)
+
+
+class TestMirroredPeriod:
+    """The period map and every prefix built from the first quarter (or half)
+    by the triangle's reflections, against the plain product of all its steps."""
+
+    METHODS = ["fixed-rk4", "piecewise-exact"]
+    DRIVES = {"fig3a": FIG3A, "fig3b": FIG3B, "fig3d": FIG3D,
+              "T=37.3": dict(FIG3A, period_ns=37.3)}
+
+    @staticmethod
+    def _steps(drive, method, offset_mhz=0.0):
+        """Steps of one period from t = 0, and the list of step counts built."""
+        p = DriveParameters(**drive)
+        grid = propagator._build_grid(p, IntegratorConfig(method=method), (0.0, p.period_ns),
+                                      None)
+        assert grid.mirrored and grid.steps_per_period % 4 == 0
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        offsets = np.array([mhz_to_angular(offset_mhz) / 2])
+        built = []
+
+        def steps(lo, hi):
+            built.append(hi)
+            return propagator._step_maps(method, grid.dt, 0.0, w_of_t, b_of_t, offsets, True,
+                                         lo, hi)
+
+        return grid.steps_per_period, steps, built
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", list(DRIVES))
+    def test_every_prefix_from_one_quarter(self, name, method):
+        L, steps, built = self._steps(self.DRIVES[name], method)
+        plain = propagator._products(steps, 1, np.arange(1, L + 1))[:, 0]
+        built.clear()
+        mirrored = propagator._mirrored_prefix(steps, 1, np.arange(L + 1), L,
+                                               (False, True))[:, 0, 1:]
+        assert max(built) == L // 4
+        quarter, half = L // 4, L // 2
+        # U(T), then C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q on the second
+        # quarter and C[r] = C[L - r]^-T U on the second half
+        assert np.max(np.abs(mirrored[:, -1] - plain[:, -1])) < 1e-12
+        assert np.max(np.abs(mirrored[:, :quarter] - plain[:, :quarter])) < 1e-14
+        assert np.max(np.abs(mirrored[:, quarter:half] - plain[:, quarter:half])) < 1e-12
+        assert np.max(np.abs(mirrored[:, half:] - plain[:, half:])) < 1e-12
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_offset_keeps_only_the_time_reversal(self, method):
+        L, steps, built = self._steps(FIG3A, method, offset_mhz=0.37)
+        plain = propagator._products(steps, 1, np.arange(1, L + 1))[:, 0]
+        built.clear()
+        mirrored = propagator._mirrored_prefix(steps, 1, np.arange(L + 1), L, (False,))[:, 0, 1:]
+        assert max(built) == L // 2
+        assert np.max(np.abs(mirrored - plain)) < 1e-12
+        # the sigma_x reflection does not hold once eps(t) is offset
+        wrong = propagator._mirrored_prefix(steps, 1, np.array([L]), L, (False, True))[:, 0, 0]
+        assert np.max(np.abs(wrong - plain[:, -1])) > 1e-3
+
+    CFG = dict(steps_per_min_period=100, norm_drift_tolerance=1e-6)
+    CASES = {
+        # mirrored: the quarter, or the half with an offset, plus a tail
+        "quarter": (dict(**FIG3A, n_periods=3), (0.0, 384.0), 7.3, 0.0, True),
+        "half_with_offset": (dict(**FIG3A, n_periods=3), (0.0, 384.0), 7.3, 0.37, True),
+        "start_at_the_apex": (dict(**FIG3A, n_periods=3), (64.0, 300.0), 5.1, 0.0, True),
+        "span_inside_a_quarter": (dict(**FIG3A, n_periods=1), (0.0, 20.0), 3.0, 0.0, True),
+        "one_passage": (dict(**FIG3B, n_periods=1), (0.0, 303.0), 303.0, 0.0, True),
+        # zero reflections: the whole period is integrated, as before
+        "t_offset_19": (dict(**FIG3A, n_periods=3, t_offset_ns=19.0), (0.0, 384.0), 7.3,
+                        0.0, False),
+        "t_span_off_boundary": (dict(**FIG3A, n_periods=3), (50.0, 384.0), 7.3, 0.0, False),
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_evolve_matches_step_by_step(self, name, method):
+        drive, span, every, offset_mhz, mirrored = self.CASES[name]
+        p, cfg = DriveParameters(**drive), IntegratorConfig(method=method, **self.CFG)
+        off_ang = mhz_to_angular(offset_mhz)
+        grid = propagator._build_grid(p, cfg, span, every, extra_omega_ang=off_ang)
+        assert grid.mirrored == mirrored
+        psi0 = QubitState(0.6, 0.8j)
+        traj = evolve(p, cfg, psi0, t_span=span, sample_every=every,
+                      epsilon_offset_mhz=offset_mhz)
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        stepped = step_by_step(grid, w_of_t, b_of_t, np.array([off_ang]), psi0.as_array(),
+                               method)[0]
+        assert np.array_equal(traj.times, grid.times)
+        assert np.max(np.abs(traj.amplitudes - stepped)) < 1e-11
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ensemble_in_small_slabs_matches_step_by_step(self, monkeypatch, method):
+        # noise nodes plus a detuning as members on a mirrored grid: each
+        # member's half period from 4-step slabs, in chunks of two members
+        p = DriveParameters(**FIG3A, n_periods=3)
+        cfg = IntegratorConfig(method=method, **self.CFG)
+        detuning, t2_star_us = 0.37, 0.5
+        sigma = math.sqrt(2) / t2_star_us / 1000
+        nodes, weights = propagator._noise_nodes(sigma * 384.0)
+        offsets_ang = sigma * nodes + mhz_to_angular(detuning)
+        grid = propagator._build_grid(p, cfg, (0.0, 384.0), 7.3,
+                                      extra_omega_ang=float(np.max(np.abs(offsets_ang))))
+        assert grid.mirrored and grid.n_tail > 0
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang, QubitState.ket0().as_array(),
+                               method)
+        ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
+        monkeypatch.setattr(propagator, "_SLAB", 8)
+        ens = evolve_ensemble_dephased(p, cfg, t2_star_us=t2_star_us, t_span=(0.0, 384.0),
+                                       sample_every=7.3, detuning_mhz=detuning)
+        assert ens.noise_nodes == nodes.size > 4
+        assert np.array_equal(ens.times, grid.times)
+        assert np.max(np.abs(ens.populations - ref)) < 1e-11
+
+
+class TestSampleCap:
+    def test_sample_count_refused_before_allocating(self):
+        # 1e15 samples of a 128 ns drive: one period is few enough steps
+        p = DriveParameters(**FIG3A, n_periods=100_000_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="raise sample_every_ns"):
+                evolve(p, t_span=(0.0, 1e12), sample_every=0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_is_on_the_sample_count(self, monkeypatch):
+        # 10 intervals and a tail: 12 samples
+        p = DriveParameters(**FIG3A, n_periods=1)
+        cfg = IntegratorConfig()
+        monkeypatch.setattr(propagator, "_MAX_SAMPLES", 12)
+        assert propagator._build_grid(p, cfg, (0.0, 105.0), 10.0).times.size == 12
+        monkeypatch.setattr(propagator, "_MAX_SAMPLES", 11)
+        with pytest.raises(ValueError, match="12 samples exceed 11"):
+            propagator._build_grid(p, cfg, (0.0, 105.0), 10.0)
+
+    def test_one_member_state_array_stays_under_1_gib(self):
+        assert propagator._MAX_SAMPLES * 2 * np.dtype(complex).itemsize <= 1 << 30
 
 
 class TestStepMaps:
