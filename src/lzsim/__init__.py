@@ -44,6 +44,7 @@ from .propagator import (
     evolve,
     evolve_ensemble_dephased,
     evolve_lab_frame_toy,
+    passage_transfers,
 )
 from .transfer_matrix import (
     LZNode,

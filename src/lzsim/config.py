@@ -90,7 +90,7 @@ _SIMULATE_SCHEMA = {
 _NOISE_KEYS = ("t2_star_us", "detuning_mhz", "preparation_rotation_rad", "readout_rotation_rad")
 
 #: a resonance sweep holds about 0.86 KB per point, so this is about 1 GB;
-#: checked before the grid is built
+#: checked before the grid is built, and also bounds ``period_values_ns``
 _MAX_SCAN_POINTS = 1 << 20
 
 _SWEEP_SCHEMA = {
@@ -292,6 +292,9 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         values = v["period_values_ns"]
         if not values:
             raise ConfigError(f"{source}: lz_probability sweep needs period_values_ns")
+        if len(values) > _MAX_SCAN_POINTS:
+            raise ConfigError(f"{source}: period_values_ns holds {len(values)} values; "
+                              f"at most {_MAX_SCAN_POINTS}")
         scan_parameter = "period_ns"
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{source}: scan grid from scan_start/scan_stop is not finite")

@@ -24,6 +24,7 @@ from .propagator import (
     Trajectory,
     evolve,
     evolve_ensemble_dephased,
+    passage_transfers,
     rotation_x,
 )
 from .transfer_matrix import lz_probability, single_period_rotation, stroboscopic_evolve
@@ -221,22 +222,17 @@ def run_lz_probability_sweep(
     """Single-passage |0> -> |1> transfer vs sweep period, via the ODE.
 
     For each period the state is swept once through the crossing (half a
-    triangle period) and the transfer probability is read at the apex.  The
-    curve is then fitted to 1 - exp(-pi^2 delta^2 T / (4 eps_m) * 1e-3) to
-    recover the coupling, the same extraction used on measured sweep data.
-    Points are evaluated in grid order.
+    triangle period) and the transfer probability is read at the apex; all
+    periods run as the members of one dense kernel call
+    (`passage_transfers`).  The curve is then fitted to
+    1 - exp(-pi^2 delta^2 T / (4 eps_m) * 1e-3) to recover the coupling, the
+    same extraction used on measured sweep data.  Points are in grid order.
     """
     if not periods_ns:
         raise ValueError("periods_ns must not be empty")
-    cfg = cfg or IntegratorConfig()
-    points = []
-    for T in map(float, periods_ns):
-        drive = DriveParameters(delta_mhz, epsilon_m_mhz, T, n_periods=1)
-        traj = evolve(drive, cfg, t_span=(0.0, T / 2), sample_every=T / 2)
-        points.append((T, float(traj.p1[-1])))
-
-    t_arr = np.array([pt[0] for pt in points])
-    p_arr = np.array([pt[1] for pt in points])
+    t_arr = np.array(periods_ns, dtype=float)
+    p_arr = passage_transfers(delta_mhz, epsilon_m_mhz, t_arr, cfg)
+    points = list(zip(t_arr.tolist(), p_arr.tolist()))
 
     def model(T, d):
         return 1.0 - np.exp(-(math.pi**2) * d * d * T / (4 * epsilon_m_mhz) * 1e-3)

@@ -147,16 +147,18 @@ class QubitState:
         return abs(self.amp0) ** 2, abs(self.amp1) ** 2
 
 
-def epsilon_at(p: DriveParameters, t):
+def epsilon_at(p: DriveParameters, t, period_ns=None):
     """Instantaneous detuning eps(t) in MHz; t in ns (scalar or array).
 
     Piecewise linear: rises from -eps_m at the period start to +eps_m at T/2,
     then falls back.  Periodic for all t >= 0; breakpoints are exact.
+    ``period_ns``, when given, replaces ``p.period_ns``; an array of periods
+    broadcasts against ``t`` (one period per row of times, say).
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("epsilon_at requires t >= 0")
-    T = p.period_ns
+    T = p.period_ns if period_ns is None else period_ns
     em = p.epsilon_m_mhz
     u = np.mod(t_arr + p.t_offset_ns, T)
     value = np.where(u < T / 2, -em + 4 * em * u / T, em - 4 * em * (u - T / 2) / T)
@@ -201,10 +203,7 @@ def crossing_times(p: DriveParameters) -> list[float]:
         return []
     T = p.period_ns
     t_end = p.total_time_ns
-    # eps(t) = 0 when (t + t_offset) = T/4 mod T/2
-    first = math.fmod(T / 4 - p.t_offset_ns, T / 2)
-    if first < 0:
-        first += T / 2
+    first = first_crossing(p)
     times = []
     k = 0
     while True:
@@ -214,6 +213,14 @@ def crossing_times(p: DriveParameters) -> list[float]:
         times.append(t)
         k += 1
     return times
+
+
+def first_crossing(p: DriveParameters) -> float:
+    """The first time t >= 0 where the triangle (of nonzero amplitude) crosses
+    zero: eps(t) = 0 when t + t_offset = T/4 mod T/2, so it lies in [0, T/2)."""
+    T = p.period_ns
+    first = math.fmod(T / 4 - p.t_offset_ns, T / 2)
+    return first + T / 2 if first < 0 else first
 
 
 def sweep_rate(p: DriveParameters) -> float:

@@ -42,14 +42,19 @@ and integrate the whole period (or span).  On a mirrored grid ``w`` is
 linear inside every step, so RK4 takes its midpoint as the mean of the
 step's ends and the Hamiltonian is evaluated once per step boundary.
 
-Members.  The kernel has a leading member axis: member i sees w(t) plus a
-static offset of its own on a grid shared by all members.  `evolve` runs
-one member at its detuning offset, `evolve_lab_frame_toy` one at offset 0;
-the dephasing average runs the nodes of a quadrature over the Gaussian
-offset, plus the detuning, as members, in chunks, and keeps only their
-weighted populations.  A slab holds at most
-``_SLAB`` maps over members and steps, so memory grows with the number of
-samples, not of steps or members.
+Members.  The kernel has a leading member axis: member i sees its own drive
+plus a static offset of its own, on one grid shared by all members or on a
+grid of its own (its own step, period and step count).  `evolve` runs one
+member at its detuning offset, `evolve_lab_frame_toy` one at offset 0; the
+dephasing average runs the nodes of a quadrature over the Gaussian offset,
+plus the detuning, as members of one grid, in chunks, and keeps only their
+weighted populations; `passage_transfers` runs one passage per period as
+members of their own grids, in chunks.  Per-member step counts are ragged:
+each member's steps are right-aligned behind identity maps, so its product
+runs over the same padded count as every other's, and a slab of steps holds
+only the members with real steps in it, so the work is the members' own
+steps.  A slab holds at most ``_SLAB`` maps over members and steps, so
+memory grows with the number of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -336,27 +341,49 @@ def _expm_maps(h, w, b) -> np.ndarray:
     return out
 
 
-def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, lo, hi) -> np.ndarray:
-    """Maps (2, members, hi - lo) of steps lo..hi-1 of the uniform grid t0 + dt*j.
+def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) -> np.ndarray:
+    """Maps (2, members, n) of the steps first..first+n-1 of each member in
+    ``rows`` (an index array or a slice of the member axis), on the uniform
+    grid t0 + dt*j.
 
-    Member i sees the Hamiltonian with w(t) + offsets[i]; ``b_of_t`` may
-    return a scalar, a constant coupling.  When ``linear``, w and b are linear
-    inside every step, so RK4 takes its midpoint values as the mean of the
-    step's ends and the Hamiltonian is evaluated once per step boundary.
+    ``dt`` and ``t0`` are floats shared by every member, or (members, 1)
+    arrays with a grid per member.  ``first`` is an int shared by the
+    members, or a (members, 1) array of their own first steps, where the
+    negative steps are identity maps (a member's padding, see `_products`).
+    Member i sees the Hamiltonian with w(t) + offsets[i], where
+    ``w_of_t(t, rows)`` takes the times of the members ``rows``, one row each
+    or one row shared by all; ``b_of_t`` may return a scalar, a constant
+    coupling.  When ``linear``, w and b are linear inside every step, so RK4
+    takes its midpoint values as the mean of the step's ends and the
+    Hamiltonian is evaluated once per step boundary.
     """
-    t = t0 + dt * np.arange(lo, hi + 1)
-    mid = t[:-1] + dt / 2
-    col = offsets[:, None]
+    if isinstance(dt, np.ndarray):
+        dt, t0 = dt[rows], t0[rows]
+    j = first + np.arange(n + 1)
+    padded = isinstance(first, np.ndarray)
+    if padded:  # the padding steps are built at the first time, then replaced
+        padding = j[:, :-1] < 0
+        j = np.maximum(j, 0)
+    t = t0 + dt * j
+    col = offsets[rows, None]
     if method != "fixed-rk4":
-        return _expm_maps(dt, w_of_t(mid) + col, b_of_t(mid))
-    w, b = w_of_t(t) + col, b_of_t(t)
-    w1, w3 = w[:, :-1], w[:, 1:]
-    b1, b3 = (b, b) if np.ndim(b) == 0 else (b[:-1], b[1:])
-    if linear:
-        w2, b2 = (w1 + w3) / 2, (b1 + b3) / 2
+        mid = t[..., :-1] + dt / 2
+        maps = _expm_maps(dt, w_of_t(mid, rows) + col, b_of_t(mid, rows))
     else:
-        w2, b2 = w_of_t(mid) + col, b_of_t(mid)
-    return _rk4_maps(dt, w1, w2, w3, b1, b2, b3)
+        w, b = w_of_t(t, rows) + col, b_of_t(t, rows)
+        w1, w3 = w[..., :-1], w[..., 1:]
+        b1, b3 = (b, b) if np.ndim(b) == 0 else (b[..., :-1], b[..., 1:])
+        if linear:
+            w2, b2 = w1 + w3, (b1 + b3) / 2
+            w2 /= 2
+        else:
+            mid = t[..., :-1] + dt / 2
+            w2, b2 = w_of_t(mid, rows) + col, b_of_t(mid, rows)
+        maps = _rk4_maps(dt, w1, w2, w3, b1, b2, b3)
+    if padded:
+        maps[0][padding] = 1.0
+        maps[1][padding] = 0.0
+    return maps
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -394,56 +421,127 @@ def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def _prefix_at(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Ordered products x[..., c-1] @ ... @ x[..., 0] over the last axis, one per count c.
+    """Maps (2, members, k): member i's ordered product x[:, i, c-1] @ ... @
+    x[:, i, 0] of the maps x (2, members, n), one per count c = counts[i, j].
 
-    ``counts`` are in 1..n.  A tree of pairwise products (level l holds the
-    products of aligned blocks of 2**l maps) costs about n products; each
-    count then takes the blocks of its binary digits, highest first.
+    ``counts`` (members, k), or one row (k,) or (1, k) shared by every
+    member, are in 0..n; a count of 0 is the identity.  A tree of pairwise
+    products (level l holds the products of aligned blocks of 2**l maps)
+    costs about n products per member; each count then takes the blocks of
+    its binary digits, highest first.
     """
     levels = [x]
     while levels[-1].shape[-1] > 1:
         y = levels[-1]
         n = y.shape[-1] // 2 * 2
         levels.append(_mul(y[..., 1:n:2], y[..., 0:n:2]))
-    acc = _identity(*x.shape[1:-1], counts.size)
+    counts = counts.reshape(-1, counts.shape[-1])
+    acc = _identity(x.shape[1], counts.shape[1])
+    if counts.shape[0] == 1:  # every member takes the same blocks
+        counts = counts[0]
     start = np.zeros_like(counts)
-    bits = int(np.bitwise_or.reduce(counts))
+    bits = int(np.bitwise_or.reduce(counts, axis=None))
     for level in reversed(range(len(levels))):
         if bits >> level & 1:
-            sel = np.flatnonzero(counts >> level & 1)
-            acc[..., sel] = _mul(levels[level][..., start[sel] >> level], acc[..., sel])
-            start[sel] += 1 << level
+            at = (counts >> level & 1).nonzero()
+            i, j = (slice(None), *at) if counts.ndim == 1 else at
+            acc[:, i, j] = _mul(levels[level][:, i, start[at] >> level], acc[:, i, j])
+            start[at] += 1 << level
     return acc
 
 
-def _products(steps, m: int, counts: np.ndarray, most: int = 0) -> np.ndarray:
-    """Maps (2, m, len(counts)): the product of the first c steps for each count
-    c of the sorted positive ``counts``; ``steps(lo, hi)`` builds the maps
-    (2, m, hi - lo) of steps lo..hi-1 for m members.
-
-    Steps stream in slabs of at most ``_SLAB`` maps over all members, and of
-    at most ``most`` steps when that is positive; each slab's products are
-    chained onto the product of the slabs before it.
+def _entries(mask: np.ndarray, every) -> tuple:
+    """Indices (i, j) of the true entries of ``mask`` (rows, k) in a
+    (2, members, k) map array, as the block ``a[:, i, j]``.  Row i is member
+    i, or one row is shared by every member and i is then ``every``: a slice,
+    or the column ``arange(members)[:, None]``, with which ``b[:, i]`` of a
+    (2, members) array broadcasts against the block.
     """
-    n = int(counts[-1])
-    per_slab = max(1, _SLAB // m)
-    if most > 0:
-        per_slab = min(per_slab, most)
-    out = np.empty((2, m, counts.size), dtype=complex)
-    for lo in range(0, n, per_slab):
-        hi = min(lo + per_slab, n)
-        x = steps(lo, hi)
-        a, b = np.searchsorted(counts, (lo + 1, hi + 1))  # the counts in lo+1..hi
-        local = _prefix_at(x, np.append(counts[a:b] - lo, hi - lo))
+    if mask.shape[0] == 1:
+        return every, mask[0].nonzero()[0]
+    i, j = mask.nonzero()
+    return i[:, None], j[:, None]
+
+
+def _products(steps, m: int, counts: np.ndarray, most: int = 0) -> np.ndarray:
+    """Maps (2, m, k): member i's product of its first c steps for each count
+    c = counts[i, j] >= 0, where ``counts`` is (m, k), or one row shared by
+    every member; ``steps(rows, first, n)`` builds maps as `_step_maps` does.
+
+    Member i integrates its n_i = max_j counts[i, j] steps.  Members are
+    right-aligned: each is padded at the front with N - n_i identity maps,
+    N = max_i n_i, so every member's products run over the same N padded
+    steps.  Steps stream in slabs of at most ``_SLAB`` maps, and of at most
+    ``most`` steps when that is positive.  A slab holds only the members
+    with real steps in it, so the work is the members' own steps, however
+    ragged.  Each slab's products are chained onto the product of the slabs
+    before it.
+    """
+    counts = counts.reshape(-1, counts.shape[-1])
+    n = counts.max(axis=1)
+    total = int(n.max())
+    pad = total - n
+    ragged = bool(pad.any())  # then counts has a row per member
+    if ragged:
+        counts = np.where(counts > 0, counts + pad[:, None], 0)  # the counts in padded steps
+        by_pad = np.sort(pad)
+    most = most if most > 0 else total
+    members = np.arange(m)
+    out = _identity(m, counts.shape[1])
+    done = _identity(m)
+    lo = 0
+    while lo < total:
+        hi = min(lo + max(1, min(_SLAB // m, most)), total)
+        rows, first = slice(None), lo
+        if ragged:
+            # the widest slab whose live members, those with pad < hi, fit in _SLAB maps
+            width = min(max(1, _SLAB // int(np.searchsorted(by_pad, lo, side="right"))), most)
+            while True:
+                hi = min(lo + width, total)
+                live = int(np.searchsorted(by_pad, hi))
+                if live * (hi - lo) <= _SLAB or hi == lo + 1:
+                    break
+                width = max(1, _SLAB // live)
+            members = (pad < hi).nonzero()[0]
+            rows, first = members, (lo - pad[members])[:, None]
+        local = (counts[members] if ragged else counts) - lo
+        inside = (local > 0) & (local <= hi - lo)  # the counts that end in this slab
+        # the last column is the slab's own product
+        local = np.concatenate([np.where(inside, local, 0),
+                                np.full((local.shape[0], 1), hi - lo)], axis=1)
+        # the slab's maps are built here, so none outlives its products
+        local = _prefix_at(steps(rows, first, hi - lo), local)
         if lo:
-            local = _mul(local, done[..., None])
-        out[..., a:b], done = local[..., :-1], local[..., -1]
+            local = _mul(local, done[:, rows, None])
+        i, j = _entries(inside, slice(None))
+        out[:, members[i] if ragged else i, j] = local[:, i, j]
+        done[:, rows] = local[..., -1]
+        lo = hi
     return out
 
 
-def _mirrored_prefix(steps, m: int, need: np.ndarray, span: int, flips: tuple) -> np.ndarray:
-    """Maps (2, m, len(need)): the product C[r] of the first r steps for each
-    of the sorted counts ``need`` in 0..span.
+def _distinct_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of the integer array ``a`` (rows, k), sorted by
+    the first row, then the next, and the index of each column of ``a`` among
+    them (``np.unique(a, axis=1, return_inverse=True)``, without its slow
+    sort of whole columns)."""
+    if a.shape[0] == 1:
+        distinct = np.unique(a[0])
+        return distinct[None], np.searchsorted(distinct, a[0])
+    order = np.lexsort(a[::-1])
+    a = a[:, order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = np.any(a[:, 1:] != a[:, :-1], axis=0)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return a[:, new], inverse
+
+
+def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.ndarray:
+    """Maps (2, m, k): member i's product C[r] of its first r steps for each
+    count r = need[i, j] in 0..span, where ``need`` is (m, k), or (k,) shared
+    by every member, and ``span`` an int, or (m, 1) with a span per member.
 
     Each entry of ``flips`` is a reflection of the step maps about the middle
     of ``span`` steps, then of span/2 steps, and so on: step span-1-j is the
@@ -453,34 +551,34 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span: int, flips: tuple) -
     only the counts up to the middle are formed, by the next reflection or,
     when none is left, by integrating ``steps``.
     """
-    half = span // 2
+    need = need.reshape(-1, need.shape[-1])
     if not flips:
-        out = _identity(m, need.size)
-        first = np.searchsorted(need, 1)
-        if first < need.size:
-            out[..., first:] = _products(steps, m, need[first:])
-        return out
-    if need[-1] <= half:
+        return _products(steps, m, need)
+    half = span // 2
+    if np.all(need <= half):
         return _mirrored_prefix(steps, m, need, half, flips[1:])
     upper = need > half
-    inner = np.unique(np.concatenate([need[~upper], span - need[upper], [half]]))
-    c = _mirrored_prefix(steps, m, inner, half, flips[1:])
-    x = c[..., -1]  # C[half], the largest count of inner
+    inner, at = _distinct_columns(
+        np.concatenate([np.where(upper, span - need, need),
+                        half + np.zeros((need.shape[0], 1), dtype=need.dtype)], axis=1))
+    c = _mirrored_prefix(steps, m, inner, half, flips[1:])[..., at]
+    x = c[..., -1]  # C[half]
     full = _mul(_mirror(x, flips[0]), x)
-    out = np.empty((2, m, need.size), dtype=complex)
-    out[..., ~upper] = c[..., np.searchsorted(inner, need[~upper])]
-    mirrored = c[..., np.searchsorted(inner, span - need[upper])]
-    out[..., upper] = _mul(_mirror(mirrored, flips[0], inverse=True), full[..., None])
+    out = c[..., :-1]
+    i, j = _entries(upper, np.arange(m)[:, None])
+    out[:, i, j] = _mul(_mirror(out[:, i, j], flips[0], inverse=True), full[:, i])
     return out
 
 
-def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarray,
-               method: str) -> np.ndarray:
-    """States (members, samples, 2) at the grid's sample times from one initial state.
+def _propagate(grids: tuple[_Grid, ...], w_of_t, b_of_t, offsets: np.ndarray,
+               psi0: np.ndarray, method: str) -> np.ndarray:
+    """States (members, samples, 2) at the sample times from one initial state.
 
-    Member i sees w(t) + offsets[i]; ``w_of_t`` and ``b_of_t`` must be the
-    bare triangle drive when ``grid.mirrored``, and static offsets go in
-    ``offsets``.  Sample k is ``C[r] U^q psi0`` with
+    ``grids`` holds one grid shared by every member, or one grid per member
+    with its own step and drive (row i of the times ``w_of_t`` gets is member
+    i's; see `_step_maps`).  Member i sees w(t) + offsets[i]; ``w_of_t`` and
+    ``b_of_t`` must be the bare triangle drive when the grids mirror, and
+    static offsets go in ``offsets``.  Sample k is ``C[r] U^q psi0`` with
     ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
     ``U = C[L]``, where L is one drive period when the grid is periodic and
     mirrors or the sampled span is longer, else the whole span.  ``C[r]`` and
@@ -488,40 +586,62 @@ def _propagate(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray, psi0: np.ndarra
     only the first quarter of the period is integrated, or the first half when
     any member carries an offset, which breaks the sigma_x reflection; the
     rest comes from `_mirrored_prefix`.
+
+    Per-member grids must all mirror or all not.  Their samples are aligned
+    at the ends: sample k of member i is its sample min(k, n_int) of the
+    full intervals, and the last is every member's span end.
     """
     m = offsets.size
-    states = np.empty((m, grid.times.size, 2), dtype=complex)
+    g = grids[0]
+    if any(x.mirrored != g.mirrored for x in grids):
+        raise ValueError("per-member grids must all mirror or all not")
+
+    def field(name):  # shared by every member, or one per member in a (members, 1) array
+        if len(grids) == 1:
+            return getattr(g, name)
+        return np.array([[getattr(x, name)] for x in grids])
+
+    n_int, s, dt = field("n_int"), field("s"), field("dt")
+    k_max = max(x.n_int for x in grids)
+    tail = any(x.n_tail for x in grids)
+    states = np.empty((m, k_max + 1 + tail, 2), dtype=complex)
     states[:, 0] = psi0
-    n_main = grid.n_int * grid.s
-    if n_main:
-        flips = (False, True) if grid.mirrored else ()
+    if k_max:
+        flips = (False, True) if g.mirrored else ()
         if np.any(offsets):  # keeps the time reversal, breaks the sigma_x reflection
             flips = flips[:1]
-        L = grid.steps_per_period if flips else grid.main_steps
-        q, r = np.divmod(grid.s * np.arange(grid.n_int + 1), L)
-        need = np.unique(np.append(r, L) if q[-1] else r)  # need[0] == 0, the first sample
-        steps = functools.partial(_step_maps, method, grid.dt, grid.t0, w_of_t, b_of_t,
-                                  offsets, grid.mirrored)
+        # a member with no full interval has no main steps: L = 1 keeps its divmod
+        L = np.maximum(field("steps_per_period" if flips else "main_steps"), 1)
+        q, r = np.divmod(s * np.minimum(np.arange(k_max + 1), n_int), L)
+        q, r = np.atleast_2d(q), np.atleast_2d(r)
+        if q[:, -1].any():
+            r = np.concatenate([r, L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
+        # need[:, 0] == 0, the first sample; C[L], when needed, is the last column
+        need, r_at = _distinct_columns(r)
+        steps = functools.partial(_step_maps, method, dt, field("t0"), w_of_t, b_of_t,
+                                  offsets, g.mirrored)
         prefix = _mirrored_prefix(steps, m, need, L, flips)
         # U^q for each distinct q by squaring; powers of U commute, so the
         # bits of q multiply in any order
-        periods = np.unique(q)
-        powers, u = _identity(m, periods.size), prefix[..., -1]
-        for bit in range(int(periods[-1]).bit_length()):
-            sel = np.flatnonzero(periods >> bit & 1)
-            powers[..., sel] = _mul(u[..., None], powers[..., sel])
+        periods, q_at = _distinct_columns(q)
+        powers, u = _identity(m, periods.shape[1]), prefix[..., -1]
+        every = np.arange(m)[:, None]
+        for bit in range(int(periods.max()).bit_length()):
+            i, j = _entries(periods >> bit & 1, every)
+            powers[:, i, j] = _mul(u[:, i], powers[:, i, j])
             u = _mul(u, u)
-        rows = prefix[..., np.searchsorted(need, r)]
-        psi = _apply(powers, psi0)[:, np.searchsorted(periods, q)]
-        states[:, : grid.n_int + 1] = _apply(rows, psi)
-    if grid.n_tail:
+        rows = prefix[..., r_at[: k_max + 1]]
+        psi = _apply(powers, psi0)[:, q_at]
+        states[:, : k_max + 1] = _apply(rows, psi)
+    if tail:
         # the tail grows with the sample spacing; streamed in slabs of at most
         # a quarter period, it holds no more maps than the mirrored period
-        t_tail = grid.t0 + n_main * grid.dt
-        steps = functools.partial(_step_maps, method, grid.dt_tail, t_tail, w_of_t, b_of_t,
+        t_tail = field("t0") + n_int * s * dt
+        steps = functools.partial(_step_maps, method, field("dt_tail"), t_tail, w_of_t, b_of_t,
                                   offsets, False)
-        tail = _products(steps, m, np.array([grid.n_tail]), grid.steps_per_period // 4)
-        states[:, -1] = _apply(tail[..., 0], states[:, grid.n_int])
+        counts = np.reshape(field("n_tail"), (-1, 1))
+        most = min(x.steps_per_period for x in grids) // 4
+        states[:, -1] = _apply(_products(steps, m, counts, most)[..., 0], states[:, k_max])
     return states
 
 
@@ -548,18 +668,21 @@ def _validate_span(p: DriveParameters, t_span):
     return t0, t1
 
 
-def _drive_hamiltonian(p: DriveParameters):
+def _drive_hamiltonian(p: DriveParameters, periods: np.ndarray | None = None):
     """Matrix elements w(t), b of H = eps(t)/2 sigma_z + delta/2 sigma_x; b is constant.
 
-    A static detuning enters the kernel as a member offset, not here, so the
-    kernel can tell which of the drive's reflections it keeps.
+    ``periods`` (members, 1), when given, gives member i the drive ``p`` at
+    the period ``periods[i]``.  A static detuning enters the kernel as a
+    member offset, not here, so the kernel can tell which of the drive's
+    reflections it keeps.
     """
     half_gap = p.delta_ang / 2
 
-    def w_of_t(t):
-        return mhz_to_angular(epsilon_at(p, t)) / 2
+    def w_of_t(t, rows=slice(None)):
+        period = None if periods is None else periods[rows]
+        return mhz_to_angular(epsilon_at(p, t, period)) / 2
 
-    def b_of_t(t):
+    def b_of_t(t, rows=slice(None)):
         return half_gap
 
     return w_of_t, b_of_t
@@ -595,9 +718,45 @@ def evolve(
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=off_ang)
     w_of_t, b_of_t = _drive_hamiltonian(p)
     offset = np.array([mhz_to_angular(epsilon_offset_mhz) / 2])
-    states = _propagate(grid, w_of_t, b_of_t, offset, initial.as_array(), cfg.method)[0]
+    states = _propagate((grid,), w_of_t, b_of_t, offset, initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
+
+
+def passage_transfers(
+    delta_mhz: float,
+    epsilon_m_mhz: float,
+    periods_ns,
+    cfg: IntegratorConfig | None = None,
+) -> np.ndarray:
+    """|0> -> |1> transfer of one passage per period, in request order.
+
+    A passage runs from |0> at the trough (t = 0) to the apex (t = T/2),
+    through one crossing.  Each period is a member of one kernel call (in
+    chunks of members), on the grid `evolve` builds for that passage, so
+    every step cap, both step rules and the norm check apply per member.  On
+    a mirrored grid each member integrates only its own first quarter,
+    whose step count grows with its period (see `_products`).
+    """
+    cfg = cfg or IntegratorConfig()
+    drives, grids = [], []
+    for T in map(float, periods_ns):  # refused at the first bad period, in order
+        drives.append(DriveParameters(delta_mhz, epsilon_m_mhz, T, n_periods=1))
+        grids.append(_build_grid(drives[-1], cfg, (0.0, T / 2), T / 2))
+    periods = np.array([p.period_ns for p in drives])
+    psi0 = QubitState.ket0().as_array()
+    transfers = np.empty(periods.size)
+    # members of like step counts share a chunk
+    order = np.argsort(periods, kind="stable")
+    chunk = math.isqrt(_SLAB)
+    for lo in range(0, order.size, chunk):
+        idx = order[lo:lo + chunk]
+        w_of_t, b_of_t = _drive_hamiltonian(drives[0], periods[idx, None])
+        states = _propagate(tuple(grids[i] for i in idx), w_of_t, b_of_t, np.zeros(idx.size),
+                            psi0, cfg.method)
+        _check_norms(states, cfg.norm_drift_tolerance)
+        transfers[idx] = np.abs(states[:, -1, 1]) ** 2
+    return transfers
 
 
 def evolve_lab_frame_toy(
@@ -640,16 +799,16 @@ def evolve_lab_frame_toy(
         steps_per_period=0, mirrored=False,
     )
 
-    def w_of_t(t):
+    def w_of_t(t, rows):
         return np.full_like(np.asarray(t, dtype=float), omega0_ang / 2)
 
-    def b_of_t(t):
+    def b_of_t(t, rows):
         phase = omega0_ang * np.asarray(t, dtype=float) + mhz_to_angular(
             epsilon_integral(drive, t)
         )
         return delta_ang * np.cos(phase)
 
-    states = _propagate(grid, w_of_t, b_of_t, np.zeros(1), initial.as_array(), cfg.method)[0]
+    states = _propagate((grid,), w_of_t, b_of_t, np.zeros(1), initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
@@ -702,7 +861,7 @@ def _dephased_populations(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray,
     chunk = math.isqrt(_SLAB)
     pops = np.zeros((grid.times.size, 2))
     for lo in range(0, offsets.size, chunk):
-        states = _propagate(grid, w_of_t, b_of_t, offsets[lo:lo + chunk], psi0, cfg.method)
+        states = _propagate((grid,), w_of_t, b_of_t, offsets[lo:lo + chunk], psi0, cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         if readout is not None:
             states = states @ readout.T

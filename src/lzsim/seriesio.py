@@ -112,11 +112,13 @@ def render_series_csv(columns, rows, provenance: dict) -> str:
     lines += [f"# {k} = {v}" for k, v in sorted(flat.items())]
     lines.append(",".join(columns))
     data = np.asarray(rows, dtype=float)
-    body = [",".join(map(repr, row)) for row in data.tolist()]
+    # one %-format over the whole table: %r is repr, the shortest round trip
+    line = ",".join(["%r"] * (data.shape[1] if data.ndim == 2 else 0)) + "\n"
+    body = (line * len(data)) % tuple(data.ravel().tolist())
     if np.isnan(data).any():
         # repr writes NaN as 'nan', and no other float's repr contains it
-        body = [line.replace("nan", "") for line in body]
-    return "\n".join(lines + body + [""])
+        body = body.replace("nan", "")
+    return "\n".join(lines) + "\n" + body
 
 
 def render_series_json(columns, rows, provenance: dict) -> str:
@@ -158,39 +160,44 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
     text = path.read_text()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        rows = [[np.nan if x is None else float(x) for x in row] for row in doc["rows"]]
-        return doc["provenance"], list(doc["columns"]), np.array(rows, dtype=float)
+        # a None cell becomes NaN
+        return doc["provenance"], list(doc["columns"]), np.array(doc["rows"], dtype=float)
     meta: dict[str, str] = {}
     columns: list[str] = []
-    rows: list[str] = []
-    for line in text.splitlines():
+    # the header is the leading '#' and blank lines, then the column names;
+    # the body after it goes to the parser whole
+    start = 0
+    while start < len(text) and not columns:
+        end = text.find("\n", start) + 1 or len(text)
+        line = text[start:end].strip()
+        start = end
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body and not body.startswith("lzsim-series"):
                 k, _, v = body.partition("=")
                 meta[k.strip()] = v.strip()
-            continue
-        if not line.strip():
-            continue
-        if not columns:
+        elif line:
             columns = line.split(",")
-            continue
-        rows.append(line)
     if not columns:
         raise ValueError(f"{path}: no column header found")
-    if not rows:
+    body = text[start:]
+    if not body.strip():
         return meta, columns, np.array([], dtype=float)
-    return meta, columns, np.loadtxt(_fill_empty_cells(rows), delimiter=",", comments=None, ndmin=2)
+    lines = _fill_empty_cells(body).splitlines()
+    if " " in body or "\t" in body:  # the parser refuses a line of blanks; skip those
+        lines = [line for line in lines if line.strip()]
+    return meta, columns, np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
 
 
-def _fill_empty_cells(lines: list[str]) -> list[str]:
-    """The CSV data lines with every empty cell written as 'nan', which the
+def _fill_empty_cells(body: str) -> str:
+    """The CSV body with every empty cell written as 'nan', which the
     one-call parser reads as NaN (it refuses empty cells)."""
-    body = "\n" + "\n".join(lines) + "\n"
-    for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
-        body = body.replace(",,", ",nan,")
-    body = body.replace("\n,", "\nnan,").replace(",\n", ",nan\n")
-    return body[1:-1].split("\n")
+    body = "\n" + body.strip("\r\n") + "\n"
+    if ",," in body or "\n," in body or ",\n" in body:
+        for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
+            body = body.replace(",,", ",nan,")
+        body = body.replace("\n,", "\nnan,").replace(",\n", ",nan\n")
+    return body
 
 
 def render_table_csv(columns, rows, provenance: dict) -> str:

@@ -62,9 +62,9 @@ from .model import (
     Basis,
     DriveParameters,
     QubitState,
-    crossing_times,
     eigenbasis_at,
     epsilon_at,
+    first_crossing,
     mhz_to_angular,
     sweep_rate,
 )
@@ -328,11 +328,10 @@ def period_steps(p: DriveParameters) -> list[TransferStep]:
     free step later, moved back to the crossing: M = U(zeta/2)^dag K U(zeta/2) N
     with U(zeta) the free step that follows, so U M = U(zeta/2) K U(zeta/2) N.
     """
-    crossings = crossing_times(p)
-    if len(crossings) < 2:
+    if p.epsilon_m_mhz == 0:
         raise DegenerateDriveError("drive has no crossings to compose")
     node = LZNode.from_drive(p)
-    tc1 = crossings[0]
+    tc1 = first_crossing(p)
     tc2 = tc1 + p.period_ns / 2
     tc3 = tc1 + p.period_ns
     u1 = free_step(p, tc1, tc2)
@@ -484,13 +483,12 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     initial = initial or QubitState.ket0()
-    crossings = crossing_times(p)
-    if not crossings:
+    if p.epsilon_m_mhz == 0:
         raise DegenerateDriveError("drive has no crossings to compose")
     _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)
     node = LZNode.from_drive(p)
     T = p.period_ns
-    tc1 = crossings[0]
+    tc1 = first_crossing(p)
     first = _sweep_direction(p, tc1)
     second = "down" if first == "up" else "up"
 

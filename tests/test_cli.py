@@ -11,7 +11,8 @@ from lzsim import cli, propagator
 from lzsim.cli import main
 from lzsim.config import parse_run_config
 from lzsim.errors import ConfigError
-from lzsim.seriesio import read_series
+from lzsim.experiments import PRESETS, run_figure
+from lzsim.seriesio import read_series, series_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,6 +301,17 @@ class TestReproduce:
         assert np.all(np.abs(data[~filled, ie]) <= 3 * 9.60)
         assert filled.sum() > 0 and (~filled).sum() > 0
 
+    def test_json_reads_back_bit_for_bit(self, tmp_path):
+        # fig3c's overlay columns hold NaN (written as null) outside the mask
+        assert main(["reproduce", "fig3c", "--out", str(tmp_path), "--format", "json"]) == 0
+        _, columns, data = read_series(tmp_path / "fig3c_series.json")
+        result = run_figure("fig3c")
+        want_columns, want = series_table(result.series["ode"], drive=PRESETS["fig3c"].drive,
+                                          adiabatic=result.series["adiabatic"])
+        assert columns == want_columns
+        assert np.isnan(data).any()
+        assert np.array_equal(data.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("figure", ["fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d"])
     def test_simulate_scenario_runs_the_same_preset(self, tmp_path, figure):
         # reproduce <id> and simulate with scenario = <id> read one preset table
@@ -428,6 +440,32 @@ epsilon_m_mhz = 100.0
         _, _, data = read_series(tmp_path / "sweep_resonance.csv")
         assert data.shape[0] == 10000
         assert np.all(np.diff(data[:, 0]) > 0)
+
+    def test_integration_error_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        conf = write(tmp_path, "sweep.conf", """\
+sweep = lz_probability
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+period_values_ns = 160, 320
+steps_per_min_period = 4
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 3
+        assert "norm drift" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_period_values_bounded_before_integrating(self, tmp_path, capsys, monkeypatch):
+        def integrate(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(propagator, "_propagate", integrate)
+        values = ", ".join(["160"] * (2**20 + 1))
+        conf = write(tmp_path, "sweep.conf", "sweep = lz_probability\ndelta_mhz = 5.57\n"
+                     f"epsilon_m_mhz = 100.0\nperiod_values_ns = {values}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert "period_values_ns holds 1048577 values; at most 1048576" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lz_probability_sweep(self, tmp_path, capsys):
         conf = write(tmp_path, "sweep.conf", """\

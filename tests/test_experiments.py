@@ -9,6 +9,7 @@ from lzsim import (
     run_lz_probability_sweep,
     run_scenario,
 )
+from lzsim import experiments, propagator
 from lzsim.experiments import PRESETS
 from lzsim.model import epsilon_at
 from conftest import FIG3A
@@ -99,6 +100,20 @@ class TestLZSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_lz_probability_sweep(5.57, 100.0, [])
+
+    def test_one_kernel_call_no_evolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point evolve")
+
+        calls = []
+        kernel = propagator._propagate
+        monkeypatch.setattr(experiments, "evolve", refuse)
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(propagator, "_propagate", lambda *args: calls.append(1) or kernel(*args))
+        periods = [640.0, 160.0, 2560.0, 320.0, 1280.0]
+        res = run_lz_probability_sweep(5.57, 100.0, periods)
+        assert len(calls) == 1
+        assert [T for T, _ in res.points] == periods
 
 
 class TestScenario:

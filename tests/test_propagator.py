@@ -362,7 +362,7 @@ class TestPeriodicKernel:
             assert grid.n_tail > 0
         psi0 = QubitState(0.6, 0.8j).as_array()
         w_of_t, b_of_t = propagator._drive_hamiltonian(p)
-        dense = propagator._propagate(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
+        dense = propagator._propagate((grid,), w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
         stepped = step_by_step(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
 
@@ -499,10 +499,10 @@ class TestMirroredPeriod:
         offsets = np.array([mhz_to_angular(offset_mhz) / 2])
         built = []
 
-        def steps(lo, hi):
-            built.append(hi)
+        def steps(rows, first, n):
+            built.append(first + n)
             return propagator._step_maps(method, grid.dt, 0.0, w_of_t, b_of_t, offsets, True,
-                                         lo, hi)
+                                         rows, first, n)
 
         return grid.steps_per_period, steps, built
 
@@ -672,3 +672,57 @@ class TestStepMaps:
                 if c in counts:
                     j = int(np.searchsorted(counts, c))
                     assert np.max(np.abs(self.matrix(got[:, i, j]) - acc)) < 1e-13
+
+
+def one_passage(delta_mhz, epsilon_m_mhz, period_ns, cfg):
+    """P1 at the apex after one passage from |0>, by one `evolve` call."""
+    p = DriveParameters(delta_mhz, epsilon_m_mhz, period_ns, n_periods=1)
+    return evolve(p, cfg, t_span=(0.0, period_ns / 2), sample_every=period_ns / 2).p1[-1]
+
+
+class TestPassageBatch:
+    """`passage_transfers`: every period a member of one kernel call, on its own grid."""
+
+    @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
+    def test_matches_one_evolve_per_period(self, method):
+        # shuffled, with a repeat and both extremes: quarters of 100 to 200000 steps
+        rng = np.random.default_rng(12)
+        periods = rng.permutation(np.concatenate(
+            [np.round(rng.uniform(20.0, 400.0, 30), 1), [20.0, 20000.0, 20.0]]))
+        cfg = IntegratorConfig(method=method)
+        got = propagator.passage_transfers(5.57, 100.0, periods, cfg)
+        want = [one_passage(5.57, 100.0, T, cfg) for T in periods]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_step_cap_applies_per_member(self):
+        # coarse steps of the exact (unitary) rule, about 2.5 ns, capped at 0.05 ns
+        coarse = dict(steps_per_min_period=4, method="piecewise-exact")
+        cfg = IntegratorConfig(max_step_ns=0.05, **coarse)
+        periods = [300.0, 20.0, 57.1]
+        got = propagator.passage_transfers(5.57, 100.0, periods, cfg)
+        want = [one_passage(5.57, 100.0, T, cfg) for T in periods]
+        assert np.max(np.abs(got - want)) < 1e-12
+        uncapped = propagator.passage_transfers(5.57, 100.0, periods, IntegratorConfig(**coarse))
+        assert np.max(np.abs(got - uncapped)) > 1e-6
+
+    def test_zero_amplitude_integrates_the_whole_span(self):
+        # eps_m = 0 mirrors nothing; with these steps the grids differ in
+        # shape: a tail or none, and one grid that is all tail
+        cfg = IntegratorConfig(steps_per_min_period=401, max_step_ns=0.37)
+        periods = [20.0, 222.0, 400.0, 1000.0]
+        grids = [propagator._build_grid(DriveParameters(5.57, 0.0, T), cfg, (0.0, T / 2), T / 2)
+                 for T in periods]
+        assert not any(g.mirrored for g in grids)
+        assert {g.n_tail > 0 for g in grids} == {True, False}
+        assert {g.n_int for g in grids} == {0, 1}
+        got = propagator.passage_transfers(5.57, 0.0, periods, cfg)
+        want = [one_passage(5.57, 0.0, T, cfg) for T in periods]
+        assert np.max(np.abs(got - want)) < 1e-12
+        # the constant gap rotates |0> over the whole half period
+        exact = np.sin(math.pi * 5.57e-3 * np.array(periods) / 2) ** 2
+        assert np.max(np.abs(got - exact)) < 1e-8
+
+    def test_too_coarse_steps_raise(self):
+        with pytest.raises(IntegrationError, match="norm drift"):
+            propagator.passage_transfers(5.57, 100.0, [160.0, 320.0],
+                                         IntegratorConfig(steps_per_min_period=4))
