@@ -29,13 +29,11 @@ from .errors import (
 from .model import (
     Basis,
     DriveParameters,
-    NVParameters,
     QubitState,
     angular_to_mhz,
     crossing_times,
     epsilon_at,
     mhz_to_angular,
-    nv_transition_frequency,
     sweep_rate,
 )
 from .propagator import (

@@ -90,7 +90,8 @@ _SIMULATE_SCHEMA = {
 _NOISE_KEYS = ("t2_star_us", "detuning_mhz", "preparation_rotation_rad", "readout_rotation_rad")
 
 #: a resonance sweep holds about 0.86 KB per point, so this is about 1 GB;
-#: checked before the grid is built, and also bounds ``period_values_ns``
+#: checked before the grid is built, and also bounds the lists ``scan_values``
+#: and ``period_values_ns``
 _MAX_SCAN_POINTS = 1 << 20
 
 _SWEEP_SCHEMA = {
@@ -271,6 +272,9 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
             )
         if v["scan_values"] is not None:
             values = v["scan_values"]
+            if len(values) > _MAX_SCAN_POINTS:
+                raise ConfigError(f"{source}: scan_values holds {len(values)} values; "
+                                  f"at most {_MAX_SCAN_POINTS}")
         else:
             if v["scan_start"] is None or v["scan_stop"] is None or v["scan_points"] is None:
                 raise ConfigError(
@@ -295,6 +299,9 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         if len(values) > _MAX_SCAN_POINTS:
             raise ConfigError(f"{source}: period_values_ns holds {len(values)} values; "
                               f"at most {_MAX_SCAN_POINTS}")
+        if v["epsilon_m_mhz"] == 0:  # the coupling fit divides by it
+            raise ConfigError(f"{source}: no crossings: an lz_probability sweep needs "
+                              "epsilon_m_mhz > 0")
         scan_parameter = "period_ns"
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{source}: scan grid from scan_start/scan_stop is not finite")

@@ -97,28 +97,6 @@ class DriveParameters:
 
 
 @dataclass(frozen=True)
-class NVParameters:
-    """Ground-state level-structure constants of an NV center.
-
-    d_zfs_mhz   zero-field splitting D (MHz)
-    gamma_e     electron gyromagnetic ratio (MHz/G)
-    a_zz_mhz    hyperfine coupling to the host 15N nucleus (MHz)
-    b_field_g   static field along the symmetry axis (G)
-    i_z         nuclear spin projection; exactly +1/2 or -1/2 (I = 1/2)
-    """
-
-    d_zfs_mhz: float = 2870.0
-    gamma_e_mhz_per_g: float = 2.8
-    a_zz_mhz: float = -3.05
-    b_field_g: float = 510.0
-    i_z: float = -0.5
-
-    def __post_init__(self):
-        if self.i_z not in (-0.5, 0.5):
-            raise ValueError(f"i_z must be exactly +-1/2, got {self.i_z}")
-
-
-@dataclass(frozen=True)
 class QubitState:
     """Normalized two-component state (amp0, amp1) in the tagged basis."""
 
@@ -228,11 +206,6 @@ def sweep_rate(p: DriveParameters) -> float:
     if p.epsilon_m_mhz == 0:
         raise DegenerateDriveError("sweep rate undefined for epsilon_m = 0")
     return 4 * p.epsilon_m_mhz / p.period_ns
-
-
-def nv_transition_frequency(nv: NVParameters) -> float:
-    """|ms=0> -> |ms=+1> transition frequency in MHz: D + gamma_e*B + A_zz*I_z."""
-    return nv.d_zfs_mhz + nv.gamma_e_mhz_per_g * nv.b_field_g + nv.a_zz_mhz * nv.i_z
 
 
 def mixing_angle_at(p: DriveParameters, t, epsilon_offset_mhz: float = 0.0):

@@ -38,9 +38,11 @@ other prefix is ``C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q`` on the second
 quarter and ``C[r] = C[L - r]^-T U`` on the second half.  A static offset
 keeps only the time reversal, so members with offsets integrate the first
 half.  Other starts, a constant drive and the lab-frame toy mirror nothing
-and integrate the whole period (or span).  On a mirrored grid ``w`` is
-linear inside every step, so RK4 takes its midpoint as the mean of the
-step's ends and the Hamiltonian is evaluated once per step boundary.
+and integrate the whole period (or span).  The integrated quarter or half
+is one ramp of the triangle, so the drive is evaluated only at its two
+turning points: step j then has the midpoint detuning ``x0 + j dx`` and
+ends ``dx/2`` either side of it, and RK4 (whose midpoint is the mean of the
+step's ends) and the exact exponential are closed forms in ``x`` and ``dx``.
 
 Members.  The kernel has a leading member axis: member i sees its own drive
 plus a static offset of its own, on one grid shared by all members or on a
@@ -341,6 +343,17 @@ def _expm_maps(h, w, b) -> np.ndarray:
     return out
 
 
+def _pad(maps: np.ndarray, first) -> np.ndarray:
+    """``maps`` (2, members, n) of the steps first, first + 1, ... with
+    identity maps in place of the negative steps, a member's front padding
+    (see `_products`)."""
+    if isinstance(first, np.ndarray):
+        padding = first + np.arange(maps.shape[-1]) < 0
+        maps[0][padding] = 1.0
+        maps[1][padding] = 0.0
+    return maps
+
+
 def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) -> np.ndarray:
     """Maps (2, members, n) of the steps first..first+n-1 of each member in
     ``rows`` (an index array or a slice of the member axis), on the uniform
@@ -355,16 +368,13 @@ def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) 
     or one row shared by all; ``b_of_t`` may return a scalar, a constant
     coupling.  When ``linear``, w and b are linear inside every step, so RK4
     takes its midpoint values as the mean of the step's ends and the
-    Hamiltonian is evaluated once per step boundary.
+    Hamiltonian is evaluated once per step boundary.  `_propagate` builds a
+    mirrored grid's maps with `_ramp_maps` instead, which gives the same maps
+    without evaluating the drive per step.
     """
     if isinstance(dt, np.ndarray):
         dt, t0 = dt[rows], t0[rows]
-    j = first + np.arange(n + 1)
-    padded = isinstance(first, np.ndarray)
-    if padded:  # the padding steps are built at the first time, then replaced
-        padding = j[:, :-1] < 0
-        j = np.maximum(j, 0)
-    t = t0 + dt * j
+    t = t0 + dt * np.maximum(first + np.arange(n + 1), 0)  # padding is built at the first time
     col = offsets[rows, None]
     if method != "fixed-rk4":
         mid = t[..., :-1] + dt / 2
@@ -380,10 +390,58 @@ def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) 
             mid = t[..., :-1] + dt / 2
             w2, b2 = w_of_t(mid, rows) + col, b_of_t(mid, rows)
         maps = _rk4_maps(dt, w1, w2, w3, b1, b2, b3)
-    if padded:
-        maps[0][padding] = 1.0
-        maps[1][padding] = 0.0
-    return maps
+    return _pad(maps, first)
+
+
+def _ramp_maps(method, dt, x0, dx, b, rows, first, n) -> np.ndarray:
+    """Maps (2, members, n) of the steps first..first+n-1 of each member in
+    ``rows`` on a ramp: member i's w rises by dx[i] per step, so step j has
+    the midpoint value x = x0[i] + j dx[i] and ends at x -+ e, e = dx[i]/2.
+    ``x0`` and ``dx`` are (members, 1) arrays, b is the constant coupling,
+    and ``dt`` and ``first`` are as in `_step_maps`.
+
+    RK4 is `_rk4_maps` at w1, w2, w3 = x - e, x, x + e, which with
+    W = x^2 + b^2 and f = 1 - h^2 W/6 multiplies out to
+
+        p = 1 - h^2 W/2 + h^4 W (W - e^2)/24 - i h x f
+        q = (h^2 e b/3)(h^2 W/4 - 1) - i h b f;
+
+    the piecewise-exact rule is `_expm_maps` at x.
+    """
+    h = dt[rows] if isinstance(dt, np.ndarray) else dt
+    dx = dx[rows]
+    x = x0[rows] + dx * np.maximum(first + np.arange(n), 0)
+    if method != "fixed-rk4":
+        return _pad(_expm_maps(h, x, b), first)
+    hh, e = h * h, dx / 2
+    w = x * x
+    w += b * b
+    out = np.empty((2, *w.shape), dtype=complex)
+    t = w * (-hh / 6)
+    t += 1
+    np.multiply(t, -h * b, out=out[1].imag)
+    t *= x
+    np.multiply(t, -h, out=out[0].imag)
+    np.subtract(w, e * e, out=t)
+    t *= hh * hh / 24
+    t -= hh / 2
+    t *= w
+    np.add(t, 1, out=out[0].real)
+    w *= hh / 4
+    w -= 1
+    np.multiply(w, hh * e * b / 3, out=out[1].real)
+    return _pad(out, first)
+
+
+def _ramp_steps(method, dt, t0, half, w_of_t, b_of_t, offsets):
+    """``steps(rows, first, n)`` of the ramp from the turning point ``t0`` to
+    the next, ``half`` steps of ``dt`` later (floats, or (members, 1) arrays
+    with a grid per member), as `_ramp_maps`: w(t) + offsets[i] is evaluated
+    at the two turning points only."""
+    start = w_of_t(t0, slice(None)) + offsets[:, None]
+    dx = (w_of_t(t0 + half * dt, slice(None)) + offsets[:, None] - start) / half
+    return functools.partial(_ramp_maps, method, dt, start + dx / 2, dx,
+                             b_of_t(t0, slice(None)))
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -578,7 +636,8 @@ def _propagate(grids: tuple[_Grid, ...], w_of_t, b_of_t, offsets: np.ndarray,
     with its own step and drive (row i of the times ``w_of_t`` gets is member
     i's; see `_step_maps`).  Member i sees w(t) + offsets[i]; ``w_of_t`` and
     ``b_of_t`` must be the bare triangle drive when the grids mirror, and
-    static offsets go in ``offsets``.  Sample k is ``C[r] U^q psi0`` with
+    static offsets go in ``offsets`` (`_ramp_steps` reads w at two turning
+    points and takes b as constant).  Sample k is ``C[r] U^q psi0`` with
     ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
     ``U = C[L]``, where L is one drive period when the grid is periodic and
     mirrors or the sampled span is longer, else the whole span.  ``C[r]`` and
@@ -618,8 +677,11 @@ def _propagate(grids: tuple[_Grid, ...], w_of_t, b_of_t, offsets: np.ndarray,
             r = np.concatenate([r, L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
         # need[:, 0] == 0, the first sample; C[L], when needed, is the last column
         need, r_at = _distinct_columns(r)
-        steps = functools.partial(_step_maps, method, dt, field("t0"), w_of_t, b_of_t,
-                                  offsets, g.mirrored)
+        if flips:
+            steps = _ramp_steps(method, dt, field("t0"), L // 2, w_of_t, b_of_t, offsets)
+        else:
+            steps = functools.partial(_step_maps, method, dt, field("t0"), w_of_t, b_of_t,
+                                      offsets, False)
         prefix = _mirrored_prefix(steps, m, need, L, flips)
         # U^q for each distinct q by squaring; powers of U commute, so the
         # bits of q multiply in any order

@@ -467,6 +467,36 @@ steps_per_min_period = 4
         assert "period_values_ns holds 1048577 values; at most 1048576" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scan_values_bounded_before_scanning(self, tmp_path, capsys, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(cli, "resonance_scan", scan)
+        values = ", ".join(["128"] * (2**20 + 1))
+        conf = write(tmp_path, "sweep.conf", "sweep = resonance\ndelta_mhz = 5.57\n"
+                     f"epsilon_m_mhz = 100.0\nscan_values = {values}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert "scan_values holds 1048577 values; at most 1048576" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lz_probability_without_crossings_refused(self, tmp_path, capsys, monkeypatch):
+        # eps_m = 0 has no crossing to pass through, and the fit divides by it
+        def integrate(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(propagator, "_propagate", integrate)
+        conf = write(tmp_path, "sweep.conf", """\
+sweep = lz_probability
+delta_mhz = 5.57
+epsilon_m_mhz = 0.0
+period_values_ns = 20, 40, 80
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert "no crossings" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lz_probability_sweep(self, tmp_path, capsys):
         conf = write(tmp_path, "sweep.conf", """\
 sweep = lz_probability

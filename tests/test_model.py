@@ -7,13 +7,11 @@ from lzsim import (
     Basis,
     DegenerateDriveError,
     DriveParameters,
-    NVParameters,
     QubitState,
     angular_to_mhz,
     crossing_times,
     epsilon_at,
     mhz_to_angular,
-    nv_transition_frequency,
     sweep_rate,
 )
 from lzsim.model import eigenbasis_at, epsilon_integral, mixing_angle_at
@@ -144,24 +142,6 @@ class TestDriveValidation:
 
     def test_numpy_integer_periods_accepted(self):
         assert DriveParameters(5.57, 100.0, 128.0, n_periods=np.int64(3)).total_time_ns == 384.0
-
-
-class TestNVLevels:
-    def test_full_field(self):
-        nv = NVParameters(b_field_g=510.0, i_z=-0.5)
-        assert nv_transition_frequency(nv) == pytest.approx(4299.525)
-
-    def test_zero_field(self):
-        nv = NVParameters(b_field_g=0.0, i_z=-0.5)
-        assert nv_transition_frequency(nv) == pytest.approx(2871.525)
-
-    def test_bare_zero_field_splitting(self):
-        nv = NVParameters(b_field_g=0.0, a_zz_mhz=0.0, i_z=-0.5)
-        assert nv_transition_frequency(nv) == pytest.approx(2870.0)
-
-    def test_nuclear_projection_validated(self):
-        with pytest.raises(ValueError):
-            NVParameters(i_z=0.3)
 
 
 class TestQubitState:

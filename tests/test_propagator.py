@@ -592,6 +592,102 @@ class TestMirroredPeriod:
         assert np.max(np.abs(ens.populations - ref)) < 1e-11
 
 
+class TestRampMaps:
+    """A mirrored grid's step maps from the drive's ramp (`_ramp_steps`),
+    against the maps `_step_maps` builds from the triangle at every step
+    boundary, RK4 with its midpoint as the mean of the step's ends."""
+
+    METHODS = TestMirroredPeriod.METHODS
+
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", list(TestMirroredPeriod.DRIVES))
+    def test_half_period_equals_step_maps(self, name, method, start):
+        # from the trough or the apex, over the half period that members with
+        # an offset integrate: the whole half, and one slab inside it
+        p = DriveParameters(**TestMirroredPeriod.DRIVES[name])
+        t0 = start * p.period_ns
+        grid = propagator._build_grid(p, IntegratorConfig(method=method), (t0, t0 + p.period_ns),
+                                      None)
+        assert grid.mirrored
+        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        offsets = mhz_to_angular(np.array([0.0, 0.37, -2.5])) / 2
+        half = grid.steps_per_period // 2
+        steps = propagator._ramp_steps(method, grid.dt, t0, half, w_of_t, b_of_t, offsets)
+        for first, n in ((0, half), (half // 3, 17)):
+            want = propagator._step_maps(method, grid.dt, t0, w_of_t, b_of_t, offsets, True,
+                                         slice(None), first, n)
+            assert np.max(np.abs(steps(slice(None), first, n) - want)) < 1e-14
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ragged_chunk_equals_step_maps(self, method):
+        # a passages-like chunk: a grid per member, and a slab of some of the
+        # members, out of order, padded at the front with identity maps
+        periods = np.array([20.0, 37.3, 57.1, 400.0])
+        cfg = IntegratorConfig(method=method)
+        drives = [DriveParameters(5.57, 100.0, T, n_periods=1) for T in periods]
+        grids = [propagator._build_grid(p, cfg, (0.0, p.period_ns / 2), p.period_ns / 2)
+                 for p in drives]
+        assert all(g.mirrored for g in grids)
+        dt = np.array([[g.dt] for g in grids])
+        t0 = np.zeros((4, 1))
+        quarter = np.array([g.steps_per_period // 4 for g in grids])
+        w_of_t, b_of_t = propagator._drive_hamiltonian(drives[0], periods[:, None])
+        offsets = np.zeros(4)
+        steps = propagator._ramp_steps(method, dt, t0, 2 * quarter[:, None], w_of_t, b_of_t,
+                                       offsets)
+        pad = quarter.max() - quarter
+        lo, n = int(pad[2]) - 40, 300
+        rows = np.array([3, 1, 2])
+        first = (lo - pad[rows])[:, None]
+        assert first.min() < 0 < first.max() and first[2] + n > 0
+        got = steps(rows, first, n)
+        want = propagator._step_maps(method, dt, t0, w_of_t, b_of_t, offsets, True, rows, first, n)
+        assert np.max(np.abs(got - want)) < 1e-14
+        padding = first + np.arange(n) < 0
+        assert np.all(got[0][padding] == 1.0) and np.all(got[1][padding] == 0.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_drive_evaluated_per_member_not_per_step(self, method):
+        # 30 passages of 200 to 4000 quarter steps as members, and three
+        # members with offsets on one shared fig3a grid: the drive is read at
+        # two turning points per member, however many steps it integrates
+        cfg = IntegratorConfig(method=method)
+        psi0 = QubitState.ket0().as_array()
+        evaluated = []
+
+        def counted(w_of_t):
+            def w(t, rows=slice(None)):
+                evaluated.append(np.size(t))
+                return w_of_t(t, rows)
+            return w
+
+        periods = np.linspace(20.0, 400.0, 30)
+        drives = [DriveParameters(5.57, 100.0, T, n_periods=1) for T in periods]
+        grids = tuple(propagator._build_grid(p, cfg, (0.0, p.period_ns / 2), p.period_ns / 2)
+                      for p in drives)
+        assert all(g.mirrored and not g.n_tail for g in grids)
+        w_of_t, b_of_t = propagator._drive_hamiltonian(drives[0], periods[:, None])
+        states = propagator._propagate(grids, counted(w_of_t), b_of_t, np.zeros(30), psi0,
+                                       method)
+        assert sum(evaluated) <= 2 * 30 < sum(g.steps_per_period for g in grids) // 4
+        want = propagator.passage_transfers(5.57, 100.0, periods, cfg)
+        assert np.array_equal(np.abs(states[:, -1, 1]) ** 2, want)
+
+        offsets = mhz_to_angular(np.array([0.0, 0.37, -2.5])) / 2
+        for t_offset_ns, most in ((0.0, 2 * 3), (19.0, None)):
+            p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=t_offset_ns)
+            grid = propagator._build_grid(p, cfg, (0.0, 384.0), 32.0)
+            assert grid.mirrored == (most is not None) and not grid.n_tail
+            w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+            evaluated.clear()
+            propagator._propagate((grid,), counted(w_of_t), b_of_t, offsets, psi0, method)
+            if most is None:  # off a turning point: at every step of the period
+                assert sum(evaluated) >= grid.steps_per_period
+            else:
+                assert sum(evaluated) <= most
+
+
 class TestSampleCap:
     def test_sample_count_refused_before_allocating(self):
         # 1e15 samples of a 128 ns drive: one period is few enough steps
@@ -657,6 +753,22 @@ class TestStepMaps:
         for i in range(w.size):
             full = expm(-1j * h * np.array([[w[i], b[i]], [b[i], -w[i]]]))
             assert np.max(np.abs(self.matrix(maps[:, i]) - full)) < 1e-14
+
+    def test_ramp_map_equals_rk4_and_exact_maps(self):
+        # coarse steps on steep ramps, so that every term of the closed form
+        # shows; three members, per-member steps, a constant coupling
+        rng = np.random.default_rng(6)
+        h = np.array([[0.05], [0.03], [0.08]])
+        x0, dx = rng.normal(0.0, 5.0, (3, 1)), rng.normal(0.0, 0.5, (3, 1))
+        b = 2.7
+        j = np.arange(40)
+        w1, w3 = x0 + dx * (j - 0.5), x0 + dx * (j + 0.5)
+        for method, want in (
+            ("fixed-rk4", propagator._rk4_maps(h, w1, (w1 + w3) / 2, w3, b, b, b)),
+            ("piecewise-exact", propagator._expm_maps(h, x0 + dx * j, b)),
+        ):
+            got = propagator._ramp_maps(method, h, x0, dx, b, slice(None), 0, j.size)
+            assert np.max(np.abs(got - want)) < 1e-14
 
     def test_prefix_at_matches_sequential_products(self):
         # odd lengths at several tree levels, three members, counts from 1 to n
