@@ -41,17 +41,14 @@ from .propagator import (
     Trajectory,
     evolve,
     evolve_ensemble_dephased,
-    evolve_lab_frame_toy,
     passage_transfers,
 )
 from .transfer_matrix import (
     LZNode,
     PeriodRotation,
     ScanPoint,
-    TransferStep,
     free_phase,
     lz_probability,
-    mixing_matrix,
     resonance_scan,
     single_period_rotation,
     stokes_phase,

@@ -145,32 +145,6 @@ def epsilon_at(p: DriveParameters, t, period_ns=None):
     return value
 
 
-def epsilon_integral(p: DriveParameters, t):
-    """Phase-style integral of the detuning, int_0^t eps(u) du, in MHz*ns.
-
-    Used for the lab-frame drive phase.  The triangle has zero mean, so the
-    integral is periodic; it is evaluated in closed form per branch.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("epsilon_integral requires t >= 0")
-    T = p.period_ns
-    em = p.epsilon_m_mhz
-
-    def antiderivative(u):
-        # F(u) = int_0^u triangle, for u in [0, T); F(0) = F(T/2) = 0.
-        u = np.mod(u, T)
-        first = -em * u + 2 * em * u**2 / T
-        v = u - T / 2
-        second = em * v - 2 * em * v**2 / T
-        return np.where(u < T / 2, first, second)
-
-    result = antiderivative(t_arr + p.t_offset_ns) - antiderivative(p.t_offset_ns)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(result)
-    return result
-
-
 def crossing_times(p: DriveParameters) -> list[float]:
     """Times in [0, n_periods*T] where eps(t) = 0, sorted ascending.
 

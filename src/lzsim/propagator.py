@@ -22,9 +22,8 @@ period to the next.  The state at a sample ``r`` steps into period ``q`` is
 ``U = C[L]`` the one-period map.  The products ``C`` are formed only at the
 ``r`` a sample uses, from a tree of pairwise products over each slab of
 steps, so a period costs about one product per step however the samples
-fall in it.  Unless the grid mirrors (below), a span of at most one period,
-a constant drive and the lab-frame toy (whose carrier does not repeat with
-the drive) take the same code with the whole span as the "period".
+fall in it.  Unless the grid mirrors (below), a span of at most one period
+and a constant drive take the same code with the whole span as the "period".
 
 Mirrored period.  When the grid starts on a turning point of the triangle,
 the drive has two reflections over a period: ``eps(T - t) = eps(t)`` (time
@@ -37,20 +36,20 @@ transpose of a computed one.  Only the first quarter ``Q`` is integrated;
 other prefix is ``C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q`` on the second
 quarter and ``C[r] = C[L - r]^-T U`` on the second half.  A static offset
 keeps only the time reversal, so members with offsets integrate the first
-half.  Other starts, a constant drive and the lab-frame toy mirror nothing
-and integrate the whole period (or span).  The integrated quarter or half
-is one ramp of the triangle, so the drive is evaluated only at its two
-turning points: step j then has the midpoint detuning ``x0 + j dx`` and
-ends ``dx/2`` either side of it, and RK4 (whose midpoint is the mean of the
-step's ends) and the exact exponential are closed forms in ``x`` and ``dx``.
+half.  Other starts and a constant drive mirror nothing and integrate the
+whole period (or span).  The integrated quarter or half is one ramp of the
+triangle, so the drive is evaluated only at its two turning points: step j
+then has the midpoint detuning ``x0 + j dx`` and ends ``dx/2`` either side
+of it, and RK4 (whose midpoint is the mean of the step's ends) and the exact
+exponential are closed forms in ``x`` and ``dx``.
 
 Members.  The kernel has a leading member axis: member i sees its own drive
 plus a static offset of its own, on one grid shared by all members or on a
-grid of its own (its own step, period and step count).  `evolve` runs one
-member at its detuning offset, `evolve_lab_frame_toy` one at offset 0; the
-dephasing average runs the nodes of a quadrature over the Gaussian offset,
-plus the detuning, as members of one grid, in chunks, and keeps only their
-weighted populations; `passage_transfers` runs one passage per period as
+grid of its own (its own step, period and step count); the coupling b is
+one number for every member and time.  `evolve` runs one member at its
+detuning offset; the dephasing average runs the nodes of a quadrature over
+the Gaussian offset, plus the detuning, as members of one grid, in chunks,
+and keeps only their weighted populations; `passage_transfers` runs one passage per period as
 members of their own grids, in chunks.  Per-member step counts are ragged:
 each member's steps are right-aligned behind identity maps, so its product
 runs over the same padded count as every other's, and a slab of steps holds
@@ -67,7 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -78,7 +77,6 @@ from .model import (
     DriveParameters,
     QubitState,
     epsilon_at,
-    epsilon_integral,
     mhz_to_angular,
     angular_to_mhz,
 )
@@ -354,7 +352,7 @@ def _pad(maps: np.ndarray, first) -> np.ndarray:
     return maps
 
 
-def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) -> np.ndarray:
+def _step_maps(method, dt, t0, w_of_t, b, offsets, rows, first, n) -> np.ndarray:
     """Maps (2, members, n) of the steps first..first+n-1 of each member in
     ``rows`` (an index array or a slice of the member axis), on the uniform
     grid t0 + dt*j.
@@ -363,12 +361,9 @@ def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) 
     arrays with a grid per member.  ``first`` is an int shared by the
     members, or a (members, 1) array of their own first steps, where the
     negative steps are identity maps (a member's padding, see `_products`).
-    Member i sees the Hamiltonian with w(t) + offsets[i], where
-    ``w_of_t(t, rows)`` takes the times of the members ``rows``, one row each
-    or one row shared by all; ``b_of_t`` may return a scalar, a constant
-    coupling.  When ``linear``, w and b are linear inside every step, so RK4
-    takes its midpoint values as the mean of the step's ends and the
-    Hamiltonian is evaluated once per step boundary.  `_propagate` builds a
+    Member i sees the Hamiltonian with w(t) + offsets[i] and the constant
+    coupling b, where ``w_of_t(t, rows)`` takes the times of the members
+    ``rows``, one row each or one row shared by all.  `_propagate` builds a
     mirrored grid's maps with `_ramp_maps` instead, which gives the same maps
     without evaluating the drive per step.
     """
@@ -376,21 +371,11 @@ def _step_maps(method, dt, t0, w_of_t, b_of_t, offsets, linear, rows, first, n) 
         dt, t0 = dt[rows], t0[rows]
     t = t0 + dt * np.maximum(first + np.arange(n + 1), 0)  # padding is built at the first time
     col = offsets[rows, None]
+    mid = w_of_t(t[..., :-1] + dt / 2, rows) + col
     if method != "fixed-rk4":
-        mid = t[..., :-1] + dt / 2
-        maps = _expm_maps(dt, w_of_t(mid, rows) + col, b_of_t(mid, rows))
-    else:
-        w, b = w_of_t(t, rows) + col, b_of_t(t, rows)
-        w1, w3 = w[..., :-1], w[..., 1:]
-        b1, b3 = (b, b) if np.ndim(b) == 0 else (b[..., :-1], b[..., 1:])
-        if linear:
-            w2, b2 = w1 + w3, (b1 + b3) / 2
-            w2 /= 2
-        else:
-            mid = t[..., :-1] + dt / 2
-            w2, b2 = w_of_t(mid, rows) + col, b_of_t(mid, rows)
-        maps = _rk4_maps(dt, w1, w2, w3, b1, b2, b3)
-    return _pad(maps, first)
+        return _pad(_expm_maps(dt, mid, b), first)
+    w = w_of_t(t, rows) + col
+    return _pad(_rk4_maps(dt, w[..., :-1], mid, w[..., 1:], b, b, b), first)
 
 
 def _ramp_maps(method, dt, x0, dx, b, rows, first, n) -> np.ndarray:
@@ -433,15 +418,14 @@ def _ramp_maps(method, dt, x0, dx, b, rows, first, n) -> np.ndarray:
     return _pad(out, first)
 
 
-def _ramp_steps(method, dt, t0, half, w_of_t, b_of_t, offsets):
+def _ramp_steps(method, dt, t0, half, w_of_t, b, offsets):
     """``steps(rows, first, n)`` of the ramp from the turning point ``t0`` to
     the next, ``half`` steps of ``dt`` later (floats, or (members, 1) arrays
     with a grid per member), as `_ramp_maps`: w(t) + offsets[i] is evaluated
     at the two turning points only."""
     start = w_of_t(t0, slice(None)) + offsets[:, None]
     dx = (w_of_t(t0 + half * dt, slice(None)) + offsets[:, None] - start) / half
-    return functools.partial(_ramp_maps, method, dt, start + dx / 2, dx,
-                             b_of_t(t0, slice(None)))
+    return functools.partial(_ramp_maps, method, dt, start + dx / 2, dx, b)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -628,16 +612,16 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.
     return out
 
 
-def _propagate(grids: tuple[_Grid, ...], w_of_t, b_of_t, offsets: np.ndarray,
+def _propagate(grids: tuple[_Grid, ...], w_of_t, b: float, offsets: np.ndarray,
                psi0: np.ndarray, method: str) -> np.ndarray:
     """States (members, samples, 2) at the sample times from one initial state.
 
     ``grids`` holds one grid shared by every member, or one grid per member
     with its own step and drive (row i of the times ``w_of_t`` gets is member
-    i's; see `_step_maps`).  Member i sees w(t) + offsets[i]; ``w_of_t`` and
-    ``b_of_t`` must be the bare triangle drive when the grids mirror, and
-    static offsets go in ``offsets`` (`_ramp_steps` reads w at two turning
-    points and takes b as constant).  Sample k is ``C[r] U^q psi0`` with
+    i's; see `_step_maps`).  Member i sees w(t) + offsets[i] and the
+    constant coupling b; ``w_of_t`` must be the bare triangle drive when the
+    grids mirror, and static offsets go in ``offsets`` (`_ramp_steps` reads w
+    at two turning points).  Sample k is ``C[r] U^q psi0`` with
     ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
     ``U = C[L]``, where L is one drive period when the grid is periodic and
     mirrors or the sampled span is longer, else the whole span.  ``C[r]`` and
@@ -678,10 +662,9 @@ def _propagate(grids: tuple[_Grid, ...], w_of_t, b_of_t, offsets: np.ndarray,
         # need[:, 0] == 0, the first sample; C[L], when needed, is the last column
         need, r_at = _distinct_columns(r)
         if flips:
-            steps = _ramp_steps(method, dt, field("t0"), L // 2, w_of_t, b_of_t, offsets)
+            steps = _ramp_steps(method, dt, field("t0"), L // 2, w_of_t, b, offsets)
         else:
-            steps = functools.partial(_step_maps, method, dt, field("t0"), w_of_t, b_of_t,
-                                      offsets, False)
+            steps = functools.partial(_step_maps, method, dt, field("t0"), w_of_t, b, offsets)
         prefix = _mirrored_prefix(steps, m, need, L, flips)
         # U^q for each distinct q by squaring; powers of U commute, so the
         # bits of q multiply in any order
@@ -699,8 +682,8 @@ def _propagate(grids: tuple[_Grid, ...], w_of_t, b_of_t, offsets: np.ndarray,
         # the tail grows with the sample spacing; streamed in slabs of at most
         # a quarter period, it holds no more maps than the mirrored period
         t_tail = field("t0") + n_int * s * dt
-        steps = functools.partial(_step_maps, method, field("dt_tail"), t_tail, w_of_t, b_of_t,
-                                  offsets, False)
+        steps = functools.partial(_step_maps, method, field("dt_tail"), t_tail, w_of_t, b,
+                                  offsets)
         counts = np.reshape(field("n_tail"), (-1, 1))
         most = min(x.steps_per_period for x in grids) // 4
         states[:, -1] = _apply(_products(steps, m, counts, most)[..., 0], states[:, k_max])
@@ -731,23 +714,18 @@ def _validate_span(p: DriveParameters, t_span):
 
 
 def _drive_hamiltonian(p: DriveParameters, periods: np.ndarray | None = None):
-    """Matrix elements w(t), b of H = eps(t)/2 sigma_z + delta/2 sigma_x; b is constant.
+    """Matrix elements w(t) and the constant b of H = eps(t)/2 sigma_z + delta/2 sigma_x.
 
     ``periods`` (members, 1), when given, gives member i the drive ``p`` at
     the period ``periods[i]``.  A static detuning enters the kernel as a
     member offset, not here, so the kernel can tell which of the drive's
     reflections it keeps.
     """
-    half_gap = p.delta_ang / 2
-
     def w_of_t(t, rows=slice(None)):
         period = None if periods is None else periods[rows]
         return mhz_to_angular(epsilon_at(p, t, period)) / 2
 
-    def b_of_t(t, rows=slice(None)):
-        return half_gap
-
-    return w_of_t, b_of_t
+    return w_of_t, p.delta_ang / 2
 
 
 # ---------------------------------------------------------------------------
@@ -778,9 +756,9 @@ def evolve(
     t_span = _validate_span(p, t_span or (0.0, p.total_time_ns))
     off_ang = mhz_to_angular(abs(epsilon_offset_mhz))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=off_ang)
-    w_of_t, b_of_t = _drive_hamiltonian(p)
+    w_of_t, b = _drive_hamiltonian(p)
     offset = np.array([mhz_to_angular(epsilon_offset_mhz) / 2])
-    states = _propagate((grid,), w_of_t, b_of_t, offset, initial.as_array(), cfg.method)[0]
+    states = _propagate((grid,), w_of_t, b, offset, initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
@@ -813,66 +791,12 @@ def passage_transfers(
     chunk = math.isqrt(_SLAB)
     for lo in range(0, order.size, chunk):
         idx = order[lo:lo + chunk]
-        w_of_t, b_of_t = _drive_hamiltonian(drives[0], periods[idx, None])
-        states = _propagate(tuple(grids[i] for i in idx), w_of_t, b_of_t, np.zeros(idx.size),
+        w_of_t, b = _drive_hamiltonian(drives[0], periods[idx, None])
+        states = _propagate(tuple(grids[i] for i in idx), w_of_t, b, np.zeros(idx.size),
                             psi0, cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         transfers[idx] = np.abs(states[:, -1, 1]) ** 2
     return transfers
-
-
-def evolve_lab_frame_toy(
-    delta_mhz: float,
-    omega0_mhz: float,
-    drive: DriveParameters,
-    initial: QubitState | None = None,
-    t_span: tuple[float, float] | None = None,
-    sample_every: float | None = None,
-    cfg: IntegratorConfig | None = None,
-) -> Trajectory:
-    """Integrate the lab-frame Hamiltonian at a reduced carrier frequency.
-
-    H_lab(t) = omega0/2 sigma_z + delta*cos(Phi(t)) sigma_x with the drive
-    phase Phi(t) = omega0*t + int_0^t eps(u) du, so the instantaneous drive
-    frequency is omega0 + eps(t).  After the rotating-wave approximation this
-    reduces to the rotating-frame model integrated by `evolve`, which serves
-    as the comparison oracle.  Requires a toy ratio omega0/delta >= 20; a
-    realistic GHz-scale carrier adds nothing but steps.
-    """
-    if delta_mhz < 0 or omega0_mhz <= 0:
-        raise ValueError("delta_mhz must be >= 0 and omega0_mhz > 0")
-    if delta_mhz > 0 and omega0_mhz / delta_mhz < 20:
-        raise ValueError(
-            f"omega0/delta = {omega0_mhz / delta_mhz:.1f} < 20; "
-            "the rotating-wave comparison is meaningless this close to the carrier"
-        )
-    cfg = cfg or IntegratorConfig()
-    initial = initial or QubitState.ket0()
-    if initial.basis is not Basis.DIABATIC:
-        raise ValueError("evolve_lab_frame_toy expects a diabatic-basis initial state")
-    t_span = _validate_span(drive, t_span or (0.0, drive.total_time_ns))
-    omega0_ang = mhz_to_angular(omega0_mhz)
-    delta_ang = mhz_to_angular(delta_mhz)
-    # the carrier phase omega0*t neither repeats with the drive period nor
-    # mirrors with it, so the whole span is integrated
-    grid = replace(
-        _build_grid(drive, cfg, t_span, sample_every,
-                    extra_omega_ang=omega0_ang + 2 * delta_ang),
-        steps_per_period=0, mirrored=False,
-    )
-
-    def w_of_t(t, rows):
-        return np.full_like(np.asarray(t, dtype=float), omega0_ang / 2)
-
-    def b_of_t(t, rows):
-        phase = omega0_ang * np.asarray(t, dtype=float) + mhz_to_angular(
-            epsilon_integral(drive, t)
-        )
-        return delta_ang * np.cos(phase)
-
-    states = _propagate((grid,), w_of_t, b_of_t, np.zeros(1), initial.as_array(), cfg.method)[0]
-    _check_norms(states, cfg.norm_drift_tolerance)
-    return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
 
 def rotation_x(angle: float) -> np.ndarray:
@@ -911,7 +835,7 @@ def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()
 
 
-def _dephased_populations(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray,
+def _dephased_populations(grid: _Grid, w_of_t, b: float, offsets: np.ndarray,
                           weights: np.ndarray, psi0: np.ndarray, cfg: IntegratorConfig,
                           readout: np.ndarray | None) -> np.ndarray:
     """Populations (samples, 2) summed over members with ``weights``.
@@ -923,7 +847,7 @@ def _dephased_populations(grid: _Grid, w_of_t, b_of_t, offsets: np.ndarray,
     chunk = math.isqrt(_SLAB)
     pops = np.zeros((grid.times.size, 2))
     for lo in range(0, offsets.size, chunk):
-        states = _propagate((grid,), w_of_t, b_of_t, offsets[lo:lo + chunk], psi0, cfg.method)
+        states = _propagate((grid,), w_of_t, b, offsets[lo:lo + chunk], psi0, cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         if readout is not None:
             states = states @ readout.T
@@ -973,9 +897,9 @@ def evolve_ensemble_dephased(
     # one grid for every member, fine enough for the largest offset
     extra = mhz_to_angular(float(np.max(np.abs(offsets_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
-    w_of_t, b_of_t = _drive_hamiltonian(p)
+    w_of_t, b = _drive_hamiltonian(p)
     readout = rotation_x(readout_rotation) if readout_rotation else None
-    pops = _dephased_populations(grid, w_of_t, b_of_t,
+    pops = _dephased_populations(grid, w_of_t, b,
                                  (offsets_ang + mhz_to_angular(detuning_mhz)) / 2, weights,
                                  initial.as_array(), cfg, readout)
     return Trajectory(grid.times, pops, Basis.DIABATIC, noise_nodes=nodes.size)

@@ -41,19 +41,20 @@ interference (no transfer, ever) happens at zeta + phi_s = 0 mod pi and
 resonant transfer at zeta + phi_s = pi/2 mod pi; with the kicks this holds
 to O(kappa).
 
-``period_steps`` gives the four factors of one drive as checked 2x2
-unitaries.  ``resonance_scan`` composes G1 for a whole grid of periods or
-amplitudes at once, as (n, 2, 2) arrays built from the same closed forms
-(``_period_rotations``); ``single_period_rotation`` is its one-point case.
+The closed forms of these factors (N's entries, the quarter-period phase
+zeta/2, kappa and the first crossing's orientation) are evaluated in one
+place, ``_impulse_factors``, for a whole grid of periods or amplitudes at
+once.  ``resonance_scan`` composes G1 from them as (n, 2, 2) arrays
+(``_period_rotations``), ``single_period_rotation`` is its one-point case,
+and ``stroboscopic_evolve`` splits the same period into its segments between
+turning points.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -68,12 +69,7 @@ from .model import (
     mhz_to_angular,
     sweep_rate,
 )
-from .propagator import Trajectory, rotation_x
-
-
-class StepKind(str, Enum):
-    MIXING = "mixing"
-    FREE = "free"
+from .propagator import _MAX_SAMPLES, Trajectory, rotation_x
 
 
 @dataclass(frozen=True)
@@ -105,26 +101,6 @@ class LZNode:
             phi_s=stokes_phase(delta_adiab),
             delta_adiab=delta_adiab,
         )
-
-
-@dataclass(frozen=True)
-class TransferStep:
-    """One factor of the stroboscopic evolution, as a 2x2 unitary."""
-
-    matrix: np.ndarray
-    kind: StepKind
-    interval: tuple[float, float]
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (2, 2):
-            raise ValueError("matrix must be 2x2")
-        err = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if err > 1e-12:
-            raise ValueError(f"matrix not unitary: max deviation {err:.2e}")
-        if self.kind is StepKind.FREE:
-            if np.max(np.abs(m - np.diag(np.diag(m)))) > 1e-12:
-                raise ValueError("free-evolution step must be diagonal")
 
 
 @dataclass(frozen=True)
@@ -207,28 +183,6 @@ def _stokes_phases(d: np.ndarray) -> np.ndarray:
     return np.pi / 4 + d * (np.log(d) - 1.0) + _arg_gamma(d)
 
 
-def mixing_matrix(node: LZNode, at_time: float = 0.0, sweep: str = "up") -> TransferStep:
-    """Impulse matrix of one crossing, acting on (ground, excited) amplitudes.
-
-    ``sweep`` selects the detuning direction through the crossing; the two
-    orientations differ only in the sign of the off-diagonal hop amplitude,
-    an artifact of keeping the eigenbasis columns continuous along the drive.
-    Populations never depend on the choice in isolation, but compositions
-    over a full period must pair each crossing with its orientation.
-    """
-    if sweep not in ("up", "down"):
-        raise ValueError(f"sweep must be 'up' or 'down', got {sweep!r}")
-    return TransferStep(_node_matrix(node, sweep), StepKind.MIXING, (at_time, at_time))
-
-
-def _node_matrix(node: LZNode, sweep: str) -> np.ndarray:
-    alpha = math.sqrt(1.0 - node.p_lz) * cmath.exp(1j * node.phi_s)
-    gamma = math.sqrt(node.p_lz)
-    if sweep == "up":
-        return np.array([[alpha, gamma], [-gamma, alpha.conjugate()]], dtype=complex)
-    return np.array([[alpha, -gamma], [gamma, alpha.conjugate()]], dtype=complex)
-
-
 def free_phase(p: DriveParameters, t1: float, t2: float) -> float:
     """Half the adiabatic phase, zeta = (1/2) int_t1^t2 sqrt(eps_ang^2 + Delta_ang^2) dt.
 
@@ -274,69 +228,11 @@ def free_phase(p: DriveParameters, t1: float, t2: float) -> float:
     return total / 2
 
 
-def free_step(p: DriveParameters, t1: float, t2: float) -> TransferStep:
-    """Adiabatic free evolution between crossings: diag(e^{+i zeta}, e^{-i zeta})."""
-    zeta = free_phase(p, t1, t2)
-    u = np.diag([cmath.exp(1j * zeta), cmath.exp(-1j * zeta)])
-    return TransferStep(u, StepKind.FREE, (t1, t2))
-
-
-def _sweep_direction(p: DriveParameters, tc: float) -> str:
-    """'up' if the detuning rises through the crossing at tc, else 'down'."""
-    phase = math.fmod(tc + p.t_offset_ns, p.period_ns)
-    if phase < 0:
-        phase += p.period_ns
-    return "up" if abs(phase - p.period_ns / 4) < p.period_ns / 8 else "down"
-
-
 def _dressing_angle(p: DriveParameters, eps_ang: float, slope_ang: float) -> float:
     """Angle a of the first-order dressing s = rotation_x(a) c of the adiabatic
     amplitudes c at detuning ``eps_ang`` swept at ``slope_ang``:
     a = -thetadot / Omega = Delta eps' / (eps^2 + Delta^2)^{3/2}."""
     return p.delta_ang * slope_ang / math.hypot(eps_ang, p.delta_ang) ** 3
-
-
-def _kick_angle(p: DriveParameters, sweep: str) -> float:
-    """kappa of the turning point that follows a crossing swept ``sweep``.
-
-    The dressing angle flips sign with the slope there, so the half of the
-    kick on each side of the turning point is rotation_x(kappa), and the
-    whole kick exp(-i kappa sigma_x) is rotation_x(2 kappa).
-    """
-    slope = mhz_to_angular(sweep_rate(p))
-    return _dressing_angle(p, p.epsilon_m_ang, -slope if sweep == "up" else slope)
-
-
-def _kicked_node(p: DriveParameters, node: LZNode, tc: float, free: TransferStep) -> TransferStep:
-    """Crossing node at ``tc`` followed by the next turning point's kick,
-    carried back through the quarter-period phase: U(zeta/2)^dag K U(zeta/2) N,
-    where ``free`` = U(zeta) is the half period that holds the turning point."""
-    sweep = _sweep_direction(p, tc)
-    kappa = _kick_angle(p, sweep)
-    cos_k, sin_k = math.cos(kappa), -1j * math.sin(kappa)
-    e_plus, e_minus = free.matrix[0, 0], free.matrix[1, 1]
-    kick = np.array([[cos_k, sin_k * e_minus], [sin_k * e_plus, cos_k]])
-    return TransferStep(kick @ _node_matrix(node, sweep), StepKind.MIXING, (tc, tc))
-
-
-def period_steps(p: DriveParameters) -> list[TransferStep]:
-    """The four factors of one period starting at the first crossing:
-    [M(c1), U1, M(c2), U2] in application order.
-
-    Each mixing factor M is the bare crossing node N (``mixing_matrix``)
-    followed by the kick exp(-i kappa sigma_x) of the turning point half a
-    free step later, moved back to the crossing: M = U(zeta/2)^dag K U(zeta/2) N
-    with U(zeta) the free step that follows, so U M = U(zeta/2) K U(zeta/2) N.
-    """
-    if p.epsilon_m_mhz == 0:
-        raise DegenerateDriveError("drive has no crossings to compose")
-    node = LZNode.from_drive(p)
-    tc1 = first_crossing(p)
-    tc2 = tc1 + p.period_ns / 2
-    tc3 = tc1 + p.period_ns
-    u1 = free_step(p, tc1, tc2)
-    u2 = free_step(p, tc2, tc3)
-    return [_kicked_node(p, node, tc1, u1), u1, _kicked_node(p, node, tc2, u2), u2]
 
 
 def _check_impulse_regime(delta_mhz: float, epsilon_m_mhz) -> None:
@@ -359,24 +255,24 @@ def _check_impulse_regime(delta_mhz: float, epsilon_m_mhz) -> None:
         )
 
 
-def _period_rotations(
-    p: DriveParameters, epsilon_m_mhz: np.ndarray, period_ns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G1 and its rotation for every (epsilon_m, T) pair of a grid.
+def _impulse_factors(p: DriveParameters, epsilon_m_mhz: np.ndarray,
+                     period_ns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The closed forms of one period of the model for every (epsilon_m, T)
+    pair of a grid; the drives share ``p``'s gap and start offset.
 
-    The drives share ``p``'s gap and start offset.  Each G1 is the product
-    of ``period_steps``, U M2 U M1, composed for the whole grid at once from
-    closed forms: P and phi_s of ``LZNode.from_drive``, the half-period phase
-    zeta = A(eps_m)/slope with A(u) = (u hypot(u, m) + m^2 asinh(u/m))/2 the
-    antiderivative ``free_phase`` integrates (both half periods hold one
-    turning point and are equal), the first crossing's orientation of
-    ``_sweep_direction`` and the kicks of ``_kicked_node``.  Angle and axis
-    follow the convention of an SU(2) rotation: the global phase is removed
-    by dividing out sqrt(det) and fixing the trace real-positive, so the
-    angle lies in [0, pi]; at angle pi the leftover sign is broken by
-    preferring a non-negative z, then x, then y axis component.
+    Returns arrays (n,):
 
-    Returns ``g1`` (n, 2, 2), ``angles`` (n,) and ``axes`` (n, 3).
+    - ``alpha`` and ``gamma``: the node of an up-sweep crossing is
+      [[alpha, gamma], [-gamma, alpha*]], that of a down-sweep has -gamma
+      (P and phi_s of ``LZNode.from_drive``);
+    - ``quarter``: the free phase zeta/2 from a crossing to the next turning
+      point, A(eps_m)/(2 slope) with A(u) = (u hypot(u, m) + m^2 asinh(u/m))/2
+      the antiderivative ``free_phase`` integrates; every quarter period holds
+      the same phase, since the triangle is symmetric about its turning points;
+    - ``kick``: |kappa| = Delta v / (eps_m^2 + Delta^2)^{3/2}; the turning
+      point after an up-sweep kicks by -kick, after a down-sweep by +kick;
+    - ``up``: +1 where the first crossing after t = 0 sweeps the detuning up,
+      else -1.
     """
     if p.delta_mhz <= 0:
         raise ValueError(f"delta_adiab must be positive, got delta_mhz = {p.delta_mhz}")
@@ -387,21 +283,51 @@ def _period_rotations(
     rate = mhz_to_angular(4 * epsilon_m_mhz / T)  # sweep rate at a crossing
     d = m**2 / (4 * rate)
     p_lz = np.exp(-2 * np.pi * d)
-    phi_s = _stokes_phases(d)
-    zeta = (eps_m * np.hypot(eps_m, m) + m * m * np.arcsinh(eps_m / m)) / 2 / (4 * eps_m / T)
-    e_plus = np.exp(1j * zeta)
-    e_minus = e_plus.conj()
+    alpha = np.sqrt(1.0 - p_lz) * np.exp(1j * _stokes_phases(d))
+    area = (eps_m * np.hypot(eps_m, m) + m * m * np.arcsinh(eps_m / m)) / 2
+    quarter = area / (4 * eps_m / T) / 2
 
-    # +1 where the first crossing after t = 0 sweeps the detuning up
     tc1 = np.fmod(T / 4 - t_off, T / 2)
     tc1 = np.where(tc1 < 0, tc1 + T / 2, tc1)
     phase = np.fmod(tc1 + t_off, T)
     phase = np.where(phase < 0, phase + T, phase)
     up = np.where(np.abs(phase - T / 4) < T / 8, 1.0, -1.0)
     kick = m * rate / np.hypot(eps_m, m) ** 3
+    return alpha, np.sqrt(p_lz), quarter, kick, up
 
-    alpha = np.sqrt(1.0 - p_lz) * np.exp(1j * phi_s)
-    gamma = np.sqrt(p_lz)
+
+def _nodes(alpha: np.ndarray, gamma: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Bare crossing nodes (n, 2, 2): [[alpha, up gamma], [-up gamma, alpha*]]."""
+    bare = np.empty((alpha.size, 2, 2), dtype=complex)
+    bare[:, 0, 0] = alpha
+    bare[:, 0, 1] = up * gamma
+    bare[:, 1, 0] = -up * gamma
+    bare[:, 1, 1] = alpha.conj()
+    return bare
+
+
+def _period_rotations(
+    p: DriveParameters, epsilon_m_mhz: np.ndarray, period_ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G1 and its rotation for every (epsilon_m, T) pair of a grid.
+
+    The drives share ``p``'s gap and start offset.  Each G1 = U M2 U M1 is
+    composed for the whole grid at once from ``_impulse_factors``: U is the
+    half-period phase zeta (both half periods hold one turning point and are
+    equal), and each M = U(zeta/2)^dag K U(zeta/2) N is a node oriented as
+    its crossing sweeps, followed by the next turning point's kick K carried
+    back to the crossing.  Angle and axis follow the convention of an SU(2)
+    rotation: the global phase is removed by dividing out sqrt(det) and
+    fixing the trace real-positive, so the angle lies in [0, pi]; at angle
+    pi the leftover sign is broken by preferring a non-negative z, then x,
+    then y axis component.
+
+    Returns ``g1`` (n, 2, 2), ``angles`` (n,) and ``axes`` (n, 3).
+    """
+    alpha, gamma, quarter, kick, up = _impulse_factors(p, epsilon_m_mhz, period_ns)
+    zeta = 2 * quarter
+    e_plus = np.exp(1j * zeta)
+    e_minus = e_plus.conj()
     n = zeta.size
 
     def node(sign):
@@ -411,12 +337,7 @@ def _period_rotations(
         k[:, 0, 0] = k[:, 1, 1] = cos_k
         k[:, 0, 1] = sin_k * e_minus
         k[:, 1, 0] = sin_k * e_plus
-        bare = np.empty((n, 2, 2), dtype=complex)
-        bare[:, 0, 0] = alpha
-        bare[:, 0, 1] = sign * gamma
-        bare[:, 1, 0] = -sign * gamma
-        bare[:, 1, 1] = alpha.conj()
-        return k @ bare
+        return k @ _nodes(alpha, gamma, sign)
 
     free = np.zeros((n, 2, 2), dtype=complex)
     free[:, 0, 0] = e_plus
@@ -452,9 +373,9 @@ def single_period_rotation(p: DriveParameters) -> PeriodRotation:
     """Compose one period, G1 = U2 M2 U1 M1, and extract its rotation.
 
     Each M is a crossing node with the following turning point's kick folded
-    in (``period_steps``), so G1 is the one-period map of the dense drive to
-    first order in the turning-point rate, not the bare-node product whose
-    trace is 2[P + (1-P) cos 2(zeta + phi_s)].  Resonant driving corresponds
+    in (``_period_rotations``), so G1 is the one-period map of the dense
+    drive to first order in the turning-point rate, not the bare-node product
+    whose trace is 2[P + (1-P) cos 2(zeta + phi_s)].  Resonant driving corresponds
     to the axis lying in the Bloch xy plane; a vanishing rotation angle means
     destructive interference (no transfer no matter how long the drive runs).
     This is the one-point case of ``resonance_scan``.
@@ -479,21 +400,29 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     start state is dressed the same way, s = exp(+i thetadot/(2 Omega)
     sigma_x) c at t = 0, which with t_offset = 0 is half a trough kick.  With
     t_offset = 0 the trough samples are the period boundaries t = kT.
+
+    The segment maps come from the closed forms of ``_impulse_factors``, the
+    ones ``_period_rotations`` composes into G1; only the lead-in from t = 0
+    to the first crossing is a ``free_phase`` of its own.  The 2n + 1 samples
+    are refused past ``_MAX_SAMPLES``, as the dense route's are, before
+    anything is allocated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if 2 * n + 1 > _MAX_SAMPLES:
+        raise ValueError(f"{2 * n + 1:.3g} samples of {n} periods exceed {_MAX_SAMPLES}; "
+                         "lower n_periods")
     initial = initial or QubitState.ket0()
-    if p.epsilon_m_mhz == 0:
-        raise DegenerateDriveError("drive has no crossings to compose")
     _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)
-    node = LZNode.from_drive(p)
     T = p.period_ns
     tc1 = first_crossing(p)
-    first = _sweep_direction(p, tc1)
-    second = "down" if first == "up" else "up"
+    alpha, gamma, quarter, kick, up = _impulse_factors(p, np.array([p.epsilon_m_mhz]),
+                                                       np.array([T]))
 
-    def u_free(t1, t2):
-        return free_step(p, t1, t2).matrix
+    def free(zeta):  # U(zeta) = diag(e^{+i zeta}, e^{-i zeta})
+        return np.diag(np.exp(np.array([1j, -1j]) * zeta))
+
+    u = free(quarter)  # from a crossing to a turning point, or back
 
     if initial.basis is Basis.ADIABATIC:
         psi = initial.as_array()
@@ -505,18 +434,17 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     if np.mod(p.t_offset_ns, T) >= T / 2:  # t = 0 on the falling branch
         slope = -slope
     dressing = rotation_x(_dressing_angle(p, mhz_to_angular(epsilon_at(p, 0.0)), slope))
-    half_first = rotation_x(_kick_angle(p, first))
-    half_second = rotation_x(_kick_angle(p, second))
+    # half kicks of the turning points after the first and the second crossing
+    half_first = rotation_x(float(-up[0] * kick[0]))
+    half_second = rotation_x(float(up[0] * kick[0]))
 
     # constant segment maps between samples (the drive is periodic), from a
     # turning point's sample to the next one's
-    to_first = half_first @ u_free(tc1, tc1 + T / 4) @ _node_matrix(node, first)
-    first_to_second = (half_second @ u_free(tc1 + T / 2, tc1 + 3 * T / 4)
-                       @ _node_matrix(node, second) @ u_free(tc1 + T / 4, tc1 + T / 2)
-                       @ half_first)
-    second_to_first = to_first @ u_free(tc1 + 3 * T / 4, tc1 + T) @ half_second
+    to_first = half_first @ u @ _nodes(alpha, gamma, up)[0]
+    first_to_second = half_second @ u @ _nodes(alpha, gamma, -up)[0] @ u @ half_first
+    second_to_first = to_first @ u @ half_second
 
-    psi = to_first @ (u_free(0.0, tc1) @ (dressing @ psi))
+    psi = to_first @ (free(free_phase(p, 0.0, tc1)) @ (dressing @ psi))
     at_first = _unitary_powers(second_to_first @ first_to_second, psi, n)
     at_second = at_first @ first_to_second.T
 

@@ -27,7 +27,6 @@ from lzsim import (
     free_phase,
     lz_probability,
     mhz_to_angular,
-    mixing_matrix,
     rabi_frequency,
     ramsey_fit,
     resonance_scan,
@@ -37,8 +36,7 @@ from lzsim import (
 )
 from lzsim.analysis import basis_discrepancy
 from lzsim.model import epsilon_at
-from lzsim.transfer_matrix import period_steps
-from conftest import FIG3A, FIG3B, FIG3D
+from conftest import FIG3A, FIG3B, FIG3D, mixing_matrix, period_steps
 
 
 def report(criterion, label, ok, detail):

@@ -211,7 +211,11 @@ sample_every_ns = 100.0
         ("scenario = fig2c\nsample_every_ns = inf\n", "'sample_every_ns': must be finite"),
         ("scenario = fig2c\nt2_star_us = 1\ndetuning_mhz = 1e308\n", "too many to integrate"),
         ("scenario = fig2c\nsample_every_ns = 1e308\n", "steps: too many"),
-    ], ids=["detuning-inf", "sample-every-inf", "detuning-1e308", "sample-every-1e308"])
+        # 2n + 1 = 2**25 + 1 strobe samples, the first count past the dense route's cap
+        ("delta_mhz = 5.57\nepsilon_m_mhz = 100.0\nperiod_ns = 128.0\nn_periods = 16777216\n"
+         "method = transfer-matrix\n", "lower n_periods"),
+    ], ids=["detuning-inf", "sample-every-inf", "detuning-1e308", "sample-every-1e308",
+            "strobe-periods-2**24"])
     def test_non_finite_and_overflowing_values_exit_2(self, tmp_path, capsys, lines, message):
         conf = write(tmp_path, "run.conf", lines)
         out = tmp_path / "out"

@@ -14,7 +14,8 @@ from lzsim import (
     mhz_to_angular,
     sweep_rate,
 )
-from lzsim.model import eigenbasis_at, epsilon_integral, mixing_angle_at
+from lzsim.model import eigenbasis_at, mixing_angle_at
+from conftest import epsilon_integral
 
 
 def drive(em=100.0, T=128.0, delta=5.57, n=1, off=0.0):

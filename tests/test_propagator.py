@@ -12,11 +12,10 @@ from lzsim import (
     QubitState,
     evolve,
     evolve_ensemble_dephased,
-    evolve_lab_frame_toy,
 )
 from lzsim import propagator
 from lzsim.model import angular_to_mhz, mhz_to_angular
-from conftest import FIG3A, FIG3B, FIG3D, step_by_step
+from conftest import FIG3A, FIG3B, FIG3D, evolve_lab_frame_toy, step_by_step
 
 
 def resonant_drive(delta=5.0, n=8):
@@ -303,11 +302,11 @@ class TestNoiseQuadrature:
         w2 = w2 / w2.sum()
         grid = propagator._build_grid(p, cfg, span, every,
                                       extra_omega_ang=sigma * float(np.max(x2)))
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        w_of_t, b = propagator._drive_hamiltonian(p)
 
         def populations(nodes, weights):
             return propagator._dephased_populations(
-                grid, w_of_t, b_of_t, sigma * nodes / 2, weights, init.as_array(), cfg,
+                grid, w_of_t, b, sigma * nodes / 2, weights, init.as_array(), cfg,
                 propagator.rotation_x(readout) if readout else None)
 
         assert np.max(np.abs(populations(x, w) - populations(x2, w2))) < 1e-9
@@ -361,9 +360,9 @@ class TestPeriodicKernel:
             assert math.gcd(grid.s, grid.steps_per_period) < grid.s
             assert grid.n_tail > 0
         psi0 = QubitState(0.6, 0.8j).as_array()
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
-        dense = propagator._propagate((grid,), w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
-        stepped = step_by_step(grid, w_of_t, b_of_t, np.zeros(1), psi0, method)[0]
+        w_of_t, b = propagator._drive_hamiltonian(p)
+        dense = propagator._propagate((grid,), w_of_t, b, np.zeros(1), psi0, method)[0]
+        stepped = step_by_step(grid, w_of_t, b, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
@@ -386,8 +385,8 @@ class TestPeriodicKernel:
             extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning)))
             grid = propagator._build_grid(p, cfg, (0.0, 384.0), 10.0, extra_omega_ang=extra)
             assert 0 < grid.steps_per_period < grid.n_int * grid.s and grid.n_tail > 0
-            w_of_t, b_of_t = propagator._drive_hamiltonian(p)
-            stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang + mhz_to_angular(detuning),
+            w_of_t, b = propagator._drive_hamiltonian(p)
+            stepped = step_by_step(grid, w_of_t, b, offsets_ang + mhz_to_angular(detuning),
                                    psi0.as_array(), method)
             stepped = stepped @ propagator.rotation_x(readout).T
             ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
@@ -440,14 +439,14 @@ class TestPeriodicKernel:
         cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
                                norm_drift_tolerance=1e-3)
         grid = propagator._build_grid(p, cfg, (0.0, 256.0), 1.0, extra_omega_ang=1e-3)
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        w_of_t, b = propagator._drive_hamiltonian(p)
         psi0 = QubitState.ket0().as_array()
 
         def peak(n_members):
             half_offsets, weights = self._members(n_members)
             tracemalloc.start()
             try:
-                propagator._dephased_populations(grid, w_of_t, b_of_t, half_offsets, weights,
+                propagator._dephased_populations(grid, w_of_t, b, half_offsets, weights,
                                                  psi0, cfg, None)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -468,10 +467,10 @@ class TestPeriodicKernel:
             t_end = n_periods * p.period_ns
             grid = propagator._build_grid(p, cfg, (0.0, t_end), t_end / 10,
                                           extra_omega_ang=1e-3)
-            w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+            w_of_t, b = propagator._drive_hamiltonian(p)
             tracemalloc.start()
             try:
-                propagator._dephased_populations(grid, w_of_t, b_of_t, half_offsets, weights,
+                propagator._dephased_populations(grid, w_of_t, b, half_offsets, weights,
                                                  psi0, cfg, None)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -495,13 +494,13 @@ class TestMirroredPeriod:
         grid = propagator._build_grid(p, IntegratorConfig(method=method), (0.0, p.period_ns),
                                       None)
         assert grid.mirrored and grid.steps_per_period % 4 == 0
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        w_of_t, b = propagator._drive_hamiltonian(p)
         offsets = np.array([mhz_to_angular(offset_mhz) / 2])
         built = []
 
         def steps(rows, first, n):
             built.append(first + n)
-            return propagator._step_maps(method, grid.dt, 0.0, w_of_t, b_of_t, offsets, True,
+            return propagator._step_maps(method, grid.dt, 0.0, w_of_t, b, offsets,
                                          rows, first, n)
 
         return grid.steps_per_period, steps, built
@@ -560,8 +559,8 @@ class TestMirroredPeriod:
         psi0 = QubitState(0.6, 0.8j)
         traj = evolve(p, cfg, psi0, t_span=span, sample_every=every,
                       epsilon_offset_mhz=offset_mhz)
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
-        stepped = step_by_step(grid, w_of_t, b_of_t, np.array([off_ang]), psi0.as_array(),
+        w_of_t, b = propagator._drive_hamiltonian(p)
+        stepped = step_by_step(grid, w_of_t, b, np.array([off_ang]), psi0.as_array(),
                                method)[0]
         assert np.array_equal(traj.times, grid.times)
         assert np.max(np.abs(traj.amplitudes - stepped)) < 1e-11
@@ -580,8 +579,8 @@ class TestMirroredPeriod:
         grid = propagator._build_grid(p, cfg, (0.0, 384.0), 7.3,
                                       extra_omega_ang=float(np.max(np.abs(offsets_ang))))
         assert grid.mirrored and grid.n_tail > 0
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
-        stepped = step_by_step(grid, w_of_t, b_of_t, offsets_ang, QubitState.ket0().as_array(),
+        w_of_t, b = propagator._drive_hamiltonian(p)
+        stepped = step_by_step(grid, w_of_t, b, offsets_ang, QubitState.ket0().as_array(),
                                method)
         ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
         monkeypatch.setattr(propagator, "_SLAB", 8)
@@ -594,8 +593,8 @@ class TestMirroredPeriod:
 
 class TestRampMaps:
     """A mirrored grid's step maps from the drive's ramp (`_ramp_steps`),
-    against the maps `_step_maps` builds from the triangle at every step
-    boundary, RK4 with its midpoint as the mean of the step's ends."""
+    against the maps `_step_maps` builds from the triangle at every step's
+    ends and midpoint."""
 
     METHODS = TestMirroredPeriod.METHODS
 
@@ -610,12 +609,12 @@ class TestRampMaps:
         grid = propagator._build_grid(p, IntegratorConfig(method=method), (t0, t0 + p.period_ns),
                                       None)
         assert grid.mirrored
-        w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+        w_of_t, b = propagator._drive_hamiltonian(p)
         offsets = mhz_to_angular(np.array([0.0, 0.37, -2.5])) / 2
         half = grid.steps_per_period // 2
-        steps = propagator._ramp_steps(method, grid.dt, t0, half, w_of_t, b_of_t, offsets)
+        steps = propagator._ramp_steps(method, grid.dt, t0, half, w_of_t, b, offsets)
         for first, n in ((0, half), (half // 3, 17)):
-            want = propagator._step_maps(method, grid.dt, t0, w_of_t, b_of_t, offsets, True,
+            want = propagator._step_maps(method, grid.dt, t0, w_of_t, b, offsets,
                                          slice(None), first, n)
             assert np.max(np.abs(steps(slice(None), first, n) - want)) < 1e-14
 
@@ -632,9 +631,9 @@ class TestRampMaps:
         dt = np.array([[g.dt] for g in grids])
         t0 = np.zeros((4, 1))
         quarter = np.array([g.steps_per_period // 4 for g in grids])
-        w_of_t, b_of_t = propagator._drive_hamiltonian(drives[0], periods[:, None])
+        w_of_t, b = propagator._drive_hamiltonian(drives[0], periods[:, None])
         offsets = np.zeros(4)
-        steps = propagator._ramp_steps(method, dt, t0, 2 * quarter[:, None], w_of_t, b_of_t,
+        steps = propagator._ramp_steps(method, dt, t0, 2 * quarter[:, None], w_of_t, b,
                                        offsets)
         pad = quarter.max() - quarter
         lo, n = int(pad[2]) - 40, 300
@@ -642,7 +641,7 @@ class TestRampMaps:
         first = (lo - pad[rows])[:, None]
         assert first.min() < 0 < first.max() and first[2] + n > 0
         got = steps(rows, first, n)
-        want = propagator._step_maps(method, dt, t0, w_of_t, b_of_t, offsets, True, rows, first, n)
+        want = propagator._step_maps(method, dt, t0, w_of_t, b, offsets, rows, first, n)
         assert np.max(np.abs(got - want)) < 1e-14
         padding = first + np.arange(n) < 0
         assert np.all(got[0][padding] == 1.0) and np.all(got[1][padding] == 0.0)
@@ -667,8 +666,8 @@ class TestRampMaps:
         grids = tuple(propagator._build_grid(p, cfg, (0.0, p.period_ns / 2), p.period_ns / 2)
                       for p in drives)
         assert all(g.mirrored and not g.n_tail for g in grids)
-        w_of_t, b_of_t = propagator._drive_hamiltonian(drives[0], periods[:, None])
-        states = propagator._propagate(grids, counted(w_of_t), b_of_t, np.zeros(30), psi0,
+        w_of_t, b = propagator._drive_hamiltonian(drives[0], periods[:, None])
+        states = propagator._propagate(grids, counted(w_of_t), b, np.zeros(30), psi0,
                                        method)
         assert sum(evaluated) <= 2 * 30 < sum(g.steps_per_period for g in grids) // 4
         want = propagator.passage_transfers(5.57, 100.0, periods, cfg)
@@ -679,9 +678,9 @@ class TestRampMaps:
             p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=t_offset_ns)
             grid = propagator._build_grid(p, cfg, (0.0, 384.0), 32.0)
             assert grid.mirrored == (most is not None) and not grid.n_tail
-            w_of_t, b_of_t = propagator._drive_hamiltonian(p)
+            w_of_t, b = propagator._drive_hamiltonian(p)
             evaluated.clear()
-            propagator._propagate((grid,), counted(w_of_t), b_of_t, offsets, psi0, method)
+            propagator._propagate((grid,), counted(w_of_t), b, offsets, psi0, method)
             if most is None:  # off a turning point: at every step of the period
                 assert sum(evaluated) >= grid.steps_per_period
             else:

@@ -12,27 +12,30 @@ from lzsim import (
     DriveParameters,
     LZNode,
     ModelAccuracyWarning,
+    QubitState,
     evolve,
     free_phase,
     lz_probability,
     mhz_to_angular,
-    mixing_matrix,
     resonance_scan,
     single_period_rotation,
     stokes_phase,
     stroboscopic_evolve,
 )
 from lzsim.model import crossing_times, eigenbasis_at, epsilon_at
-from lzsim.transfer_matrix import (
+from lzsim.transfer_matrix import _arg_gamma, _unitary_powers, adiabaticity
+from conftest import (
+    FIG3A,
+    FIG3B,
+    FIG3D,
     StepKind,
-    _arg_gamma,
-    _sweep_direction,
-    _unitary_powers,
-    adiabaticity,
     free_step,
+    mixing_matrix,
+    ode_propagator,
     period_steps,
+    su2_axis_angle,
+    sweep_direction,
 )
-from conftest import FIG3A, FIG3B, FIG3D, ode_propagator, su2_axis_angle
 
 FAST = DriveParameters(**FIG3A, n_periods=8)
 SLOW = DriveParameters(**FIG3B, n_periods=8)
@@ -381,6 +384,22 @@ class TestStroboscopic:
             psi = g1 @ psi
         assert np.max(np.abs(_unitary_powers(g1, loop[0], n) - loop)) <= tol
 
+    @pytest.mark.parametrize("drive", [FIG3A, FIG3B, dict(FIG3D, t_offset_ns=19.0)],
+                             ids=["fig3a", "fig3b", "fig3d-offset19"])
+    def test_period_map_between_samples_is_g1(self, drive):
+        # the strobe and G1 compose one period from the same factors: the map
+        # A[k+1] A[k]^-1 from one first-turning-point sample to the next, with
+        # A[k] the diabatic amplitudes of the runs from |0> and |1> as columns,
+        # is G1 in another basis, so it rotates by G1's angle
+        p = DriveParameters(**drive, n_periods=6)
+        runs = [stroboscopic_evolve(p, 5, init).amplitudes
+                for init in (QubitState.ket0(), QubitState.ket1())]
+        a = np.stack(runs, axis=-1)[1::2]
+        g1_angle = single_period_rotation(p).rotation_angle
+        for k in range(len(a) - 1):
+            angle, _ = su2_axis_angle(a[k + 1] @ np.linalg.inv(a[k]))
+            assert abs(angle - g1_angle) <= 1e-12
+
     @pytest.mark.parametrize("scale", [1.0, -1.0, np.exp(0.3j)])
     def test_closed_form_powers_of_a_multiple_of_identity(self, scale):
         psi = np.array([0.6, 0.8j])
@@ -449,7 +468,7 @@ class TestBatchedScan:
         values = np.linspace(start, stop, n)
         if t_offset:
             # the first crossing sweeps down below T = 160 ns and up above it
-            sweeps = {_sweep_direction(d, crossing_times(d)[0]) for d in
+            sweeps = {sweep_direction(d, crossing_times(d)[0]) for d in
                       (dataclasses.replace(base, period_ns=T) for T in (values[0], values[-1]))}
             assert sweeps == {"up", "down"}
         got = _scan_columns(resonance_scan(base, parameter, values))
