@@ -44,7 +44,6 @@ from .propagator import (
     passage_transfers,
 )
 from .transfer_matrix import (
-    LZNode,
     PeriodRotation,
     ScanPoint,
     free_phase,

@@ -1,9 +1,13 @@
 """Series file reading/writing: CSV for plotting, JSON for programs.
 
 Every file carries the schema version and a flattened provenance block.
-Floats are rendered with ``repr`` (shortest round-trip form), so identical
-runs produce identical bytes.  Writes go to a temporary file in the target
-directory followed by an atomic rename; a failed run leaves nothing behind.
+Floats are written in their shortest round-trip form, exactly as ``repr``
+writes them, so identical runs produce identical bytes.  The CSV body is
+rendered by orjson, whose shortest digits are ``repr``'s; only rows holding a
+cell that orjson writes in another notation (non-zero below 1e-4, from 1e16
+up, non-finite) go through ``repr``.  Writes go to a temporary file in the
+target directory followed by an atomic rename; a failed run leaves nothing
+behind.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .model import Basis, DriveParameters, epsilon_at
 from .propagator import Trajectory
 
 SCHEMA_VERSION = 1
+# rows per orjson call: the row strings of one block are alive at a time
+_BLOCK_ROWS = 4096
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -106,19 +112,27 @@ def series_table(
 
 def render_series_csv(columns, rows, provenance: dict) -> str:
     """Header, column names and one line per row; NaN cells are left empty."""
+    import orjson  # only commands that write a CSV pay its import
+
     flat: dict[str, str] = {}
     _flatten("", provenance, flat)
     lines = [f"# lzsim-series schema={SCHEMA_VERSION}"]
     lines += [f"# {k} = {v}" for k, v in sorted(flat.items())]
     lines.append(",".join(columns))
-    data = np.asarray(rows, dtype=float)
-    # one %-format over the whole table: %r is repr, the shortest round trip
-    line = ",".join(["%r"] * (data.shape[1] if data.ndim == 2 else 0)) + "\n"
-    body = (line * len(data)) % tuple(data.ravel().tolist())
-    if np.isnan(data).any():
-        # repr writes NaN as 'nan', and no other float's repr contains it
-        body = body.replace("nan", "")
-    return "\n".join(lines) + "\n" + body
+    data = np.ascontiguousarray(rows, dtype=np.float64)  # orjson refuses other layouts
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        block_lines = text[2:-2].split("],[")  # '[[a,b],[c,d]]' -> ['a,b', 'c,d']
+        # orjson writes repr's digits, but in its own notation below 1e-4 and
+        # from 1e16 up, and non-finite cells as 'null': those rows go through repr
+        mag = np.abs(block)
+        off_notation = (block != 0) & ~((mag >= 1e-4) & (mag < 1e16))
+        for i in np.flatnonzero(off_notation.any(axis=1)):
+            # repr writes NaN as 'nan', and no other float's repr contains it
+            block_lines[i] = ",".join(map(repr, block[i].tolist())).replace("nan", "")
+        lines.append("\n".join(block_lines))
+    return "\n".join(lines) + "\n"
 
 
 def render_series_json(columns, rows, provenance: dict) -> str:
@@ -153,15 +167,18 @@ def write_series(
 def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
     """Parse a series file (either format) into (meta, columns, data).
 
-    Missing values come back as NaN.  CSV meta is the flattened provenance;
-    JSON meta is the nested provenance dict.
+    Missing values come back as NaN, and a file without rows as shape
+    (0, len(columns)).  CSV meta is the flattened provenance; JSON meta is the
+    nested provenance dict.  Rows whose width is not the number of columns
+    raise ValueError.
     """
     path = Path(path)
     text = path.read_text()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        # a None cell becomes NaN
-        return doc["provenance"], list(doc["columns"]), np.array(doc["rows"], dtype=float)
+        columns = list(doc["columns"])
+        data = np.array(doc["rows"], dtype=float)  # a None cell becomes NaN
+        return doc["provenance"], columns, _table(path, columns, data)
     meta: dict[str, str] = {}
     columns: list[str] = []
     # the header is the leading '#' and blank lines, then the column names;
@@ -180,20 +197,42 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
             columns = line.split(",")
     if not columns:
         raise ValueError(f"{path}: no column header found")
-    body = text[start:]
-    if not body.strip():
-        return meta, columns, np.array([], dtype=float)
+    # the body without its leading and trailing line breaks, cut in one copy
+    stop = len(text)
+    while stop > start and text[stop - 1] in "\r\n":
+        stop -= 1
+    while start < stop and text[start] in "\r\n":
+        start += 1
+    body = text[start:stop]
+    del text  # parse with only the body alive
+    if not body or body.isspace():
+        return meta, columns, _table(path, columns, np.array([], dtype=float))
     lines = _fill_empty_cells(body).splitlines()
     if " " in body or "\t" in body:  # the parser refuses a line of blanks; skip those
         lines = [line for line in lines if line.strip()]
-    return meta, columns, np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    return meta, columns, _table(path, columns, data)
+
+
+def _table(path: Path, columns: list[str], data: np.ndarray) -> np.ndarray:
+    """``data`` as a (rows, columns) table: no rows is shape (0, len(columns));
+    rows of another width are refused."""
+    if not len(data):
+        return np.empty((0, len(columns)))
+    if data.ndim != 2:
+        raise ValueError(f"{path}: the rows are not lists of cells")
+    if data.shape[1] != len(columns):
+        raise ValueError(f"{path}: rows of {data.shape[1]} cells under "
+                         f"{len(columns)} columns ({','.join(columns)})")
+    return data
 
 
 def _fill_empty_cells(body: str) -> str:
-    """The CSV body with every empty cell written as 'nan', which the
-    one-call parser reads as NaN (it refuses empty cells)."""
-    body = "\n" + body.strip("\r\n") + "\n"
-    if ",," in body or "\n," in body or ",\n" in body:
+    """The CSV body (no leading or trailing line break) with every empty cell
+    written as 'nan', which the one-call parser reads as NaN (it refuses empty
+    cells).  A body without empty cells comes back as it is, uncopied."""
+    if ",," in body or "\n," in body or ",\n" in body or body[0] == "," or body[-1] == ",":
+        body = "\n" + body + "\n"  # so that the first and last cells have neighbours
         for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
             body = body.replace(",,", ",nan,")
         body = body.replace("\n,", "\nnan,").replace(",\n", ",nan\n")

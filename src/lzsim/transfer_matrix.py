@@ -73,37 +73,6 @@ from .propagator import _MAX_SAMPLES, Trajectory, rotation_x
 
 
 @dataclass(frozen=True)
-class LZNode:
-    """One avoided-crossing passage: survival probability, Stokes phase,
-    and the adiabaticity parameter delta = Delta^2/(4v) (angular units)."""
-
-    p_lz: float
-    phi_s: float
-    delta_adiab: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_lz <= 1.0:
-            raise ValueError(f"p_lz must be in [0, 1], got {self.p_lz}")
-        if self.delta_adiab <= 0:
-            raise ValueError(f"delta_adiab must be positive, got {self.delta_adiab}")
-        # phi_s decreases from pi/4 through zero (near delta ~ 2.4) and
-        # approaches 0 from below as -1/(12 delta) deep in the adiabatic limit
-        if not -0.05 < self.phi_s <= math.pi / 4 + 1e-12:
-            raise ValueError(f"phi_s must lie in (-0.05, pi/4], got {self.phi_s}")
-        if abs(self.p_lz - math.exp(-2 * math.pi * self.delta_adiab)) > 1e-12:
-            raise ValueError("p_lz inconsistent with exp(-2*pi*delta_adiab)")
-
-    @classmethod
-    def from_drive(cls, p: DriveParameters) -> "LZNode":
-        delta_adiab = adiabaticity(p)
-        return cls(
-            p_lz=math.exp(-2 * math.pi * delta_adiab),
-            phi_s=stokes_phase(delta_adiab),
-            delta_adiab=delta_adiab,
-        )
-
-
-@dataclass(frozen=True)
 class PeriodRotation:
     """Net rotation per drive period: G1 with its SU(2) angle and Bloch axis."""
 
@@ -263,8 +232,10 @@ def _impulse_factors(p: DriveParameters, epsilon_m_mhz: np.ndarray,
     Returns arrays (n,):
 
     - ``alpha`` and ``gamma``: the node of an up-sweep crossing is
-      [[alpha, gamma], [-gamma, alpha*]], that of a down-sweep has -gamma
-      (P and phi_s of ``LZNode.from_drive``);
+      [[alpha, gamma], [-gamma, alpha*]], that of a down-sweep has -gamma,
+      with alpha = sqrt(1 - P) exp(i phi_s) and gamma = sqrt(P), where
+      P = exp(-2 pi delta), phi_s = ``stokes_phase(delta)`` and delta =
+      Delta^2/(4v) is the crossing's ``adiabaticity``;
     - ``quarter``: the free phase zeta/2 from a crossing to the next turning
       point, A(eps_m)/(2 slope) with A(u) = (u hypot(u, m) + m^2 asinh(u/m))/2
       the antiderivative ``free_phase`` integrates; every quarter period holds

@@ -11,16 +11,17 @@ from lzsim import (
     DegenerateDriveError,
     DriveParameters,
     IntegratorConfig,
-    LZNode,
     QubitState,
     Trajectory,
     evolve,
     free_phase,
     mhz_to_angular,
+    stokes_phase,
     sweep_rate,
 )
 from lzsim import propagator
 from lzsim.model import first_crossing
+from lzsim.transfer_matrix import adiabaticity
 
 # published drive-parameter classes used throughout the suite
 FIG3A = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0)
@@ -230,6 +231,37 @@ def evolve_lab_frame_toy(delta_mhz, omega0_mhz, drive, t_span=None, sample_every
 # ---------------------------------------------------------------------------
 # per-point impulse factorization: the oracle of the batched composition
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LZNode:
+    """One avoided-crossing passage: survival probability, Stokes phase,
+    and the adiabaticity parameter delta = Delta^2/(4v) (angular units)."""
+
+    p_lz: float
+    phi_s: float
+    delta_adiab: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.p_lz <= 1.0:
+            raise ValueError(f"p_lz must be in [0, 1], got {self.p_lz}")
+        if self.delta_adiab <= 0:
+            raise ValueError(f"delta_adiab must be positive, got {self.delta_adiab}")
+        # phi_s decreases from pi/4 through zero (near delta ~ 2.4) and
+        # approaches 0 from below as -1/(12 delta) deep in the adiabatic limit
+        if not -0.05 < self.phi_s <= math.pi / 4 + 1e-12:
+            raise ValueError(f"phi_s must lie in (-0.05, pi/4], got {self.phi_s}")
+        if abs(self.p_lz - math.exp(-2 * math.pi * self.delta_adiab)) > 1e-12:
+            raise ValueError("p_lz inconsistent with exp(-2*pi*delta_adiab)")
+
+    @classmethod
+    def from_drive(cls, p: DriveParameters) -> "LZNode":
+        delta_adiab = adiabaticity(p)
+        return cls(
+            p_lz=math.exp(-2 * math.pi * delta_adiab),
+            phi_s=stokes_phase(delta_adiab),
+            delta_adiab=delta_adiab,
+        )
 
 
 class StepKind(str, Enum):

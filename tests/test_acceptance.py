@@ -19,7 +19,6 @@ from lzsim import (
     Basis,
     DriveParameters,
     IntegratorConfig,
-    LZNode,
     QubitState,
     Trajectory,
     evolve,
@@ -36,7 +35,7 @@ from lzsim import (
 )
 from lzsim.analysis import basis_discrepancy
 from lzsim.model import epsilon_at
-from conftest import FIG3A, FIG3B, FIG3D, mixing_matrix, period_steps
+from conftest import FIG3A, FIG3B, FIG3D, LZNode, mixing_matrix, period_steps
 
 
 def report(criterion, label, ok, detail):

@@ -557,6 +557,10 @@ norm_tolerance = 1e-9
         assert not (tmp_path / "out").exists()
 
 
+def _series_json(rows):
+    return json.dumps({"schema": 1, "provenance": {}, "columns": ["t_ns", "P0", "P1"], "rows": rows})
+
+
 class TestAnalyze:
     def test_rabi_on_series_file(self, tmp_path, capsys):
         conf = write(tmp_path, "run.conf", """\
@@ -584,6 +588,28 @@ sample_every_ns = 4.0
         assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["analyze", "rabi", str(tmp_path / "custom_series.csv")]) == 3
+
+    @pytest.mark.parametrize("name, text", [
+        ("header_only.csv", "# lzsim-series schema=1\nt_ns,P0,P1\n"),
+        ("no_rows.json", _series_json([])),
+    ], ids=["csv", "json"])
+    def test_series_without_rows_exits_2(self, tmp_path, capsys, name, text):
+        path = write(tmp_path, name, text)
+        assert read_series(Path(path))[2].shape == (0, 3)
+        assert main(["analyze", "rabi", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name, text", [
+        ("narrow.csv", "# lzsim-series schema=1\nt_ns,P0,P1\n0.0,1.0\n1.0,0.5\n"),
+        ("narrow.json", _series_json([[0.0, 1.0], [1.0, 0.5]])),
+        ("flat.json", _series_json([0.0, 1.0])),
+    ], ids=["csv", "json", "json-flat"])
+    def test_rows_narrower_than_header_exit_2(self, tmp_path, capsys, name, text):
+        path = write(tmp_path, name, text)
+        with pytest.raises(ValueError, match=name):
+            read_series(Path(path))
+        assert main(["analyze", "rabi", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestConfigRoundTrip:

@@ -1,7 +1,8 @@
 """Start-up cost: importing the CLI, parsing configs and running the commands
 that need no fit load no scipy module.  scipy is imported only by the two
 curve fits (`ramsey_fit` and the coupling fit of the lz_probability sweep),
-when they run; importing it costs more than most runs."""
+when they run; importing it costs more than most runs.  orjson is imported
+only when a command renders a CSV, so start-up does not load it either."""
 
 import subprocess
 import sys
@@ -29,6 +30,7 @@ for name, text in configs.items():
     (out / name).write_text(text)
 load_run_config(out / "dense.conf")
 load_sweep_config(out / "scan.conf")
+assert "orjson" not in sys.modules, "orjson loaded before any command ran"
 for argv in (["simulate", "dense.conf"], ["simulate", "impulse.conf"], ["sweep", "scan.conf"]):
     code = lzsim.cli.main([argv[0], str(out / argv[1]), "--out", str(out)])
     assert code == 0, (argv, code)

@@ -1,16 +1,19 @@
 """Series tables and their rendering: the [0, 1] bound, the clamp of float
-dust, empty overlay cells, and the exact bytes of real outputs."""
+dust, empty overlay cells, and the exact bytes of real outputs and of any
+table against one %r format."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lzsim import DriveParameters, run_figure, stroboscopic_evolve
 from lzsim.cli import main
 from lzsim.model import Basis, epsilon_at
 from lzsim.propagator import Trajectory
-from lzsim.seriesio import read_series, write_series
+from lzsim.seriesio import read_series, render_series_csv, write_series
 from conftest import FIG3A
 
 
@@ -171,3 +174,55 @@ class TestBytes:
         columns, rows = _reference_rows(stroboscopic_evolve(drive, 200), drive)
         assert len(rows) == 401
         assert _data_lines(out / "custom_series.csv") == _reference_csv_lines(columns, rows)
+
+
+def _percent_r_body(rows):
+    """The CSV body as series files have always been written: one %r format
+    over the whole table (%r is repr), NaN cells left empty."""
+    data = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * (data.shape[1] if data.ndim == 2 else 0)) + "\n"
+    return ((line * len(data)) % tuple(data.ravel().tolist())).replace("nan", "")
+
+
+# both sides of the edges (1e-4, 1e16) of the notation orjson shares with
+# repr, signed zeros, subnormals and non-finite cells
+_EDGES = [float(x) for edge in (1e-4, 1e16)
+          for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
+_SPECIAL = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.inf, np.nan] + _EDGES
+_CELLS = st.one_of(
+    st.sampled_from(_SPECIAL + [-x for x in _SPECIAL]),
+    st.floats(),  # every float: subnormals, NaN and both infinities included
+    st.floats(0.0, 1.0),  # probabilities
+)
+
+
+@st.composite
+def _tables(draw):
+    """A table as callers pass one: C- or Fortran-ordered, column-sliced, or a
+    list of tuples (the sweep rows), from no rows to more than one block."""
+    n_rows = draw(st.sampled_from([*range(21), 4096, 4097, 8193]))
+    n_cols = draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(["C", "F", "column-sliced", "tuples"]))
+    width = 2 * n_cols if layout == "column-sliced" else n_cols
+    drawn = draw(hnp.arrays(np.float64, (min(n_rows, 20), width), elements=_CELLS))
+    table = np.resize(drawn, (n_rows, width))  # a longer table repeats the drawn rows
+    if layout == "F":
+        return np.asfortranarray(table)
+    if layout == "column-sliced":
+        return table[:, draw(st.sampled_from([slice(None, None, 2), slice(1, None, 2)]))]
+    if layout == "tuples":
+        return [tuple(row) for row in table.tolist()]
+    return table
+
+
+class TestRenderBody:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_tables())
+    def test_same_bytes_as_percent_r(self, rows):
+        names = [f"c{j}" for j in range(np.asarray(rows).shape[1] if len(rows) else 0)]
+        header, columns, body = render_series_csv(names, rows, {}).split("\n", 2)
+        assert (header, columns) == ("# lzsim-series schema=1", ",".join(names))
+        # row by row: on a failure, a diff of the whole body would take minutes
+        got, want = body.split("\n"), _percent_r_body(rows).split("\n")
+        wrong_rows = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert len(got) == len(want) and not wrong_rows[:3]

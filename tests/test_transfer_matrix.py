@@ -10,7 +10,6 @@ from scipy.optimize import brentq, minimize_scalar
 from lzsim import (
     DegenerateDriveError,
     DriveParameters,
-    LZNode,
     ModelAccuracyWarning,
     QubitState,
     evolve,
@@ -28,6 +27,7 @@ from conftest import (
     FIG3A,
     FIG3B,
     FIG3D,
+    LZNode,
     StepKind,
     free_step,
     mixing_matrix,
