@@ -53,11 +53,6 @@ class FitResult:
             raise ValueError("frequency_mhz must be positive")
 
 
-def basis_discrepancy(ratio: float) -> float:
-    """Wrong-branch weight (1 - cos(theta))/2 at |eps| = ratio * delta."""
-    return (1.0 - ratio / math.hypot(ratio, 1.0)) / 2.0
-
-
 def _eigenbasis_rotation(p: DriveParameters, times: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Each sample's amplitudes times the eigenbasis matrix [[-s, c], [c, s]]
     (`eigenbasis_at`) at its time.  The matrix is real, symmetric and

@@ -8,11 +8,17 @@ cell that orjson writes in another notation (non-zero below 1e-4, from 1e16
 up, non-finite) go through ``repr``.  Writes go to a temporary file in the
 target directory followed by an atomic rename; a failed run leaves nothing
 behind.
+
+orjson reads the CSV body too, one block of rows per call, when the body
+holds only the bytes lzsim writes; any other body is read cell by cell.  A
+row of the wrong width, or a cell that is not a number, is refused with the
+file and its line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -23,8 +29,10 @@ from .model import Basis, DriveParameters, epsilon_at
 from .propagator import Trajectory
 
 SCHEMA_VERSION = 1
-# rows per orjson call: the row strings of one block are alive at a time
+# rows per orjson call, written or read: one block's strings are alive at a time
 _BLOCK_ROWS = 4096
+# the bytes of every CSV body lzsim writes
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -169,24 +177,31 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
 
     Missing values come back as NaN, and a file without rows as shape
     (0, len(columns)).  CSV meta is the flattened provenance; JSON meta is the
-    nested provenance dict.  Rows whose width is not the number of columns
-    raise ValueError.
+    nested provenance dict.
+
+    A CSV body made only of the bytes lzsim writes (digits, ``.eE+-``, commas
+    and line breaks) is parsed by orjson, ``_BLOCK_ROWS`` rows per call; any
+    other body (blanks, CR, ``nan``/``inf``, comment lines) is parsed cell by
+    cell as ``float()`` reads it, skipping blank lines and ``#`` comments.
+    Both read an empty cell as NaN.  A row whose width is not the number of
+    columns, or a cell that is not a number, raises ValueError naming the file
+    and its line.
     """
     path = Path(path)
-    text = path.read_text()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
+    raw = path.read_bytes()
+    if raw.lstrip().startswith(b"{"):
+        doc = json.loads(raw)
         columns = list(doc["columns"])
         data = np.array(doc["rows"], dtype=float)  # a None cell becomes NaN
         return doc["provenance"], columns, _table(path, columns, data)
     meta: dict[str, str] = {}
     columns: list[str] = []
     # the header is the leading '#' and blank lines, then the column names;
-    # the body after it goes to the parser whole
+    # only the header is decoded
     start = 0
-    while start < len(text) and not columns:
-        end = text.find("\n", start) + 1 or len(text)
-        line = text[start:end].strip()
+    while start < len(raw) and not columns:
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        line = raw[start:end].decode().strip()
         start = end
         if line.startswith("#"):
             body = line[1:].strip()
@@ -198,20 +213,99 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
     if not columns:
         raise ValueError(f"{path}: no column header found")
     # the body without its leading and trailing line breaks, cut in one copy
-    stop = len(text)
-    while stop > start and text[stop - 1] in "\r\n":
+    stop = len(raw)
+    while stop > start and raw[stop - 1] in b"\r\n":
         stop -= 1
-    while start < stop and text[start] in "\r\n":
+    while start < stop and raw[start] in b"\r\n":
         start += 1
-    body = text[start:stop]
-    del text  # parse with only the body alive
+    first_line = raw.count(b"\n", 0, start) + 1
+    body = raw[start:stop]
+    del raw  # parse with only the body alive
     if not body or body.isspace():
         return meta, columns, _table(path, columns, np.array([], dtype=float))
-    lines = _fill_empty_cells(body).splitlines()
-    if " " in body or "\t" in body:  # the parser refuses a line of blanks; skip those
-        lines = [line for line in lines if line.strip()]
-    data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    return meta, columns, _table(path, columns, data)
+    if body.translate(None, _PLAIN_BYTES):
+        return meta, columns, _parse_cells(path, body.splitlines(), first_line, columns)
+    return meta, columns, _parse_plain(path, body, first_line, columns)
+
+
+def _parse_plain(path: Path, body: bytes, first_line: int, columns: list[str]) -> np.ndarray:
+    """A body of plain bytes as a (rows, columns) table: the widths checked
+    from the comma and line-break positions, the cells parsed by orjson."""
+    import orjson  # only commands that read a CSV pay its import
+
+    n = len(columns)
+    b = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)  # the line break after every row but the last
+    if ends.size and (np.diff(ends) == 1).any():  # blank lines are skipped there
+        return _parse_cells(path, body.splitlines(), first_line, columns)
+    commas = np.flatnonzero(b == 44)
+    rows = ends.size + 1
+    # n - 1 commas in every row: as many in all, and each line break between
+    # the last comma of its row and the first of the next
+    even = commas.size == rows * (n - 1)
+    if even and n > 1:
+        by_row = commas.reshape(rows, n - 1)
+        even = bool(((by_row[:-1, -1] < ends) & (by_row[1:, 0] > ends)).all())
+    if not even:  # the first ragged row, for the message
+        widths = np.bincount(np.searchsorted(ends, commas), minlength=rows) + 1
+        row = int(np.flatnonzero(widths != n)[0])
+        raise ValueError(_width_error(path, first_line + row, int(widths[row]), columns))
+    # each cell ends at a separator: a comma, a line break or the body's end
+    seps = np.concatenate((commas, ends, [b.size]))
+    del commas
+    before = b[seps - 1]
+    has_empty = b[0] == 44 or bool(((before == 44) | (before == 10)).any())
+    # JSON reads the integer '-0' as 0, float() as -0.0: such bodies go cell by cell
+    minus_zero = seps[(before == 48) & (b[np.maximum(seps - 2, 0)] == 45)]
+    lead = b[np.maximum(minus_zero - 3, 0)]
+    if ((minus_zero == 2) | (lead == 44) | (lead == 10)).any():
+        return _parse_cells(path, body.splitlines(), first_line, columns)
+    del seps, before
+    # block k is body[cuts[k] + 1:cuts[k + 1]]
+    cuts = np.concatenate(([-1], ends[_BLOCK_ROWS - 1::_BLOCK_ROWS], [b.size])).tolist()
+    data = np.empty((rows, n))
+    for first, lo, hi in zip(range(0, rows, _BLOCK_ROWS), cuts, cuts[1:]):
+        chunk = body[lo + 1:hi]
+        text = b"[" + chunk.replace(b"\n", b",") + b"]"
+        if has_empty:  # an empty cell sits between two separators or at an end
+            for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
+                text = text.replace(b",,", b",null,")
+            text = text.replace(b"[,", b"[null,").replace(b",]", b",null]")
+        try:
+            cells = orjson.loads(text)
+        except orjson.JSONDecodeError:  # a number JSON does not write, such as '.5' or '1e400'
+            cells = _parse_cells(path, chunk.splitlines(), first_line + first, columns)
+        block = data[first:first + _BLOCK_ROWS]
+        block[...] = np.array(cells, dtype=float).reshape(block.shape)  # None -> NaN
+    return data
+
+
+def _parse_cells(path: Path, lines: list[bytes], first_line: int, columns: list[str]) -> np.ndarray:
+    """Body lines parsed cell by cell with ``float()``: an empty cell is NaN,
+    blank lines and ``#`` comments are skipped."""
+    n = len(columns)
+    rows = []
+    for line_no, line in enumerate(lines, first_line):
+        line = line.partition(b"#")[0]
+        if not line.strip():
+            continue
+        cells = line.split(b",")
+        if len(cells) != n:
+            raise ValueError(_width_error(path, line_no, len(cells), columns))
+        row = []
+        for cell in cells:
+            try:
+                row.append(float(cell) if cell else math.nan)
+            except ValueError:
+                text = cell.decode(errors="replace").strip()
+                raise ValueError(f"{path}: line {line_no}: {text!r} is not a number") from None
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, n)
+
+
+def _width_error(path: Path, line_no: int, width: int, columns: list[str]) -> str:
+    return (f"{path}: line {line_no}: a row of {width} cells under "
+            f"{len(columns)} columns ({','.join(columns)})")
 
 
 def _table(path: Path, columns: list[str], data: np.ndarray) -> np.ndarray:
@@ -225,18 +319,6 @@ def _table(path: Path, columns: list[str], data: np.ndarray) -> np.ndarray:
         raise ValueError(f"{path}: rows of {data.shape[1]} cells under "
                          f"{len(columns)} columns ({','.join(columns)})")
     return data
-
-
-def _fill_empty_cells(body: str) -> str:
-    """The CSV body (no leading or trailing line break) with every empty cell
-    written as 'nan', which the one-call parser reads as NaN (it refuses empty
-    cells).  A body without empty cells comes back as it is, uncopied."""
-    if ",," in body or "\n," in body or ",\n" in body or body[0] == "," or body[-1] == ",":
-        body = "\n" + body + "\n"  # so that the first and last cells have neighbours
-        for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
-            body = body.replace(",,", ",nan,")
-        body = body.replace("\n,", "\nnan,").replace(",\n", ",nan\n")
-    return body
 
 
 def render_table_csv(columns, rows, provenance: dict) -> str:

@@ -365,3 +365,8 @@ def period_steps(p):
     u1 = free_step(p, tc1, tc2)
     u2 = free_step(p, tc2, tc3)
     return [kicked_node(p, node, tc1, u1), u1, kicked_node(p, node, tc2, u2), u2]
+
+
+def basis_discrepancy(ratio: float) -> float:
+    """Wrong-branch weight (1 - cos(theta))/2 at |eps| = ratio * delta."""
+    return (1.0 - ratio / math.hypot(ratio, 1.0)) / 2.0

@@ -33,9 +33,9 @@ from lzsim import (
     single_period_rotation,
     stroboscopic_evolve,
 )
-from lzsim.analysis import basis_discrepancy
 from lzsim.model import epsilon_at
-from conftest import FIG3A, FIG3B, FIG3D, LZNode, mixing_matrix, period_steps
+from conftest import (FIG3A, FIG3B, FIG3D, LZNode, basis_discrepancy, mixing_matrix,
+                      period_steps)
 
 
 def report(criterion, label, ok, detail):

@@ -19,9 +19,8 @@ from lzsim import (
     to_adiabatic,
     to_diabatic,
 )
-from lzsim.analysis import basis_discrepancy
 from lzsim.model import epsilon_at
-from conftest import FIG3B, FIG3D
+from conftest import FIG3B, FIG3D, basis_discrepancy
 
 
 def slow_traj(n_periods=3):

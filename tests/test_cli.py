@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -610,6 +611,28 @@ sample_every_ns = 4.0
             read_series(Path(path))
         assert main(["analyze", "rabi", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("body", ["0.0,1.0,0.0\n1.0,0.5\n2.0,0.25,0.75\n",
+                                      "0.0,1.0,0.0\n\n1.0,0.5\n2.0,nan,0.75\n"],
+                             ids=["plain", "cell-by-cell"])
+    def test_ragged_csv_row_names_its_line(self, tmp_path, capsys, body):
+        path = write(tmp_path, "ragged.csv", "# lzsim-series schema=1\nt_ns,P0,P1\n" + body)
+        line = 5 if "\n\n" in body else 4
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(path)}: line {line}: a row of 2 cells under 3"):
+            read_series(Path(path))
+        assert main(["analyze", "rabi", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line}: ")
+
+    @pytest.mark.parametrize("cell", ["abc", "é", "1e5e"])
+    def test_csv_cell_not_a_number_names_its_line(self, tmp_path, capsys, cell):
+        path = write(tmp_path, "bad.csv",
+                     f"# lzsim-series schema=1\nt_ns,P0,P1\n0.0,1.0,0.0\n1.0,{cell},0.5\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(path)}: line 4: '{cell}' is not a number"):
+            read_series(Path(path))
+        assert main(["analyze", "rabi", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 4: ")
 
 
 class TestConfigRoundTrip:

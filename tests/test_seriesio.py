@@ -3,6 +3,7 @@ dust, empty overlay cells, and the exact bytes of real outputs and of any
 table against one %r format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lzsim import DriveParameters, run_figure, stroboscopic_evolve
 from lzsim.cli import main
 from lzsim.model import Basis, epsilon_at
 from lzsim.propagator import Trajectory
+from lzsim import seriesio
 from lzsim.seriesio import read_series, render_series_csv, write_series
 from conftest import FIG3A
 
@@ -226,3 +228,128 @@ class TestRenderBody:
         got, want = body.split("\n"), _percent_r_body(rows).split("\n")
         wrong_rows = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
         assert len(got) == len(want) and not wrong_rows[:3]
+
+
+# the cells written through repr (below 1e-4, from 1e16 up, non-finite) beside
+# those orjson writes
+_ROUND_TRIP_CELLS = st.one_of(_CELLS, st.sampled_from([1e-5, -1e-5, 1e16, -2.5e16, 1e300]))
+
+
+@st.composite
+def _series_tables(draw):
+    """A table of up to three reading blocks, its NaN cells (written empty)
+    drawn as the one NaN the reader returns.  At least two columns: a
+    one-column row with an empty cell is a blank line, which readers skip."""
+    n_rows = draw(st.sampled_from([*range(21), 4095, 4096, 4097, 8193]))
+    n_cols = draw(st.integers(2, 6))
+    drawn = draw(hnp.arrays(np.float64, (min(n_rows, 20), n_cols), elements=_ROUND_TRIP_CELLS))
+    table = np.resize(drawn, (n_rows, n_cols))  # a longer table repeats the drawn rows
+    table[np.isnan(table)] = np.nan
+    return table
+
+
+def _write_csv(tmp_path, table):
+    path = tmp_path / "table.csv"
+    path.write_text(render_series_csv([f"c{j}" for j in range(table.shape[1])], table, {}))
+    return path
+
+
+def _same(data, table):
+    return data.shape == table.shape and data.tobytes() == table.tobytes()
+
+
+def _not_cell_by_cell(*args):
+    raise AssertionError("a written body went cell by cell")
+
+
+class TestRead:
+    """Written tables read back bit for bit, across the reader's blocks."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_series_tables())
+    def test_round_trip(self, tmp_path_factory, table):
+        path = _write_csv(tmp_path_factory.mktemp("round_trip"), table)
+        _, columns, data = read_series(path)
+        assert columns == [f"c{j}" for j in range(table.shape[1])]
+        assert _same(data, table)
+
+    @pytest.mark.parametrize("n_rows", [4095, 4096, 4097, 8193])
+    def test_block_boundaries(self, tmp_path, monkeypatch, n_rows):
+        monkeypatch.setattr(seriesio, "_parse_cells", _not_cell_by_cell)
+        table = np.arange(3.0 * n_rows).reshape(n_rows, 3) / 7
+        assert _same(read_series(_write_csv(tmp_path, table))[2], table)
+
+    def test_empty_cells_at_block_ends(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(seriesio, "_parse_cells", _not_cell_by_cell)
+        # the first and the last cell of each of the three blocks, and a run
+        table = np.arange(3.0 * 8193).reshape(8193, 3) / 7
+        for first, last in ((0, 4095), (4096, 8191), (8192, 8192)):
+            table[first, 0] = table[last, -1] = np.nan
+        table[5] = np.nan
+        path = _write_csv(tmp_path, table)
+        assert path.read_text().split("\n")[2 + 4096].startswith(",")  # file line 4099
+        assert _same(read_series(path)[2], table)
+
+    @pytest.mark.parametrize("edit, width", [("drop", 2), ("pull", 4), ("push", 2)])
+    def test_ragged_row_in_second_block_names_its_line(self, tmp_path, edit, width):
+        # body row 4097 (file line 4099) loses its last cell, pulls in the next
+        # row's first cell, or pushes its last cell to the next row; the last
+        # two keep the count of cells in all
+        path = _write_csv(tmp_path, np.arange(3.0 * 8193).reshape(8193, 3) / 7)
+        lines = path.read_text().split("\n")
+        i = 2 + 4096
+        if edit == "drop":
+            lines[i] = lines[i].rpartition(",")[0]
+        elif edit == "pull":
+            head, _, lines[i + 1] = lines[i + 1].partition(",")
+            lines[i] += "," + head
+        else:
+            lines[i], _, cell = lines[i].rpartition(",")
+            lines[i + 1] = cell + "," + lines[i + 1]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError,
+                           match=rf"table\.csv: line 4099: a row of {width} cells under 3"):
+            read_series(path)
+
+    def test_bad_cell_in_second_block_names_its_line(self, tmp_path):
+        path = _write_csv(tmp_path, np.arange(3.0 * 8193).reshape(8193, 3) / 7)
+        lines = path.read_text().split("\n")
+        lines[2 + 4096] = "1e5e" + lines[2 + 4096][lines[2 + 4096].index(","):]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=r"table\.csv: line 4099: '1e5e' is not a number"):
+            read_series(path)
+
+    @pytest.mark.parametrize("text", ["x,y\n-0,1.5\n2.5,-0\n-0,-0.0\n",
+                                      "x,y,z\n-0,.5,1e400\n+1,5.,007\n1e-0,-1E5,-0\n"],
+                             ids=["json", "not-json"])
+    def test_numbers_as_float_reads_them(self, tmp_path, text):
+        # plain bytes that JSON reads otherwise (the integer -0 as 0) or not at all
+        path = tmp_path / "hand.csv"
+        path.write_text(text)
+        _, _, data = read_series(path)
+        assert _same(data, _per_token_read(path)[2])
+        assert np.signbit(data[0, 0]) and np.signbit(data[-1, -1])
+
+    @pytest.mark.parametrize("body", ["1.5,2.5\n\n\n-1e-05,\n",
+                                      "1.5,2.5\n# a note\n\n-1e-05,# inline\n"],
+                             ids=["plain", "comments"])
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, body):
+        path = tmp_path / "hand.csv"
+        path.write_text("# lzsim-series schema=1\nx,y\n" + body)
+        expected = np.array([[1.5, 2.5], [-1e-05, np.nan]])
+        assert _same(read_series(path)[2], expected)
+
+    def test_peak_memory_of_the_strobe(self, tmp_path):
+        # the 20000-period strobe of the benchmark: 40001 rows, 2.2 MB
+        drive = DriveParameters(**FIG3A, n_periods=20000)
+        path = tmp_path / "strobe.csv"
+        write_series(path, stroboscopic_evolve(drive, 20000), {}, drive=drive)
+        read_series(path)  # the reader's imports are done before tracing
+        tracemalloc.start()
+        try:
+            data = read_series(path)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (40001, 4)
+        assert peak < 5 * path.stat().st_size
