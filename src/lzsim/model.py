@@ -125,18 +125,16 @@ class QubitState:
         return abs(self.amp0) ** 2, abs(self.amp1) ** 2
 
 
-def epsilon_at(p: DriveParameters, t, period_ns=None):
+def epsilon_at(p: DriveParameters, t):
     """Instantaneous detuning eps(t) in MHz; t in ns (scalar or array).
 
     Piecewise linear: rises from -eps_m at the period start to +eps_m at T/2,
     then falls back.  Periodic for all t >= 0; breakpoints are exact.
-    ``period_ns``, when given, replaces ``p.period_ns``; an array of periods
-    broadcasts against ``t`` (one period per row of times, say).
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("epsilon_at requires t >= 0")
-    T = p.period_ns if period_ns is None else period_ns
+    T = p.period_ns
     em = p.epsilon_m_mhz
     u = np.mod(t_arr + p.t_offset_ns, T)
     value = np.where(u < T / 2, -em + 4 * em * u / T, em - 4 * em * (u - T / 2) / T)

@@ -3,9 +3,18 @@
 The integrator is a fixed-step classical RK4 on the 2x2 system
 ``i d|psi>/dt = H(t)|psi>`` (hbar = 1, angular units).  For a linear ODE the
 four RK4 stages collapse into a per-step transfer map, so propagation is a
-product of 2x2 maps built vectorized over slabs of steps.  Steps are aligned
-to the triangle wave's quarter-period grid so the integrand is smooth inside
-every step and the method keeps its clean fourth-order convergence.
+product of 2x2 maps built vectorized over slabs of steps.
+
+Step grid.  Every grid starts on the triangle's turning point ``tp`` at or
+before the span start (possibly before t = 0) with a whole number of steps
+per quarter period, so the kinks sit on step boundaries and RK4 keeps its
+clean fourth order whatever the start.  Step j of the first half period then
+lies on one ramp, with the midpoint detuning ``x0 + j dx`` and its ends
+``dx/2`` either side, so RK4 and the exact exponential are closed forms in
+``x`` and ``dx``; the drive is never evaluated per step.  A sample ``n + f``
+steps after ``tp`` (0 <= f < 1) takes n whole steps and one partial ramp
+step of ``f h``, which never crosses a kink.  A constant drive is a ramp
+with ``dx = 0`` and a period of four steps.
 
 Step maps.  H = [[w, b], [b, -w]] is traceless and real-symmetric, so an RK4
 step, the piecewise-exact step ``exp(-i h H_mid)`` and every product of them
@@ -15,47 +24,41 @@ A map is stored as the pair ``(p, q) = (a - i bz, c - i bx)``, meaning
 ``[[p, q], [-conj(q), conj(p)]]``; steps are built from closed forms in
 float arithmetic and multiplied as ``(p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))``.
 
-Periodic kernel.  Because the drive is exactly T-periodic and the aligned
-grid holds a whole number of steps per period, the step maps repeat from one
-period to the next.  The state at a sample ``r`` steps into period ``q`` is
-``C[r] U^q psi0``, with ``C[r]`` the product of the first ``r`` steps and
-``U = C[L]`` the one-period map.  The products ``C`` are formed only at the
-``r`` a sample uses, from a tree of pairwise products over each slab of
-steps, so a period costs about one product per step however the samples
-fall in it.  Unless the grid mirrors (below), a span of at most one period
-and a constant drive take the same code with the whole span as the "period".
+Periodic kernel.  The drive is exactly T-periodic and the grid holds L
+steps per period, so the map to a sample ``n = q L + r`` whole steps after
+``tp`` is ``V = P C[r] U^q``, with ``C[r]`` the product of the first r
+steps, ``U = C[L]`` and ``P`` the sample's partial step.  Its state is
+``V V0^-1 psi0``, V0 the first sample's map (the identity at a start on a
+turning point).  ``C`` is formed only at the r a sample uses, from a tree of
+pairwise products over each slab of steps, so a period costs about one
+product per step however the samples fall in it.
 
-Mirrored period.  When the grid starts on a turning point of the triangle,
-the drive has two reflections over a period: ``eps(T - t) = eps(t)`` (time
-reversal; H is real symmetric) and ``eps(T/2 - t) = -eps(t)``, so that
-``H(T/2 - t) = sigma_x H(t) sigma_x`` (generalized parity).  Both step rules
-keep them exactly, because an RK4 map obeys ``M(H1, H2, H3)^T = M(H3, H2, H1)``
-and the midpoint exponential is symmetric, so every mirrored step is the
-transpose of a computed one.  Only the first quarter ``Q`` is integrated;
-``U(T/2) = sigma_x Q^T sigma_x Q``, ``U(T) = U(T/2)^T U(T/2)``, and every
-other prefix is ``C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q`` on the second
-quarter and ``C[r] = C[L - r]^-T U`` on the second half.  A static offset
-keeps only the time reversal, so members with offsets integrate the first
-half.  Other starts and a constant drive mirror nothing and integrate the
-whole period (or span).  The integrated quarter or half is one ramp of the
-triangle, so the drive is evaluated only at its two turning points: step j
-then has the midpoint detuning ``x0 + j dx`` and ends ``dx/2`` either side
-of it, and RK4 (whose midpoint is the mean of the step's ends) and the exact
-exponential are closed forms in ``x`` and ``dx``.
+Mirrored period.  From a turning point the drive has two reflections over a
+period: ``eps(T - t) = eps(t)`` (time reversal; H is real symmetric) and
+``eps(T/2 - t) = -eps(t)``, so that ``H(T/2 - t) = sigma_x H(t) sigma_x``
+(generalized parity).  Both step rules keep them exactly, because an RK4 map
+obeys ``M(H1, H2, H3)^T = M(H3, H2, H1)`` and the midpoint exponential is
+symmetric, so every mirrored step is the transpose of a computed one.  Only
+the first quarter ``Q`` is integrated; ``U(T/2) = sigma_x Q^T sigma_x Q``,
+``U(T) = U(T/2)^T U(T/2)``, and every other prefix is
+``C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q`` on the second quarter and
+``C[r] = C[L - r]^-T U`` on the second half.  A static offset keeps only the
+time reversal, so members with offsets integrate the first half.
 
-Members.  The kernel has a leading member axis: member i sees its own drive
+Members.  The kernel has a leading member axis: member i sees its own ramp
 plus a static offset of its own, on one grid shared by all members or on a
-grid of its own (its own step, period and step count); the coupling b is
+grid of its own (its own step, ramp, period and samples); the coupling b is
 one number for every member and time.  `evolve` runs one member at its
 detuning offset; the dephasing average runs the nodes of a quadrature over
 the Gaussian offset, plus the detuning, as members of one grid, in chunks,
-and keeps only their weighted populations; `passage_transfers` runs one passage per period as
-members of their own grids, in chunks.  Per-member step counts are ragged:
-each member's steps are right-aligned behind identity maps, so its product
-runs over the same padded count as every other's, and a slab of steps holds
-only the members with real steps in it, so the work is the members' own
-steps.  A slab holds at most ``_SLAB`` maps over members and steps, so
-memory grows with the number of samples, not of steps or members.
+and keeps only their weighted populations; `passage_transfers` runs one
+passage per period as members of their own grids, in chunks.  Per-member
+step counts are ragged: each member's steps are right-aligned behind
+identity maps, so its product runs over the same padded count as every
+other's, and a slab of steps holds only the members with real steps in it,
+so the work is the members' own steps.  A slab holds at most ``_SLAB`` maps
+over members and steps, so memory grows with the number of samples, not of
+steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -76,7 +79,6 @@ from .model import (
     Basis,
     DriveParameters,
     QubitState,
-    epsilon_at,
     mhz_to_angular,
     angular_to_mhz,
 )
@@ -92,13 +94,13 @@ _SLAB = 1 << 14
 #: before anything is allocated.
 _MAX_NODES = 1 << 20
 
-#: Most steps in one member's period map: one drive period, or the whole span
-#: when the grid does not repeat, plus the tail.  A mirrored grid integrates a
-#: quarter or half of that period (see `_propagate`), but the cap counts the
-#: whole period, so the same grids are refused whatever the start.  Unmirrored,
-#: the RK4 kernel runs about 4e6 steps/s per member (fig2c at 5.1e6 steps on one
-#: core of a 2-vCPU Xeon), so this is about 18 min; past it the run is refused
-#: before any step is taken.
+#: Most steps in one member's period map: the steps of one drive period, or
+#: of the span when it is shorter.  The kernel integrates a quarter or a half
+#: of them (a constant drive only four; see `_propagate`), but the cap counts
+#: them all, so the same grids are refused whatever the drive or its start.
+#: The RK4 kernel runs about 4e6 steps/s per member (fig2c at 5.1e6 steps on
+#: one core of a 2-vCPU Xeon), so integrating them all would take about
+#: 18 min; past it the run is refused before any step is taken.
 _MAX_STEPS = 1 << 32
 
 #: Most samples of one run: one member's (samples, 2) complex states then take
@@ -182,28 +184,51 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _Grid:
-    t0: float
-    dt: float
-    s: int            # steps per full sample interval
-    n_int: int        # number of full sample intervals
-    n_tail: int       # steps in the trailing partial interval (0 if none)
-    dt_tail: float
-    times: np.ndarray  # sample times, first = t0, last = t_end
-    steps_per_period: int  # drive period in steps when the grid is aligned to it, else 0
-    mirrored: bool    # the grid starts on a turning point of the drive (see _propagate)
+    """Steps of ``h`` from the drive's turning point ``tp``, ``L`` of them to
+    a drive period.  Step j < L/2 has the midpoint value ``x0 + j dx`` of
+    w = eps/2 (angular units), and step L-1-j is its time reversal.  Sample k
+    lies ``n[:, k] + f[:, k]`` steps after ``tp``, with 0 <= f < 1.
 
-    def __post_init__(self):
-        steps = self.main_steps + self.n_tail
-        if steps > _MAX_STEPS:
-            raise ValueError(f"{steps:.3g} steps per member exceed {_MAX_STEPS}; "
-                             "lower steps_per_min_period or raise max_step_ns")
+    ``tp``, ``h``, ``L``, ``x0`` and ``dx`` are numbers shared by every
+    member, or (members, 1) arrays with a grid per member; ``n``, ``f`` and
+    the sample ``times`` have one row shared by every member, or a row each.
+    """
 
-    @property
-    def main_steps(self) -> int:
-        """Steps integrated before the tail: one drive period when the grid is
-        periodic and the sampled span is longer, else the whole sampled span."""
-        n_main = self.n_int * self.s
-        return self.steps_per_period if 0 < self.steps_per_period < n_main else n_main
+    tp: float | np.ndarray
+    h: float | np.ndarray
+    L: int | np.ndarray
+    x0: float | np.ndarray
+    dx: float | np.ndarray
+    n: np.ndarray
+    f: np.ndarray
+    times: np.ndarray
+
+
+def _step(period, omega_max: float, ramp: bool, cfg: IntegratorConfig):
+    """The step ceiling, the step h and the steps L per drive period,
+    elementwise over an array of periods.  A ramp aligns h to the quarter
+    period, so the drive's kinks sit on step boundaries; a constant drive
+    steps at the ceiling and takes four steps as its period.  Counts past
+    float range come out inf or NaN, for the callers to refuse."""
+    limit = 2 * math.pi / omega_max if omega_max > 0 else math.inf
+    dt_cap = np.minimum(period, limit) / cfg.steps_per_min_period
+    if cfg.max_step_ns is not None:
+        dt_cap = np.minimum(dt_cap, cfg.max_step_ns)
+    if not ramp:
+        return dt_cap, dt_cap, 4
+    with np.errstate(all="ignore"):
+        per_quarter = np.ceil(period / 4 / dt_cap)
+        return dt_cap, period / 4 / per_quarter, 4 * per_quarter
+
+
+def _layout(span, sample_every, h):
+    """Whole steps s per sample interval, the number of whole intervals in
+    the span, and whether a partial interval ends it; elementwise."""
+    s = np.maximum(1, np.round(sample_every / h))
+    spacing = s * h
+    n_int = np.floor(span / spacing + 1e-9)
+    n_int -= n_int * spacing > span * (1 + 1e-12)
+    return s, n_int, span - n_int * spacing > 1e-9 * np.maximum(span, 1.0)
 
 
 def _build_grid(
@@ -217,52 +242,66 @@ def _build_grid(
     span = t1 - t0
     if span <= 0:
         raise ValueError(f"invalid time span {t_span}")
+    T, ramp = p.period_ns, p.epsilon_m_mhz > 0
     omega_max = math.hypot(p.epsilon_m_ang + extra_omega_ang, p.delta_ang)
-    if omega_max > 0:
-        natural = min(p.period_ns, 2 * math.pi / omega_max) / cfg.steps_per_min_period
-    else:
-        natural = p.period_ns / cfg.steps_per_min_period
-    dt_cap = natural if cfg.max_step_ns is None else min(natural, cfg.max_step_ns)
+    dt_cap, h, L = map(float, _step(T, omega_max, ramp, cfg))
     # inf when the step underflows; past int64 the count cannot be indexed either
     if not span / dt_cap < 2**63:
         raise ValueError(f"{span / dt_cap:.3g} steps over {span} ns: too many to integrate")
-    if p.epsilon_m_mhz > 0:
-        # align to the quarter-period grid so kinks sit on step boundaries
-        base = p.period_ns / 4
-        per_quarter = math.ceil(base / dt_cap)
-        dt = base / per_quarter
-        steps_per_period = 4 * per_quarter
-        # eps = -eps_m or +eps_m at the start: the drive mirrors about T/4 and T/2
-        turn = math.remainder(t0 + p.t_offset_ns, p.period_ns / 2)
-        mirrored = abs(turn) <= 1e-12 * p.period_ns
-    else:
-        dt = dt_cap
-        steps_per_period, mirrored = 0, False
     if sample_every is None:
         sample_every = span / 1000
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
-    if not sample_every / dt < 2**63:
-        raise ValueError(f"sample_every {sample_every} ns is {sample_every / dt:.3g} steps: too many")
-    s = max(1, round(sample_every / dt))
-    spacing = s * dt
-    n_int = int(span / spacing + 1e-9)
-    while n_int * spacing > span * (1 + 1e-12):
-        n_int -= 1
-    tail = span - n_int * spacing
-    if tail <= 1e-9 * max(span, 1.0):
-        n_tail, dt_tail = 0, dt
-    else:
-        n_tail = math.ceil(tail / dt)
-        dt_tail = tail / n_tail
-    samples = n_int + 1 + (n_tail > 0)
+    if not sample_every / h < 2**63:
+        raise ValueError(f"sample_every {sample_every} ns is {sample_every / h:.3g} steps: too many")
+    s, n_int, tail = _layout(span, sample_every, h)
+    samples = int(n_int) + 1 + bool(tail)
     if samples > _MAX_SAMPLES:
         raise ValueError(f"{samples:.3g} samples exceed {_MAX_SAMPLES}; raise sample_every_ns "
                          "or shorten the span")
-    times = t0 + spacing * np.arange(n_int + 1)
-    if n_tail:
-        times = np.append(times, t1)
-    return _Grid(t0, dt, s, n_int, n_tail, dt_tail, times, steps_per_period, mirrored)
+    steps = min(span, T) / h
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{steps:.3g} steps per member exceed {_MAX_STEPS}; "
+                         "lower steps_per_min_period or raise max_step_ns")
+    # the turning point tp at or before t0 (t0 itself within rounding)
+    phase = math.remainder(t0 + p.t_offset_ns, T / 2) if ramp else 0.0
+    if abs(phase) <= 1e-12 * T:
+        phase = 0.0
+    elif phase < 0:
+        phase += T / 2
+    tp = t0 - phase
+    # w is -eps_m/2 at a trough, +eps_m/2 at an apex
+    start = p.epsilon_m_ang / 2
+    if abs(math.remainder(tp + p.t_offset_ns, T)) < T / 4:
+        start = -start
+    L = int(L)
+    dx = -2 * start / (L // 2)
+    k = np.arange(samples)
+    n, f = divmod(phase / h, 1.0)
+    n, f = n + s * k, np.full(samples, f)
+    times = t0 + s * h * k
+    if tail:
+        n[-1], f[-1] = divmod((t1 - tp) / h, 1.0)
+        times[-1] = t1
+    return _Grid(tp, h, L, start + dx / 2, dx, n[None].astype(np.int64), f[None], times)
+
+
+def _passage_grid(delta_mhz: float, epsilon_m_mhz: float, periods: np.ndarray,
+                  cfg: IntegratorConfig) -> _Grid:
+    """Member i is one passage from the trough at t = 0 to the apex of a
+    drive of period ``periods[i]`` ((members, 1), checked by the caller), on
+    the grid `_build_grid` makes for it, with its first and last samples."""
+    em = mhz_to_angular(epsilon_m_mhz)
+    half = periods / 2
+    _, h, L = _step(periods, math.hypot(em, mhz_to_angular(delta_mhz)), epsilon_m_mhz > 0, cfg)
+    L = L.astype(np.int64) if isinstance(L, np.ndarray) else L
+    s, n_int, tail = _layout(half, half, h)
+    n, f = np.divmod(half / h, 1.0)
+    zero = np.zeros_like(periods)
+    n, f = np.where(tail, n, s * n_int), np.where(tail, f, 0.0)
+    dx = em / (L // 2)
+    return _Grid(zero, h, L, dx / 2 - em / 2, dx, np.hstack([zero, n]).astype(np.int64),
+                 np.hstack([zero, f]), np.hstack([zero, half]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,57 +313,6 @@ def _build_grid(
 def _identity(*shape: int) -> np.ndarray:
     out = np.zeros((2, *shape), dtype=complex)
     out[0] = 1.0
-    return out
-
-
-def _rk4_maps(h, w1, w2, w3, b1, b2, b3) -> np.ndarray:
-    """RK4 step maps of psi' = -iH(t) psi, from H at the step start, midpoint and end.
-
-    With A = -iH the stages multiply out to M = I + h/6 (k1 + 2 k2 + 2 k3 + k4).
-    Because A2 A2 = -(w2^2 + b2^2) I is a scalar and
-    Ai Aj = -(wi wj + bi bj) I - (wi bj - bi wj) i*sigma_y, M is the real
-    quaternion with
-
-        a  = 1 - h^2/6 (W + w2 (w1 + w3) + b2 (b1 + b3) - g (w1 w3 + b1 b3))
-        c  = h^2/6 (b2 (w1 - w3) + w2 (b3 - b1) + g (w3 b1 - w1 b3))
-        bz = h/6 ((1 - 2g) (w1 + w3) + 4 w2)
-        bx = h/6 ((1 - 2g) (b1 + b3) + 4 b2)
-
-    where W = w2^2 + b2^2 and g = h^2 W / 4.  Evaluated in place: the
-    temporaries of a slab are the step count times a few doubles.
-    """
-    out = np.empty((2, *np.broadcast_shapes(np.shape(w1), np.shape(b1))), dtype=complex)
-    hh = h * h
-    g = w2 * w2
-    g += b2 * b2
-    sw, sb = w1 + w3, b1 + b3
-    t = w1 * w3
-    t += b1 * b3
-    t *= -hh / 4 * g
-    t += g
-    t += w2 * sw
-    t += b2 * sb
-    t *= -hh / 6
-    t += 1
-    out[0].real = t
-    g *= hh / 4
-    np.multiply(w3, b1, out=t)
-    t -= w1 * b3
-    t *= g
-    t += b2 * (w1 - w3)
-    t += w2 * (b3 - b1)
-    t *= hh / 6
-    out[1].real = t
-    g *= -2
-    g += 1
-    np.multiply(g, sw, out=t)
-    t += 4 * w2
-    t *= -h / 6
-    out[0].imag = t
-    np.multiply(g, sb, out=t)
-    t += 4 * b2
-    t *= -h / 6
-    out[1].imag = t
     return out
 
 
@@ -341,63 +329,23 @@ def _expm_maps(h, w, b) -> np.ndarray:
     return out
 
 
-def _pad(maps: np.ndarray, first) -> np.ndarray:
-    """``maps`` (2, members, n) of the steps first, first + 1, ... with
-    identity maps in place of the negative steps, a member's front padding
-    (see `_products`)."""
-    if isinstance(first, np.ndarray):
-        padding = first + np.arange(maps.shape[-1]) < 0
-        maps[0][padding] = 1.0
-        maps[1][padding] = 0.0
-    return maps
+def _ramp_map(method, h, x, dx, b) -> np.ndarray:
+    """Maps of steps of length h over which w rises by dx through the
+    midpoint value x, with the constant coupling b (arrays broadcasting
+    against x's shape).
 
-
-def _step_maps(method, dt, t0, w_of_t, b, offsets, rows, first, n) -> np.ndarray:
-    """Maps (2, members, n) of the steps first..first+n-1 of each member in
-    ``rows`` (an index array or a slice of the member axis), on the uniform
-    grid t0 + dt*j.
-
-    ``dt`` and ``t0`` are floats shared by every member, or (members, 1)
-    arrays with a grid per member.  ``first`` is an int shared by the
-    members, or a (members, 1) array of their own first steps, where the
-    negative steps are identity maps (a member's padding, see `_products`).
-    Member i sees the Hamiltonian with w(t) + offsets[i] and the constant
-    coupling b, where ``w_of_t(t, rows)`` takes the times of the members
-    ``rows``, one row each or one row shared by all.  `_propagate` builds a
-    mirrored grid's maps with `_ramp_maps` instead, which gives the same maps
-    without evaluating the drive per step.
-    """
-    if isinstance(dt, np.ndarray):
-        dt, t0 = dt[rows], t0[rows]
-    t = t0 + dt * np.maximum(first + np.arange(n + 1), 0)  # padding is built at the first time
-    col = offsets[rows, None]
-    mid = w_of_t(t[..., :-1] + dt / 2, rows) + col
-    if method != "fixed-rk4":
-        return _pad(_expm_maps(dt, mid, b), first)
-    w = w_of_t(t, rows) + col
-    return _pad(_rk4_maps(dt, w[..., :-1], mid, w[..., 1:], b, b, b), first)
-
-
-def _ramp_maps(method, dt, x0, dx, b, rows, first, n) -> np.ndarray:
-    """Maps (2, members, n) of the steps first..first+n-1 of each member in
-    ``rows`` on a ramp: member i's w rises by dx[i] per step, so step j has
-    the midpoint value x = x0[i] + j dx[i] and ends at x -+ e, e = dx[i]/2.
-    ``x0`` and ``dx`` are (members, 1) arrays, b is the constant coupling,
-    and ``dt`` and ``first`` are as in `_step_maps`.
-
-    RK4 is `_rk4_maps` at w1, w2, w3 = x - e, x, x + e, which with
-    W = x^2 + b^2 and f = 1 - h^2 W/6 multiplies out to
+    RK4 takes H at the step's ends and midpoint, w1, w2, w3 = x - e, x, x + e
+    with e = dx/2.  Its stages multiply out to a real quaternion which, with
+    W = x^2 + b^2 and f = 1 - h^2 W/6, is
 
         p = 1 - h^2 W/2 + h^4 W (W - e^2)/24 - i h x f
         q = (h^2 e b/3)(h^2 W/4 - 1) - i h b f;
 
-    the piecewise-exact rule is `_expm_maps` at x.
+    the piecewise-exact rule is `_expm_maps` at x.  Evaluated in place: the
+    temporaries of a slab are the step count times a few doubles.
     """
-    h = dt[rows] if isinstance(dt, np.ndarray) else dt
-    dx = dx[rows]
-    x = x0[rows] + dx * np.maximum(first + np.arange(n), 0)
     if method != "fixed-rk4":
-        return _pad(_expm_maps(h, x, b), first)
+        return _expm_maps(h, x, b)
     hh, e = h * h, dx / 2
     w = x * x
     w += b * b
@@ -415,17 +363,44 @@ def _ramp_maps(method, dt, x0, dx, b, rows, first, n) -> np.ndarray:
     w *= hh / 4
     w -= 1
     np.multiply(w, hh * e * b / 3, out=out[1].real)
-    return _pad(out, first)
+    return out
 
 
-def _ramp_steps(method, dt, t0, half, w_of_t, b, offsets):
-    """``steps(rows, first, n)`` of the ramp from the turning point ``t0`` to
-    the next, ``half`` steps of ``dt`` later (floats, or (members, 1) arrays
-    with a grid per member), as `_ramp_maps`: w(t) + offsets[i] is evaluated
-    at the two turning points only."""
-    start = w_of_t(t0, slice(None)) + offsets[:, None]
-    dx = (w_of_t(t0 + half * dt, slice(None)) + offsets[:, None] - start) / half
-    return functools.partial(_ramp_maps, method, dt, start + dx / 2, dx, b)
+def _pad(maps: np.ndarray, first) -> np.ndarray:
+    """``maps`` (2, members, n) of the steps first, first + 1, ... with
+    identity maps in place of the negative steps, a member's front padding
+    (see `_products`)."""
+    if isinstance(first, np.ndarray):
+        padding = first + np.arange(maps.shape[-1]) < 0
+        maps[0][padding] = 1.0
+        maps[1][padding] = 0.0
+    return maps
+
+
+def _ramp_maps(method, h, x0, dx, b, rows, first, n) -> np.ndarray:
+    """Maps (2, members, n) of the steps first..first+n-1 of the first half
+    period of each member in ``rows`` (an index array or a slice of the
+    member axis): step j of member i has the midpoint value x0[i] + j dx.
+
+    ``x0`` is a (members, 1) array; ``h`` and ``dx`` are numbers shared by
+    every member, or (members, 1) arrays.  ``first`` is an int shared by the
+    members, or a (members, 1) array of their own first steps, where the
+    negative steps are identity maps (a member's padding, see `_products`).
+    """
+    h, dx = (v[rows] if isinstance(v, np.ndarray) else v for v in (h, dx))
+    x = x0[rows] + dx * np.maximum(first + np.arange(n), 0)
+    return _pad(_ramp_map(method, h, x, dx, b), first)
+
+
+def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray) -> np.ndarray:
+    """Maps (2, members, k) of the first ``grid.f`` of step r of a period,
+    for the members' ramps ``x0`` (members, 1).  Step r of the second half
+    is the time reversal of step L-1-r."""
+    falling = r >= grid.L // 2
+    dx = np.where(falling, -grid.dx, grid.dx)
+    mid = x0 + grid.dx * np.where(falling, grid.L - 1 - r, r)
+    f = grid.f
+    return _ramp_map(method, f * grid.h, mid - (1 - f) * dx / 2, f * dx, b)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -505,19 +480,18 @@ def _entries(mask: np.ndarray, every) -> tuple:
     return i[:, None], j[:, None]
 
 
-def _products(steps, m: int, counts: np.ndarray, most: int = 0) -> np.ndarray:
+def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     """Maps (2, m, k): member i's product of its first c steps for each count
     c = counts[i, j] >= 0, where ``counts`` is (m, k), or one row shared by
-    every member; ``steps(rows, first, n)`` builds maps as `_step_maps` does.
+    every member; ``steps(rows, first, n)`` builds maps as `_ramp_maps` does.
 
     Member i integrates its n_i = max_j counts[i, j] steps.  Members are
     right-aligned: each is padded at the front with N - n_i identity maps,
     N = max_i n_i, so every member's products run over the same N padded
-    steps.  Steps stream in slabs of at most ``_SLAB`` maps, and of at most
-    ``most`` steps when that is positive.  A slab holds only the members
-    with real steps in it, so the work is the members' own steps, however
-    ragged.  Each slab's products are chained onto the product of the slabs
-    before it.
+    steps.  Steps stream in slabs of at most ``_SLAB`` maps.  A slab holds
+    only the members with real steps in it, so the work is the members' own
+    steps, however ragged.  Each slab's products are chained onto the
+    product of the slabs before it.
     """
     counts = counts.reshape(-1, counts.shape[-1])
     n = counts.max(axis=1)
@@ -527,17 +501,16 @@ def _products(steps, m: int, counts: np.ndarray, most: int = 0) -> np.ndarray:
     if ragged:
         counts = np.where(counts > 0, counts + pad[:, None], 0)  # the counts in padded steps
         by_pad = np.sort(pad)
-    most = most if most > 0 else total
     members = np.arange(m)
     out = _identity(m, counts.shape[1])
     done = _identity(m)
     lo = 0
     while lo < total:
-        hi = min(lo + max(1, min(_SLAB // m, most)), total)
+        hi = min(lo + max(1, _SLAB // m), total)
         rows, first = slice(None), lo
         if ragged:
             # the widest slab whose live members, those with pad < hi, fit in _SLAB maps
-            width = min(max(1, _SLAB // int(np.searchsorted(by_pad, lo, side="right"))), most)
+            width = max(1, _SLAB // int(np.searchsorted(by_pad, lo, side="right")))
             while True:
                 hi = min(lo + width, total)
                 live = int(np.searchsorted(by_pad, hi))
@@ -612,82 +585,42 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.
     return out
 
 
-def _propagate(grids: tuple[_Grid, ...], w_of_t, b: float, offsets: np.ndarray,
-               psi0: np.ndarray, method: str) -> np.ndarray:
-    """States (members, samples, 2) at the sample times from one initial state.
+def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
+               method: str) -> np.ndarray:
+    """States (members, samples, 2) at the grid's samples, from ``psi0`` at
+    the first, as ``P C[r] U^q V0^-1 psi0`` (see the module docstring).
 
-    ``grids`` holds one grid shared by every member, or one grid per member
-    with its own step and drive (row i of the times ``w_of_t`` gets is member
-    i's; see `_step_maps`).  Member i sees w(t) + offsets[i] and the
-    constant coupling b; ``w_of_t`` must be the bare triangle drive when the
-    grids mirror, and static offsets go in ``offsets`` (`_ramp_steps` reads w
-    at two turning points).  Sample k is ``C[r] U^q psi0`` with
-    ``q, r = divmod(k*s, L)``, ``C[r]`` the product of the first r steps and
-    ``U = C[L]``, where L is one drive period when the grid is periodic and
-    mirrors or the sampled span is longer, else the whole span.  ``C[r]`` and
-    ``U^q`` are formed only at the r and q a sample uses.  On a mirrored grid
-    only the first quarter of the period is integrated, or the first half when
-    any member carries an offset, which breaks the sigma_x reflection; the
-    rest comes from `_mirrored_prefix`.
-
-    Per-member grids must all mirror or all not.  Their samples are aligned
-    at the ends: sample k of member i is its sample min(k, n_int) of the
-    full intervals, and the last is every member's span end.
+    Member i sees its ramp plus offsets[i] and the constant coupling b.
+    ``C[r]`` and ``U^q`` are formed only at the r and q a sample uses, from
+    the first quarter of the period, or the first half when any member
+    carries an offset, which breaks the sigma_x reflection.
     """
     m = offsets.size
-    g = grids[0]
-    if any(x.mirrored != g.mirrored for x in grids):
-        raise ValueError("per-member grids must all mirror or all not")
-
-    def field(name):  # shared by every member, or one per member in a (members, 1) array
-        if len(grids) == 1:
-            return getattr(g, name)
-        return np.array([[getattr(x, name)] for x in grids])
-
-    n_int, s, dt = field("n_int"), field("s"), field("dt")
-    k_max = max(x.n_int for x in grids)
-    tail = any(x.n_tail for x in grids)
-    states = np.empty((m, k_max + 1 + tail, 2), dtype=complex)
-    states[:, 0] = psi0
-    if k_max:
-        flips = (False, True) if g.mirrored else ()
-        if np.any(offsets):  # keeps the time reversal, breaks the sigma_x reflection
-            flips = flips[:1]
-        # a member with no full interval has no main steps: L = 1 keeps its divmod
-        L = np.maximum(field("steps_per_period" if flips else "main_steps"), 1)
-        q, r = np.divmod(s * np.minimum(np.arange(k_max + 1), n_int), L)
-        q, r = np.atleast_2d(q), np.atleast_2d(r)
-        if q[:, -1].any():
-            r = np.concatenate([r, L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
-        # need[:, 0] == 0, the first sample; C[L], when needed, is the last column
-        need, r_at = _distinct_columns(r)
-        if flips:
-            steps = _ramp_steps(method, dt, field("t0"), L // 2, w_of_t, b, offsets)
-        else:
-            steps = functools.partial(_step_maps, method, dt, field("t0"), w_of_t, b, offsets)
-        prefix = _mirrored_prefix(steps, m, need, L, flips)
-        # U^q for each distinct q by squaring; powers of U commute, so the
-        # bits of q multiply in any order
-        periods, q_at = _distinct_columns(q)
-        powers, u = _identity(m, periods.shape[1]), prefix[..., -1]
-        every = np.arange(m)[:, None]
-        for bit in range(int(periods.max()).bit_length()):
-            i, j = _entries(periods >> bit & 1, every)
-            powers[:, i, j] = _mul(u[:, i], powers[:, i, j])
-            u = _mul(u, u)
-        rows = prefix[..., r_at[: k_max + 1]]
-        psi = _apply(powers, psi0)[:, q_at]
-        states[:, : k_max + 1] = _apply(rows, psi)
-    if tail:
-        # the tail grows with the sample spacing; streamed in slabs of at most
-        # a quarter period, it holds no more maps than the mirrored period
-        t_tail = field("t0") + n_int * s * dt
-        steps = functools.partial(_step_maps, method, field("dt_tail"), t_tail, w_of_t, b,
-                                  offsets)
-        counts = np.reshape(field("n_tail"), (-1, 1))
-        most = min(x.steps_per_period for x in grids) // 4
-        states[:, -1] = _apply(_products(steps, m, counts, most)[..., 0], states[:, k_max])
-    return states
+    x0 = grid.x0 + offsets[:, None]
+    flips = (False,) if np.any(offsets) else (False, True)
+    q, r = np.divmod(grid.n, grid.L)
+    k = r.shape[1]
+    if q.any():
+        r = np.concatenate([r, grid.L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
+    # C[L], when needed, is the last column
+    need, r_at = _distinct_columns(r)
+    steps = functools.partial(_ramp_maps, method, grid.h, x0, grid.dx, b)
+    prefix = _mirrored_prefix(steps, m, need, grid.L, flips)
+    # U^q for each distinct q by squaring; powers of U commute, so the
+    # bits of q multiply in any order
+    periods, q_at = _distinct_columns(q)
+    powers, u = _identity(m, periods.shape[1]), prefix[..., -1]
+    every = np.arange(m)[:, None]
+    for bit in range(int(periods.max()).bit_length()):
+        i, j = _entries(periods >> bit & 1, every)
+        powers[:, i, j] = _mul(u[:, i], powers[:, i, j])
+        u = _mul(u, u)
+    rows = prefix[..., r_at[:k]]
+    partial = _partial_maps(method, grid, x0, b, r[:, :k])
+    p0, q0 = _mul(partial[..., 0], _mul(rows[..., 0], powers[..., q_at[0]]))  # V0
+    psi = _apply(np.stack([p0.conj(), -q0]) / (np.abs(p0) ** 2 + np.abs(q0) ** 2), psi0)
+    psi = _apply(powers, psi[:, None])[:, q_at]
+    return _apply(partial, _apply(rows, psi))
 
 
 def _check_norms(states: np.ndarray, tol: float) -> None:
@@ -711,21 +644,6 @@ def _validate_span(p: DriveParameters, t_span):
             "increase n_periods"
         )
     return t0, t1
-
-
-def _drive_hamiltonian(p: DriveParameters, periods: np.ndarray | None = None):
-    """Matrix elements w(t) and the constant b of H = eps(t)/2 sigma_z + delta/2 sigma_x.
-
-    ``periods`` (members, 1), when given, gives member i the drive ``p`` at
-    the period ``periods[i]``.  A static detuning enters the kernel as a
-    member offset, not here, so the kernel can tell which of the drive's
-    reflections it keeps.
-    """
-    def w_of_t(t, rows=slice(None)):
-        period = None if periods is None else periods[rows]
-        return mhz_to_angular(epsilon_at(p, t, period)) / 2
-
-    return w_of_t, p.delta_ang / 2
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +674,8 @@ def evolve(
     t_span = _validate_span(p, t_span or (0.0, p.total_time_ns))
     off_ang = mhz_to_angular(abs(epsilon_offset_mhz))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=off_ang)
-    w_of_t, b = _drive_hamiltonian(p)
     offset = np.array([mhz_to_angular(epsilon_offset_mhz) / 2])
-    states = _propagate((grid,), w_of_t, b, offset, initial.as_array(), cfg.method)[0]
+    states = _propagate(grid, p.delta_ang / 2, offset, initial.as_array(), cfg.method)[0]
     _check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 
@@ -774,16 +691,20 @@ def passage_transfers(
     A passage runs from |0> at the trough (t = 0) to the apex (t = T/2),
     through one crossing.  Each period is a member of one kernel call (in
     chunks of members), on the grid `evolve` builds for that passage, so
-    every step cap, both step rules and the norm check apply per member.  On
-    a mirrored grid each member integrates only its own first quarter,
-    whose step count grows with its period (see `_products`).
+    every step cap, both step rules and the norm check apply per member.
+    Each member integrates only its own first quarter, whose step count
+    grows with its period (see `_products`).
     """
     cfg = cfg or IntegratorConfig()
-    drives, grids = [], []
-    for T in map(float, periods_ns):  # refused at the first bad period, in order
-        drives.append(DriveParameters(delta_mhz, epsilon_m_mhz, T, n_periods=1))
-        grids.append(_build_grid(drives[-1], cfg, (0.0, T / 2), T / 2))
-    periods = np.array([p.period_ns for p in drives])
+    periods = np.fromiter(map(float, periods_ns), dtype=float)
+    omega_max = math.hypot(mhz_to_angular(epsilon_m_mhz), mhz_to_angular(delta_mhz))
+    dt_cap, h, _ = _step(periods, omega_max, epsilon_m_mhz > 0, cfg)
+    with np.errstate(all="ignore"):  # NaN, zero and too long periods fail here
+        ok = (periods / 2 > 0) & (periods / 2 / dt_cap < 2**63) & (periods / 2 / h <= _MAX_STEPS)
+    # the drive, then the first bad period in request order, refused as `evolve` refuses them
+    for i in sorted({0, int(np.argmin(ok))}) if periods.size else ():
+        T = float(periods[i])
+        _build_grid(DriveParameters(delta_mhz, epsilon_m_mhz, T), cfg, (0.0, T / 2), T / 2)
     psi0 = QubitState.ket0().as_array()
     transfers = np.empty(periods.size)
     # members of like step counts share a chunk
@@ -791,9 +712,9 @@ def passage_transfers(
     chunk = math.isqrt(_SLAB)
     for lo in range(0, order.size, chunk):
         idx = order[lo:lo + chunk]
-        w_of_t, b = _drive_hamiltonian(drives[0], periods[idx, None])
-        states = _propagate(tuple(grids[i] for i in idx), w_of_t, b, np.zeros(idx.size),
-                            psi0, cfg.method)
+        grid = _passage_grid(delta_mhz, epsilon_m_mhz, periods[idx, None], cfg)
+        states = _propagate(grid, mhz_to_angular(delta_mhz) / 2, np.zeros(idx.size), psi0,
+                            cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         transfers[idx] = np.abs(states[:, -1, 1]) ** 2
     return transfers
@@ -835,19 +756,19 @@ def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()
 
 
-def _dephased_populations(grid: _Grid, w_of_t, b: float, offsets: np.ndarray,
-                          weights: np.ndarray, psi0: np.ndarray, cfg: IntegratorConfig,
+def _dephased_populations(grid: _Grid, b: float, offsets: np.ndarray, weights: np.ndarray,
+                          psi0: np.ndarray, cfg: IntegratorConfig,
                           readout: np.ndarray | None) -> np.ndarray:
     """Populations (samples, 2) summed over members with ``weights``.
 
-    Member i sees w(t) + offsets[i]; ``readout`` (a 2x2 matrix or None) acts
+    Member i sees the grid's ramp plus offsets[i]; ``readout`` (a 2x2 matrix or None) acts
     on every member before populations are read.  Members run in chunks, so
     only the summed populations outlive a chunk.
     """
     chunk = math.isqrt(_SLAB)
     pops = np.zeros((grid.times.size, 2))
     for lo in range(0, offsets.size, chunk):
-        states = _propagate((grid,), w_of_t, b, offsets[lo:lo + chunk], psi0, cfg.method)
+        states = _propagate(grid, b, offsets[lo:lo + chunk], psi0, cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         if readout is not None:
             states = states @ readout.T
@@ -897,9 +818,8 @@ def evolve_ensemble_dephased(
     # one grid for every member, fine enough for the largest offset
     extra = mhz_to_angular(float(np.max(np.abs(offsets_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
-    w_of_t, b = _drive_hamiltonian(p)
     readout = rotation_x(readout_rotation) if readout_rotation else None
-    pops = _dephased_populations(grid, w_of_t, b,
+    pops = _dephased_populations(grid, p.delta_ang / 2,
                                  (offsets_ang + mhz_to_angular(detuning_mhz)) / 2, weights,
                                  initial.as_array(), cfg, readout)
     return Trajectory(grid.times, pops, Basis.DIABATIC, noise_nodes=nodes.size)

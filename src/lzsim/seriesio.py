@@ -185,15 +185,19 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
     cell as ``float()`` reads it, skipping blank lines and ``#`` comments.
     Both read an empty cell as NaN.  A row whose width is not the number of
     columns, or a cell that is not a number, raises ValueError naming the file
-    and its line.
+    and its line; so does a header that is not UTF-8, and a JSON file that
+    does not parse, lacks a key or holds no table of numbers.
     """
     path = Path(path)
     raw = path.read_bytes()
     if raw.lstrip().startswith(b"{"):
-        doc = json.loads(raw)
-        columns = list(doc["columns"])
-        data = np.array(doc["rows"], dtype=float)  # a None cell becomes NaN
-        return doc["provenance"], columns, _table(path, columns, data)
+        try:  # bad JSON or UTF-8, a missing key, rows of unequal width or not numbers
+            doc = json.loads(raw)
+            meta, columns = doc["provenance"], list(doc["columns"])
+            data = np.array(doc["rows"], dtype=float)  # a None cell becomes NaN
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a JSON series ({type(exc).__name__}: {exc})") from None
+        return meta, columns, _table(path, columns, data)
     meta: dict[str, str] = {}
     columns: list[str] = []
     # the header is the leading '#' and blank lines, then the column names;
@@ -201,7 +205,10 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
     start = 0
     while start < len(raw) and not columns:
         end = raw.find(b"\n", start) + 1 or len(raw)
-        line = raw[start:end].decode().strip()
+        try:
+            line = raw[start:end].decode().strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: the header is not UTF-8 text") from None
         start = end
         if line.startswith("#"):
             body = line[1:].strip()

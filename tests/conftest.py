@@ -20,7 +20,7 @@ from lzsim import (
     sweep_rate,
 )
 from lzsim import propagator
-from lzsim.model import first_crossing
+from lzsim.model import epsilon_at, first_crossing
 from lzsim.transfer_matrix import adiabaticity
 
 # published drive-parameter classes used throughout the suite
@@ -96,57 +96,123 @@ def su2_axis_angle(g):
     return angle, axis
 
 
-def step_by_step(grid, w_of_t, b, offsets_ang, psi0, method):
-    """Reference stepper: states (members, samples, 2) at the grid's sample times.
+def rk4_maps(h, w1, w2, w3, b1, b2, b3) -> np.ndarray:
+    """RK4 step maps (p, q) of psi' = -iH(t) psi, H = [[w, b], [b, -w]], from
+    H at the step start, midpoint and end.
 
-    Steps one at a time through the grid, vectorized over members only; member
-    i sees w(t) + offsets_ang[i]/2 and the constant coupling b.  Independent
-    of the periodic kernel's step maps, products and period reuse, which it
-    serves to check.
+    With A = -iH the stages multiply out to M = I + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    Because A2 A2 = -(w2^2 + b2^2) I is a scalar and
+    Ai Aj = -(wi wj + bi bj) I - (wi bj - bi wj) i*sigma_y, M is the real
+    quaternion with
+
+        a  = 1 - h^2/6 (W + w2 (w1 + w3) + b2 (b1 + b3) - g (w1 w3 + b1 b3))
+        c  = h^2/6 (b2 (w1 - w3) + w2 (b3 - b1) + g (w3 b1 - w1 b3))
+        bz = h/6 ((1 - 2g) (w1 + w3) + 4 w2)
+        bx = h/6 ((1 - 2g) (b1 + b3) + 4 b2)
+
+    where W = w2^2 + b2^2 and g = h^2 W / 4, stored as (a - i bz, c - i bx).
+    The general form of the kernel's closed-form ramp step
+    (`propagator._ramp_map`), and the step of the lab-frame toy, whose
+    coupling varies within a step.
     """
-    m = offsets_ang.size
-    half_off = offsets_ang / 2
-    psi = np.broadcast_to(psi0, (m, 2)).astype(complex)
-    out = np.empty((m, grid.times.size, 2), dtype=complex)
-    out[:, 0] = psi
-
-    def rhs(w, b, psi):
-        d = np.empty_like(psi)
-        d[:, 0] = -1j * (w * psi[:, 0] + b * psi[:, 1])
-        d[:, 1] = -1j * (b * psi[:, 0] - w * psi[:, 1])
-        return d
-
-    sample_idx = 1
-    segments = [(grid.t0, grid.dt, grid.n_int * grid.s, grid.s)]
-    if grid.n_tail:
-        segments.append((grid.t0 + grid.n_int * grid.s * grid.dt,
-                         grid.dt_tail, grid.n_tail, grid.n_tail))
-    for t_seg, dt, n_steps, s in segments:
-        for k in range(n_steps):
-            t = t_seg + k * dt
-            if method == "fixed-rk4":
-                w1 = w_of_t(t) + half_off
-                w2 = w_of_t(t + dt / 2) + half_off
-                w3 = w_of_t(t + dt) + half_off
-                k1 = rhs(w1, b, psi)
-                k2 = rhs(w2, b, psi + (dt / 2) * k1)
-                k3 = rhs(w2, b, psi + (dt / 2) * k2)
-                k4 = rhs(w3, b, psi + dt * k3)
-                psi = psi + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            else:
-                w2 = w_of_t(t + dt / 2) + half_off
-                om = np.hypot(w2, b)
-                theta = om * dt
-                cos = np.cos(theta)
-                safe = np.where(om > 0, om, 1.0)
-                sinc = np.where(om > 0, np.sin(theta) / safe, dt)
-                a0 = (cos - 1j * w2 * sinc) * psi[:, 0] - 1j * b * sinc * psi[:, 1]
-                a1 = -1j * b * sinc * psi[:, 0] + (cos + 1j * w2 * sinc) * psi[:, 1]
-                psi = np.stack([a0, a1], axis=1)
-            if (k + 1) % s == 0:
-                out[:, sample_idx] = psi
-                sample_idx += 1
+    out = np.empty((2, *np.broadcast_shapes(np.shape(w1), np.shape(b1))), dtype=complex)
+    hh = h * h
+    g = w2 * w2
+    g += b2 * b2
+    sw, sb = w1 + w3, b1 + b3
+    t = w1 * w3
+    t += b1 * b3
+    t *= -hh / 4 * g
+    t += g
+    t += w2 * sw
+    t += b2 * sb
+    t *= -hh / 6
+    t += 1
+    out[0].real = t
+    g *= hh / 4
+    np.multiply(w3, b1, out=t)
+    t -= w1 * b3
+    t *= g
+    t += b2 * (w1 - w3)
+    t += w2 * (b3 - b1)
+    t *= hh / 6
+    out[1].real = t
+    g *= -2
+    g += 1
+    np.multiply(g, sw, out=t)
+    t += 4 * w2
+    t *= -h / 6
+    out[0].imag = t
+    np.multiply(g, sb, out=t)
+    t += 4 * b2
+    t *= -h / 6
+    out[1].imag = t
     return out
+
+
+def drive_step_maps(p, method, h, t0, offsets, first, n):
+    """Maps (2, members, n) of the steps first..first+n-1 on the grid
+    t0 + h j (t0 + h first >= 0), with H read from the drive through
+    `epsilon_at` at each step: RK4 at the step's ends and midpoint, or the
+    exact exponential at its midpoint.  Member i sees w = eps(t)/2 plus
+    offsets[i] (angular units) and the coupling delta/2."""
+    t = t0 + h * (first + np.arange(n + 1))
+    w = mhz_to_angular(epsilon_at(p, t))[None] / 2 + offsets[:, None]
+    mid = mhz_to_angular(epsilon_at(p, t[:-1] + h / 2))[None] / 2 + offsets[:, None]
+    b = p.delta_ang / 2
+    if method == "fixed-rk4":
+        return rk4_maps(h, w[:, :-1], mid, w[:, 1:], b, b, b)
+    return propagator._expm_maps(h, mid, b)
+
+
+def step_by_step(p, grid, offsets_ang, psi0, method):
+    """Reference stepper: states (members, samples, 2) at the grid's samples.
+
+    Propagates the 2x2 matrix V one step of ``grid.h`` at a time from the
+    grid's turning point ``grid.tp``, reading the drive through `epsilon_at`
+    at every step (RK4 at the step's ends and midpoint, or the exponential at
+    its midpoint).  Sample k takes ``grid.n[0, k]`` whole steps and then one
+    step of ``grid.f[0, k] * grid.h``, and its state is ``V_k V_0^-1 psi0``.
+    Member i sees eps(t)/2 + offsets_ang[i]/2 and the coupling delta/2.
+    Independent of the kernel's closed-form ramp maps, products, period
+    reuse and reflections, which it serves to check.
+    """
+    half_off = offsets_ang / 2
+    b = p.delta_ang / 2
+
+    def hamiltonian(t):
+        # per member; epsilon_at needs t >= 0, and tp lies less than half a
+        # period before the span start
+        w = mhz_to_angular(epsilon_at(p, t + p.period_ns)) / 2 + half_off
+        h = np.empty((w.size, 2, 2))
+        h[:, 0, 0], h[:, 1, 1], h[:, 0, 1], h[:, 1, 0] = w, -w, b, b
+        return h
+
+    def step(v, t, dt):
+        if method == "fixed-rk4":
+            a1, a2, a3 = (-1j * hamiltonian(s) for s in (t, t + dt / 2, t + dt))
+            k1 = a1 @ v
+            k2 = a2 @ (v + dt / 2 * k1)
+            k3 = a2 @ (v + dt / 2 * k2)
+            k4 = a3 @ (v + dt * k3)
+            return v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        h = hamiltonian(t + dt / 2)
+        om = np.hypot(h[:, 0, 0], b)
+        safe = np.where(om > 0, om, 1.0)
+        sinc = np.where(om > 0, np.sin(om * dt) / safe, dt)
+        return (np.cos(om * dt)[:, None, None] * np.eye(2)
+                - 1j * sinc[:, None, None] * h) @ v
+
+    v = np.broadcast_to(np.eye(2, dtype=complex), (offsets_ang.size, 2, 2))
+    maps = []
+    j = 0
+    for n, f in zip(grid.n[0], grid.f[0]):
+        while j < n:
+            v = step(v, grid.tp + j * grid.h, grid.h)
+            j += 1
+        maps.append(step(v, grid.tp + j * grid.h, f * grid.h))
+    start = np.linalg.solve(maps[0], np.broadcast_to(psi0, (offsets_ang.size, 2))[..., None])
+    return np.stack([vk @ start for vk in maps], axis=1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +255,9 @@ def evolve_lab_frame_toy(delta_mhz, omega0_mhz, drive, t_span=None, sample_every
     reduces to the rotating-frame model integrated by `evolve`.  Requires a
     toy ratio omega0/delta >= 20; a realistic GHz-scale carrier adds nothing
     but steps.  The coupling depends on time, so the RK4 step maps are built
-    here from H at each step's ends and midpoint (`propagator._rk4_maps`) and
-    reduced with `propagator._products` over the whole span: the carrier
-    neither repeats nor mirrors with the drive.
+    here from H at each step's ends and midpoint (`rk4_maps`) and reduced
+    with `propagator._products` over the whole span: the carrier neither
+    repeats nor mirrors with the drive.
     """
     if delta_mhz < 0 or omega0_mhz <= 0:
         raise ValueError("delta_mhz must be >= 0 and omega0_mhz > 0")
@@ -205,25 +271,23 @@ def evolve_lab_frame_toy(delta_mhz, omega0_mhz, drive, t_span=None, sample_every
     omega0, delta = mhz_to_angular(omega0_mhz), mhz_to_angular(delta_mhz)
     grid = propagator._build_grid(drive, cfg, t_span, sample_every,
                                   extra_omega_ang=omega0 + 2 * delta)
+    if grid.tp != t_span[0]:
+        raise ValueError("the span must start on a turning point of the drive")
     w = omega0 / 2
 
     def coupling(t):
         return delta * np.cos(omega0 * t + mhz_to_angular(epsilon_integral(drive, t)))
 
-    def steps_from(t0, dt):
-        def steps(rows, first, n):
-            t = t0 + dt * (first + np.arange(n + 1))[None]
-            ends, mid = coupling(t), coupling(t[:, :-1] + dt / 2)
-            return propagator._rk4_maps(dt, w, w, w, ends[:, :-1], mid, ends[:, 1:])
-        return steps
+    def steps(rows, first, n):
+        t = grid.tp + grid.h * (first + np.arange(n + 1))[None]
+        ends, mid = coupling(t), coupling(t[:, :-1] + grid.h / 2)
+        return rk4_maps(grid.h, w, w, w, ends[:, :-1], mid, ends[:, 1:])
 
-    prefix = propagator._products(steps_from(grid.t0, grid.dt), 1,
-                                  grid.s * np.arange(grid.n_int + 1))
-    states = propagator._apply(prefix[:, 0], QubitState.ket0().as_array())
-    if grid.n_tail:
-        t_tail = grid.t0 + grid.n_int * grid.s * grid.dt
-        tail = propagator._products(steps_from(t_tail, grid.dt_tail), 1, np.array([grid.n_tail]))
-        states = np.vstack([states, propagator._apply(tail[:, 0], states[-1])])
+    # each sample's whole steps, then its partial step of f h
+    whole = propagator._products(steps, 1, grid.n)[:, 0]
+    t, dt = grid.tp + grid.h * grid.n[0], grid.h * grid.f[0]
+    partial = rk4_maps(dt, w, w, w, coupling(t), coupling(t + dt / 2), coupling(t + dt))
+    states = propagator._apply(propagator._mul(partial, whole), QubitState.ket0().as_array())
     propagator._check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 

@@ -20,7 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -604,7 +607,13 @@ sample_every_ns = 4.0
         ("narrow.csv", "# lzsim-series schema=1\nt_ns,P0,P1\n0.0,1.0\n1.0,0.5\n"),
         ("narrow.json", _series_json([[0.0, 1.0], [1.0, 0.5]])),
         ("flat.json", _series_json([0.0, 1.0])),
-    ], ids=["csv", "json", "json-flat"])
+        # other malformed files, each refused naming the file
+        ("no_columns.json", json.dumps({"schema": 1, "provenance": {}, "rows": [[0.0, 1.0]]})),
+        ("latin1.csv", b"# lzsim-series schema=1\nt_ns,P\xe9,P1\n0.0,1.0,0.0\n"),
+        ("truncated.json", _series_json([[0.0, 1.0, 0.0], [1.0, 0.5, 0.5]])[:-9]),
+        ("ragged.json", _series_json([[0.0, 1.0, 0.0], [1.0, 0.5]])),
+    ], ids=["csv", "json", "json-flat", "json-no-columns", "csv-header-not-utf8",
+            "json-truncated", "json-ragged"])
     def test_rows_narrower_than_header_exit_2(self, tmp_path, capsys, name, text):
         path = write(tmp_path, name, text)
         with pytest.raises(ValueError, match=name):

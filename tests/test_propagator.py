@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,8 +16,9 @@ from lzsim import (
     evolve_ensemble_dephased,
 )
 from lzsim import propagator
-from lzsim.model import angular_to_mhz, mhz_to_angular
-from conftest import FIG3A, FIG3B, FIG3D, evolve_lab_frame_toy, step_by_step
+from lzsim.model import angular_to_mhz, epsilon_at, mhz_to_angular
+from conftest import (FIG3A, FIG3B, FIG3D, drive_step_maps, evolve_lab_frame_toy, rk4_maps,
+                      step_by_step)
 
 
 def resonant_drive(delta=5.0, n=8):
@@ -48,6 +51,30 @@ class TestAnalyticLimits:
         assert np.max(np.abs(base.populations - shifted.populations)) < 1e-9
 
 
+def halving_finals(p, span):
+    """Final states of ``span`` at the steps h, h/2 and h/4.  The base step
+    has Omega_max*h ~ 0.05, so the h^4 term dominates, and divides the
+    quarter period exactly, so halving doubles the count."""
+    quarter = p.period_ns / 4
+    omega_max = math.hypot(p.epsilon_m_ang, p.delta_ang)
+    base = quarter / math.ceil(quarter * omega_max / (2 * math.pi) * 128)
+    finals = []
+    for divisor in (1, 2, 4):
+        cfg = IntegratorConfig(max_step_ns=base / divisor, steps_per_min_period=1,
+                               norm_drift_tolerance=1e-3)
+        finals.append(evolve(p, cfg, t_span=span, sample_every=span[1] - span[0]).amplitudes[-1])
+    return finals
+
+
+def halving_ratio(x):
+    """e1/e2 for values x at the steps h, h/2 and h/4, where e1 and e2 are
+    the changes of the two halvings."""
+    e1 = np.max(np.abs(x[0] - x[1]))
+    e2 = np.max(np.abs(x[1] - x[2]))
+    assert e2 > 0
+    return e1 / e2
+
+
 class TestNumericalQuality:
     def test_norm_conservation_100k_steps(self):
         p = DriveParameters(**FIG3A, n_periods=25)
@@ -63,23 +90,18 @@ class TestNumericalQuality:
         # end on the quarter-period grid but off the full-period symmetry
         # points, where the leading h^4 error coefficient can cancel and the
         # observed order jumps to five
-        t_end = 3.5 * p.period_ns
-        quarter = p.period_ns / 4
-        # base step with Omega_max*dt ~ 0.05 so the h^4 term dominates, chosen
-        # to divide the quarter period exactly so halving doubles the count
-        omega_max = math.hypot(p.epsilon_m_ang, p.delta_ang)
-        m0 = math.ceil(quarter * omega_max / (2 * math.pi) * 128)
-        base = quarter / m0
-        pops = []
-        for divisor in (1, 2, 4):
-            cfg = IntegratorConfig(max_step_ns=base / divisor, steps_per_min_period=1,
-                                   norm_drift_tolerance=1e-3)
-            traj = evolve(p, cfg, t_span=(0.0, t_end), sample_every=t_end)
-            pops.append(traj.populations[-1])
-        e1 = np.max(np.abs(pops[0] - pops[1]))
-        e2 = np.max(np.abs(pops[1] - pops[2]))
-        assert e2 > 0
-        assert 12.0 <= e1 / e2 <= 20.0
+        pops = [np.abs(a) ** 2 for a in halving_finals(p, (0.0, 3.5 * p.period_ns))]
+        assert 12.0 <= halving_ratio(pops) <= 20.0
+
+    @pytest.mark.parametrize("drive, span", [
+        (dict(**FIG3A, n_periods=3, t_offset_ns=19.0), (0.0, 384.0)),
+        (dict(**FIG3A, n_periods=3), (50.0, 384.0)),
+    ], ids=["t_offset_19", "t_span_50_384"])
+    def test_step_halving_fourth_order_off_a_turning_point(self, drive, span):
+        # the grid starts on the turning point before the span and reaches the
+        # start and the end by partial ramp steps, so no kink falls inside a
+        # step: the order stays four (one and two with kinks inside steps)
+        assert 12.0 <= halving_ratio(halving_finals(DriveParameters(**drive), span)) <= 20.0
 
     @pytest.mark.parametrize("params", [FIG3A, FIG3B, FIG3D])
     def test_halving_default_resolution_converged(self, params):
@@ -302,11 +324,10 @@ class TestNoiseQuadrature:
         w2 = w2 / w2.sum()
         grid = propagator._build_grid(p, cfg, span, every,
                                       extra_omega_ang=sigma * float(np.max(x2)))
-        w_of_t, b = propagator._drive_hamiltonian(p)
 
         def populations(nodes, weights):
             return propagator._dephased_populations(
-                grid, w_of_t, b, sigma * nodes / 2, weights, init.as_array(), cfg,
+                grid, p.delta_ang / 2, sigma * nodes / 2, weights, init.as_array(), cfg,
                 propagator.rotation_x(readout) if readout else None)
 
         assert np.max(np.abs(populations(x, w) - populations(x2, w2))) < 1e-9
@@ -331,7 +352,8 @@ class TestPeriodicKernel:
 
     CFG = dict(steps_per_min_period=100, norm_drift_tolerance=1e-6)
     CASES = {
-        # periodic: start phase shifted, g = gcd(s, L) < s, a tail interval
+        # off a turning point: start phase shifted or a span starting inside
+        # a ramp, gcd(s, L) < s, every sample a partial step past the grid
         "t_offset": (dict(**FIG3A, n_periods=3, t_offset_ns=37.0), (0.0, 384.0), 10.0,
                      "fixed-rk4", True),
         "t_offset_exact": (dict(**FIG3A, n_periods=3, t_offset_ns=37.0), (0.0, 384.0), 10.0,
@@ -340,9 +362,10 @@ class TestPeriodicKernel:
                              "fixed-rk4", True),
         "mid_period_start_exact": (dict(**FIG3A, n_periods=3), (50.0, 332.8), 7.3,
                                    "piecewise-exact", True),
-        # aperiodic: constant drive, and a span of one period
+        # a constant drive (four steps a period) ending inside a step, and a
+        # span of one period, every sample on a step boundary
         "eps_m_zero": (dict(delta_mhz=5.0, epsilon_m_mhz=0.0, period_ns=128.0, n_periods=3),
-                       (0.0, 300.0), 7.0, "fixed-rk4", False),
+                       (0.0, 300.0), 7.0, "fixed-rk4", True),
         "one_period": (dict(**FIG3A, n_periods=1), (0.0, 128.0), 4.0, "fixed-rk4", False),
         "one_period_exact": (dict(**FIG3A, n_periods=1), (0.0, 128.0), 4.0,
                              "piecewise-exact", False),
@@ -350,27 +373,26 @@ class TestPeriodicKernel:
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_step_by_step_batch(self, name):
-        drive, span, every, method, periodic = self.CASES[name]
+        drive, span, every, method, partial = self.CASES[name]
         p = DriveParameters(**drive)
         cfg = IntegratorConfig(method=method, **self.CFG)
         grid = propagator._build_grid(p, cfg, span, every)
-        n_main = grid.n_int * grid.s
-        assert (0 < grid.steps_per_period < n_main) == periodic
-        if periodic:
-            assert math.gcd(grid.s, grid.steps_per_period) < grid.s
-            assert grid.n_tail > 0
+        assert grid.n.max() >= grid.L and grid.f.any() == partial
+        if name.startswith(("t_offset", "mid_period")):
+            s = int(grid.n[0, 1] - grid.n[0, 0])
+            assert math.gcd(s, grid.L) < s and grid.tp < span[0]
         psi0 = QubitState(0.6, 0.8j).as_array()
-        w_of_t, b = propagator._drive_hamiltonian(p)
-        dense = propagator._propagate((grid,), w_of_t, b, np.zeros(1), psi0, method)[0]
-        stepped = step_by_step(grid, w_of_t, b, np.zeros(1), psi0, method)[0]
+        dense = propagator._propagate(grid, p.delta_ang / 2, np.zeros(1), psi0, method)[0]
+        stepped = step_by_step(p, grid, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
     def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method):
         # quadrature nodes as members (Gauss-Hermite at T2* = 0.5 us, trapezoid
-        # at 0.1 us), a shared detuning and a readout pulse, on a periodic grid
-        # with a tail interval; the small slab runs the members in chunks of
-        # four over 4-step slabs
+        # at 0.1 us), a shared detuning and a readout pulse, on a grid of
+        # several periods from the turning point before the start, every
+        # sample a partial step past it; the small slab runs the members in
+        # chunks of four over 4-step slabs
         p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
         cfg = IntegratorConfig(method=method, **self.CFG)
         detuning, readout = 1.3, math.pi / 3
@@ -384,9 +406,8 @@ class TestPeriodicKernel:
             offsets_ang = sigma * nodes
             extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning)))
             grid = propagator._build_grid(p, cfg, (0.0, 384.0), 10.0, extra_omega_ang=extra)
-            assert 0 < grid.steps_per_period < grid.n_int * grid.s and grid.n_tail > 0
-            w_of_t, b = propagator._drive_hamiltonian(p)
-            stepped = step_by_step(grid, w_of_t, b, offsets_ang + mhz_to_angular(detuning),
+            assert grid.n.max() > grid.L and grid.f.all() and grid.tp < 0
+            stepped = step_by_step(p, grid, offsets_ang + mhz_to_angular(detuning),
                                    psi0.as_array(), method)
             stepped = stepped @ propagator.rotation_x(readout).T
             ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
@@ -426,6 +447,32 @@ class TestPeriodicKernel:
         short, long = peak(8), peak(64)
         assert long < 1.2 * short
 
+    def test_long_sample_spacing_builds_no_tail(self, monkeypatch):
+        # 1000 fig3a periods sampled every 12850 ns: the span ends 122 periods
+        # past the last whole interval, reached from prefix products already
+        # formed and one partial step, so it builds no more maps than whole
+        # periods apart (12800 ns), plus one partial step per distinct fraction
+        built = []
+        ramp_map = propagator._ramp_map
+
+        def counted(*args):
+            maps = ramp_map(*args)
+            built.append(maps[0].size)
+            return maps
+
+        monkeypatch.setattr(propagator, "_ramp_map", counted)
+        p = DriveParameters(**FIG3A, n_periods=1000)
+        maps, fractions = {}, {}
+        for every in (12800.0, 12850.0):
+            built.clear()
+            evolve(p, t_span=(0.0, 128000.0), sample_every=every)
+            maps[every] = sum(built)
+            grid = propagator._build_grid(p, IntegratorConfig(), (0.0, 128000.0), every)
+            fractions[every] = np.unique(grid.f).size
+        assert np.diff(grid.n[0])[-1] < np.diff(grid.n[0])[0]  # a short last interval
+        assert maps[12800.0] == grid.L // 4 + grid.times.size  # a quarter, and each sample's step
+        assert maps[12850.0] <= maps[12800.0] + fractions[12850.0]
+
     @staticmethod
     def _members(n):
         # n members spread over +-4 sigma of the T2* = 6.56 us noise, equal weights
@@ -439,14 +486,13 @@ class TestPeriodicKernel:
         cfg = IntegratorConfig(max_step_ns=0.2, steps_per_min_period=40,
                                norm_drift_tolerance=1e-3)
         grid = propagator._build_grid(p, cfg, (0.0, 256.0), 1.0, extra_omega_ang=1e-3)
-        w_of_t, b = propagator._drive_hamiltonian(p)
         psi0 = QubitState.ket0().as_array()
 
         def peak(n_members):
             half_offsets, weights = self._members(n_members)
             tracemalloc.start()
             try:
-                propagator._dephased_populations(grid, w_of_t, b, half_offsets, weights,
+                propagator._dephased_populations(grid, p.delta_ang / 2, half_offsets, weights,
                                                  psi0, cfg, None)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -467,10 +513,9 @@ class TestPeriodicKernel:
             t_end = n_periods * p.period_ns
             grid = propagator._build_grid(p, cfg, (0.0, t_end), t_end / 10,
                                           extra_omega_ang=1e-3)
-            w_of_t, b = propagator._drive_hamiltonian(p)
             tracemalloc.start()
             try:
-                propagator._dephased_populations(grid, w_of_t, b, half_offsets, weights,
+                propagator._dephased_populations(grid, p.delta_ang / 2, half_offsets, weights,
                                                  psi0, cfg, None)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -493,17 +538,15 @@ class TestMirroredPeriod:
         p = DriveParameters(**drive)
         grid = propagator._build_grid(p, IntegratorConfig(method=method), (0.0, p.period_ns),
                                       None)
-        assert grid.mirrored and grid.steps_per_period % 4 == 0
-        w_of_t, b = propagator._drive_hamiltonian(p)
+        assert grid.tp == 0.0 and grid.L % 4 == 0
         offsets = np.array([mhz_to_angular(offset_mhz) / 2])
         built = []
 
         def steps(rows, first, n):
             built.append(first + n)
-            return propagator._step_maps(method, grid.dt, 0.0, w_of_t, b, offsets,
-                                         rows, first, n)
+            return drive_step_maps(p, method, grid.h, 0.0, offsets, first, n)
 
-        return grid.steps_per_period, steps, built
+        return grid.L, steps, built
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("name", list(DRIVES))
@@ -536,13 +579,14 @@ class TestMirroredPeriod:
 
     CFG = dict(steps_per_min_period=100, norm_drift_tolerance=1e-6)
     CASES = {
-        # mirrored: the quarter, or the half with an offset, plus a tail
+        # from a turning point: the quarter, or the half with an offset, and
+        # a partial step at the end
         "quarter": (dict(**FIG3A, n_periods=3), (0.0, 384.0), 7.3, 0.0, True),
         "half_with_offset": (dict(**FIG3A, n_periods=3), (0.0, 384.0), 7.3, 0.37, True),
         "start_at_the_apex": (dict(**FIG3A, n_periods=3), (64.0, 300.0), 5.1, 0.0, True),
         "span_inside_a_quarter": (dict(**FIG3A, n_periods=1), (0.0, 20.0), 3.0, 0.0, True),
         "one_passage": (dict(**FIG3B, n_periods=1), (0.0, 303.0), 303.0, 0.0, True),
-        # zero reflections: the whole period is integrated, as before
+        # off a turning point: the grid starts at the turning point before
         "t_offset_19": (dict(**FIG3A, n_periods=3, t_offset_ns=19.0), (0.0, 384.0), 7.3,
                         0.0, False),
         "t_span_off_boundary": (dict(**FIG3A, n_periods=3), (50.0, 384.0), 7.3, 0.0, False),
@@ -551,17 +595,15 @@ class TestMirroredPeriod:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("name", list(CASES))
     def test_evolve_matches_step_by_step(self, name, method):
-        drive, span, every, offset_mhz, mirrored = self.CASES[name]
+        drive, span, every, offset_mhz, on_turning_point = self.CASES[name]
         p, cfg = DriveParameters(**drive), IntegratorConfig(method=method, **self.CFG)
         off_ang = mhz_to_angular(offset_mhz)
         grid = propagator._build_grid(p, cfg, span, every, extra_omega_ang=off_ang)
-        assert grid.mirrored == mirrored
+        assert (grid.tp == span[0]) == on_turning_point
         psi0 = QubitState(0.6, 0.8j)
         traj = evolve(p, cfg, psi0, t_span=span, sample_every=every,
                       epsilon_offset_mhz=offset_mhz)
-        w_of_t, b = propagator._drive_hamiltonian(p)
-        stepped = step_by_step(grid, w_of_t, b, np.array([off_ang]), psi0.as_array(),
-                               method)[0]
+        stepped = step_by_step(p, grid, np.array([off_ang]), psi0.as_array(), method)[0]
         assert np.array_equal(traj.times, grid.times)
         assert np.max(np.abs(traj.amplitudes - stepped)) < 1e-11
 
@@ -578,10 +620,8 @@ class TestMirroredPeriod:
         offsets_ang = sigma * nodes + mhz_to_angular(detuning)
         grid = propagator._build_grid(p, cfg, (0.0, 384.0), 7.3,
                                       extra_omega_ang=float(np.max(np.abs(offsets_ang))))
-        assert grid.mirrored and grid.n_tail > 0
-        w_of_t, b = propagator._drive_hamiltonian(p)
-        stepped = step_by_step(grid, w_of_t, b, offsets_ang, QubitState.ket0().as_array(),
-                               method)
+        assert grid.tp == 0.0 and np.diff(grid.n[0])[-1] < np.diff(grid.n[0])[0]  # a short last interval
+        stepped = step_by_step(p, grid, offsets_ang, QubitState.ket0().as_array(), method)
         ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
         monkeypatch.setattr(propagator, "_SLAB", 8)
         ens = evolve_ensemble_dephased(p, cfg, t2_star_us=t2_star_us, t_span=(0.0, 384.0),
@@ -592,9 +632,8 @@ class TestMirroredPeriod:
 
 
 class TestRampMaps:
-    """A mirrored grid's step maps from the drive's ramp (`_ramp_steps`),
-    against the maps `_step_maps` builds from the triangle at every step's
-    ends and midpoint."""
+    """Every step map from the drive's ramp (`_ramp_maps`), against the maps
+    built from the triangle read at every step's ends and midpoint."""
 
     METHODS = TestMirroredPeriod.METHODS
 
@@ -608,14 +647,13 @@ class TestRampMaps:
         t0 = start * p.period_ns
         grid = propagator._build_grid(p, IntegratorConfig(method=method), (t0, t0 + p.period_ns),
                                       None)
-        assert grid.mirrored
-        w_of_t, b = propagator._drive_hamiltonian(p)
+        assert grid.tp == t0
         offsets = mhz_to_angular(np.array([0.0, 0.37, -2.5])) / 2
-        half = grid.steps_per_period // 2
-        steps = propagator._ramp_steps(method, grid.dt, t0, half, w_of_t, b, offsets)
+        half = grid.L // 2
+        steps = functools.partial(propagator._ramp_maps, method, grid.h,
+                                  grid.x0 + offsets[:, None], grid.dx, p.delta_ang / 2)
         for first, n in ((0, half), (half // 3, 17)):
-            want = propagator._step_maps(method, grid.dt, t0, w_of_t, b, offsets,
-                                         slice(None), first, n)
+            want = drive_step_maps(p, method, grid.h, t0, offsets, first, n)
             assert np.max(np.abs(steps(slice(None), first, n) - want)) < 1e-14
 
     @pytest.mark.parametrize("method", METHODS)
@@ -623,68 +661,58 @@ class TestRampMaps:
         # a passages-like chunk: a grid per member, and a slab of some of the
         # members, out of order, padded at the front with identity maps
         periods = np.array([20.0, 37.3, 57.1, 400.0])
-        cfg = IntegratorConfig(method=method)
-        drives = [DriveParameters(5.57, 100.0, T, n_periods=1) for T in periods]
-        grids = [propagator._build_grid(p, cfg, (0.0, p.period_ns / 2), p.period_ns / 2)
-                 for p in drives]
-        assert all(g.mirrored for g in grids)
-        dt = np.array([[g.dt] for g in grids])
-        t0 = np.zeros((4, 1))
-        quarter = np.array([g.steps_per_period // 4 for g in grids])
-        w_of_t, b = propagator._drive_hamiltonian(drives[0], periods[:, None])
-        offsets = np.zeros(4)
-        steps = propagator._ramp_steps(method, dt, t0, 2 * quarter[:, None], w_of_t, b,
-                                       offsets)
+        grid = propagator._passage_grid(5.57, 100.0, periods[:, None],
+                                        IntegratorConfig(method=method))
+        assert np.all(grid.tp == 0.0) and np.all(grid.n[:, -1] == grid.L[:, 0] // 2)
+        steps = functools.partial(propagator._ramp_maps, method, grid.h, grid.x0, grid.dx,
+                                  mhz_to_angular(5.57) / 2)
+        quarter = grid.L[:, 0] // 4
         pad = quarter.max() - quarter
         lo, n = int(pad[2]) - 40, 300
         rows = np.array([3, 1, 2])
         first = (lo - pad[rows])[:, None]
         assert first.min() < 0 < first.max() and first[2] + n > 0
         got = steps(rows, first, n)
-        want = propagator._step_maps(method, dt, t0, w_of_t, b, offsets, rows, first, n)
-        assert np.max(np.abs(got - want)) < 1e-14
         padding = first + np.arange(n) < 0
         assert np.all(got[0][padding] == 1.0) and np.all(got[1][padding] == 0.0)
+        for i, row in enumerate(rows):
+            real = ~padding[i]
+            want = drive_step_maps(DriveParameters(5.57, 100.0, periods[row]), method,
+                                   grid.h[row, 0], 0.0, np.zeros(1), max(int(first[i, 0]), 0),
+                                   int(real.sum()))
+            assert np.max(np.abs(got[:, i, real] - want[:, 0])) < 1e-14
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_drive_evaluated_per_member_not_per_step(self, method):
-        # 30 passages of 200 to 4000 quarter steps as members, and three
-        # members with offsets on one shared fig3a grid: the drive is read at
-        # two turning points per member, however many steps it integrates
+    def test_kernel_never_reads_the_drive(self, monkeypatch, method):
+        # every grid is a ramp from a turning point, so no run reads eps(t):
+        # passages, turning-point and off-turning starts with member offsets,
+        # a span ending inside a step, and a constant drive
+        reads = []
+
+        def counted(p, t):
+            reads.append(np.size(t))
+            return epsilon_at(p, t)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lzsim" and hasattr(module, "epsilon_at"):
+                monkeypatch.setattr(module, "epsilon_at", counted)
+        assert not hasattr(propagator, "epsilon_at")
         cfg = IntegratorConfig(method=method)
+        propagator.passage_transfers(5.57, 100.0, np.linspace(20.0, 400.0, 30), cfg)
+        propagator.passage_transfers(5.57, 0.0, [20.0, 222.0], cfg)
         psi0 = QubitState.ket0().as_array()
-        evaluated = []
-
-        def counted(w_of_t):
-            def w(t, rows=slice(None)):
-                evaluated.append(np.size(t))
-                return w_of_t(t, rows)
-            return w
-
-        periods = np.linspace(20.0, 400.0, 30)
-        drives = [DriveParameters(5.57, 100.0, T, n_periods=1) for T in periods]
-        grids = tuple(propagator._build_grid(p, cfg, (0.0, p.period_ns / 2), p.period_ns / 2)
-                      for p in drives)
-        assert all(g.mirrored and not g.n_tail for g in grids)
-        w_of_t, b = propagator._drive_hamiltonian(drives[0], periods[:, None])
-        states = propagator._propagate(grids, counted(w_of_t), b, np.zeros(30), psi0,
-                                       method)
-        assert sum(evaluated) <= 2 * 30 < sum(g.steps_per_period for g in grids) // 4
-        want = propagator.passage_transfers(5.57, 100.0, periods, cfg)
-        assert np.array_equal(np.abs(states[:, -1, 1]) ** 2, want)
-
         offsets = mhz_to_angular(np.array([0.0, 0.37, -2.5])) / 2
-        for t_offset_ns, most in ((0.0, 2 * 3), (19.0, None)):
-            p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=t_offset_ns)
-            grid = propagator._build_grid(p, cfg, (0.0, 384.0), 32.0)
-            assert grid.mirrored == (most is not None) and not grid.n_tail
-            w_of_t, b = propagator._drive_hamiltonian(p)
-            evaluated.clear()
-            propagator._propagate((grid,), counted(w_of_t), b, offsets, psi0, method)
-            if most is None:  # off a turning point: at every step of the period
-                assert sum(evaluated) >= grid.steps_per_period
-            else:
-                assert sum(evaluated) <= most
+        for drive, span in ((dict(**FIG3A, n_periods=3), (0.0, 384.0)),
+                            (dict(**FIG3A, n_periods=3, t_offset_ns=19.0), (0.0, 384.0)),
+                            (dict(**FIG3A, n_periods=3), (50.0, 333.0)),
+                            (dict(delta_mhz=5.0, epsilon_m_mhz=0.0, period_ns=128.0,
+                                  n_periods=3), (0.0, 300.0))):
+            p = DriveParameters(**drive)
+            grid = propagator._build_grid(p, cfg, span, 7.3)
+            propagator._propagate(grid, p.delta_ang / 2, offsets, psi0, method)
+            evolve(p, cfg, t_span=span, sample_every=7.3)
+            evolve_ensemble_dephased(p, cfg, t2_star_us=0.5, t_span=span, sample_every=7.3)
+        assert reads == []
 
 
 class TestSampleCap:
@@ -727,7 +755,7 @@ class TestStepMaps:
         h = 0.05
         # b varies within the step, as the lab-frame toy's coupling does
         w1, w2, w3, b1, b2, b3 = rng.normal(0.0, 5.0, (6, 40))
-        maps = propagator._rk4_maps(h, w1, w2, w3, b1, b2, b3)
+        maps = rk4_maps(h, w1, w2, w3, b1, b2, b3)
 
         def stage(w, b):
             return -1j * np.array([[w, b], [b, -w]])
@@ -763,7 +791,7 @@ class TestStepMaps:
         j = np.arange(40)
         w1, w3 = x0 + dx * (j - 0.5), x0 + dx * (j + 0.5)
         for method, want in (
-            ("fixed-rk4", propagator._rk4_maps(h, w1, (w1 + w3) / 2, w3, b, b, b)),
+            ("fixed-rk4", rk4_maps(h, w1, (w1 + w3) / 2, w3, b, b, b)),
             ("piecewise-exact", propagator._expm_maps(h, x0 + dx * j, b)),
         ):
             got = propagator._ramp_maps(method, h, x0, dx, b, slice(None), 0, j.size)
@@ -773,7 +801,7 @@ class TestStepMaps:
         # odd lengths at several tree levels, three members, counts from 1 to n
         rng = np.random.default_rng(5)
         w1, w2, w3, b1, b2, b3 = rng.normal(0.0, 5.0, (6, 3, 37))
-        maps = propagator._rk4_maps(0.05, w1, w2, w3, b1, b2, b3)
+        maps = rk4_maps(0.05, w1, w2, w3, b1, b2, b3)
         counts = np.array([1, 2, 5, 16, 17, 31, 36, 37])
         got = propagator._prefix_at(maps, counts)
         for i in range(3):
@@ -817,21 +845,40 @@ class TestPassageBatch:
         assert np.max(np.abs(got - uncapped)) > 1e-6
 
     def test_zero_amplitude_integrates_the_whole_span(self):
-        # eps_m = 0 mirrors nothing; with these steps the grids differ in
-        # shape: a tail or none, and one grid that is all tail
+        # eps_m = 0 is a ramp with dx = 0 and four steps a period; with these
+        # steps the passages end on a step boundary or inside a step, after a
+        # short last sample interval or none
         cfg = IntegratorConfig(steps_per_min_period=401, max_step_ns=0.37)
         periods = [20.0, 222.0, 400.0, 1000.0]
         grids = [propagator._build_grid(DriveParameters(5.57, 0.0, T), cfg, (0.0, T / 2), T / 2)
                  for T in periods]
-        assert not any(g.mirrored for g in grids)
-        assert {g.n_tail > 0 for g in grids} == {True, False}
-        assert {g.n_int for g in grids} == {0, 1}
+        assert all(g.L == 4 and g.dx == 0.0 for g in grids)
+        assert {g.f[0, -1] > 0 for g in grids} == {True, False}
+        assert {g.times.size for g in grids} == {2, 3}
         got = propagator.passage_transfers(5.57, 0.0, periods, cfg)
         want = [one_passage(5.57, 0.0, T, cfg) for T in periods]
         assert np.max(np.abs(got - want)) < 1e-12
         # the constant gap rotates |0> over the whole half period
         exact = np.sin(math.pi * 5.57e-3 * np.array(periods) / 2) ** 2
         assert np.max(np.abs(got - exact)) < 1e-8
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, 1e9], ids=["zero", "nan", "over-the-cap"])
+    def test_first_bad_period_refused_as_evolve_refuses_it(self, monkeypatch, bad):
+        # a bad period among good ones, before a second bad one: the message
+        # is the one `evolve` gives for that passage, and nothing is integrated
+        cfg = IntegratorConfig()
+        with pytest.raises(ValueError) as want:
+            one_passage(5.57, 100.0, bad, cfg)
+
+        def integrate(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(propagator, "_propagate", integrate)
+        later = math.nan if bad == 0.0 else 0.0
+        with pytest.raises(ValueError) as got:
+            propagator.passage_transfers(5.57, 100.0, [160.0, 320.0, bad, 640.0, later], cfg)
+        assert str(got.value) == str(want.value)
+        assert ("exceed" in str(got.value)) == (bad == 1e9)
 
     def test_too_coarse_steps_raise(self):
         with pytest.raises(IntegrationError, match="norm drift"):
