@@ -13,8 +13,10 @@ lies on one ramp, with the midpoint detuning ``x0 + j dx`` and its ends
 ``dx/2`` either side, so RK4 and the exact exponential are closed forms in
 ``x`` and ``dx``; the drive is never evaluated per step.  A sample ``n + f``
 steps after ``tp`` (0 <= f < 1) takes n whole steps and one partial ramp
-step of ``f h``, which never crosses a kink.  A constant drive is a ramp
-with ``dx = 0`` and a period of four steps.
+step of ``f h``, which never crosses a kink.  The integration begins at
+``tp``, so a start off a turning point also costs the steps before it (at
+most a quarter period, or a half with offsets; see `_MAX_STEPS`).  A
+constant drive is a ramp with ``dx = 0`` and a period of four steps.
 
 Step maps.  H = [[w, b], [b, -w]] is traceless and real-symmetric, so an RK4
 step, the piecewise-exact step ``exp(-i h H_mid)`` and every product of them
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -94,17 +96,22 @@ _SLAB = 1 << 14
 #: before anything is allocated.
 _MAX_NODES = 1 << 20
 
-#: Most steps in one member's period map: the steps of one drive period, or
-#: of the span when it is shorter.  The kernel integrates a quarter or a half
-#: of them (a constant drive only four; see `_propagate`), but the cap counts
-#: them all, so the same grids are refused whatever the drive or its start.
-#: The RK4 kernel runs about 4e6 steps/s per member (fig2c at 5.1e6 steps on
-#: one core of a 2-vCPU Xeon), so integrating them all would take about
-#: 18 min; past it the run is refused before any step is taken.
+#: Most steps one member's kernel may integrate: those from its grid's turning
+#: point to the span end, or of one drive period when that is shorter.  The
+#: kernel integrates no more (a quarter or a half period once a sample passes
+#: the quarter, a step or two of a constant drive), so the cap bounds each run's
+#: work; a start off a turning point counts the steps from the turning point
+#: before it, where its integration begins.  The RK4 kernel runs about 4e6
+#: steps/s per member (fig2c at 5.1e6 steps on one core of a 2-vCPU Xeon), so
+#: 2**32 steps would take about 18 min; past it the run is refused before any
+#: step is taken.
 _MAX_STEPS = 1 << 32
 
 #: Most samples of one run: one member's (samples, 2) complex states then take
-#: at most 1 GiB.  Past it the run is refused before the sample times are made.
+#: at most 1 GiB.  With the maps gathered per sample and their temporaries, a
+#: run peaks at about 180 bytes per sample and member (tracemalloc, 256401
+#: fig3a samples, on or off a turning point), about 6 GiB at the cap.  Past it
+#: the run is refused before the sample times are made.
 _MAX_SAMPLES = 1 << 25
 
 
@@ -204,104 +211,94 @@ class _Grid:
     times: np.ndarray
 
 
-def _step(period, omega_max: float, ramp: bool, cfg: IntegratorConfig):
-    """The step ceiling, the step h and the steps L per drive period,
-    elementwise over an array of periods.  A ramp aligns h to the quarter
-    period, so the drive's kinks sit on step boundaries; a constant drive
-    steps at the ceiling and takes four steps as its period.  Counts past
-    float range come out inf or NaN, for the callers to refuse."""
-    limit = 2 * math.pi / omega_max if omega_max > 0 else math.inf
-    dt_cap = np.minimum(period, limit) / cfg.steps_per_min_period
-    if cfg.max_step_ns is not None:
-        dt_cap = np.minimum(dt_cap, cfg.max_step_ns)
-    if not ramp:
-        return dt_cap, dt_cap, 4
-    with np.errstate(all="ignore"):
-        per_quarter = np.ceil(period / 4 / dt_cap)
-        return dt_cap, period / 4 / per_quarter, 4 * per_quarter
-
-
-def _layout(span, sample_every, h):
-    """Whole steps s per sample interval, the number of whole intervals in
-    the span, and whether a partial interval ends it; elementwise."""
-    s = np.maximum(1, np.round(sample_every / h))
-    spacing = s * h
-    n_int = np.floor(span / spacing + 1e-9)
-    n_int -= n_int * spacing > span * (1 + 1e-12)
-    return s, n_int, span - n_int * spacing > 1e-9 * np.maximum(span, 1.0)
-
-
 def _build_grid(
     p: DriveParameters,
     cfg: IntegratorConfig,
-    t_span: tuple[float, float],
-    sample_every: float | None,
+    t_span: tuple,
+    sample_every: float | np.ndarray | None,
     extra_omega_ang: float = 0.0,
+    periods: np.ndarray | None = None,
 ) -> _Grid:
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    span = t1 - t0
-    if span <= 0:
-        raise ValueError(f"invalid time span {t_span}")
-    T, ramp = p.period_ns, p.epsilon_m_mhz > 0
+    """The grid of the drive ``p`` over ``t_span``, sampled about every
+    ``sample_every`` ns (span/1000 when None), the last sample on the span
+    end.
+
+    ``periods`` (members, 1) gives each member a grid of its own, for ``p``
+    with that period; the span ends and ``sample_every`` are then numbers or
+    arrays broadcasting against it, and a member with fewer samples than
+    another repeats its last.  Every count is checked per member before the
+    samples are laid out, and the first member refused, in member order,
+    gets the message its drive alone would get.
+    """
+    T = p.period_ns if periods is None else periods
+    t0, t1 = t_span
     omega_max = math.hypot(p.epsilon_m_ang + extra_omega_ang, p.delta_ang)
-    dt_cap, h, L = map(float, _step(T, omega_max, ramp, cfg))
-    # inf when the step underflows; past int64 the count cannot be indexed either
-    if not span / dt_cap < 2**63:
-        raise ValueError(f"{span / dt_cap:.3g} steps over {span} ns: too many to integrate")
-    if sample_every is None:
-        sample_every = span / 1000
-    if sample_every <= 0:
-        raise ValueError("sample_every must be positive")
-    if not sample_every / h < 2**63:
-        raise ValueError(f"sample_every {sample_every} ns is {sample_every / h:.3g} steps: too many")
-    s, n_int, tail = _layout(span, sample_every, h)
-    samples = int(n_int) + 1 + bool(tail)
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"{samples:.3g} samples exceed {_MAX_SAMPLES}; raise sample_every_ns "
-                         "or shorten the span")
-    steps = min(span, T) / h
-    if steps > _MAX_STEPS:
-        raise ValueError(f"{steps:.3g} steps per member exceed {_MAX_STEPS}; "
-                         "lower steps_per_min_period or raise max_step_ns")
-    # the turning point tp at or before t0 (t0 itself within rounding)
-    phase = math.remainder(t0 + p.t_offset_ns, T / 2) if ramp else 0.0
-    if abs(phase) <= 1e-12 * T:
-        phase = 0.0
-    elif phase < 0:
-        phase += T / 2
-    tp = t0 - phase
-    # w is -eps_m/2 at a trough, +eps_m/2 at an apex
-    start = p.epsilon_m_ang / 2
-    if abs(math.remainder(tp + p.t_offset_ns, T)) < T / 4:
-        start = -start
-    L = int(L)
+    limit = 2 * math.pi / omega_max if omega_max > 0 else math.inf
+    dt_cap = np.minimum(T, limit) / cfg.steps_per_min_period
+    if cfg.max_step_ns is not None:
+        dt_cap = np.minimum(dt_cap, cfg.max_step_ns)
+    ramp = p.epsilon_m_mhz > 0
+    with np.errstate(all="ignore"):  # a bad input's counts are inf or NaN, refused below
+        # a ramp's step h divides the quarter period, so the drive's kinks sit
+        # on step boundaries; a constant drive steps at the ceiling and takes
+        # four steps as its period
+        per_quarter = np.ceil(T / 4 / dt_cap)
+        h, L = (T / 4 / per_quarter, 4 * per_quarter) if ramp else (dt_cap, 4)
+        span = t1 - t0
+        if sample_every is None:
+            sample_every = span / 1000
+        # s whole steps per sample interval, n_int whole intervals in the
+        # span, and a partial one at its end when ``tail``
+        s = np.maximum(1, np.round(sample_every / h))
+        spacing = s * h
+        n_int = np.floor(span / spacing + 1e-9)
+        n_int -= n_int * spacing > span * (1 + 1e-12)
+        tail = span - n_int * spacing > 1e-9 * np.maximum(span, 1.0)
+        samples = n_int + 1 + tail
+        # the turning point tp at or before t0 (t0 itself within rounding)
+        phase = np.remainder(t0 + p.t_offset_ns, T / 2) * ramp
+        phase *= (phase > 1e-12 * T) & (T / 2 - phase > 1e-12 * T)
+        tp = t0 - phase
+        # the kernel integrates no step past the span end, nor past one period
+        steps = np.minimum(t1 - tp, T) / h
+        most, per_sample = span / dt_cap, sample_every / h
+        checks = (
+            (span > 0, lambda v: f"invalid time span {(float(v(t0)), float(v(t1)))}"),
+            # inf when the step underflows; past int64 the count cannot be indexed either
+            (most < 2**63,
+             lambda v: f"{v(most):.3g} steps over {v(span)} ns: too many to integrate"),
+            (sample_every > 0, lambda v: "sample_every must be positive"),
+            (per_sample < 2**63,
+             lambda v: f"sample_every {v(sample_every)} ns is {v(per_sample):.3g} steps: too many"),
+            (samples <= _MAX_SAMPLES,
+             lambda v: f"{v(samples):.3g} samples exceed {_MAX_SAMPLES}; raise sample_every_ns "
+                       "or shorten the span"),
+            (steps <= _MAX_STEPS,
+             lambda v: f"{v(steps):.3g} steps per member exceed {_MAX_STEPS}; "
+                       "lower steps_per_min_period or raise max_step_ns"),
+        )
+    bad = ~functools.reduce(np.logical_and, (ok for ok, _ in checks))
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+
+        def v(x):  # the first refused member's value
+            return np.broadcast_to(x, bad.shape)[i]
+
+        replace(p, period_ns=float(v(T)))  # a period no drive may have is refused as such
+        raise ValueError(next(message(v) for ok, message in checks if not v(ok)))
+    # w is -eps_m/2 at a trough (tp a whole number of periods after the
+    # drive's origin), +eps_m/2 at an apex
+    start = p.epsilon_m_ang / 2 * (1 - 2 * (np.remainder(tp + p.t_offset_ns + T / 4, T) < T / 2))
+    L = L.astype(np.int64) if isinstance(L, np.ndarray) else int(L)
     dx = -2 * start / (L // 2)
-    k = np.arange(samples)
-    n, f = divmod(phase / h, 1.0)
-    n, f = n + s * k, np.full(samples, f)
-    times = t0 + s * h * k
-    if tail:
-        n[-1], f[-1] = divmod((t1 - tp) / h, 1.0)
-        times[-1] = t1
-    return _Grid(tp, h, L, start + dx / 2, dx, n[None].astype(np.int64), f[None], times)
-
-
-def _passage_grid(delta_mhz: float, epsilon_m_mhz: float, periods: np.ndarray,
-                  cfg: IntegratorConfig) -> _Grid:
-    """Member i is one passage from the trough at t = 0 to the apex of a
-    drive of period ``periods[i]`` ((members, 1), checked by the caller), on
-    the grid `_build_grid` makes for it, with its first and last samples."""
-    em = mhz_to_angular(epsilon_m_mhz)
-    half = periods / 2
-    _, h, L = _step(periods, math.hypot(em, mhz_to_angular(delta_mhz)), epsilon_m_mhz > 0, cfg)
-    L = L.astype(np.int64) if isinstance(L, np.ndarray) else L
-    s, n_int, tail = _layout(half, half, h)
-    n, f = np.divmod(half / h, 1.0)
-    zero = np.zeros_like(periods)
-    n, f = np.where(tail, n, s * n_int), np.where(tail, f, 0.0)
-    dx = em / (L // 2)
-    return _Grid(zero, h, L, dx / 2 - em / 2, dx, np.hstack([zero, n]).astype(np.int64),
-                 np.hstack([zero, f]), np.hstack([zero, half]))
+    # every column past a member's samples repeats its last
+    k = np.minimum(np.arange(int(np.max(samples))), samples - 1)
+    end = tail & (k == samples - 1)
+    n, f = np.divmod(phase / h, 1.0)
+    n_end, f_end = np.divmod((t1 - tp) / h, 1.0)
+    n = np.atleast_2d(np.where(end, n_end, n + s * k)).astype(np.int64)
+    f = np.atleast_2d(np.where(end, f_end, f))
+    return _Grid(tp, h, L, start + dx / 2, dx, n, f, np.where(end, t1, t0 + s * h * k))
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +389,15 @@ def _ramp_maps(method, h, x0, dx, b, rows, first, n) -> np.ndarray:
     return _pad(_ramp_map(method, h, x, dx, b), first)
 
 
-def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray) -> np.ndarray:
-    """Maps (2, members, k) of the first ``grid.f`` of step r of a period,
-    for the members' ramps ``x0`` (members, 1).  Step r of the second half
-    is the time reversal of step L-1-r."""
+def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
+                  f: np.ndarray) -> np.ndarray:
+    """Maps (2, members, k) of the first fraction f of step r of a period,
+    for the members' ramps ``x0`` (members, 1); ``r`` and ``f`` are (members,
+    k) or one row shared by every member.  Step r of the second half is the
+    time reversal of step L-1-r."""
     falling = r >= grid.L // 2
     dx = np.where(falling, -grid.dx, grid.dx)
     mid = x0 + grid.dx * np.where(falling, grid.L - 1 - r, r)
-    f = grid.f
     return _ramp_map(method, f * grid.h, mid - (1 - f) * dx / 2, f * dx, b)
 
 
@@ -599,6 +597,10 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
     x0 = grid.x0 + offsets[:, None]
     flips = (False,) if np.any(offsets) else (False, True)
     q, r = np.divmod(grid.n, grid.L)
+    # P C[r] is formed once per distinct (r, f), and P only where some f > 0
+    ends, end_at = _distinct_columns(np.concatenate([r, grid.f.view(np.int64)]))
+    r, f = np.split(ends, 2)
+    f = f.view(float)
     k = r.shape[1]
     if q.any():
         r = np.concatenate([r, grid.L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
@@ -616,11 +618,12 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
         powers[:, i, j] = _mul(u[:, i], powers[:, i, j])
         u = _mul(u, u)
     rows = prefix[..., r_at[:k]]
-    partial = _partial_maps(method, grid, x0, b, r[:, :k])
-    p0, q0 = _mul(partial[..., 0], _mul(rows[..., 0], powers[..., q_at[0]]))  # V0
+    at = (f > 0).any(axis=0).nonzero()[0]
+    rows[..., at] = _mul(_partial_maps(method, grid, x0, b, r[:, at], f[:, at]), rows[..., at])
+    rows = rows[..., end_at]
+    p0, q0 = _mul(rows[..., 0], powers[..., q_at[0]])  # V0
     psi = _apply(np.stack([p0.conj(), -q0]) / (np.abs(p0) ** 2 + np.abs(q0) ** 2), psi0)
-    psi = _apply(powers, psi[:, None])[:, q_at]
-    return _apply(partial, _apply(rows, psi))
+    return _apply(rows, _apply(powers, psi[:, None])[:, q_at])
 
 
 def _check_norms(states: np.ndarray, tol: float) -> None:
@@ -697,14 +700,12 @@ def passage_transfers(
     """
     cfg = cfg or IntegratorConfig()
     periods = np.fromiter(map(float, periods_ns), dtype=float)
-    omega_max = math.hypot(mhz_to_angular(epsilon_m_mhz), mhz_to_angular(delta_mhz))
-    dt_cap, h, _ = _step(periods, omega_max, epsilon_m_mhz > 0, cfg)
-    with np.errstate(all="ignore"):  # NaN, zero and too long periods fail here
-        ok = (periods / 2 > 0) & (periods / 2 / dt_cap < 2**63) & (periods / 2 / h <= _MAX_STEPS)
-    # the drive, then the first bad period in request order, refused as `evolve` refuses them
-    for i in sorted({0, int(np.argmin(ok))}) if periods.size else ():
-        T = float(periods[i])
-        _build_grid(DriveParameters(delta_mhz, epsilon_m_mhz, T), cfg, (0.0, T / 2), T / 2)
+    if not periods.size:
+        return periods
+    # the drive, with the first period, then every period, refused as `evolve` refuses them
+    p = DriveParameters(delta_mhz, epsilon_m_mhz, periods[0])
+    T = periods[:, None]
+    grid = _build_grid(p, cfg, (0.0, T / 2), T / 2, periods=T)
     psi0 = QubitState.ket0().as_array()
     transfers = np.empty(periods.size)
     # members of like step counts share a chunk
@@ -712,9 +713,8 @@ def passage_transfers(
     chunk = math.isqrt(_SLAB)
     for lo in range(0, order.size, chunk):
         idx = order[lo:lo + chunk]
-        grid = _passage_grid(delta_mhz, epsilon_m_mhz, periods[idx, None], cfg)
-        states = _propagate(grid, mhz_to_angular(delta_mhz) / 2, np.zeros(idx.size), psi0,
-                            cfg.method)
+        rows = _Grid(*(v[idx] if isinstance(v, np.ndarray) else v for v in vars(grid).values()))
+        states = _propagate(rows, p.delta_ang / 2, np.zeros(idx.size), psi0, cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         transfers[idx] = np.abs(states[:, -1, 1]) ** 2
     return transfers

@@ -255,6 +255,22 @@ sample_every_ns = 100.0
         assert "lower steps_per_min_period or raise max_step_ns" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_off_turning_start_counts_the_steps_from_its_turning_point(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # a 10 ns span is 400 steps, but it starts 3e8 ns past the trough, and
+        # the grid is integrated from there: 1.2e10 steps, refused untouched
+        def integrate(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(propagator, "_propagate", integrate)
+        conf = write(tmp_path, "run.conf",
+                     "delta_mhz = 5.57\nepsilon_m_mhz = 100.0\nperiod_ns = 1e9\n"
+                     "t_offset_ns = 3e8\nt_end_ns = 10\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "1.2e+10 steps per member exceed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_absurd_sample_count_refused_before_allocating(self, tmp_path, capsys):
         # 1e15 samples, where one period is 5128 steps
         conf = write(tmp_path, "run.conf",
