@@ -85,7 +85,7 @@ def cmd_simulate(args) -> int:
     result = run_scenario(cfg.spec)
     files = _write_series(_out_dir(args.out, cfg.out_dir), result, args.format or cfg.format)
     summary = {"name": result.name, "files": files, **_plain_scalars(result.scalars)}
-    if cfg.report_rabi and "ode" in result.series:
+    if cfg.report_rabi:
         fit = rabi_frequency(result.series["ode"])
         summary["rabi_frequency_mhz"] = fit.frequency_mhz
     _emit(summary)

@@ -105,7 +105,6 @@ _SWEEP_SCHEMA = {
     "delta_mhz": (_parse_float, None),
     "epsilon_m_mhz": (_parse_float, None),
     "period_ns": (_parse_float, None),
-    "n_periods": (_parse_int, 1),
     "t_offset_ns": (_parse_float, 0.0),
     "steps_per_min_period": (_parse_int, 400),
     "norm_tolerance": (_parse_float, 1e-8),
@@ -184,6 +183,12 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
                 f"{source}: {key!r} applies only to the dephasing ensemble; set t2_star_us, "
                 f"or t2_star_us = inf to apply it without dephasing noise"
             )
+    if v["report_rabi"] and v["method"] == "transfer-matrix":
+        # the fit reads the dense series, which the impulse model does not make
+        raise ConfigError(
+            f"{source}: method = transfer-matrix has no dense series and would "
+            "ignore 'report_rabi'; use method = ode or both"
+        )
 
     if v["scenario"] is not None:
         name = v["scenario"]
@@ -312,7 +317,6 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
             delta_mhz=v["delta_mhz"],
             epsilon_m_mhz=v["epsilon_m_mhz"],
             period_ns=period,
-            n_periods=v["n_periods"],
             t_offset_ns=v["t_offset_ns"],
         )
         integrator = IntegratorConfig(

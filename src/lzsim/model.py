@@ -180,24 +180,24 @@ def sweep_rate(p: DriveParameters) -> float:
     return 4 * p.epsilon_m_mhz / p.period_ns
 
 
-def mixing_angle_at(p: DriveParameters, t, epsilon_offset_mhz: float = 0.0):
+def mixing_angle_at(p: DriveParameters, t):
     """Instantaneous mixing angle theta(t) in [0, pi].
 
     cos(theta) = eps/Omega and sin(theta) = delta/Omega with
     Omega = sqrt(eps^2 + delta^2); theta -> pi for eps -> -inf and theta -> 0
     for eps -> +inf, continuous through the crossing.
     """
-    eps = np.asarray(epsilon_at(p, t), dtype=float) + epsilon_offset_mhz
+    eps = np.asarray(epsilon_at(p, t), dtype=float)
     return np.arctan2(p.delta_mhz, eps)
 
 
-def eigenbasis_at(p: DriveParameters, t: float, epsilon_offset_mhz: float = 0.0) -> np.ndarray:
+def eigenbasis_at(p: DriveParameters, t: float) -> np.ndarray:
     """Columns (|g>, |e>) of the instantaneous eigenbasis at time t.
 
     |g> = (-sin(theta/2), cos(theta/2)), |e> = (cos(theta/2), sin(theta/2)).
     The column phases are continuous along the sweep, which keeps transfer
     matrices extracted at successive crossings mutually consistent.
     """
-    th = float(mixing_angle_at(p, t, epsilon_offset_mhz))
+    th = float(mixing_angle_at(p, t))
     c, s = math.cos(th / 2), math.sin(th / 2)
     return np.array([[-s, c], [c, s]], dtype=complex)

@@ -55,12 +55,10 @@ detuning offset; the dephasing average runs the nodes of a quadrature over
 the Gaussian offset, plus the detuning, as members of one grid, in chunks,
 and keeps only their weighted populations; `passage_transfers` runs one
 passage per period as members of their own grids, in chunks.  Per-member
-step counts are ragged: each member's steps are right-aligned behind
-identity maps, so its product runs over the same padded count as every
-other's, and a slab of steps holds only the members with real steps in it,
-so the work is the members' own steps.  A slab holds at most ``_SLAB`` maps
-over members and steps, so memory grows with the number of samples, not of
-steps or members.
+step counts are ragged: every member starts at step 0, and a slab of steps
+holds only the members that have steps left, so the work is about the
+members' own steps.  A slab holds at most ``_SLAB`` maps over members and
+steps, so memory grows with the number of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -363,30 +361,16 @@ def _ramp_map(method, h, x, dx, b) -> np.ndarray:
     return out
 
 
-def _pad(maps: np.ndarray, first) -> np.ndarray:
-    """``maps`` (2, members, n) of the steps first, first + 1, ... with
-    identity maps in place of the negative steps, a member's front padding
-    (see `_products`)."""
-    if isinstance(first, np.ndarray):
-        padding = first + np.arange(maps.shape[-1]) < 0
-        maps[0][padding] = 1.0
-        maps[1][padding] = 0.0
-    return maps
-
-
-def _ramp_maps(method, h, x0, dx, b, rows, first, n) -> np.ndarray:
-    """Maps (2, members, n) of the steps first..first+n-1 of the first half
-    period of each member in ``rows`` (an index array or a slice of the
-    member axis): step j of member i has the midpoint value x0[i] + j dx.
+def _ramp_maps(method, h, x0, dx, b, rows: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Maps (2, rows, n) of the steps first..first+n-1 of the first half
+    period of each member in ``rows`` (an index array of the member axis):
+    step j of member i has the midpoint value x0[i] + j dx.
 
     ``x0`` is a (members, 1) array; ``h`` and ``dx`` are numbers shared by
-    every member, or (members, 1) arrays.  ``first`` is an int shared by the
-    members, or a (members, 1) array of their own first steps, where the
-    negative steps are identity maps (a member's padding, see `_products`).
+    every member, or (members, 1) arrays.
     """
     h, dx = (v[rows] if isinstance(v, np.ndarray) else v for v in (h, dx))
-    x = x0[rows] + dx * np.maximum(first + np.arange(n), 0)
-    return _pad(_ramp_map(method, h, x, dx, b), first)
+    return _ramp_map(method, h, x0[rows] + dx * (first + np.arange(n)), dx, b)
 
 
 def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
@@ -465,15 +449,15 @@ def _prefix_at(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _entries(mask: np.ndarray, every) -> tuple:
+def _entries(mask: np.ndarray, m: int) -> tuple:
     """Indices (i, j) of the true entries of ``mask`` (rows, k) in a
-    (2, members, k) map array, as the block ``a[:, i, j]``.  Row i is member
-    i, or one row is shared by every member and i is then ``every``: a slice,
-    or the column ``arange(members)[:, None]``, with which ``b[:, i]`` of a
-    (2, members) array broadcasts against the block.
+    (2, m, k) map array, as the block ``a[:, i, j]``.  Row i is member i, or
+    one row is shared by all m members and i is then the column
+    ``arange(m)[:, None]``; either way ``b[:, i]`` of a (2, m) array
+    broadcasts against the block.
     """
     if mask.shape[0] == 1:
-        return every, mask[0].nonzero()[0]
+        return np.arange(m)[:, None], mask[0].nonzero()[0]
     i, j = mask.nonzero()
     return i[:, None], j[:, None]
 
@@ -483,51 +467,34 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     c = counts[i, j] >= 0, where ``counts`` is (m, k), or one row shared by
     every member; ``steps(rows, first, n)`` builds maps as `_ramp_maps` does.
 
-    Member i integrates its n_i = max_j counts[i, j] steps.  Members are
-    right-aligned: each is padded at the front with N - n_i identity maps,
-    N = max_i n_i, so every member's products run over the same N padded
-    steps.  Steps stream in slabs of at most ``_SLAB`` maps.  A slab holds
-    only the members with real steps in it, so the work is the members' own
-    steps, however ragged.  Each slab's products are chained onto the
-    product of the slabs before it.
+    Member i integrates its n_i = max_j counts[i, j] steps, from step 0 as
+    every member does.  Steps stream in slabs: the slab [lo, hi) holds the
+    members with n_i > lo, ``rows``, over ``_SLAB // rows.size`` steps, so it
+    holds at most ``_SLAB`` maps (members only drop out as lo grows).  The
+    work is the members' own steps, however ragged, plus the steps past n_i
+    of the slab a member ends in, which are built and never used.  Each
+    slab's products are chained onto the product of the slabs before it.
     """
     counts = counts.reshape(-1, counts.shape[-1])
-    n = counts.max(axis=1)
+    n = np.broadcast_to(counts.max(axis=1), m)
     total = int(n.max())
-    pad = total - n
-    ragged = bool(pad.any())  # then counts has a row per member
-    if ragged:
-        counts = np.where(counts > 0, counts + pad[:, None], 0)  # the counts in padded steps
-        by_pad = np.sort(pad)
-    members = np.arange(m)
     out = _identity(m, counts.shape[1])
     done = _identity(m)
     lo = 0
     while lo < total:
-        hi = min(lo + max(1, _SLAB // m), total)
-        rows, first = slice(None), lo
-        if ragged:
-            # the widest slab whose live members, those with pad < hi, fit in _SLAB maps
-            width = max(1, _SLAB // int(np.searchsorted(by_pad, lo, side="right")))
-            while True:
-                hi = min(lo + width, total)
-                live = int(np.searchsorted(by_pad, hi))
-                if live * (hi - lo) <= _SLAB or hi == lo + 1:
-                    break
-                width = max(1, _SLAB // live)
-            members = (pad < hi).nonzero()[0]
-            rows, first = members, (lo - pad[members])[:, None]
-        local = (counts[members] if ragged else counts) - lo
+        rows = (n > lo).nonzero()[0]
+        hi = min(lo + max(1, _SLAB // rows.size), total)
+        local = (counts if counts.shape[0] == 1 else counts[rows]) - lo
         inside = (local > 0) & (local <= hi - lo)  # the counts that end in this slab
         # the last column is the slab's own product
         local = np.concatenate([np.where(inside, local, 0),
                                 np.full((local.shape[0], 1), hi - lo)], axis=1)
         # the slab's maps are built here, so none outlives its products
-        local = _prefix_at(steps(rows, first, hi - lo), local)
+        local = _prefix_at(steps(rows, lo, hi - lo), local)
         if lo:
             local = _mul(local, done[:, rows, None])
-        i, j = _entries(inside, slice(None))
-        out[:, members[i] if ragged else i, j] = local[:, i, j]
+        i, j = _entries(inside, rows.size)
+        out[:, rows[i], j] = local[:, i, j]
         done[:, rows] = local[..., -1]
         lo = hi
     return out
@@ -578,7 +545,7 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.
     x = c[..., -1]  # C[half]
     full = _mul(_mirror(x, flips[0]), x)
     out = c[..., :-1]
-    i, j = _entries(upper, np.arange(m)[:, None])
+    i, j = _entries(upper, m)
     out[:, i, j] = _mul(_mirror(out[:, i, j], flips[0], inverse=True), full[:, i])
     return out
 
@@ -612,9 +579,8 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
     # bits of q multiply in any order
     periods, q_at = _distinct_columns(q)
     powers, u = _identity(m, periods.shape[1]), prefix[..., -1]
-    every = np.arange(m)[:, None]
     for bit in range(int(periods.max()).bit_length()):
-        i, j = _entries(periods >> bit & 1, every)
+        i, j = _entries(periods >> bit & 1, m)
         powers[:, i, j] = _mul(u[:, i], powers[:, i, j])
         u = _mul(u, u)
     rows = prefix[..., r_at[:k]]

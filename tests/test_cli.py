@@ -54,6 +54,34 @@ class TestSimulate:
         assert main(["simulate", conf, "--out", str(tmp_path)]) == 2
         assert "epsilon_m_mhz" in capsys.readouterr().err
 
+    README_CONF = """\
+# fast-passage long drive
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+period_ns = 128.0
+n_periods = 63
+t_end_ns = 8000.0
+sample_every_ns = 8.0
+method = both            # ode | transfer-matrix | both
+report_rabi = true
+"""
+
+    def test_readme_example_reports_rabi(self, tmp_path, capsys):
+        # fig3a's drive over 8 us: the fit of acceptance criterion 2
+        conf = write(tmp_path, "run.conf", self.README_CONF)
+        assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["rabi_frequency_mhz"] == pytest.approx(1.5508, abs=1e-4)
+
+    def test_transfer_matrix_refuses_report_rabi(self, tmp_path, capsys):
+        # the impulse model makes no dense series for the fit to read
+        conf = write(tmp_path, "run.conf",
+                     self.README_CONF.replace("method = both", "method = transfer-matrix"))
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "would ignore 'report_rabi'" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         conf = write(tmp_path, "bad.conf", FIG3A_CONF + "coffee = yes\n")
         assert main(["simulate", conf, "--out", str(tmp_path)]) == 2

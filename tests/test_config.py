@@ -56,7 +56,7 @@ class TestPresets:
 
 
 class TestRemovedKeys:
-    @pytest.mark.parametrize("line", ["workers = 2", "seed = 1"])
+    @pytest.mark.parametrize("line", ["workers = 2", "seed = 1", "n_periods = 50"])
     def test_sweep_config_refuses(self, line):
         parse_sweep_config(SWEEP)
         with pytest.raises(ConfigError, match="unknown key"):

@@ -75,6 +75,20 @@ def halving_ratio(x):
     return e1 / e2
 
 
+def count_ramp_maps(monkeypatch):
+    """The sizes of the map arrays `propagator._ramp_map` builds from now on."""
+    built = []
+    ramp_map = propagator._ramp_map
+
+    def counted(*args):
+        maps = ramp_map(*args)
+        built.append(maps[0].size)
+        return maps
+
+    monkeypatch.setattr(propagator, "_ramp_map", counted)
+    return built
+
+
 class TestNumericalQuality:
     def test_norm_conservation_100k_steps(self):
         p = DriveParameters(**FIG3A, n_periods=25)
@@ -452,15 +466,7 @@ class TestPeriodicKernel:
         # past the last whole interval, reached from prefix products already
         # formed and one partial step, so it builds no more maps than whole
         # periods apart (12800 ns), plus one partial step per distinct fraction
-        built = []
-        ramp_map = propagator._ramp_map
-
-        def counted(*args):
-            maps = ramp_map(*args)
-            built.append(maps[0].size)
-            return maps
-
-        monkeypatch.setattr(propagator, "_ramp_map", counted)
+        built = count_ramp_maps(monkeypatch)
         p = DriveParameters(**FIG3A, n_periods=1000)
         maps, fractions = {}, {}
         for every in (12800.0, 12850.0):
@@ -654,12 +660,13 @@ class TestRampMaps:
                                   grid.x0 + offsets[:, None], grid.dx, p.delta_ang / 2)
         for first, n in ((0, half), (half // 3, 17)):
             want = drive_step_maps(p, method, grid.h, t0, offsets, first, n)
-            assert np.max(np.abs(steps(slice(None), first, n) - want)) < 1e-14
+            assert np.max(np.abs(steps(np.arange(3), first, n) - want)) < 1e-14
 
     @pytest.mark.parametrize("method", METHODS)
     def test_ragged_chunk_equals_step_maps(self, method):
         # a passages-like chunk: a grid per member, and a slab of some of the
-        # members, out of order, padded at the front with identity maps
+        # members, out of order, from one first step shared by all of them;
+        # the slab runs past the quarter of one member, within its half
         periods = np.array([20.0, 37.3, 57.1, 400.0])
         T = periods[:, None]
         grid = propagator._build_grid(DriveParameters(5.57, 100.0, periods[0]),
@@ -668,21 +675,14 @@ class TestRampMaps:
         assert np.all(grid.tp == 0.0) and np.all(grid.n[:, -1] == grid.L[:, 0] // 2)
         steps = functools.partial(propagator._ramp_maps, method, grid.h, grid.x0, grid.dx,
                                   mhz_to_angular(5.57) / 2)
-        quarter = grid.L[:, 0] // 4
-        pad = quarter.max() - quarter
-        lo, n = int(pad[2]) - 40, 300
-        rows = np.array([3, 1, 2])
-        first = (lo - pad[rows])[:, None]
-        assert first.min() < 0 < first.max() and first[2] + n > 0
+        rows, first, n = np.array([3, 1, 2]), 300, 300
+        assert first < grid.L[1, 0] // 4 < first + n <= grid.L[rows, 0].min() // 2
         got = steps(rows, first, n)
-        padding = first + np.arange(n) < 0
-        assert np.all(got[0][padding] == 1.0) and np.all(got[1][padding] == 0.0)
+        assert got.shape == (2, rows.size, n)
         for i, row in enumerate(rows):
-            real = ~padding[i]
             want = drive_step_maps(DriveParameters(5.57, 100.0, periods[row]), method,
-                                   grid.h[row, 0], 0.0, np.zeros(1), max(int(first[i, 0]), 0),
-                                   int(real.sum()))
-            assert np.max(np.abs(got[:, i, real] - want[:, 0])) < 1e-14
+                                   grid.h[row, 0], 0.0, np.zeros(1), first, n)
+            assert np.max(np.abs(got[:, i] - want[:, 0])) < 1e-14
 
     @pytest.mark.parametrize("method", METHODS)
     def test_kernel_never_reads_the_drive(self, monkeypatch, method):
@@ -796,7 +796,7 @@ class TestStepMaps:
             ("fixed-rk4", rk4_maps(h, w1, (w1 + w3) / 2, w3, b, b, b)),
             ("piecewise-exact", propagator._expm_maps(h, x0 + dx * j, b)),
         ):
-            got = propagator._ramp_maps(method, h, x0, dx, b, slice(None), 0, j.size)
+            got = propagator._ramp_maps(method, h, x0, dx, b, np.arange(3), 0, j.size)
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_prefix_at_matches_sequential_products(self):
@@ -825,15 +825,31 @@ class TestPassageBatch:
     """`passage_transfers`: every period a member of one kernel call, on its own grid."""
 
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
-    def test_matches_one_evolve_per_period(self, method):
-        # shuffled, with a repeat and both extremes: quarters of 100 to 200000 steps
+    def test_matches_one_evolve_per_period(self, monkeypatch, method):
+        # shuffled, with a repeat and both extremes: quarters of 100 to 200000
+        # steps; 64-map slabs run chunks of 8 members, which end inside slabs
         rng = np.random.default_rng(12)
         periods = rng.permutation(np.concatenate(
             [np.round(rng.uniform(20.0, 400.0, 30), 1), [20.0, 20000.0, 20.0]]))
         cfg = IntegratorConfig(method=method)
-        got = propagator.passage_transfers(5.57, 100.0, periods, cfg)
         want = [one_passage(5.57, 100.0, T, cfg) for T in periods]
-        assert np.max(np.abs(got - want)) < 1e-12
+        for slab in (propagator._SLAB, 64):
+            monkeypatch.setattr(propagator, "_SLAB", slab)
+            got = propagator.passage_transfers(5.57, 100.0, periods, cfg)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_ragged_members_build_about_their_own_steps(self, monkeypatch):
+        # every member starts at step 0, and a member that ends inside a slab
+        # builds the rest of it: the maps stay within 10% of the members' own
+        # quarters (passages-like periods, 20-400 ns in one chunk)
+        built = count_ramp_maps(monkeypatch)
+        periods = np.round(np.random.default_rng(3).uniform(20.0, 400.0, 120), 1)
+        T = periods[:, None]
+        grid = propagator._build_grid(DriveParameters(5.57, 100.0, periods[0]),
+                                      IntegratorConfig(), (0.0, T / 2), T / 2, periods=T)
+        own = int(np.sum(grid.L // 4))
+        propagator.passage_transfers(5.57, 100.0, periods)
+        assert own <= sum(built) <= 1.1 * own
 
     def test_step_cap_applies_per_member(self):
         # coarse steps of the exact (unitary) rule, about 2.5 ns, capped at 0.05 ns
