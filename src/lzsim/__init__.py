@@ -45,7 +45,7 @@ from .propagator import (
 )
 from .transfer_matrix import (
     PeriodRotation,
-    ScanPoint,
+    ResonanceScan,
     free_phase,
     lz_probability,
     resonance_scan,

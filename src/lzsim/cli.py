@@ -111,10 +111,6 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
-def _resonance_row(point):
-    return (point.value, point.rotation_angle, point.axis_z)
-
-
 def cmd_sweep(args) -> int:
     cfg = load_sweep_config(args.config)
     if args.format is not None:
@@ -133,13 +129,11 @@ def cmd_sweep(args) -> int:
     })
     summary: dict = {"sweep": cfg.kind, "points": len(cfg.scan_values)}
     if cfg.kind == "resonance":
-        points = resonance_scan(cfg.drive, cfg.scan_parameter, cfg.scan_values)
+        scan = resonance_scan(cfg.drive, cfg.scan_parameter, cfg.scan_values)
         columns = [cfg.scan_parameter, "rotation_angle_rad", "axis_z"]
-        rows = [_resonance_row(pt) for pt in points]
-        angles = [pt.rotation_angle for pt in points]
-        zs = [abs(pt.axis_z) for pt in points]
-        summary["rotation_angle_min_at"] = points[int(np.argmin(angles))].value
-        summary["axis_z_min_at"] = points[int(np.argmin(zs))].value
+        rows = np.column_stack((scan.value, scan.rotation_angle, scan.axis_z))
+        summary["rotation_angle_min_at"] = float(scan.value[np.argmin(scan.rotation_angle)])
+        summary["axis_z_min_at"] = float(scan.value[np.argmin(np.abs(scan.axis_z))])
     else:
         res = run_lz_probability_sweep(
             cfg.drive.delta_mhz, cfg.drive.epsilon_m_mhz, cfg.scan_values,

@@ -119,15 +119,18 @@ def series_table(
 
 
 def render_series_csv(columns, rows, provenance: dict) -> str:
-    """Header, column names and one line per row; NaN cells are left empty."""
+    """Header, column names and one line per row; NaN cells are left empty, so
+    a one-column table holding NaN is refused (readers skip a blank line)."""
     import orjson  # only commands that write a CSV pay its import
 
+    data = np.ascontiguousarray(rows, dtype=np.float64)  # orjson refuses other layouts
+    if len(columns) == 1 and np.isnan(data).any():
+        raise ValueError(f"column {columns[0]} holds NaN, which a one-column CSV cannot write")
     flat: dict[str, str] = {}
     _flatten("", provenance, flat)
     lines = [f"# lzsim-series schema={SCHEMA_VERSION}"]
     lines += [f"# {k} = {v}" for k, v in sorted(flat.items())]
     lines.append(",".join(columns))
-    data = np.ascontiguousarray(rows, dtype=np.float64)  # orjson refuses other layouts
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
         text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()

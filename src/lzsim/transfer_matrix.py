@@ -44,7 +44,8 @@ to O(kappa).
 The closed forms of these factors (N's entries, the quarter-period phase
 zeta/2, kappa and the first crossing's orientation) are evaluated in one
 place, ``_impulse_factors``, for a whole grid of periods or amplitudes at
-once.  ``resonance_scan`` composes G1 from them as (n, 2, 2) arrays
+once.  ``resonance_scan`` composes G1 from them in the (p, q) form of the
+dense kernel's step maps and returns its diagnostics as columns
 (``_period_rotations``), ``single_period_rotation`` is its one-point case,
 and ``stroboscopic_evolve`` splits the same period into its segments between
 turning points.
@@ -69,7 +70,7 @@ from .model import (
     mhz_to_angular,
     sweep_rate,
 )
-from .propagator import _MAX_SAMPLES, Trajectory, rotation_x
+from .propagator import _MAX_SAMPLES, Trajectory, _mul, rotation_x
 
 
 @dataclass(frozen=True)
@@ -287,50 +288,44 @@ def _period_rotations(
     half-period phase zeta (both half periods hold one turning point and are
     equal), and each M = U(zeta/2)^dag K U(zeta/2) N is a node oriented as
     its crossing sweeps, followed by the next turning point's kick K carried
-    back to the crossing.  Angle and axis follow the convention of an SU(2)
-    rotation: the global phase is removed by dividing out sqrt(det) and
-    fixing the trace real-positive, so the angle lies in [0, pi]; at angle
-    pi the leftover sign is broken by preferring a non-negative z, then x,
-    then y axis component.
+    back to the crossing.  Every factor lies in SU(2), so it is held as the
+    pair (p, q) of [[p, q], [-conj(q), conj(p)]] and multiplied by the dense
+    kernel's ``_mul``: U is (e^{i zeta}, 0), a node (alpha, +-gamma) and a
+    kick (cos kappa, i sin kappa e^{-i zeta}).
 
-    Returns ``g1`` (n, 2, 2), ``angles`` (n,) and ``axes`` (n, 3).
+    Angle and axis follow the convention of an SU(2) rotation: the global
+    phase is removed by dividing out sqrt(det), det = |p|^2 + |q|^2, and
+    fixing the trace 2 Re p real-positive, so the angle lies in [0, pi] and
+    the axis is along -(Im q, Re q, Im p); at angle pi the leftover sign is
+    broken by preferring a non-negative z, then x, then y axis component.
+
+    Returns ``g1`` as (p, q) rows (2, n), ``angles`` (n,) and ``axes`` (n, 3).
     """
     alpha, gamma, quarter, kick, up = _impulse_factors(p, epsilon_m_mhz, period_ns)
-    zeta = 2 * quarter
-    e_plus = np.exp(1j * zeta)
-    e_minus = e_plus.conj()
-    n = zeta.size
+    e_plus = np.exp(2j * quarter)
 
     def node(sign):
         # the turning point after an up-sweep kicks by -kick, after a down-sweep by +kick
-        cos_k, sin_k = np.cos(sign * kick), 1j * np.sin(sign * kick)
-        k = np.empty((n, 2, 2), dtype=complex)
-        k[:, 0, 0] = k[:, 1, 1] = cos_k
-        k[:, 0, 1] = sin_k * e_minus
-        k[:, 1, 0] = sin_k * e_plus
-        return k @ _nodes(alpha, gamma, sign)
+        k = np.stack([np.cos(sign * kick) + 0j, 1j * np.sin(sign * kick) * e_plus.conj()])
+        return _mul(k, np.stack([alpha, sign * gamma + 0j]))
 
-    free = np.zeros((n, 2, 2), dtype=complex)
-    free[:, 0, 0] = e_plus
-    free[:, 1, 1] = e_minus
-    g1 = free @ node(-up) @ free @ node(up)
-    err = np.max(np.abs(g1.conj().transpose(0, 2, 1) @ g1 - np.eye(2)))
+    free = np.stack([e_plus, np.zeros_like(e_plus)])
+    g1 = _mul(_mul(_mul(free, node(-up)), free), node(up))
+    det = np.abs(g1[0]) ** 2 + np.abs(g1[1]) ** 2  # G1^H G1 = det I
+    err = np.max(np.abs(det - 1.0))
     if not err <= 1e-12:
         raise ValueError(f"G1 not unitary: max deviation {err:.2e}")
 
-    det = g1[:, 0, 0] * g1[:, 1, 1] - g1[:, 0, 1] * g1[:, 1, 0]
-    gs = g1 / np.sqrt(det)[:, None, None]
-    tr = gs[:, 0, 0] + gs[:, 1, 1]
-    gs = np.where((tr.real < 0)[:, None, None], -gs, gs)
-    angles = 2 * np.arccos(np.minimum(1.0, np.abs(tr.real) / 2))
-    a, b, c, dd = gs[:, 0, 0], gs[:, 0, 1], gs[:, 1, 0], gs[:, 1, 1]
-    axes = np.stack([-(b + c).imag, -(b - c).real, -(a - dd).imag], axis=1)
+    half_trace = g1[0].real / np.sqrt(det)
+    angles = 2 * np.arccos(np.minimum(1.0, np.abs(half_trace)))
+    axes = np.stack([g1[1].imag, g1[1].real, g1[0].imag], axis=1)
+    axes *= np.where(half_trace < 0, 1.0, -1.0)[:, None]
     norm = np.linalg.norm(axes, axis=1, keepdims=True)
     axes /= np.where(norm > 0, norm, 1.0)  # zero only at angle 0, set below
     at_pi = np.abs(angles - np.pi) < 1e-12
     if np.any(at_pi):
         zxy = axes[:, [2, 0, 1]]
-        lead = zxy[np.arange(n), np.argmax(np.abs(zxy) > 1e-12, axis=1)]
+        lead = zxy[np.arange(zxy.shape[0]), np.argmax(np.abs(zxy) > 1e-12, axis=1)]
         axes[at_pi & (lead < 0)] *= -1
     still = np.sin(angles / 2) < 1e-12
     angles[still] = 0.0
@@ -352,8 +347,10 @@ def single_period_rotation(p: DriveParameters) -> PeriodRotation:
     This is the one-point case of ``resonance_scan``.
     """
     _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)
-    g1, angles, axes = _period_rotations(p, np.array([p.epsilon_m_mhz]), np.array([p.period_ns]))
-    return PeriodRotation(g1[0], float(angles[0]), axes[0])
+    (pp, q), angles, axes = _period_rotations(p, np.array([p.epsilon_m_mhz]),
+                                              np.array([p.period_ns]))
+    g1 = np.array([[pp[0], q[0]], [-q[0].conjugate(), pp[0].conjugate()]])
+    return PeriodRotation(g1, float(angles[0]), axes[0])
 
 
 def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None = None) -> Trajectory:
@@ -450,15 +447,19 @@ def _unitary_powers(u: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScanPoint:
-    """G1 diagnostics at one grid point of a parameter scan."""
+class ResonanceScan:
+    """G1 diagnostics over the points of a parameter scan, in grid order:
+    the scanned ``value``, the ``rotation_angle`` and the axis' z component."""
 
-    value: float
-    rotation_angle: float
-    axis_z: float
+    value: np.ndarray
+    rotation_angle: np.ndarray
+    axis_z: np.ndarray
+
+    def __len__(self) -> int:
+        return self.value.size
 
 
-def resonance_scan(p_base: DriveParameters, parameter: str, values) -> list[ScanPoint]:
+def resonance_scan(p_base: DriveParameters, parameter: str, values) -> ResonanceScan:
     """G1 rotation diagnostics over a grid of ``period_ns`` or ``epsilon_m_mhz``.
 
     Resonances show up as minima of |axis_z|; destructive-interference points
@@ -484,4 +485,4 @@ def resonance_scan(p_base: DriveParameters, parameter: str, values) -> list[Scan
         eps_m, period = grid, np.full(grid.size, p_base.period_ns)
     _check_impulse_regime(p_base.delta_mhz, eps_m)
     _, angles, axes = _period_rotations(p_base, eps_m, period)
-    return [ScanPoint(v, a, z) for v, a, z in zip(grid.tolist(), angles.tolist(), axes[:, 2].tolist())]
+    return ResonanceScan(grid, angles, axes[:, 2].copy())  # not a view holding every axis

@@ -95,9 +95,8 @@ class TestCriterion3DestructiveInterference:
 
     def test_scan_locates_destructive_period(self):
         base = DriveParameters(**FIG3A)
-        points = resonance_scan(base, "period_ns", np.arange(140.0, 158.001, 0.25))
-        angles = [pt.rotation_angle for pt in points]
-        t_min = points[int(np.argmin(angles))].value
+        scan = resonance_scan(base, "period_ns", np.arange(140.0, 158.001, 0.25))
+        t_min = scan.value[np.argmin(scan.rotation_angle)]
         ok = abs(t_min - 149.0) <= 2.0
         assert report(3, "rotation-angle minimum location", ok,
                       f"minimum at T = {t_min:.2f} ns vs 149 +/- 2")

@@ -3,17 +3,17 @@ import math
 import re
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lzsim import cli, propagator
 from lzsim.cli import main
-from lzsim.config import parse_run_config
+from lzsim.config import load_sweep_config, parse_run_config
 from lzsim.errors import ConfigError
 from lzsim.experiments import PRESETS, run_figure
 from lzsim.seriesio import read_series, series_table
+from lzsim.transfer_matrix import ResonanceScan, resonance_scan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -401,6 +401,42 @@ epsilon_m_mhz = 100.0
         assert data.shape == (73, 3)
         assert np.all(np.diff(data[:, 0]) > 0)  # grid order preserved
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_holds_the_scan_columns(self, tmp_path, fmt):
+        conf = write(tmp_path, "sweep.conf", f"""\
+sweep = resonance
+scan_parameter = epsilon_m_mhz
+scan_start = 30
+scan_stop = 200
+scan_points = 2000
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+period_ns = 128.0
+format = {fmt}
+""")
+        assert main(["sweep", conf, "--out", str(tmp_path)]) == 0
+        cfg = load_sweep_config(conf)
+        scan = resonance_scan(cfg.drive, cfg.scan_parameter, cfg.scan_values)
+        _, columns, data = read_series(tmp_path / f"sweep_resonance.{fmt}")
+        assert columns == ["epsilon_m_mhz", "rotation_angle_rad", "axis_z"]
+        expected = np.column_stack((scan.value, scan.rotation_angle, scan.axis_z))
+        assert data.tobytes() == expected.tobytes()
+
+    def test_minima_at_the_first_of_tied_points(self, tmp_path, capsys, monkeypatch):
+        scan = ResonanceScan(np.array([120.0, 128.0, 136.0, 144.0]),
+                             np.array([0.5, 0.1, 0.1, 0.3]), np.array([0.05, 0.2, 0.3, -0.05]))
+        monkeypatch.setattr(cli, "resonance_scan", lambda *args: scan)
+        conf = write(tmp_path, "sweep.conf", """\
+sweep = resonance
+scan_values = 120.0, 128.0, 136.0, 144.0
+delta_mhz = 5.57
+epsilon_m_mhz = 100.0
+""")
+        assert main(["sweep", conf, "--out", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["rotation_angle_min_at"] == 128.0
+        assert summary["axis_z_min_at"] == 120.0
+
     def test_single_point_grid(self, tmp_path):
         conf = write(tmp_path, "sweep.conf", """\
 sweep = resonance
@@ -440,8 +476,8 @@ epsilon_m_mhz = 100.0
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_row_refused(self, tmp_path, capsys, monkeypatch, fmt):
-        point = SimpleNamespace(value=128.0, rotation_angle=math.nan, axis_z=0.1)
-        monkeypatch.setattr(cli, "resonance_scan", lambda *args: [point])
+        scan = ResonanceScan(np.array([128.0]), np.array([math.nan]), np.array([0.1]))
+        monkeypatch.setattr(cli, "resonance_scan", lambda *args: scan)
         conf = write(tmp_path, "sweep.conf", f"""\
 sweep = resonance
 scan_values = 128.0

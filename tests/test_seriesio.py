@@ -138,6 +138,15 @@ class TestEmptyCells:
             assert data.shape == ref_data.shape and data.tobytes() == ref_data.tobytes()
         assert np.isnan(data).sum() == 10 and read_series(hand)[0] == {"a": "1,,2"}
 
+    def test_one_column_nan_refused_before_writing(self, tmp_path):
+        # its empty cell would be a blank line, which the reader skips
+        path = tmp_path / "a.csv"
+        with pytest.raises(ValueError, match="column a holds NaN"):
+            seriesio.atomic_write_text(path, render_series_csv(["a"], [[np.nan], [1.0], [2.0]], {}))
+        assert list(tmp_path.iterdir()) == []
+        seriesio.atomic_write_text(path, render_series_csv(["a"], [[0.5], [1.0], [2.0]], {}))
+        assert read_series(path)[2].tolist() == [[0.5], [1.0], [2.0]]
+
     def test_json_overlay_cells_are_null(self, tmp_path):
         base, overlay = self._overlay_case()
         path = tmp_path / "s.json"
@@ -222,6 +231,10 @@ class TestRenderBody:
     @given(_tables())
     def test_same_bytes_as_percent_r(self, rows):
         names = [f"c{j}" for j in range(np.asarray(rows).shape[1] if len(rows) else 0)]
+        if len(names) == 1 and np.isnan(np.asarray(rows)).any():
+            with pytest.raises(ValueError, match="column c0 holds NaN"):
+                render_series_csv(names, rows, {})
+            return
         header, columns, body = render_series_csv(names, rows, {}).split("\n", 2)
         assert (header, columns) == ("# lzsim-series schema=1", ",".join(names))
         # row by row: on a failure, a diff of the whole body would take minutes
@@ -239,7 +252,7 @@ _ROUND_TRIP_CELLS = st.one_of(_CELLS, st.sampled_from([1e-5, -1e-5, 1e16, -2.5e1
 def _series_tables(draw):
     """A table of up to three reading blocks, its NaN cells (written empty)
     drawn as the one NaN the reader returns.  At least two columns: a
-    one-column row with an empty cell is a blank line, which readers skip."""
+    one-column table holding NaN is refused by the writer."""
     n_rows = draw(st.sampled_from([*range(21), 4095, 4096, 4097, 8193]))
     n_cols = draw(st.integers(2, 6))
     drawn = draw(hnp.arrays(np.float64, (min(n_rows, 20), n_cols), elements=_ROUND_TRIP_CELLS))

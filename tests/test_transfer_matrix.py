@@ -250,8 +250,7 @@ class TestPeriodRotation:
 
     def test_destructive_point_near_149ns(self):
         scan = resonance_scan(FAST, "period_ns", np.arange(140.0, 158.01, 0.25))
-        angles = [pt.rotation_angle for pt in scan]
-        t_min = scan[int(np.argmin(angles))].value
+        t_min = scan.value[np.argmin(scan.rotation_angle)]
         assert t_min == pytest.approx(149.0, abs=2.0)
 
     def test_g1_powers_stay_diagonal_at_destructive_point(self):
@@ -414,11 +413,12 @@ class TestStroboscopic:
 
 class TestResonanceScan:
     def test_single_point_equals_direct_call(self):
-        pts = resonance_scan(FAST, "period_ns", [128.0])
+        scan = resonance_scan(FAST, "period_ns", [128.0])
         rot = single_period_rotation(DriveParameters(5.57, 100.0, 128.0, n_periods=8))
-        assert len(pts) == 1
-        assert pts[0].rotation_angle == rot.rotation_angle
-        assert pts[0].axis_z == rot.axis[2]
+        assert len(scan) == 1
+        assert scan.value[0] == 128.0
+        assert scan.rotation_angle[0] == rot.rotation_angle
+        assert scan.axis_z[0] == rot.axis[2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -435,9 +435,9 @@ class TestResonanceScan:
             resonance_scan(FAST, parameter, [128.0, bad])
 
     def test_near_xy_axis_at_resonant_period(self):
-        pts = resonance_scan(FAST, "period_ns", [120.0, 128.0, 136.0])
-        by_value = {pt.value: pt for pt in pts}
-        assert abs(by_value[128.0].axis_z) < math.sin(math.radians(15))
+        scan = resonance_scan(FAST, "period_ns", [120.0, 128.0, 136.0])
+        assert scan.value.tolist() == [120.0, 128.0, 136.0]
+        assert abs(scan.axis_z[1]) < math.sin(math.radians(15))
 
 
 def _factorized_scan(base, parameter, values):
@@ -450,8 +450,8 @@ def _factorized_scan(base, parameter, values):
     return np.array(out)
 
 
-def _scan_columns(points):
-    return np.array([(pt.rotation_angle, pt.axis_z) for pt in points])
+def _scan_columns(scan):
+    return np.column_stack((scan.rotation_angle, scan.axis_z))
 
 
 class TestBatchedScan:
