@@ -89,7 +89,7 @@ _SIMULATE_SCHEMA = {
 #: only together with t2_star_us
 _NOISE_KEYS = ("t2_star_us", "detuning_mhz", "preparation_rotation_rad", "readout_rotation_rad")
 
-#: a resonance sweep holds about 0.86 KB per point, so this is about 1 GB;
+#: a resonance sweep peaks at about 320 bytes per point, so this is about 330 MB;
 #: checked before the grid is built, and also bounds the lists ``scan_values``
 #: and ``period_values_ns``
 _MAX_SCAN_POINTS = 1 << 20

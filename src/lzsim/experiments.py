@@ -21,6 +21,7 @@ from .errors import FitFailureError
 from .model import DriveParameters, QubitState
 from .propagator import (
     IntegratorConfig,
+    _apply,
     Trajectory,
     evolve,
     evolve_ensemble_dephased,
@@ -165,7 +166,7 @@ def run_scenario(spec: ScenarioSpec) -> ExperimentResult:
         if spec.noise is not None:
             init = QubitState.ket0()
             if spec.noise.preparation_rotation:
-                amps = rotation_x(spec.noise.preparation_rotation) @ init.as_array()
+                amps = _apply(rotation_x(spec.noise.preparation_rotation), init.as_array())
                 init = QubitState(complex(amps[0]), complex(amps[1]))
             series["ode"] = evolve_ensemble_dephased(
                 drive, spec.integrator,

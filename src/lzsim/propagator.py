@@ -33,7 +33,8 @@ steps, ``U = C[L]`` and ``P`` the sample's partial step.  Its state is
 ``V V0^-1 psi0``, V0 the first sample's map (the identity at a start on a
 turning point).  ``C`` is formed only at the r a sample uses, from a tree of
 pairwise products over each slab of steps, so a period costs about one
-product per step however the samples fall in it.
+product per step however the samples fall in it.  ``U^q`` comes in closed
+form from U's angle and norm (`_powers`), for every q at once.
 
 Mirrored period.  From a turning point the drive has two reflections over a
 period: ``eps(T - t) = eps(t)`` (time reversal; H is real symmetric) and
@@ -387,12 +388,33 @@ def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)),
-    the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y."""
-    row = np.conj(y[::-1])
-    row[0] *= -1
+    the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y.
+    Its temporaries are half the size of the product."""
     out = x[0] * y
-    out += x[1] * row
+    out[0] -= x[1] * y[1].conj()
+    out[1] += x[1] * y[0].conj()
     return out
+
+
+def _polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, a, s) of maps x = r (cos a I + sin a B), B^2 = -I: s = sqrt(Im p^2
+    + |q|^2) is the size of the traceless part, r = hypot(Re p, s) (r^2 =
+    |p|^2 + |q|^2 is the determinant) and a = atan2(s, Re p) in [0, pi]."""
+    p, q = x
+    s = np.sqrt(p.imag ** 2 + q.real ** 2 + q.imag ** 2)
+    return np.hypot(p.real, s), np.arctan2(s, p.real), s
+
+
+def _powers(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Maps x^k for maps x and integers k >= 0 broadcasting against them:
+    with x = r (cos a I + sin a B) (`_polar`), (r^k cos ka + i Im p c, q c),
+    c = r^k sin(ka)/s.  r^k keeps the norm growth of a map that is not quite
+    unitary (RK4's), so the norm check still sees it.  c tends to k r^(k-1) as
+    s -> 0, and at s = 0 multiplies Im p = q = 0: any finite c gives +-r^k I."""
+    r, a, s = _polar(x)
+    rk, ka = r ** k, k * a
+    c = rk * np.sin(ka) / np.where(s > 0, s, 1.0)
+    return np.stack([rk * np.cos(ka) + 1j * x[0].imag * c, x[1] * c])
 
 
 def _mirror(x: np.ndarray, flip: bool, inverse: bool = False) -> np.ndarray:
@@ -575,14 +597,10 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
     need, r_at = _distinct_columns(r)
     steps = functools.partial(_ramp_maps, method, grid.h, x0, grid.dx, b)
     prefix = _mirrored_prefix(steps, m, need, grid.L, flips)
-    # U^q for each distinct q by squaring; powers of U commute, so the
-    # bits of q multiply in any order
+    # U^q for each distinct q in closed form; with no q > 0 the last column
+    # is no C[L], but its zeroth power is still the identity
     periods, q_at = _distinct_columns(q)
-    powers, u = _identity(m, periods.shape[1]), prefix[..., -1]
-    for bit in range(int(periods.max()).bit_length()):
-        i, j = _entries(periods >> bit & 1, m)
-        powers[:, i, j] = _mul(u[:, i], powers[:, i, j])
-        u = _mul(u, u)
+    powers = _powers(prefix[..., -1, None], periods)
     rows = prefix[..., r_at[:k]]
     at = (f > 0).any(axis=0).nonzero()[0]
     rows[..., at] = _mul(_partial_maps(method, grid, x0, b, r[:, at], f[:, at]), rows[..., at])
@@ -686,10 +704,11 @@ def passage_transfers(
     return transfers
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    """Instantaneous x-rotation by ``angle`` radians (an ideal pulse)."""
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def rotation_x(angle) -> np.ndarray:
+    """Instantaneous x-rotations exp(-i angle/2 sigma_x) (ideal pulses) as
+    maps (cos(angle/2), -i sin(angle/2)), for an angle or an array of them."""
+    half = np.asarray(angle, dtype=float) / 2
+    return np.stack([np.cos(half) + 0j, -1j * np.sin(half)])
 
 
 def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
@@ -727,7 +746,7 @@ def _dephased_populations(grid: _Grid, b: float, offsets: np.ndarray, weights: n
                           readout: np.ndarray | None) -> np.ndarray:
     """Populations (samples, 2) summed over members with ``weights``.
 
-    Member i sees the grid's ramp plus offsets[i]; ``readout`` (a 2x2 matrix or None) acts
+    Member i sees the grid's ramp plus offsets[i]; ``readout`` (a map or None) acts
     on every member before populations are read.  Members run in chunks, so
     only the summed populations outlive a chunk.
     """
@@ -737,7 +756,7 @@ def _dephased_populations(grid: _Grid, b: float, offsets: np.ndarray, weights: n
         states = _propagate(grid, b, offsets[lo:lo + chunk], psi0, cfg.method)
         _check_norms(states, cfg.norm_drift_tolerance)
         if readout is not None:
-            states = states @ readout.T
+            states = _apply(readout, states)
         pops += np.tensordot(weights[lo:lo + chunk], np.abs(states) ** 2, axes=1)
     return pops
 

@@ -31,28 +31,31 @@ Nori, Phys. Rep. 492, 1 (2010)).  At the fast-passage preset kappa = 2.8e-3,
 against sqrt(1 - P) = 0.31; leaving it out puts the period rotation 0.86%
 off the dense integrator's.
 
-One period starting at the first crossing composes to G1 = U2 M2 U1 M1,
-where M = U(zeta/2)^dag K U(zeta/2) N is the orientation-matched node
-followed by the next turning point's kick carried back to the crossing
-through the quarter-period phase (exactly half the half-period phase, since
-the triangle is symmetric about its turning points).  For the bare nodes
-(K = 1) the trace is 2[P + (1-P) cos 2(zeta + phi_s)], so destructive
-interference (no transfer, ever) happens at zeta + phi_s = 0 mod pi and
-resonant transfer at zeta + phi_s = pi/2 mod pi; with the kicks this holds
-to O(kappa).
+From the first crossing one period composes to G1 = U H2 H2 U N2 U H1 H1 U N1:
+the orientation-matched nodes, the quarter-period phase U = U(zeta/2) from a
+crossing to a turning point or back (half the half-period phase, since the
+triangle is symmetric about its turning points), and each turning point's
+kick K = H H in halves H = exp(-i kappa/2 sigma_x), between which the turning
+point's sample lies.  For the bare nodes (K = 1) the trace is
+2[P + (1-P) cos 2(zeta + phi_s)], so destructive interference (no transfer,
+ever) happens at zeta + phi_s = 0 mod pi and resonant transfer at
+zeta + phi_s = pi/2 mod pi; with the kicks this holds to O(kappa).
 
 The closed forms of these factors (N's entries, the quarter-period phase
 zeta/2, kappa and the first crossing's orientation) are evaluated in one
 place, ``_impulse_factors``, for a whole grid of periods or amplitudes at
-once.  ``resonance_scan`` composes G1 from them in the (p, q) form of the
-dense kernel's step maps and returns its diagnostics as columns
-(``_period_rotations``), ``single_period_rotation`` is its one-point case,
-and ``stroboscopic_evolve`` splits the same period into its segments between
-turning points.
+once, and ``_period_factors`` alone orders them, in the (p, q) form of the
+dense kernel's step maps.  ``resonance_scan`` reduces that chain to G1 and
+returns its diagnostics as columns (``_period_rotations``),
+``single_period_rotation`` is its one-point case, and ``stroboscopic_evolve``
+reads the maps to the turning-point samples off the same chain and G1's
+powers from the dense kernel's ``_powers``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,7 +73,7 @@ from .model import (
     mhz_to_angular,
     sweep_rate,
 )
-from .propagator import _MAX_SAMPLES, Trajectory, _mul, rotation_x
+from .propagator import _MAX_SAMPLES, Trajectory, _apply, _mul, _polar, _powers, rotation_x
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,10 @@ def _arg_gamma(d: np.ndarray) -> np.ndarray:
     series = np.zeros_like(w)
     for c in reversed(_STIRLING):
         series = series * inv2 + c
-    shifted = ((w - 0.5) * np.log(w) - w + series / w).imag
-    return shifted - np.arctan2(-d[..., None], 1.0 + np.arange(_SHIFT)).sum(axis=-1)
+    out = ((w - 0.5) * np.log(w) - w + series / w).imag
+    for k in range(_SHIFT):
+        out -= np.arctan2(-d, 1.0 + k)
+    return out
 
 
 def _stokes_phases(d: np.ndarray) -> np.ndarray:
@@ -206,7 +211,9 @@ def _dressing_angle(p: DriveParameters, eps_ang: float, slope_ang: float) -> flo
 
 
 def _check_impulse_regime(delta_mhz: float, epsilon_m_mhz) -> None:
-    """Refuse amplitudes the model cannot compose and warn, once, where it degrades."""
+    """Refuse drives the model cannot compose and warn, once, where it degrades."""
+    if not delta_mhz > 0:  # no gap: no Stokes phase, and every crossing is diabatic
+        raise ValueError(f"adiabatic-impulse model needs delta_mhz > 0, got {delta_mhz}")
     eps = np.asarray(epsilon_m_mhz, dtype=float)
     if np.any(eps == 0):
         raise DegenerateDriveError("drive has no crossings to compose")
@@ -246,8 +253,6 @@ def _impulse_factors(p: DriveParameters, epsilon_m_mhz: np.ndarray,
     - ``up``: +1 where the first crossing after t = 0 sweeps the detuning up,
       else -1.
     """
-    if p.delta_mhz <= 0:
-        raise ValueError(f"delta_adiab must be positive, got delta_mhz = {p.delta_mhz}")
     m = p.delta_ang
     t_off = p.t_offset_ns
     eps_m = mhz_to_angular(epsilon_m_mhz)
@@ -268,14 +273,26 @@ def _impulse_factors(p: DriveParameters, epsilon_m_mhz: np.ndarray,
     return alpha, np.sqrt(p_lz), quarter, kick, up
 
 
-def _nodes(alpha: np.ndarray, gamma: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Bare crossing nodes (n, 2, 2): [[alpha, up gamma], [-up gamma, alpha*]]."""
-    bare = np.empty((alpha.size, 2, 2), dtype=complex)
-    bare[:, 0, 0] = alpha
-    bare[:, 0, 1] = up * gamma
-    bare[:, 1, 0] = -up * gamma
-    bare[:, 1, 1] = alpha.conj()
-    return bare
+#: Indices of the factors of ``_period_factors`` after which the samples of
+#: the first and the second turning point lie
+_SAMPLED = (2, 7)
+
+
+def _period_factors(alpha, gamma, quarter, kick, up) -> list[np.ndarray]:
+    """The (p, q) maps (2, n) of one period from the first crossing over a
+    grid of drives, in the order they act: N1, U, H1, H1, U, N2, U, H2, H2, U.
+
+    N is a node (alpha, +-gamma) oriented as its crossing sweeps, U = U(zeta/2)
+    and H = ``rotation_x(kappa)`` half a turning point's kick, kappa = -kick
+    after an up-sweep, +kick after a down-sweep; a turning point's sample lies
+    between its two H (``_SAMPLED``).
+    """
+    free = np.stack([np.exp(1j * quarter), np.zeros_like(alpha)])  # U(zeta/2)
+    chain = []
+    for sign in (up, -up):
+        half = rotation_x(-sign * kick)
+        chain += [np.stack([alpha, sign * gamma + 0j]), free, half, half, free]
+    return chain
 
 
 def _period_rotations(
@@ -283,45 +300,33 @@ def _period_rotations(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G1 and its rotation for every (epsilon_m, T) pair of a grid.
 
-    The drives share ``p``'s gap and start offset.  Each G1 = U M2 U M1 is
-    composed for the whole grid at once from ``_impulse_factors``: U is the
-    half-period phase zeta (both half periods hold one turning point and are
-    equal), and each M = U(zeta/2)^dag K U(zeta/2) N is a node oriented as
-    its crossing sweeps, followed by the next turning point's kick K carried
-    back to the crossing.  Every factor lies in SU(2), so it is held as the
-    pair (p, q) of [[p, q], [-conj(q), conj(p)]] and multiplied by the dense
-    kernel's ``_mul``: U is (e^{i zeta}, 0), a node (alpha, +-gamma) and a
-    kick (cos kappa, i sin kappa e^{-i zeta}).
+    The drives share ``p``'s gap and start offset.  G1 is the product of the
+    chain of ``_period_factors``, composed for the whole grid at once with the
+    dense kernel's ``_mul``, from the last factor back: near angle 0 the axis
+    is a ratio of entries of size sin(angle/2), and this order rounds them
+    about three times less than the forward one does.
 
-    Angle and axis follow the convention of an SU(2) rotation: the global
-    phase is removed by dividing out sqrt(det), det = |p|^2 + |q|^2, and
-    fixing the trace 2 Re p real-positive, so the angle lies in [0, pi] and
-    the axis is along -(Im q, Re q, Im p); at angle pi the leftover sign is
-    broken by preferring a non-negative z, then x, then y axis component.
+    Angle and axis follow the convention of an SU(2) rotation, read from
+    G1 = r (cos a I + sin a B) (``_polar``): r^2 = |p|^2 + |q|^2 is the
+    determinant, the rotation angle 2 min(a, pi - a) in [0, pi] (the global
+    phase fixed so that the trace is real-positive), and the axis is along
+    -(Im q, Re q, Im p), with the opposite sign where Re p < 0; at angle pi
+    the leftover sign is broken by preferring a non-negative z, then x, then
+    y axis component.
 
     Returns ``g1`` as (p, q) rows (2, n), ``angles`` (n,) and ``axes`` (n, 3).
     """
-    alpha, gamma, quarter, kick, up = _impulse_factors(p, epsilon_m_mhz, period_ns)
-    e_plus = np.exp(2j * quarter)
-
-    def node(sign):
-        # the turning point after an up-sweep kicks by -kick, after a down-sweep by +kick
-        k = np.stack([np.cos(sign * kick) + 0j, 1j * np.sin(sign * kick) * e_plus.conj()])
-        return _mul(k, np.stack([alpha, sign * gamma + 0j]))
-
-    free = np.stack([e_plus, np.zeros_like(e_plus)])
-    g1 = _mul(_mul(_mul(free, node(-up)), free), node(up))
-    det = np.abs(g1[0]) ** 2 + np.abs(g1[1]) ** 2  # G1^H G1 = det I
-    err = np.max(np.abs(det - 1.0))
+    chain = _period_factors(*_impulse_factors(p, epsilon_m_mhz, period_ns))
+    g1 = functools.reduce(_mul, reversed(chain))
+    r, a, s = _polar(g1)
+    err = np.max(np.abs(r * r - 1.0))  # G1^H G1 = r^2 I
     if not err <= 1e-12:
         raise ValueError(f"G1 not unitary: max deviation {err:.2e}")
 
-    half_trace = g1[0].real / np.sqrt(det)
-    angles = 2 * np.arccos(np.minimum(1.0, np.abs(half_trace)))
+    angles = 2 * np.minimum(a, np.pi - a)
     axes = np.stack([g1[1].imag, g1[1].real, g1[0].imag], axis=1)
-    axes *= np.where(half_trace < 0, 1.0, -1.0)[:, None]
-    norm = np.linalg.norm(axes, axis=1, keepdims=True)
-    axes /= np.where(norm > 0, norm, 1.0)  # zero only at angle 0, set below
+    # s is zero only at angle 0, set below
+    axes *= (np.where(g1[0].real < 0, 1.0, -1.0) / np.where(s > 0, s, 1.0))[:, None]
     at_pi = np.abs(angles - np.pi) < 1e-12
     if np.any(at_pi):
         zxy = axes[:, [2, 0, 1]]
@@ -336,12 +341,12 @@ def _period_rotations(
 
 
 def single_period_rotation(p: DriveParameters) -> PeriodRotation:
-    """Compose one period, G1 = U2 M2 U1 M1, and extract its rotation.
+    """Compose one period's map G1 and extract its rotation.
 
-    Each M is a crossing node with the following turning point's kick folded
-    in (``_period_rotations``), so G1 is the one-period map of the dense
-    drive to first order in the turning-point rate, not the bare-node product
-    whose trace is 2[P + (1-P) cos 2(zeta + phi_s)].  Resonant driving corresponds
+    G1 holds both crossings and both turning-point kicks
+    (``_period_factors``), so it is the one-period map of the dense drive to
+    first order in the turning-point rate, not the bare-node product whose
+    trace is 2[P + (1-P) cos 2(zeta + phi_s)].  Resonant driving corresponds
     to the axis lying in the Bloch xy plane; a vanishing rotation angle means
     destructive interference (no transfer no matter how long the drive runs).
     This is the one-point case of ``resonance_scan``.
@@ -369,11 +374,15 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     sigma_x) c at t = 0, which with t_offset = 0 is half a trough kick.  With
     t_offset = 0 the trough samples are the period boundaries t = kT.
 
-    The segment maps come from the closed forms of ``_impulse_factors``, the
-    ones ``_period_rotations`` composes into G1; only the lead-in from t = 0
-    to the first crossing is a ``free_phase`` of its own.  The 2n + 1 samples
-    are refused past ``_MAX_SAMPLES``, as the dense route's are, before
-    anything is allocated.
+    One period's maps come from the chain of ``_period_factors``, the one
+    ``_period_rotations`` reduces to G1: the maps ``first`` and ``second``
+    from the first crossing to the two turning-point samples are its
+    prefixes, so the samples of period k are first G1^k psi_c and second
+    G1^k psi_c, with psi_c the state at the first crossing and every power
+    G1^k in closed form (``_powers``).  Only the lead-in from t = 0 to the
+    first crossing is a ``free_phase`` of its own.  The 2n + 1 samples are
+    refused past ``_MAX_SAMPLES``, as the dense route's are, before anything
+    is allocated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -384,13 +393,9 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)
     T = p.period_ns
     tc1 = first_crossing(p)
-    alpha, gamma, quarter, kick, up = _impulse_factors(p, np.array([p.epsilon_m_mhz]),
-                                                       np.array([T]))
-
-    def free(zeta):  # U(zeta) = diag(e^{+i zeta}, e^{-i zeta})
-        return np.diag(np.exp(np.array([1j, -1j]) * zeta))
-
-    u = free(quarter)  # from a crossing to a turning point, or back
+    factors = _impulse_factors(p, np.array([p.epsilon_m_mhz]), np.array([T]))
+    prefixes = list(itertools.accumulate(_period_factors(*factors), lambda acc, x: _mul(x, acc)))
+    first, second = (prefixes[i] for i in _SAMPLED)
 
     if initial.basis is Basis.ADIABATIC:
         psi = initial.as_array()
@@ -401,20 +406,9 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     slope = mhz_to_angular(sweep_rate(p))
     if np.mod(p.t_offset_ns, T) >= T / 2:  # t = 0 on the falling branch
         slope = -slope
-    dressing = rotation_x(_dressing_angle(p, mhz_to_angular(epsilon_at(p, 0.0)), slope))
-    # half kicks of the turning points after the first and the second crossing
-    half_first = rotation_x(float(-up[0] * kick[0]))
-    half_second = rotation_x(float(up[0] * kick[0]))
-
-    # constant segment maps between samples (the drive is periodic), from a
-    # turning point's sample to the next one's
-    to_first = half_first @ u @ _nodes(alpha, gamma, up)[0]
-    first_to_second = half_second @ u @ _nodes(alpha, gamma, -up)[0] @ u @ half_first
-    second_to_first = to_first @ u @ half_second
-
-    psi = to_first @ (free(free_phase(p, 0.0, tc1)) @ (dressing @ psi))
-    at_first = _unitary_powers(second_to_first @ first_to_second, psi, n)
-    at_second = at_first @ first_to_second.T
+    psi = _apply(rotation_x(_dressing_angle(p, mhz_to_angular(epsilon_at(p, 0.0)), slope)), psi)
+    psi *= np.exp(np.array([1j, -1j]) * free_phase(p, 0.0, tc1))  # at the first crossing
+    at_crossing = _apply(_powers(prefixes[-1], np.arange(n)), psi)  # G1^k psi_c
 
     t_base = tc1 + T * np.arange(n)
     times = np.empty(2 * n + 1)
@@ -423,27 +417,9 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     times[2::2] = t_base + 3 * T / 4
     amps = np.empty((2 * n + 1, 2), dtype=complex)
     amps[0] = start
-    amps[1::2] = at_first @ eigenbasis_at(p, tc1 + T / 4).T
-    amps[2::2] = at_second @ eigenbasis_at(p, tc1 + 3 * T / 4).T
+    amps[1::2] = _apply(first, at_crossing) @ eigenbasis_at(p, tc1 + T / 4).T
+    amps[2::2] = _apply(second, at_crossing) @ eigenbasis_at(p, tc1 + 3 * T / 4).T
     return Trajectory(times, np.abs(amps) ** 2, Basis.DIABATIC, amplitudes=amps)
-
-
-def _unitary_powers(u: np.ndarray, psi: np.ndarray, n: int) -> np.ndarray:
-    """Rows u^k psi for k = 0..n-1, for a 2x2 unitary ``u``, in closed form.
-
-    u = e^{i phi} S with S in SU(2), S = cos(h) I + sin(h) B, B = -i n.sigma,
-    so u^k = e^{i k phi} (cos(k h) I + sin(k h) B): every power at once,
-    without the rounding drift of repeated products.
-    """
-    phi = np.angle(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) / 2
-    s = u * np.exp(-1j * phi)
-    cos_h = (s[0, 0] + s[1, 1]).real / 2
-    b = s - cos_h * np.eye(2)
-    sin_h = math.sqrt(abs(b[0, 0]) ** 2 + abs(b[0, 1]) ** 2)
-    b_psi = b @ psi / sin_h if sin_h > 0 else np.zeros(2, dtype=complex)
-    kh = np.arange(n) * math.atan2(sin_h, cos_h)
-    return np.exp(1j * phi * np.arange(n))[:, None] * (
-        np.cos(kh)[:, None] * psi + np.sin(kh)[:, None] * b_psi)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from lzsim import (
     sweep_rate,
 )
 from lzsim import propagator
-from lzsim.model import epsilon_at, first_crossing
-from lzsim.transfer_matrix import adiabaticity
+from lzsim.model import eigenbasis_at, epsilon_at, first_crossing
+from lzsim.transfer_matrix import _dressing_angle, _impulse_factors, adiabaticity
 
 # published drive-parameter classes used throughout the suite
 FIG3A = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0)
@@ -429,6 +429,65 @@ def period_steps(p):
     u1 = free_step(p, tc1, tc2)
     u2 = free_step(p, tc2, tc3)
     return [kicked_node(p, node, tc1, u1), u1, kicked_node(p, node, tc2, u2), u2]
+
+
+def rotation_matrix_x(angle):
+    """The x-rotation exp(-i angle/2 sigma_x) as a 2x2 matrix."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def stroboscopic_reference(p, n, initial=None):
+    """The impulse model's run of ``n`` periods, composed as 2x2 matrices.
+
+    The maps between turning-point samples are products of the node, the
+    quarter-period phase and the half kicks, built per point from the closed
+    forms of ``transfer_matrix._impulse_factors``; the state at the first
+    turning point of period k is the map from the previous one applied k
+    times, in a loop.  Written independently of the (p, q) chain of
+    ``_period_factors`` and of the closed-form powers, which it serves to
+    check; samples, dressing and lead-in as in ``stroboscopic_evolve``.
+    """
+    initial = initial or QubitState.ket0()
+    T = p.period_ns
+    tc1 = first_crossing(p)
+    alpha, gamma, quarter, kick, up = (
+        v[0] for v in _impulse_factors(p, np.array([p.epsilon_m_mhz]), np.array([T])))
+
+    def free(zeta):  # U(zeta) = diag(e^{+i zeta}, e^{-i zeta})
+        return np.diag(np.exp(np.array([1j, -1j]) * zeta))
+
+    def node(sign):
+        return np.array([[alpha, sign * gamma], [-sign * gamma, np.conj(alpha)]])
+
+    if initial.basis is Basis.ADIABATIC:
+        psi = initial.as_array()
+    else:
+        psi = eigenbasis_at(p, 0.0).conj().T @ initial.as_array()
+    start = eigenbasis_at(p, 0.0) @ psi
+    slope = mhz_to_angular(sweep_rate(p))
+    if np.mod(p.t_offset_ns, T) >= T / 2:
+        slope = -slope
+    dressing = rotation_matrix_x(_dressing_angle(p, mhz_to_angular(epsilon_at(p, 0.0)), slope))
+
+    u = free(quarter)  # from a crossing to a turning point, or back
+    half_first, half_second = rotation_matrix_x(-up * kick), rotation_matrix_x(up * kick)
+    to_first = half_first @ u @ node(up)
+    first_to_second = half_second @ u @ node(-up) @ u @ half_first
+    second_to_first = to_first @ u @ half_second
+    period = second_to_first @ first_to_second
+    at_first = np.empty((n, 2), dtype=complex)
+    at_first[0] = to_first @ free(free_phase(p, 0.0, tc1)) @ dressing @ psi
+    for k in range(1, n):
+        at_first[k] = period @ at_first[k - 1]
+    at_second = at_first @ first_to_second.T
+
+    times = np.concatenate([[0.0], (tc1 + T * np.arange(n)[:, None] + [T / 4, 3 * T / 4]).ravel()])
+    amps = np.concatenate([start[None],
+                           np.stack([at_first @ eigenbasis_at(p, tc1 + T / 4).T,
+                                     at_second @ eigenbasis_at(p, tc1 + 3 * T / 4).T],
+                                    axis=1).reshape(-1, 2)])
+    return Trajectory(times, np.abs(amps) ** 2, Basis.DIABATIC, amplitudes=amps)
 
 
 def basis_discrepancy(ratio: float) -> float:

@@ -183,6 +183,16 @@ sample_every_ns = 64.0
         assert "'delta_mhz': must be finite" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("method", ["transfer-matrix", "both"])
+    def test_impulse_route_refuses_zero_gap(self, tmp_path, capsys, method):
+        # no gap, no Stokes phase: the refusal names the key that set it
+        conf = write(tmp_path, "run.conf", CUSTOM_CONF.replace("delta_mhz = 5.57", "delta_mhz = 0")
+                     .replace("method = both", f"method = {method}"))
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        assert "needs delta_mhz > 0, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("line", ["t2_star_us = 0.5", "detuning_mhz = 0.56",
                                       "preparation_rotation_rad = 1.5",
@@ -513,6 +523,18 @@ period_ns = 128.0
         out = tmp_path / "out"
         assert main(["sweep", conf, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_gap_refused(self, tmp_path, capsys):
+        conf = write(tmp_path, "sweep.conf", """\
+sweep = resonance
+scan_values = 120.0, 128.0
+delta_mhz = 0
+epsilon_m_mhz = 100.0
+""")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert "needs delta_mhz > 0, got 0.0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_large_grid_rows_in_order(self, tmp_path):

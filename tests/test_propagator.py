@@ -98,6 +98,24 @@ class TestNumericalQuality:
         norms = np.sqrt(np.sum(np.abs(traj.amplitudes) ** 2, axis=1))
         assert np.max(np.abs(norms - 1.0)) <= 1e-8
 
+    def test_norm_drift_of_a_constant_drive_over_100000_periods(self):
+        # a constant drive repeats one step, so the drift after N steps is
+        # r^N - 1 with r the norm of that step's map; the closed-form powers
+        # of the period map keep that growth instead of rounding it away.  At
+        # 100 steps per period RK4's growth per step (1e-13) stands above the
+        # rounding of the period map, which 1e7 periods of four steps amplify
+        p = DriveParameters(delta_mhz=5.57, epsilon_m_mhz=0.0, period_ns=128.0,
+                            n_periods=100000)
+        cfg = IntegratorConfig(steps_per_min_period=100, norm_drift_tolerance=1e-4)
+        traj = evolve(p, cfg, sample_every=128.0)
+        grid = propagator._build_grid(p, cfg, (0.0, p.total_time_ns), 128.0)
+        (a, c), = propagator._ramp_map("fixed-rk4", grid.h, np.zeros(1), 0.0,
+                                       p.delta_ang / 2).T
+        r2m1 = (a.real - 1) * (a.real + 1) + a.imag ** 2 + abs(c) ** 2  # r^2 - 1
+        want = math.expm1(grid.n[0, -1] / 2 * math.log1p(r2m1))
+        drift = np.linalg.norm(traj.amplitudes[-1]) - 1.0
+        assert abs(drift) > 1e-6 and abs(drift - want) <= 1e-4 * abs(want)
+
     @pytest.mark.parametrize("params", [FIG3A, FIG3B, FIG3D])
     def test_step_halving_fourth_order(self, params):
         p = DriveParameters(**params, n_periods=6)
@@ -423,7 +441,7 @@ class TestPeriodicKernel:
             assert grid.n.max() > grid.L and grid.f.all() and grid.tp < 0
             stepped = step_by_step(p, grid, offsets_ang + mhz_to_angular(detuning),
                                    psi0.as_array(), method)
-            stepped = stepped @ propagator.rotation_x(readout).T
+            stepped = propagator._apply(propagator.rotation_x(readout), stepped)
             ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
             for slab in (propagator._SLAB, 16):
                 monkeypatch.setattr(propagator, "_SLAB", slab)
@@ -813,6 +831,30 @@ class TestStepMaps:
                 if c in counts:
                     j = int(np.searchsorted(counts, c))
                     assert np.max(np.abs(self.matrix(got[:, i, j]) - acc)) < 1e-13
+
+    def test_powers_match_repeated_products(self):
+        # maps a little off unitary, as RK4's are, at random angles
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 30)) + 1j * rng.normal(size=(2, 30))
+        x *= (1 + 1e-4 * rng.normal(size=30)) / np.linalg.norm(x, axis=0)
+        k = np.array([0, 1, 2, 5, 1000])
+        got = propagator._powers(x[..., None], k)
+        acc = propagator._identity(30)
+        for j in range(k[-1] + 1):
+            if j in k:
+                want = acc
+                i = int(np.searchsorted(k, j))
+                err = np.linalg.norm(got[..., i] - want, axis=0) / np.linalg.norm(want, axis=0)
+                assert np.max(err) <= 1e-12
+            acc = propagator._mul(x, acc)
+
+    def test_rotation_x_powers(self):
+        angles = np.array([-2.0, 0.0, 0.3, math.pi, 5.0])
+        got = propagator._powers(propagator.rotation_x(angles), 7)
+        assert np.max(np.abs(got - propagator.rotation_x(7 * angles))) < 1e-14
+        full = self.matrix(propagator.rotation_x(0.3))
+        assert np.allclose(full, [[math.cos(0.15), -1j * math.sin(0.15)],
+                                  [-1j * math.sin(0.15), math.cos(0.15)]], rtol=0, atol=1e-16)
 
 
 def one_passage(delta_mhz, epsilon_m_mhz, period_ns, cfg):

@@ -22,7 +22,8 @@ from lzsim import (
     stroboscopic_evolve,
 )
 from lzsim.model import crossing_times, eigenbasis_at, epsilon_at
-from lzsim.transfer_matrix import _arg_gamma, _unitary_powers, adiabaticity
+from lzsim.propagator import _apply, _powers
+from lzsim.transfer_matrix import _arg_gamma, adiabaticity
 from conftest import (
     FIG3A,
     FIG3B,
@@ -33,6 +34,7 @@ from conftest import (
     mixing_matrix,
     ode_propagator,
     period_steps,
+    stroboscopic_reference,
     su2_axis_angle,
     sweep_direction,
 )
@@ -381,7 +383,8 @@ class TestStroboscopic:
         for k in range(n):
             loop[k] = psi
             psi = g1 @ psi
-        assert np.max(np.abs(_unitary_powers(g1, loop[0], n) - loop)) <= tol
+        got = _apply(_powers(g1[0], np.arange(n)), loop[0])  # g1's (p, q) is its first row
+        assert np.max(np.abs(got - loop)) <= tol
 
     @pytest.mark.parametrize("drive", [FIG3A, FIG3B, dict(FIG3D, t_offset_ns=19.0)],
                              ids=["fig3a", "fig3b", "fig3d-offset19"])
@@ -399,12 +402,26 @@ class TestStroboscopic:
             angle, _ = su2_axis_angle(a[k + 1] @ np.linalg.inv(a[k]))
             assert abs(angle - g1_angle) <= 1e-12
 
-    @pytest.mark.parametrize("scale", [1.0, -1.0, np.exp(0.3j)])
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 0.97, -1.03])
     def test_closed_form_powers_of_a_multiple_of_identity(self, scale):
+        # the limit s -> 0 of a map with no traceless part, +-r I
         psi = np.array([0.6, 0.8j])
-        got = _unitary_powers(scale * np.eye(2), psi, 5)
+        got = _apply(_powers(np.array([scale, 0j]), np.arange(5)), psi)
         expected = np.array([scale**k * psi for k in range(5)])
         assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("n, tol", [(200, 1e-12), (20000, 1e-10)])
+    @pytest.mark.parametrize("drive", [FIG3A, FIG3B, FIG3D], ids=["fig3a", "fig3b", "fig3d"])
+    @pytest.mark.parametrize("ns, fraction", [(0.0, 0.0), (19.0, 0.0), (0.0, 0.5), (0.0, 0.7)],
+                             ids=["0", "19ns", "T/2", "0.7T"])
+    def test_matches_the_matrix_composition(self, drive, ns, fraction, n, tol):
+        # offsets of ns plus a fraction of the period: the first crossing is
+        # an up- or a down-sweep, and t = 0 lies on either branch
+        p = DriveParameters(**drive, n_periods=n,
+                            t_offset_ns=ns + fraction * drive["period_ns"])
+        got, want = stroboscopic_evolve(p, n), stroboscopic_reference(p, n)
+        assert np.array_equal(got.times, want.times)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= tol
 
     def test_conversion_reaches_above_09_on_resonance(self):
         strob = stroboscopic_evolve(DriveParameters(**FIG3A, n_periods=60), 60)
