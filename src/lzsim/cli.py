@@ -19,13 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import rabi_frequency
 from .config import load_run_config, load_sweep_config
-from .errors import (
-    ConfigError,
-    DegenerateDriveError,
-    FitFailureError,
-    IntegrationError,
-    NoOscillationError,
-)
+from .errors import ConfigError, FitFailureError, IntegrationError, NoOscillationError
 from .experiments import (
     ExperimentResult,
     provenance,
@@ -224,10 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (OSError, ValueError, DegenerateDriveError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and DegenerateDriveError among them
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (IntegrationError, NoOscillationError, FitFailureError) as exc:

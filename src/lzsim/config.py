@@ -112,6 +112,13 @@ _SWEEP_SCHEMA = {
     "out_dir": (str, None),
 }
 
+#: the keys each sweep kind ignores, refused unless at their defaults (the header records them)
+_SWEEP_IGNORED = {
+    "resonance": ("period_values_ns", "steps_per_min_period", "norm_tolerance"),
+    "lz_probability": ("scan_parameter", "scan_start", "scan_stop", "scan_points",
+                       "scan_values", "period_ns", "t_offset_ns"),
+}
+
 
 def _parse_pairs(text: str, schema: dict, source: str) -> dict:
     values = {}
@@ -263,6 +270,9 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
     kind = v["sweep"]
     if kind not in ("resonance", "lz_probability"):
         raise ConfigError(f"{source}: sweep must be resonance|lz_probability, got {kind!r}")
+    for key in _SWEEP_IGNORED[kind]:
+        if v[key] != _SWEEP_SCHEMA[key][1]:
+            raise ConfigError(f"{source}: sweep = {kind} would ignore {key!r}; leave it out")
     for key in ("delta_mhz", "epsilon_m_mhz"):
         if v[key] is None:
             raise ConfigError(f"{source}: missing key {key!r}")
@@ -294,8 +304,7 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
             else:
                 step = (v["scan_stop"] - v["scan_start"]) / (n - 1)
                 values = [v["scan_start"] + i * step for i in range(n)]
-        scan_parameter = v["scan_parameter"]
-        if v["period_ns"] is None and scan_parameter != "period_ns":
+        if v["period_ns"] is None and v["scan_parameter"] != "period_ns":
             raise ConfigError(f"{source}: missing key 'period_ns'")
     else:
         values = v["period_values_ns"]
@@ -307,7 +316,6 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
         if v["epsilon_m_mhz"] == 0:  # the coupling fit divides by it
             raise ConfigError(f"{source}: no crossings: an lz_probability sweep needs "
                               "epsilon_m_mhz > 0")
-        scan_parameter = "period_ns"
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{source}: scan grid from scan_start/scan_stop is not finite")
 
@@ -329,7 +337,7 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
     return SweepConfig(
         kind=kind,
         drive=drive,
-        scan_parameter=scan_parameter,
+        scan_parameter=v["scan_parameter"],
         scan_values=values,
         integrator=integrator,
         format=v["format"],

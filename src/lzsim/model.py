@@ -168,9 +168,13 @@ def crossing_times(p: DriveParameters) -> list[float]:
 def first_crossing(p: DriveParameters) -> float:
     """The first time t >= 0 where the triangle (of nonzero amplitude) crosses
     zero: eps(t) = 0 when t + t_offset = T/4 mod T/2, so it lies in [0, T/2)."""
-    T = p.period_ns
-    first = math.fmod(T / 4 - p.t_offset_ns, T / 2)
-    return first + T / 2 if first < 0 else first
+    return float(_first_crossing(p.period_ns, p.t_offset_ns))
+
+
+def _first_crossing(T, t_offset_ns):
+    """`first_crossing` of drives of periods ``T`` (an array), elementwise."""
+    first = np.fmod(T / 4 - t_offset_ns, T / 2)
+    return np.where(first < 0, first + T / 2, first)
 
 
 def sweep_rate(p: DriveParameters) -> float:

@@ -51,15 +51,16 @@ time reversal, so members with offsets integrate the first half.
 Members.  The kernel has a leading member axis: member i sees its own ramp
 plus a static offset of its own, on one grid shared by all members or on a
 grid of its own (its own step, ramp, period and samples); the coupling b is
-one number for every member and time.  `evolve` runs one member at its
-detuning offset; the dephasing average runs the nodes of a quadrature over
-the Gaussian offset, plus the detuning, as members of one grid, in chunks,
-and keeps only their weighted populations; `passage_transfers` runs one
-passage per period as members of their own grids, in chunks.  Per-member
-step counts are ragged: every member starts at step 0, and a slab of steps
-holds only the members that have steps left, so the work is about the
-members' own steps.  A slab holds at most ``_SLAB`` maps over members and
-steps, so memory grows with the number of samples, not of steps or members.
+one number for every member and time.  One loop (`_member_states`) feeds
+members to the kernel in chunks and checks their norms.  The dephasing
+average runs the nodes of a quadrature over the Gaussian offset, plus the
+detuning, as members of one grid and keeps only their weighted populations;
+`evolve` is its one-node case, whose member's states are the amplitudes.
+`passage_transfers` runs a passage per period, each on its own grid.  Step
+counts are ragged: every member starts at step 0, and a slab of steps holds
+only the members that have steps left, so the work is about the members'
+own steps.  A slab holds at most ``_SLAB`` maps over members and steps, so
+memory grows with the number of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -620,6 +621,22 @@ def _check_norms(states: np.ndarray, tol: float) -> None:
         )
 
 
+def _member_states(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
+                   cfg: IntegratorConfig, order: np.ndarray):
+    """Yield (idx, states (chunk, samples, 2)), norm checked, for the members
+    ``order`` (an index array) in chunks of at most ``isqrt(_SLAB)``; member
+    i sees the grid's ramp plus offsets[i], on the grid's row i when it has
+    a row per member.  Only what the caller keeps of a chunk outlives it."""
+    chunk = math.isqrt(_SLAB)
+    for lo in range(0, order.size, chunk):
+        idx = order[lo:lo + chunk]
+        rows = grid if np.ndim(grid.h) == 0 else _Grid(
+            *(v[idx] if isinstance(v, np.ndarray) else v for v in vars(grid).values()))
+        states = _propagate(rows, b, offsets[idx], psi0, cfg.method)
+        _check_norms(states, cfg.norm_drift_tolerance)
+        yield idx, states
+
+
 def _validate_span(p: DriveParameters, t_span):
     t0, t1 = float(t_span[0]), float(t_span[1])
     total = p.total_time_ns
@@ -652,19 +669,12 @@ def evolve(
     ns (the actual spacing is snapped to the integration grid; the final
     sample lands exactly on the span end).  ``epsilon_offset_mhz`` adds a
     constant to the detuning, which is how static noise and deliberate
-    carrier detunings enter.
+    carrier detunings enter.  This is the one-node case of the dephasing
+    average (T2* = inf), whose one member's states are the amplitudes.
     """
-    cfg = cfg or IntegratorConfig()
-    initial = initial or QubitState.ket0()
-    if initial.basis is not Basis.DIABATIC:
-        raise ValueError("evolve expects a diabatic-basis initial state")
-    t_span = _validate_span(p, t_span or (0.0, p.total_time_ns))
-    off_ang = mhz_to_angular(abs(epsilon_offset_mhz))
-    grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=off_ang)
-    offset = np.array([mhz_to_angular(epsilon_offset_mhz) / 2])
-    states = _propagate(grid, p.delta_ang / 2, offset, initial.as_array(), cfg.method)[0]
-    _check_norms(states, cfg.norm_drift_tolerance)
-    return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
+    times, pops, states, _ = _dephased(p, cfg, math.inf, initial, t_span, sample_every,
+                                       epsilon_offset_mhz, 0.0)
+    return Trajectory(times, pops, Basis.DIABATIC, amplitudes=states[0])
 
 
 def passage_transfers(
@@ -690,16 +700,11 @@ def passage_transfers(
     p = DriveParameters(delta_mhz, epsilon_m_mhz, periods[0])
     T = periods[:, None]
     grid = _build_grid(p, cfg, (0.0, T / 2), T / 2, periods=T)
-    psi0 = QubitState.ket0().as_array()
     transfers = np.empty(periods.size)
     # members of like step counts share a chunk
-    order = np.argsort(periods, kind="stable")
-    chunk = math.isqrt(_SLAB)
-    for lo in range(0, order.size, chunk):
-        idx = order[lo:lo + chunk]
-        rows = _Grid(*(v[idx] if isinstance(v, np.ndarray) else v for v in vars(grid).values()))
-        states = _propagate(rows, p.delta_ang / 2, np.zeros(idx.size), psi0, cfg.method)
-        _check_norms(states, cfg.norm_drift_tolerance)
+    for idx, states in _member_states(grid, p.delta_ang / 2, np.zeros(periods.size),
+                                      QubitState.ket0().as_array(), cfg,
+                                      np.argsort(periods, kind="stable")):
         transfers[idx] = np.abs(states[:, -1, 1]) ** 2
     return transfers
 
@@ -741,26 +746,6 @@ def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w / w.sum()
 
 
-def _dephased_populations(grid: _Grid, b: float, offsets: np.ndarray, weights: np.ndarray,
-                          psi0: np.ndarray, cfg: IntegratorConfig,
-                          readout: np.ndarray | None) -> np.ndarray:
-    """Populations (samples, 2) summed over members with ``weights``.
-
-    Member i sees the grid's ramp plus offsets[i]; ``readout`` (a map or None) acts
-    on every member before populations are read.  Members run in chunks, so
-    only the summed populations outlive a chunk.
-    """
-    chunk = math.isqrt(_SLAB)
-    pops = np.zeros((grid.times.size, 2))
-    for lo in range(0, offsets.size, chunk):
-        states = _propagate(grid, b, offsets[lo:lo + chunk], psi0, cfg.method)
-        _check_norms(states, cfg.norm_drift_tolerance)
-        if readout is not None:
-            states = _apply(readout, states)
-        pops += np.tensordot(weights[lo:lo + chunk], np.abs(states) ** 2, axes=1)
-    return pops
-
-
 def evolve_ensemble_dephased(
     p: DriveParameters,
     cfg: IntegratorConfig | None = None,
@@ -787,10 +772,21 @@ def evolve_ensemble_dephased(
     The returned trajectory carries averaged populations, no amplitudes, and
     the number of nodes in ``noise_nodes``.
     """
+    times, pops, _, nodes = _dephased(p, cfg, t2_star_us, initial, t_span, sample_every,
+                                      detuning_mhz, readout_rotation)
+    return Trajectory(times, pops, Basis.DIABATIC, noise_nodes=nodes)
+
+
+def _dephased(p: DriveParameters, cfg: IntegratorConfig | None, t2_star_us: float,
+              initial: QubitState | None, t_span, sample_every, detuning_mhz: float,
+              readout_rotation: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The body of `evolve_ensemble_dephased` and of `evolve`, its one-node case:
+    the sample times, the weighted populations (samples, 2), the last chunk's
+    states (members, samples, 2) after the readout, and the node count."""
     cfg = cfg or IntegratorConfig()
     initial = initial or QubitState.ket0()
     if initial.basis is not Basis.DIABATIC:
-        raise ValueError("ensemble evolution expects a diabatic-basis initial state")
+        raise ValueError("dense evolution expects a diabatic-basis initial state")
     if not t2_star_us > 0:
         raise ValueError("t2_star_us must be positive (inf disables the noise)")
     t_span = _validate_span(p, t_span or (0.0, p.total_time_ns))
@@ -798,13 +794,14 @@ def evolve_ensemble_dephased(
     sigma_ang_per_ns = 0.0 if math.isinf(t2_star_us) else math.sqrt(2) / t2_star_us / 1000.0
     nodes, weights = _noise_nodes(sigma_ang_per_ns * (t_span[1] - t_span[0]))
     offsets_ang = sigma_ang_per_ns * nodes
-    offsets_mhz = angular_to_mhz(offsets_ang) + detuning_mhz
-
     # one grid for every member, fine enough for the largest offset
-    extra = mhz_to_angular(float(np.max(np.abs(offsets_mhz))))
+    extra = mhz_to_angular(float(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
-    readout = rotation_x(readout_rotation) if readout_rotation else None
-    pops = _dephased_populations(grid, p.delta_ang / 2,
-                                 (offsets_ang + mhz_to_angular(detuning_mhz)) / 2, weights,
-                                 initial.as_array(), cfg, readout)
-    return Trajectory(grid.times, pops, Basis.DIABATIC, noise_nodes=nodes.size)
+    pops = np.zeros((grid.times.size, 2))
+    for idx, states in _member_states(grid, p.delta_ang / 2,
+                                      (offsets_ang + mhz_to_angular(detuning_mhz)) / 2,
+                                      initial.as_array(), cfg, np.arange(nodes.size)):
+        if readout_rotation:
+            states = _apply(rotation_x(readout_rotation), states)
+        pops += np.tensordot(weights[idx], np.abs(states) ** 2, axes=1)
+    return grid.times, pops, states, nodes.size

@@ -69,6 +69,7 @@ from .model import (
     QubitState,
     eigenbasis_at,
     epsilon_at,
+    _first_crossing,
     first_crossing,
     mhz_to_angular,
     sweep_rate,
@@ -186,11 +187,6 @@ def free_phase(p: DriveParameters, t1: float, t2: float) -> float:
         k += 1
     edges = [t1, *kinks, t2]
 
-    def antiderivative(u):
-        if m == 0.0:
-            return u * abs(u) / 2
-        return (u * math.hypot(u, m) + m * m * math.asinh(u / m)) / 2
-
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         ea = mhz_to_angular(epsilon_at(p, a))
@@ -199,15 +195,23 @@ def free_phase(p: DriveParameters, t1: float, t2: float) -> float:
             total += (b - a) * math.hypot(ea, m)
             continue
         c1 = slope if eb > ea else -slope
-        total += (antiderivative(eb) - antiderivative(ea)) / c1
-    return total / 2
+        total += (_gap_area(eb, m) - _gap_area(ea, m)) / c1
+    return float(total / 2)
 
 
-def _dressing_angle(p: DriveParameters, eps_ang: float, slope_ang: float) -> float:
+def _gap_area(u, m):
+    """A(u) = (u hypot(u, m) + m^2 asinh(u/m))/2, the antiderivative of
+    hypot(u, m) (u |u|/2 at m = 0), elementwise."""
+    if m == 0.0:
+        return u * np.abs(u) / 2
+    return (u * np.hypot(u, m) + m * m * np.arcsinh(u / m)) / 2
+
+
+def _dressing_angle(p: DriveParameters, eps_ang, slope_ang):
     """Angle a of the first-order dressing s = rotation_x(a) c of the adiabatic
-    amplitudes c at detuning ``eps_ang`` swept at ``slope_ang``:
+    amplitudes c at detuning ``eps_ang`` swept at ``slope_ang`` (elementwise):
     a = -thetadot / Omega = Delta eps' / (eps^2 + Delta^2)^{3/2}."""
-    return p.delta_ang * slope_ang / math.hypot(eps_ang, p.delta_ang) ** 3
+    return p.delta_ang * slope_ang / np.hypot(eps_ang, p.delta_ang) ** 3
 
 
 def _check_impulse_regime(delta_mhz: float, epsilon_m_mhz) -> None:
@@ -245,32 +249,27 @@ def _impulse_factors(p: DriveParameters, epsilon_m_mhz: np.ndarray,
       P = exp(-2 pi delta), phi_s = ``stokes_phase(delta)`` and delta =
       Delta^2/(4v) is the crossing's ``adiabaticity``;
     - ``quarter``: the free phase zeta/2 from a crossing to the next turning
-      point, A(eps_m)/(2 slope) with A(u) = (u hypot(u, m) + m^2 asinh(u/m))/2
-      the antiderivative ``free_phase`` integrates; every quarter period holds
-      the same phase, since the triangle is symmetric about its turning points;
-    - ``kick``: |kappa| = Delta v / (eps_m^2 + Delta^2)^{3/2}; the turning
-      point after an up-sweep kicks by -kick, after a down-sweep by +kick;
+      point, A(eps_m)/(2 slope) with A = ``_gap_area``, the antiderivative
+      ``free_phase`` integrates; every quarter period holds the same phase,
+      since the triangle is symmetric about its turning points;
+    - ``kick``: |kappa|, the ``_dressing_angle`` at eps_m; the turning point
+      after an up-sweep kicks by -kick, after a down-sweep by +kick;
     - ``up``: +1 where the first crossing after t = 0 sweeps the detuning up,
       else -1.
     """
     m = p.delta_ang
-    t_off = p.t_offset_ns
     eps_m = mhz_to_angular(epsilon_m_mhz)
     T = period_ns
     rate = mhz_to_angular(4 * epsilon_m_mhz / T)  # sweep rate at a crossing
     d = m**2 / (4 * rate)
     p_lz = np.exp(-2 * np.pi * d)
     alpha = np.sqrt(1.0 - p_lz) * np.exp(1j * _stokes_phases(d))
-    area = (eps_m * np.hypot(eps_m, m) + m * m * np.arcsinh(eps_m / m)) / 2
-    quarter = area / (4 * eps_m / T) / 2
+    quarter = _gap_area(eps_m, m) / (4 * eps_m / T) / 2
 
-    tc1 = np.fmod(T / 4 - t_off, T / 2)
-    tc1 = np.where(tc1 < 0, tc1 + T / 2, tc1)
-    phase = np.fmod(tc1 + t_off, T)
+    phase = np.fmod(_first_crossing(T, p.t_offset_ns) + p.t_offset_ns, T)
     phase = np.where(phase < 0, phase + T, phase)
     up = np.where(np.abs(phase - T / 4) < T / 8, 1.0, -1.0)
-    kick = m * rate / np.hypot(eps_m, m) ** 3
-    return alpha, np.sqrt(p_lz), quarter, kick, up
+    return alpha, np.sqrt(p_lz), quarter, _dressing_angle(p, eps_m, rate), up
 
 
 #: Indices of the factors of ``_period_factors`` after which the samples of

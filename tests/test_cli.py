@@ -607,6 +607,32 @@ period_values_ns = 20, 40, 80
         assert "no crossings" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, key, value, default", [
+        ("lz_probability", "t_offset_ns", "19", "0.0"),
+        ("lz_probability", "scan_parameter", "epsilon_m_mhz", "period_ns"),
+        ("lz_probability", "scan_values", "120, 130", None),
+        ("lz_probability", "scan_start", "120", None),
+        ("lz_probability", "scan_stop", "170", None),
+        ("lz_probability", "scan_points", "10", None),
+        ("lz_probability", "period_ns", "128", None),
+        ("resonance", "period_values_ns", "160, 320", None),
+        ("resonance", "steps_per_min_period", "7", "400"),
+        ("resonance", "norm_tolerance", "0.5", "1e-08"),
+    ])
+    def test_key_the_kind_ignores_refused(self, tmp_path, capsys, kind, key, value, default):
+        # the run would not read the key, yet the header would record it; at
+        # its default, as a rerun from a header may give it, it is accepted
+        grid = {"lz_probability": "period_values_ns = 160, 320", "resonance": "scan_values = 128"}
+        base = f"sweep = {kind}\ndelta_mhz = 5.57\nepsilon_m_mhz = 100.0\n{grid[kind]}\n"
+        out = tmp_path / "out"
+        conf = write(tmp_path, "sweep.conf", f"{base}{key} = {value}\n")
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert f"sweep = {kind} would ignore {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+        if default is not None:
+            conf = write(tmp_path, "default.conf", f"{base}{key} = {default}\n")
+            assert main(["sweep", conf, "--out", str(out)]) == 0
+
     def test_lz_probability_sweep(self, tmp_path, capsys):
         conf = write(tmp_path, "sweep.conf", """\
 sweep = lz_probability

@@ -262,15 +262,49 @@ class TestLabFrameToy:
             evolve_lab_frame_toy(5.0, 80.0, drive)
 
 
+def weighted_populations(grid, b, half_offsets, weights, psi0, cfg, readout=0.0):
+    """The dephasing average's reduction over `propagator._member_states`, on a
+    grid of the caller's choosing: populations summed with ``weights``."""
+    pops = np.zeros((grid.times.size, 2))
+    for idx, states in propagator._member_states(grid, b, half_offsets, psi0, cfg,
+                                                 np.arange(half_offsets.size)):
+        if readout:
+            states = propagator._apply(propagator.rotation_x(readout), states)
+        pops += np.tensordot(weights[idx], np.abs(states) ** 2, axes=1)
+    return pops
+
+
 class TestEnsemble:
     def test_single_noiseless_member_matches_evolve(self):
+        # with and without an offset (detuning_mhz against epsilon_offset_mhz),
+        # from a basis state and from a superposition
         p = DriveParameters(**FIG3A, n_periods=4)
-        kw = dict(t_span=(0.0, 4 * 128.0), sample_every=8.0)
-        single = evolve(p, **kw)
-        ens = evolve_ensemble_dephased(p, t2_star_us=math.inf, **kw)
-        assert np.array_equal(ens.populations, single.populations)
-        assert ens.amplitudes is None
-        assert ens.noise_nodes == 1
+        for offset_mhz, initial in ((0.0, QubitState.ket0()), (3.7, QubitState.ket0()),
+                                    (-12.5, QubitState(0.6, 0.8j))):
+            kw = dict(initial=initial, t_span=(0.0, 4 * 128.0), sample_every=8.0)
+            single = evolve(p, epsilon_offset_mhz=offset_mhz, **kw)
+            ens = evolve_ensemble_dephased(p, t2_star_us=math.inf, detuning_mhz=offset_mhz, **kw)
+            assert np.array_equal(ens.times, single.times)
+            assert np.array_equal(ens.populations, single.populations)
+            assert ens.amplitudes is None
+            assert ens.noise_nodes == 1
+
+    @pytest.mark.parametrize("entry", ["evolve", "evolve_ensemble_dephased"])
+    def test_one_kernel_call_and_neither_calls_the_other(self, monkeypatch, entry):
+        # both entry points run the one body, not each other, so each is
+        # timed on its own and makes one kernel call
+        def refuse(*args, **kwargs):
+            raise AssertionError("called the other entry point")
+
+        calls = []
+        kernel = propagator._propagate
+        run = getattr(propagator, entry)
+        other = ({"evolve", "evolve_ensemble_dephased"} - {entry}).pop()
+        monkeypatch.setattr(propagator, other, refuse)
+        monkeypatch.setattr(propagator, "_propagate",
+                            lambda *args: calls.append(1) or kernel(*args))
+        run(DriveParameters(**FIG3A, n_periods=4), sample_every=8.0)
+        assert len(calls) == 1
 
     def test_rerun_determinism(self):
         # the average is a quadrature, not a draw: a rerun gives the same bytes
@@ -358,9 +392,8 @@ class TestNoiseQuadrature:
                                       extra_omega_ang=sigma * float(np.max(x2)))
 
         def populations(nodes, weights):
-            return propagator._dephased_populations(
-                grid, p.delta_ang / 2, sigma * nodes / 2, weights, init.as_array(), cfg,
-                propagator.rotation_x(readout) if readout else None)
+            return weighted_populations(grid, p.delta_ang / 2, sigma * nodes / 2, weights,
+                                        init.as_array(), cfg, readout)
 
         assert np.max(np.abs(populations(x, w) - populations(x2, w2))) < 1e-9
 
@@ -516,8 +549,7 @@ class TestPeriodicKernel:
             half_offsets, weights = self._members(n_members)
             tracemalloc.start()
             try:
-                propagator._dephased_populations(grid, p.delta_ang / 2, half_offsets, weights,
-                                                 psi0, cfg, None)
+                weighted_populations(grid, p.delta_ang / 2, half_offsets, weights, psi0, cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -539,8 +571,7 @@ class TestPeriodicKernel:
                                           extra_omega_ang=1e-3)
             tracemalloc.start()
             try:
-                propagator._dephased_populations(grid, p.delta_ang / 2, half_offsets, weights,
-                                                 psi0, cfg, None)
+                weighted_populations(grid, p.delta_ang / 2, half_offsets, weights, psi0, cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
