@@ -164,11 +164,50 @@ def rabi_frequency(traj: Trajectory, min_cycles: int = 3) -> FitResult:
     )
 
 
+#: the most steps `_least_squares` takes; a fit that needs more has failed
+_FIT_STEPS = 100
+
+
+def _least_squares(what: str, residuals, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt in the box lo <= x <= hi: the x minimising |r|^2
+    and r there, where ``residuals(x)`` returns r and its Jacobian (n, k).
+    Parameters that the gradient holds at a bound stay there; the others take
+    a damped Gauss-Newton step (Marquardt's scaling), clipped into the box and
+    kept if it lowers |r|^2.  The damping falls tenfold if the fall is over 3/4
+    of the linearised model's, and grows tenfold under 1/4.  Converged when a
+    step would move no parameter by 1e-10 of its value."""
+    x = np.clip(np.asarray(x, dtype=float), lo, hi)
+    r, jac = residuals(x)
+    if not np.isfinite(r).all():
+        raise FitFailureError(f"{what}: the residuals at the start are not finite")
+    damping = 1e-3
+    for _ in range(_FIT_STEPS):
+        grad = jac.T @ r
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        a = jac[:, free].T @ jac[:, free]
+        norm = np.where(np.diag(a) > 0, np.sqrt(np.diag(a)), 1.0)
+        step = np.zeros_like(x)
+        step[free] = np.linalg.lstsq(a / np.outer(norm, norm) + damping * np.eye(norm.size),
+                                     -grad[free] / norm, rcond=None)[0] / norm
+        if np.all(np.abs(step) <= 1e-10 * np.abs(x)):
+            return x, r
+        trial = np.clip(x + step, lo, hi)
+        r_trial, jac_trial = residuals(trial)
+        predicted = r @ r - np.sum((r + jac @ (trial - x)) ** 2)  # by the linearised model
+        gain = (r @ r - r_trial @ r_trial) / predicted if predicted > 0 else 0.0
+        damping *= 0.1 if gain > 0.75 else 10 if not gain > 0.25 else 1  # NaN gains too
+        if gain > 0:
+            x, r, jac = trial, r_trial, jac_trial
+    raise FitFailureError(f"{what}: no convergence in {_FIT_STEPS} steps")
+
+
 def ramsey_fit(traj: Trajectory) -> FitResult:
     """Least-squares fit of A exp[-(t/T*)^2] cos(2 pi f t) + c to P0(t).
 
     Times are fitted in us, so the returned decay time is in us and the
-    frequency in MHz.
+    frequency in MHz.  The model is linear in (A, c), which are solved for
+    at each (T*, f) (variable projection); `_least_squares` fits (T*, f)
+    from half the span and the spectral peak.
     """
     t_us = traj.times / 1000.0
     x = np.asarray(traj.p0, dtype=float)
@@ -180,33 +219,27 @@ def ramsey_fit(traj: Trajectory) -> FitResult:
         f0, _, _ = _spectral_peak(xs, dt, k_min=1)
     except NoOscillationError as exc:
         raise FitFailureError(f"no fringe to fit: {exc}") from exc
+    lo, hi = np.array([-2.0, -1.0]), np.array([2.0, 2.0])  # the bounds of (A, c)
 
-    def model(t, a, t_star, f, c):
-        return a * np.exp(-((t / t_star) ** 2)) * np.cos(2 * math.pi * f * t) + c
+    def fringe(theta):
+        """The residuals at (T*, f) and their Jacobian, then (A, c)."""
+        envelope = np.exp(-((t_us / theta[0]) ** 2))
+        phase = 2 * math.pi * theta[1] * t_us
+        basis = np.column_stack([envelope * np.cos(phase), np.ones_like(t_us)])
+        ac = np.linalg.lstsq(basis, x, rcond=None)[0]
+        if np.any((ac < lo) | (ac > hi)):  # the box binds, and the fit is linear
+            ac = _least_squares("bounded (A, c)", lambda ac: (basis @ ac - x, basis), ac, lo, hi)[0]
+        jac = -ac[0] * np.column_stack([2 * basis[:, 0] * t_us**2 / theta[0] ** 3,
+                                        -2 * math.pi * t_us * envelope * np.sin(phase)])
+        # the free coefficients follow (T*, f): their columns are projected out
+        q = np.linalg.qr(basis[:, (lo < ac) & (ac < hi)])[0]
+        return (x - basis @ ac, jac - q @ (q.T @ jac)), ac
 
-    c0 = float(np.mean(x))
-    a0 = float(x[0] - c0)
-    if a0 == 0.0:
-        a0 = float((np.max(x) - np.min(x)) / 2)
-    span = float(t_us[-1] - t_us[0])
-    p0 = [a0, span / 2, f0, c0]
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, _ = curve_fit(
-            model, t_us, x, p0=p0,
-            bounds=([-2.0, 1e-3, 1e-6, -1.0], [2.0, 1e4, 1e4, 2.0]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise FitFailureError(f"fit did not converge from f0={f0:.4g} MHz: {exc}") from exc
-    resid = x - model(t_us, *popt)
-    return FitResult(
-        frequency_mhz=float(popt[2]),
-        amplitude=float(abs(popt[0])),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        decay_time_us=float(popt[1]),
-    )
+    # T* in [1e-3, 1e4] us and f in [1e-6, 1e4] MHz
+    theta, resid = _least_squares(f"fit from f0={f0:.4g} MHz", lambda theta: fringe(theta)[0],
+                                  [float(t_us[-1] - t_us[0]) / 2, f0], [1e-3, 1e-6], [1e4, 1e4])
+    return FitResult(frequency_mhz=float(theta[1]), amplitude=float(abs(fringe(theta)[1][0])),
+                     residual_rms=float(np.sqrt(np.mean(resid**2))), decay_time_us=float(theta[0]))
 
 
 @dataclass(frozen=True)

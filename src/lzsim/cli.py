@@ -8,6 +8,7 @@ a failing command leaves no partial files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -178,6 +179,7 @@ def _plain_scalars(scalars: dict) -> dict:
     return plain
 
 
+@functools.cache  # built on the first `main` call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lzsim",
@@ -214,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # ConfigError and DegenerateDriveError among them

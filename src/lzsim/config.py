@@ -286,6 +286,9 @@ def parse_sweep_config(text: str, source: str = "<config>") -> SweepConfig:
                 f"got {v['scan_parameter']!r}"
             )
         if v["scan_values"] is not None:
+            if any(v[key] is not None for key in ("scan_start", "scan_stop", "scan_points")):
+                raise ConfigError(f"{source}: give either scan_values or "
+                                  "scan_start/scan_stop/scan_points, not both")
             values = v["scan_values"]
             if len(values) > _MAX_SCAN_POINTS:
                 raise ConfigError(f"{source}: scan_values holds {len(values)} values; "

@@ -9,15 +9,13 @@ bit-identically.  `PRESETS` freezes the published figure scenarios, and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import AdiabaticMask, detect_steps, rabi_frequency, to_adiabatic
-from .errors import FitFailureError
+from .analysis import AdiabaticMask, _least_squares, detect_steps, rabi_frequency, to_adiabatic
 from .model import DriveParameters, QubitState
 from .propagator import (
     IntegratorConfig,
@@ -103,22 +101,12 @@ class ExperimentResult:
     provenance: dict
 
 
-@functools.cache
-def _scipy_version() -> str:
-    """The installed scipy's version, read from its package metadata: importing
-    scipy itself would cost more than most runs."""
-    from importlib.metadata import version
-
-    return version("scipy")
-
-
 def provenance(body: dict) -> dict:
     """The provenance block of every output file: a shared header plus ``body``."""
     return {
         "schema_version": 1,
         "generator": f"lzsim {__version__}",
         "numpy_version": np.__version__,
-        "scipy_version": _scipy_version(),
         **body,
     }
 
@@ -235,17 +223,15 @@ def run_lz_probability_sweep(
     p_arr = passage_transfers(delta_mhz, epsilon_m_mhz, t_arr, cfg)
     points = list(zip(t_arr.tolist(), p_arr.tolist()))
 
-    def model(T, d):
-        return 1.0 - np.exp(-(math.pi**2) * d * d * T / (4 * epsilon_m_mhz) * 1e-3)
+    # d enters only as u = d^2, fitted within u >= 0
+    rate = (math.pi**2) * t_arr / (4 * epsilon_m_mhz) * 1e-3
 
-    from scipy.optimize import curve_fit
+    def residuals(u):
+        decay = np.exp(-rate * u[0])
+        return 1.0 - decay - p_arr, (rate * decay)[:, None]
 
-    try:
-        popt, _ = curve_fit(model, t_arr, p_arr, p0=[max(delta_mhz, 0.1)], maxfev=10000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitFailureError(f"coupling fit failed: {exc}") from exc
-    resid = p_arr - model(t_arr, *popt)
-    return LZSweepResult(points, float(abs(popt[0])), float(np.sqrt(np.mean(resid**2))))
+    u, resid = _least_squares("coupling fit", residuals, [max(delta_mhz, 0.1)**2], [0.0], [np.inf])
+    return LZSweepResult(points, math.sqrt(u[0]), float(np.sqrt(np.mean(resid**2))))
 
 
 def _double_passage(spec: ScenarioSpec, result: ExperimentResult) -> None:

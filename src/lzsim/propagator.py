@@ -517,7 +517,9 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
         if lo:
             local = _mul(local, done[:, rows, None])
         i, j = _entries(inside, rows.size)
-        out[:, rows[i], j] = local[:, i, j]
+        # one shared row: rows is every member, written through a slice, not index arrays
+        i, at = (slice(None),) * 2 if counts.shape[0] == 1 else (i, rows[i])
+        out[:, at, j] = local[:, i, j]
         done[:, rows] = local[..., -1]
         lo = hi
     return out

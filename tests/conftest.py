@@ -1,7 +1,10 @@
 import cmath
 import math
+import sys
+import types
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,21 @@ from lzsim.transfer_matrix import _dressing_angle, _impulse_factors, adiabaticit
 FIG3A = dict(delta_mhz=5.57, epsilon_m_mhz=100.0, period_ns=128.0)
 FIG3B = dict(delta_mhz=9.60, epsilon_m_mhz=50.4, period_ns=606.0)
 FIG3D = dict(delta_mhz=5.84, epsilon_m_mhz=100.0, period_ns=592.0)
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's ``perfbench/workloads.py``, read by path, without
+    importing perfbench: executed from its source text, so no bytecode cache
+    is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # its dataclasses look their module up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]
 
 
 @pytest.fixture(scope="session")

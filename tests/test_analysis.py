@@ -13,12 +13,15 @@ from lzsim import (
     Trajectory,
     detect_steps,
     evolve,
+    evolve_ensemble_dephased,
     lz_probability,
     rabi_frequency,
     ramsey_fit,
     to_adiabatic,
     to_diabatic,
 )
+from lzsim import analysis
+from lzsim.analysis import _spectral_peak, _uniform_signal
 from lzsim.model import epsilon_at
 from conftest import FIG3B, FIG3D, basis_discrepancy
 
@@ -153,6 +156,83 @@ class TestRamseyFit:
                           Basis.DIABATIC)
         with pytest.raises(FitFailureError):
             ramsey_fit(traj)
+
+    @staticmethod
+    def _curve_fit(traj, **tolerances):
+        """(a, T*, f, c) as scipy's curve_fit fits them, from the start
+        ramsey_fit takes: the spectral peak and half the span, clipped into
+        the bounds."""
+        from scipy.optimize import curve_fit
+
+        t_us, x = traj.times / 1000.0, traj.p0
+        f0 = _spectral_peak(*_uniform_signal(traj), k_min=1)[0]
+        lo, hi = [-2.0, 1e-3, 1e-6, -1.0], [2.0, 1e4, 1e4, 2.0]
+        start = np.clip([x[0] - np.mean(x), (t_us[-1] - t_us[0]) / 2, f0, np.mean(x)], lo, hi)
+
+        def model(t, a, t_star, f, c):
+            return a * np.exp(-((t / t_star) ** 2)) * np.cos(2 * math.pi * f * t) + c
+
+        return curve_fit(model, t_us, x, p0=start, bounds=(lo, hi), maxfev=20000, **tolerances)[0]
+
+    def _assert_matches_curve_fit(self, traj, **tolerances):
+        fit = ramsey_fit(traj)
+        a, t_star, f, _ = self._curve_fit(traj, **tolerances)
+        assert fit.decay_time_us == pytest.approx(t_star, rel=1e-6)
+        assert fit.frequency_mhz == pytest.approx(f, rel=1e-6)
+        assert fit.amplitude == pytest.approx(abs(a), rel=1e-6)
+
+    def test_ensemble_fid_matches_curve_fit(self):
+        # criterion 7's simulated ensemble
+        drive = DriveParameters(delta_mhz=0.0, epsilon_m_mhz=0.0, period_ns=1000.0, n_periods=13)
+        traj = evolve_ensemble_dephased(
+            drive, t2_star_us=6.56, initial=QubitState(1 / math.sqrt(2), -1j / math.sqrt(2)),
+            t_span=(0.0, 13000.0), sample_every=25.0, detuning_mhz=0.56,
+            readout_rotation=math.pi / 2)
+        self._assert_matches_curve_fit(traj)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_fid_matches_curve_fit(self, seed):
+        traj = self._synthetic(n=560)
+        noise = 0.02 * np.random.default_rng(seed).standard_normal(len(traj))
+        p0 = traj.p0 + noise
+        self._assert_matches_curve_fit(Trajectory(traj.times, np.column_stack([p0, 1 - p0]),
+                                                  Basis.DIABATIC))
+
+    def test_start_clipped_into_the_bounds(self):
+        # half the 3e4 us span is past the 1e4 us bound on T*, so the fit
+        # starts from the bound
+        traj = self._synthetic(t2_star_us=5000.0, f_mhz=1e-3, n=600, t_max_us=30000.0)
+        self._assert_matches_curve_fit(traj)
+        assert ramsey_fit(traj).decay_time_us == pytest.approx(5000.0, rel=1e-9)
+
+    @pytest.mark.parametrize("amplitude, offset", [(2.5, 0.5), (0.5, -1.3), (-2.4, 2.3)])
+    def test_bounds_on_amplitude_and_offset_bind(self, amplitude, offset):
+        # the fit lands on |A| = 2 or on c = -1 or 2; curve_fit's default
+        # tolerances stop it about 5e-6 short there, so it runs to convergence
+        t_us = np.linspace(0.0, 14.0, 560)
+        p0 = offset + amplitude * np.exp(-((t_us / 6.56) ** 2)) * np.cos(2 * math.pi * 0.56 * t_us)
+        traj = Trajectory(t_us * 1e3, np.column_stack([p0, 1 - p0]), Basis.DIABATIC)
+        self._assert_matches_curve_fit(traj, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+
+    def test_no_fringe_raises(self):
+        # one spike: a flat spectrum, with no peak above its floor
+        p0 = np.full(400, 0.5)
+        p0[200] = 0.6
+        traj = Trajectory(np.arange(400) * 25.0, np.column_stack([p0, 1 - p0]), Basis.DIABATIC)
+        with pytest.raises(FitFailureError, match="no fringe to fit"):
+            ramsey_fit(traj)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_FIT_STEPS", 1)
+        with pytest.raises(FitFailureError, match="no convergence in 1 steps"):
+            ramsey_fit(self._synthetic())
+
+    def test_non_finite_signal_raises(self):
+        traj = self._synthetic()
+        p0 = traj.p0.copy()
+        p0[7] = np.nan
+        with pytest.raises(FitFailureError, match="not finite"):
+            ramsey_fit(Trajectory(traj.times, np.column_stack([p0, 1 - p0]), Basis.DIABATIC))
 
 
 class TestDetectSteps:

@@ -14,7 +14,6 @@ import ast
 import functools
 import importlib
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +26,7 @@ from lzsim.model import DriveParameters
 from lzsim.seriesio import read_series
 from lzsim.transfer_matrix import resonance_scan
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    # executed from its source text, so no bytecode cache is written beside it
-    module = types.ModuleType("perfbench_workloads")
-    sys.modules[module.__name__] = module  # its dataclasses look their module up
-    try:
-        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
-        yield module
-    finally:
-        del sys.modules[module.__name__]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 1000])

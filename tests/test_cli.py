@@ -633,6 +633,18 @@ period_values_ns = 20, 40, 80
             conf = write(tmp_path, "default.conf", f"{base}{key} = {default}\n")
             assert main(["sweep", conf, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("key, value", [
+        ("scan_start", "100"), ("scan_stop", "200"), ("scan_points", "50")])
+    def test_range_key_beside_scan_values_refused(self, tmp_path, capsys, key, value):
+        # the range would be ignored: scan_values alone sets the grid
+        conf = write(tmp_path, "sweep.conf", "sweep = resonance\ndelta_mhz = 5.57\n"
+                     f"epsilon_m_mhz = 100.0\nscan_values = 128\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", conf, "--out", str(out)]) == 2
+        assert ("give either scan_values or scan_start/scan_stop/scan_points, not both"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_lz_probability_sweep(self, tmp_path, capsys):
         conf = write(tmp_path, "sweep.conf", """\
 sweep = lz_probability
@@ -655,7 +667,8 @@ norm_tolerance = 1e-9
 """)
         assert main(["sweep", conf, "--out", str(tmp_path), "--format", "json"]) == 0
         meta, _, data = read_series(tmp_path / "sweep_lz_probability.json")
-        assert {"schema_version", "generator", "numpy_version", "scipy_version"} <= set(meta)
+        assert {"schema_version", "generator", "numpy_version"} <= set(meta)
+        assert "scipy_version" not in meta  # no fit imports scipy, so none is recorded
         assert meta["integrator"] == {"steps_per_min_period": 300, "norm_tolerance": 1e-9}
         assert "seed" not in meta and "workers" not in meta
 
@@ -687,6 +700,28 @@ norm_tolerance = 1e-9
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, tmp_path):
+        cli.build_parser.cache_clear()
+        conf = write(tmp_path, "run.conf", FIG3A_CONF)
+        for _ in range(2):
+            assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "--help"],
+                                      ["simulate"], ["reproduce", "fig2c", "--bogus"]])
+    def test_help_version_and_usage_errors_read_as_built_afresh(self, capsys, argv):
+        readings = []
+        for clear in (True, False, False):
+            if clear:
+                cli.build_parser.cache_clear()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            readings.append((exc.value.code, capsys.readouterr()))
+        assert readings[0] == readings[1] == readings[2]
 
 
 def _series_json(rows):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,23 @@ class TestLZSweep:
         by_period = dict(res.points)
         assert by_period[20000.0] > 0.95   # very slow sweep converts fully
         assert by_period[20.0] < 0.05      # very fast sweep converts nothing
+
+    @pytest.mark.parametrize("seed", [7, 2101])
+    def test_coupling_fit_matches_curve_fit(self, workloads, seed):
+        # the benchmark's passages, with scipy's curve_fit as the oracle
+        from scipy.optimize import curve_fit
+
+        em = workloads.EPSILON_M_MHZ
+        res = run_lz_probability_sweep(workloads.DELTA_MHZ, em, workloads.passage_periods(seed))
+        t, p = np.array(res.points).T
+
+        def model(T, d):
+            return 1.0 - np.exp(-(math.pi**2) * d * d * T / (4 * em) * 1e-3)
+
+        popt, _ = curve_fit(model, t, p, p0=[workloads.DELTA_MHZ], maxfev=10000)
+        assert res.delta_fit_mhz == pytest.approx(abs(popt[0]), rel=1e-8)
+        rms = np.sqrt(np.mean((p - model(t, res.delta_fit_mhz)) ** 2))
+        assert res.fit_residual_rms == pytest.approx(rms, rel=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
