@@ -132,14 +132,17 @@ def _spectral_peak(x: np.ndarray, dt_ns: float, k_min: int) -> tuple[float, floa
         raise NoOscillationError(
             f"no spectral peak above 3x the median floor (peak {peak:.3g}, floor {floor:.3g})"
         )
+    return _peak_bin(mag, k) * (1e3 / (x.size * dt_ns)), peak, floor
+
+
+def _peak_bin(mag: np.ndarray, k: int) -> float:
+    """Bin k of the DFT magnitudes ``mag``, refined by the parabola through
+    the log magnitudes of bins k-1, k and k+1 (exact on a Gaussian line)."""
     if 1 <= k < mag.size - 1 and mag[k - 1] > 0 and mag[k + 1] > 0:
         la, l0, lb = np.log(mag[k - 1]), np.log(mag[k]), np.log(mag[k + 1])
         denom = la - 2 * l0 + lb
-        dk = 0.5 * (la - lb) / denom if denom != 0 else 0.0
-    else:
-        dk = 0.0
-    df_mhz = 1e3 / (x.size * dt_ns)
-    return (k + dk) * df_mhz, peak, floor
+        return k + (0.5 * (la - lb) / denom if denom != 0 else 0.0)
+    return float(k)
 
 
 def rabi_frequency(traj: Trajectory, min_cycles: int = 3) -> FitResult:
@@ -207,7 +210,8 @@ def ramsey_fit(traj: Trajectory) -> FitResult:
     Times are fitted in us, so the returned decay time is in us and the
     frequency in MHz.  The model is linear in (A, c), which are solved for
     at each (T*, f) (variable projection); `_least_squares` fits (T*, f)
-    from half the span and the spectral peak.
+    from half the span and the peak of the unwindowed periodogram.  A signal
+    whose Hann-windowed spectrum has no peak over its floor has no fringe.
     """
     t_us = traj.times / 1000.0
     x = np.asarray(traj.p0, dtype=float)
@@ -216,9 +220,14 @@ def ramsey_fit(traj: Trajectory) -> FitResult:
 
     xs, dt = _uniform_signal(traj)
     try:
-        f0, _, _ = _spectral_peak(xs, dt, k_min=1)
+        _spectral_peak(xs, dt, k_min=1)
     except NoOscillationError as exc:
         raise FitFailureError(f"no fringe to fit: {exc}") from exc
+    # f starts from the plain periodogram's peak: the Gaussian envelope
+    # already windows the fringe, and a Hann window, zero at t = 0, would
+    # erase a fringe that has decayed early in the span
+    mag = np.abs(np.fft.rfft(xs - np.mean(xs)))
+    f0 = _peak_bin(mag, int(np.argmax(mag[1:])) + 1) * (1e3 / (xs.size * dt))
     lo, hi = np.array([-2.0, -1.0]), np.array([2.0, 2.0])  # the bounds of (A, c)
 
     def fringe(theta):

@@ -59,8 +59,13 @@ detuning, as members of one grid and keeps only their weighted populations;
 `passage_transfers` runs a passage per period, each on its own grid.  Step
 counts are ragged: every member starts at step 0, and a slab of steps holds
 only the members that have steps left, so the work is about the members'
-own steps.  A slab holds at most ``_SLAB`` maps over members and steps, so
-memory grows with the number of samples, not of steps or members.
+own steps.  A member on a grid of its own needs only the product of all of
+its steps (a passage needs its whole first quarter), so its slab is reduced
+without gathering any prefix: the maps past its last step are set to the
+identity, which multiplies exactly, levels of pairwise products reduce each
+slab to its product, and the slabs' products are chained.  A slab holds at
+most ``_SLAB`` maps over members and steps, so memory grows with the number
+of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -101,10 +106,11 @@ _MAX_NODES = 1 << 20
 #: kernel integrates no more (a quarter or a half period once a sample passes
 #: the quarter, a step or two of a constant drive), so the cap bounds each run's
 #: work; a start off a turning point counts the steps from the turning point
-#: before it, where its integration begins.  The RK4 kernel runs about 4e6
-#: steps/s per member (fig2c at 5.1e6 steps on one core of a 2-vCPU Xeon), so
-#: 2**32 steps would take about 18 min; past it the run is refused before any
-#: step is taken.
+#: before it, where its integration begins.  The RK4 kernel integrates about
+#: 2e7 steps/s (one member's quarter of 1e6 steps, or the 2.5e5 quarter steps
+#: of the benchmark's 120 passages, on one core of a 2-vCPU Xeon), so 2**32
+#: steps would take about 4 min; past it the run is refused before any step
+#: is taken.
 _MAX_STEPS = 1 << 32
 
 #: Most samples of one run: one member's (samples, 2) complex states then take
@@ -390,10 +396,12 @@ def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)),
     the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y.
-    Its temporaries are half the size of the product."""
+    Its one temporary is half the size of the product, so halving a slab of
+    maps holds at most 1.75 slabs at once."""
     out = x[0] * y
-    out[0] -= x[1] * y[1].conj()
-    out[1] += x[1] * y[0].conj()
+    t = np.conjugate(y[1], out=np.empty_like(out[0]))
+    out[0] -= np.multiply(x[1], t, out=t)
+    out[1] += np.multiply(x[1], np.conjugate(y[0], out=t), out=t)
     return out
 
 
@@ -444,45 +452,27 @@ def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _prefix_at(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Maps (2, members, k): member i's ordered product x[:, i, c-1] @ ... @
-    x[:, i, 0] of the maps x (2, members, n), one per count c = counts[i, j].
-
-    ``counts`` (members, k), or one row (k,) or (1, k) shared by every
-    member, are in 0..n; a count of 0 is the identity.  A tree of pairwise
-    products (level l holds the products of aligned blocks of 2**l maps)
-    costs about n products per member; each count then takes the blocks of
-    its binary digits, highest first.
+    x[:, i, 0] of the maps x (2, members, n), one per count c = counts[j],
+    a row (k,) of counts in 0..n shared by every member; a count of 0 is the
+    identity.  A tree of pairwise products (level l holds the products of
+    aligned blocks of 2**l maps) costs about n products per member; each
+    count then takes the blocks of its binary digits, highest first, one
+    column gather per digit and none per member.
     """
     levels = [x]
     while levels[-1].shape[-1] > 1:
         y = levels[-1]
         n = y.shape[-1] // 2 * 2
         levels.append(_mul(y[..., 1:n:2], y[..., 0:n:2]))
-    counts = counts.reshape(-1, counts.shape[-1])
-    acc = _identity(x.shape[1], counts.shape[1])
-    if counts.shape[0] == 1:  # every member takes the same blocks
-        counts = counts[0]
+    acc = _identity(x.shape[1], counts.size)
     start = np.zeros_like(counts)
-    bits = int(np.bitwise_or.reduce(counts, axis=None))
+    bits = int(np.bitwise_or.reduce(counts))
     for level in reversed(range(len(levels))):
         if bits >> level & 1:
-            at = (counts >> level & 1).nonzero()
-            i, j = (slice(None), *at) if counts.ndim == 1 else at
-            acc[:, i, j] = _mul(levels[level][:, i, start[at] >> level], acc[:, i, j])
+            at = (counts >> level & 1).nonzero()[0]
+            acc[..., at] = _mul(levels[level][..., start[at] >> level], acc[..., at])
             start[at] += 1 << level
     return acc
-
-
-def _entries(mask: np.ndarray, m: int) -> tuple:
-    """Indices (i, j) of the true entries of ``mask`` (rows, k) in a
-    (2, m, k) map array, as the block ``a[:, i, j]``.  Row i is member i, or
-    one row is shared by all m members and i is then the column
-    ``arange(m)[:, None]``; either way ``b[:, i]`` of a (2, m) array
-    broadcasts against the block.
-    """
-    if mask.shape[0] == 1:
-        return np.arange(m)[:, None], mask[0].nonzero()[0]
-    i, j = mask.nonzero()
-    return i[:, None], j[:, None]
 
 
 def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
@@ -493,13 +483,31 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     Member i integrates its n_i = max_j counts[i, j] steps, from step 0 as
     every member does.  Steps stream in slabs: the slab [lo, hi) holds the
     members with n_i > lo, ``rows``, over ``_SLAB // rows.size`` steps, so it
-    holds at most ``_SLAB`` maps (members only drop out as lo grows).  The
-    work is the members' own steps, however ragged, plus the steps past n_i
-    of the slab a member ends in, which are built and never used.  Each
-    slab's products are chained onto the product of the slabs before it.
+    holds at most ``_SLAB`` maps (members only drop out as lo grows) and
+    nearly as many in every slab.  The work is the members' own steps,
+    however ragged, plus the steps past n_i of the slab a member ends in,
+    which are built and never used.  Each slab's product is chained onto
+    the product of the slabs before it, ``done``.
+
+    One shared row of counts takes the prefixes that end in a slab from
+    `_prefix_at`.  Counts of a member's own must each be 0 or n_i (a grid
+    per member sampled at anything else is refused), so they need no
+    prefix: the maps past each member's last step are set to the identity,
+    which multiplies exactly, and levels of pairwise products reduce the
+    slab to its product, an odd map left over at a level joining the last
+    pair.  Every member's product is then read off ``done``.  Slabs keep
+    nearly one size so that each reuses the memory the one before it freed:
+    power-of-two widths, which leave no odd map, vary the size up to twofold
+    as members drop out, and in the benchmark's loop the allocator then
+    returned pages and faulted them in again in every slab.
     """
     counts = counts.reshape(-1, counts.shape[-1])
-    n = np.broadcast_to(counts.max(axis=1), m)
+    n = counts.max(axis=1)
+    own = counts.shape[0] > 1
+    if own and np.any((counts != 0) & (counts != n[:, None])):
+        raise ValueError("a grid per member is sampled only where each member needs none "
+                         "or all of its quarter (or half) period, as on turning points")
+    n = np.broadcast_to(n, m)
     total = int(n.max())
     out = _identity(m, counts.shape[1])
     done = _identity(m)
@@ -507,22 +515,32 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     while lo < total:
         rows = (n > lo).nonzero()[0]
         hi = min(lo + max(1, _SLAB // rows.size), total)
-        local = (counts if counts.shape[0] == 1 else counts[rows]) - lo
-        inside = (local > 0) & (local <= hi - lo)  # the counts that end in this slab
-        # the last column is the slab's own product
-        local = np.concatenate([np.where(inside, local, 0),
-                                np.full((local.shape[0], 1), hi - lo)], axis=1)
         # the slab's maps are built here, so none outlives its products
-        local = _prefix_at(steps(rows, lo, hi - lo), local)
-        if lo:
-            local = _mul(local, done[:, rows, None])
-        i, j = _entries(inside, rows.size)
-        # one shared row: rows is every member, written through a slice, not index arrays
-        i, at = (slice(None),) * 2 if counts.shape[0] == 1 else (i, rows[i])
-        out[:, at, j] = local[:, i, j]
-        done[:, rows] = local[..., -1]
+        if own:
+            x = steps(rows, lo, hi - lo)
+            past = np.arange(lo, hi) >= n[rows, None]
+            x[0][past], x[1][past] = 1.0, 0.0
+            del past
+            while x.shape[-1] > 1:  # each level is freed once the next is formed
+                k = x.shape[-1] // 2 * 2
+                y = _mul(x[..., 1:k:2], x[..., 0:k:2])
+                if k < x.shape[-1]:
+                    y[..., -1] = _mul(x[..., -1], y[..., -1])
+                x = y
+            done[:, rows] = _mul(x[..., 0], done[:, rows])
+        else:
+            local = counts[0] - lo
+            inside = (local > 0) & (local <= hi - lo)  # the counts that end in this slab
+            # the last column is the slab's own product
+            local = _prefix_at(steps(rows, lo, hi - lo),
+                               np.append(np.where(inside, local, 0), hi - lo))
+            if lo:
+                local = _mul(local, done[..., None])
+            j = inside.nonzero()[0]
+            out[..., j] = local[..., j]
+            done[:] = local[..., -1]
         lo = hi
-    return out
+    return np.where(counts > 0, done[..., None], out) if own else out
 
 
 def _distinct_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,9 +588,7 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.
     x = c[..., -1]  # C[half]
     full = _mul(_mirror(x, flips[0]), x)
     out = c[..., :-1]
-    i, j = _entries(upper, m)
-    out[:, i, j] = _mul(_mirror(out[:, i, j], flips[0], inverse=True), full[:, i])
-    return out
+    return np.where(upper, _mul(_mirror(out, flips[0], inverse=True), full[..., None]), out)
 
 
 def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,

@@ -21,7 +21,7 @@ from lzsim import (
     to_diabatic,
 )
 from lzsim import analysis
-from lzsim.analysis import _spectral_peak, _uniform_signal
+from lzsim.analysis import _peak_bin, _uniform_signal
 from lzsim.model import epsilon_at
 from conftest import FIG3B, FIG3D, basis_discrepancy
 
@@ -150,6 +150,16 @@ class TestRamseyFit:
         assert fit.amplitude == pytest.approx(0.5, rel=1e-3)
         assert fit.residual_rms < 1e-9
 
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_fringe_decayed_early_in_the_span(self, n):
+        # T* = 1.34 us over 28.6 us: a Hann window, zero at t = 0, leaves no
+        # peak near 0.84 MHz, and a fit from its peak fell to the corner
+        # (1e-3 us, 1e-6 MHz), which fits the first sample alone
+        fit = ramsey_fit(self._synthetic(t2_star_us=1.34, f_mhz=0.84, n=n, t_max_us=28.6))
+        assert fit.decay_time_us == pytest.approx(1.34, rel=1e-9)
+        assert fit.frequency_mhz == pytest.approx(0.84, rel=1e-9)
+        assert fit.residual_rms < 1e-9
+
     def test_constant_signal_raises(self):
         t = np.linspace(0, 10000.0, 200)
         traj = Trajectory(t, np.column_stack([np.full(200, 0.5), np.full(200, 0.5)]),
@@ -160,12 +170,14 @@ class TestRamseyFit:
     @staticmethod
     def _curve_fit(traj, **tolerances):
         """(a, T*, f, c) as scipy's curve_fit fits them, from the start
-        ramsey_fit takes: the spectral peak and half the span, clipped into
-        the bounds."""
+        ramsey_fit takes: the unwindowed periodogram's peak and half the
+        span, clipped into the bounds."""
         from scipy.optimize import curve_fit
 
         t_us, x = traj.times / 1000.0, traj.p0
-        f0 = _spectral_peak(*_uniform_signal(traj), k_min=1)[0]
+        xs, dt = _uniform_signal(traj)
+        mag = np.abs(np.fft.rfft(xs - np.mean(xs)))
+        f0 = _peak_bin(mag, int(np.argmax(mag[1:])) + 1) * (1e3 / (xs.size * dt))
         lo, hi = [-2.0, 1e-3, 1e-6, -1.0], [2.0, 1e4, 1e4, 2.0]
         start = np.clip([x[0] - np.mean(x), (t_us[-1] - t_us[0]) / 2, f0, np.mean(x)], lo, hi)
 

@@ -900,16 +900,54 @@ class TestPassageBatch:
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
     def test_matches_one_evolve_per_period(self, monkeypatch, method):
         # shuffled, with a repeat and both extremes: quarters of 100 to 200000
-        # steps; 64-map slabs run chunks of 8 members, which end inside slabs
+        # steps; 64-map slabs run chunks of 8 members, which end inside slabs.
+        # Also: a member alone, and two members, whose quarters of 2**14
+        # steps fill whole default slabs, and five copies of the periods, more
+        # members than one default chunk
         rng = np.random.default_rng(12)
+        slab = 4 * (propagator._SLAB - 0.5) * 1e3 / math.hypot(100.0, 5.57) / 400
         periods = rng.permutation(np.concatenate(
-            [np.round(rng.uniform(20.0, 400.0, 30), 1), [20.0, 20000.0, 20.0]]))
+            [np.round(rng.uniform(20.0, 400.0, 30), 1), [20.0, 20000.0, 20.0, slab]]))
         cfg = IntegratorConfig(method=method)
-        want = [one_passage(5.57, 100.0, T, cfg) for T in periods]
-        for slab in (propagator._SLAB, 64):
-            monkeypatch.setattr(propagator, "_SLAB", slab)
-            got = propagator.passage_transfers(5.57, 100.0, periods, cfg)
-            assert np.max(np.abs(got - want)) < 1e-12
+        grid = propagator._build_grid(DriveParameters(5.57, 100.0, slab), cfg, (0.0, slab / 2),
+                                      slab / 2)
+        assert grid.L // 4 == propagator._SLAB
+        many = rng.permutation(np.tile(periods, 5))
+        assert many.size > math.isqrt(propagator._SLAB)
+        want = {T: one_passage(5.57, 100.0, T, cfg) for T in periods}
+        for size, runs in ((propagator._SLAB, (periods, [slab], [slab, slab], many)),
+                           (64, (periods, [slab], [slab, slab]))):
+            monkeypatch.setattr(propagator, "_SLAB", size)
+            for chosen in runs:
+                got = propagator.passage_transfers(5.57, 100.0, chosen, cfg)
+                assert np.max(np.abs(got - [want[T] for T in chosen])) < 1e-12
+
+    def test_grid_per_member_sampled_inside_refused(self):
+        # members of their own grids are reduced to whole quarters only: a
+        # sample an eighth of a period in needs a prefix no slab forms
+        periods = np.array([[40.0], [57.3]])
+        grid = propagator._build_grid(DriveParameters(5.57, 100.0, 40.0), IntegratorConfig(),
+                                      (0.0, periods / 2), periods / 8, periods=periods)
+        assert np.all(0 < grid.n[:, 1]) and np.all(grid.n[:, 1] < grid.L[:, 0] // 4)
+        psi0 = QubitState.ket0().as_array()
+        with pytest.raises(ValueError, match="grid per member"):
+            propagator._propagate(grid, mhz_to_angular(5.57) / 2, np.zeros(2), psi0, "fixed-rk4")
+
+    def test_memory_does_not_grow_with_steps(self):
+        # 120 passages, then every period eight times longer: slabs of at
+        # most _SLAB maps over the members, however many steps they take
+        periods = np.round(np.random.default_rng(3).uniform(20.0, 400.0, 120), 1)
+
+        def peak(scale):
+            tracemalloc.start()
+            try:
+                propagator.passage_transfers(5.57, 100.0, scale * periods)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1), peak(8)
+        assert long < 1.2 * short
 
     def test_ragged_members_build_about_their_own_steps(self, monkeypatch):
         # every member starts at step 0, and a member that ends inside a slab
