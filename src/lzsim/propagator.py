@@ -63,9 +63,10 @@ own steps.  A member on a grid of its own needs only the product of all of
 its steps (a passage needs its whole first quarter), so its slab is reduced
 without gathering any prefix: the maps past its last step are set to the
 identity, which multiplies exactly, levels of pairwise products reduce each
-slab to its product, and the slabs' products are chained.  A slab holds at
-most ``_SLAB`` maps over members and steps, so memory grows with the number
-of samples, not of steps or members.
+slab to its product, and the slabs' products are chained; every slab is
+built and halved in one workspace of the call, so slabs allocate no maps.  A
+slab holds at most ``_SLAB`` maps over members and steps, so memory grows
+with the number of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -319,20 +320,21 @@ def _identity(*shape: int) -> np.ndarray:
     return out
 
 
-def _expm_maps(h, w, b) -> np.ndarray:
-    """Exact exponential exp(-i*H_mid*h) of the midpoint Hamiltonian."""
+def _expm_maps(h, w, b, out=None) -> np.ndarray:
+    """Exact exponential exp(-i*H_mid*h) of the midpoint Hamiltonian, into
+    ``out`` when given."""
     om = np.hypot(w, b)
     theta = om * h
     # sin(theta)/om, continuous through om = 0 where it equals h
     safe = np.where(om > 0, om, 1.0)
     sinc = np.where(om > 0, np.sin(theta) / safe, h)
-    out = np.empty((2, *theta.shape), dtype=complex)
+    out = np.empty((2, *theta.shape), dtype=complex) if out is None else out
     out[0].real, out[0].imag = np.cos(theta), -w * sinc
     out[1].real, out[1].imag = 0.0, -b * sinc
     return out
 
 
-def _ramp_map(method, h, x, dx, b) -> np.ndarray:
+def _ramp_map(method, h, x, dx, b, out=None) -> np.ndarray:
     """Maps of steps of length h over which w rises by dx through the
     midpoint value x, with the constant coupling b (arrays broadcasting
     against x's shape).
@@ -344,15 +346,16 @@ def _ramp_map(method, h, x, dx, b) -> np.ndarray:
         p = 1 - h^2 W/2 + h^4 W (W - e^2)/24 - i h x f
         q = (h^2 e b/3)(h^2 W/4 - 1) - i h b f;
 
-    the piecewise-exact rule is `_expm_maps` at x.  Evaluated in place: the
-    temporaries of a slab are the step count times a few doubles.
+    the piecewise-exact rule is `_expm_maps` at x.  Evaluated in place, into
+    ``out`` when given: the temporaries of a slab are the step count times a
+    few doubles.
     """
     if method != "fixed-rk4":
-        return _expm_maps(h, x, b)
+        return _expm_maps(h, x, b, out)
     hh, e = h * h, dx / 2
     w = x * x
     w += b * b
-    out = np.empty((2, *w.shape), dtype=complex)
+    out = np.empty((2, *w.shape), dtype=complex) if out is None else out
     t = w * (-hh / 6)
     t += 1
     np.multiply(t, -h * b, out=out[1].imag)
@@ -369,16 +372,18 @@ def _ramp_map(method, h, x, dx, b) -> np.ndarray:
     return out
 
 
-def _ramp_maps(method, h, x0, dx, b, rows: np.ndarray, first: int, n: int) -> np.ndarray:
+def _ramp_maps(method, h, x0, dx, b, rows: np.ndarray, first: int, n: int,
+               out=None) -> np.ndarray:
     """Maps (2, rows, n) of the steps first..first+n-1 of the first half
-    period of each member in ``rows`` (an index array of the member axis):
-    step j of member i has the midpoint value x0[i] + j dx.
+    period of each member in ``rows`` (an index array of the member axis),
+    into ``out`` when given: step j of member i has the midpoint value
+    x0[i] + j dx.
 
     ``x0`` is a (members, 1) array; ``h`` and ``dx`` are numbers shared by
     every member, or (members, 1) arrays.
     """
     h, dx = (v[rows] if isinstance(v, np.ndarray) else v for v in (h, dx))
-    return _ramp_map(method, h, x0[rows] + dx * (first + np.arange(n)), dx, b)
+    return _ramp_map(method, h, x0[rows] + dx * (first + np.arange(n)), dx, b, out)
 
 
 def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
@@ -393,13 +398,13 @@ def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
     return _ramp_map(method, f * grid.h, mid - (1 - f) * dx / 2, f * dx, b)
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mul(x: np.ndarray, y: np.ndarray, out=None, t=None) -> np.ndarray:
     """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)),
-    the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y.
-    Its one temporary is half the size of the product, so halving a slab of
-    maps holds at most 1.75 slabs at once."""
-    out = x[0] * y
-    t = np.conjugate(y[1], out=np.empty_like(out[0]))
+    the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y,
+    into ``out`` when given.  Its one temporary, ``t`` when given, is half
+    the size of the product."""
+    out = x[0] * y if out is None else np.multiply(x[0], y, out=out)
+    t = np.conjugate(y[1], out=np.empty_like(out[0]) if t is None else t)
     out[0] -= np.multiply(x[1], t, out=t)
     out[1] += np.multiply(x[1], np.conjugate(y[0], out=t), out=t)
     return out
@@ -495,11 +500,15 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     prefix: the maps past each member's last step are set to the identity,
     which multiplies exactly, and levels of pairwise products reduce the
     slab to its product, an odd map left over at a level joining the last
-    pair.  Every member's product is then read off ``done``.  Slabs keep
-    nearly one size so that each reuses the memory the one before it freed:
-    power-of-two widths, which leave no odd map, vary the size up to twofold
-    as members drop out, and in the benchmark's loop the allocator then
-    returned pages and faulted them in again in every slab.
+    pair.  Every member's product is then read off ``done``.  The maps and
+    the levels they halve to are written, in turn, into two buffers of one
+    workspace allocated per call (1.75 slabs of maps with `_mul`'s
+    temporary), so a slab allocates only a few doubles a step of ramp
+    temporaries.  Maps allocated and freed per slab made a call's time depend
+    on the heap's layout: where freeing them left the heap's free top past
+    the allocator's trim threshold, their pages were returned and faulted in
+    again in every slab (about 1500 minor faults and a fifth more time for
+    the benchmark's 120 passages, or none).
     """
     counts = counts.reshape(-1, counts.shape[-1])
     n = counts.max(axis=1)
@@ -511,19 +520,28 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     total = int(n.max())
     out = _identity(m, counts.shape[1])
     done = _identity(m)
+    if own:  # two buffers for a slab's maps and its levels, and one for _mul's temporary
+        cap = max(_SLAB, m)
+        work = np.empty(7 * cap // 2, dtype=complex)
+        slabs, temp = (work[:2 * cap], work[2 * cap:3 * cap]), work[3 * cap:]
+
+        def view(buf, *shape):
+            return buf[:math.prod(shape)].reshape(shape)
     lo = 0
     while lo < total:
         rows = (n > lo).nonzero()[0]
         hi = min(lo + max(1, _SLAB // rows.size), total)
         # the slab's maps are built here, so none outlives its products
         if own:
-            x = steps(rows, lo, hi - lo)
+            x = steps(rows, lo, hi - lo, view(slabs[0], 2, rows.size, hi - lo))
             past = np.arange(lo, hi) >= n[rows, None]
             x[0][past], x[1][past] = 1.0, 0.0
-            del past
-            while x.shape[-1] > 1:  # each level is freed once the next is formed
+            level = 0
+            while x.shape[-1] > 1:
                 k = x.shape[-1] // 2 * 2
-                y = _mul(x[..., 1:k:2], x[..., 0:k:2])
+                level += 1
+                y = _mul(x[..., 1:k:2], x[..., 0:k:2], view(slabs[level % 2], 2, rows.size, k // 2),
+                         view(temp, rows.size, k // 2))
                 if k < x.shape[-1]:
                     y[..., -1] = _mul(x[..., -1], y[..., -1])
                 x = y

@@ -949,6 +949,31 @@ class TestPassageBatch:
         short, long = peak(1), peak(8)
         assert long < 1.2 * short
 
+    def test_slabs_reuse_one_workspace(self, monkeypatch):
+        # 120 passages over about 17 slabs: every slab's maps and the levels
+        # they halve to are written into one workspace of the call, so no map
+        # array a slab builds or multiplies is allocated anew, and what is
+        # allocated holds a few maps per member
+        allocated = []
+        mul, ramp_map = propagator._mul, propagator._ramp_map
+
+        def counted_mul(x, y, out=None, t=None):
+            if out is None:
+                allocated.append(np.broadcast_shapes(x[0].shape, y[0].shape))
+            return mul(x, y, out, t)
+
+        def counted_ramp_map(method, h, x, dx, b, out=None):
+            if out is None:
+                allocated.append(np.shape(x))
+            return ramp_map(method, h, x, dx, b, out)
+
+        monkeypatch.setattr(propagator, "_mul", counted_mul)
+        monkeypatch.setattr(propagator, "_ramp_map", counted_ramp_map)
+        periods = np.round(np.random.default_rng(3).uniform(20.0, 400.0, 120), 1)
+        propagator.passage_transfers(5.57, 100.0, periods)
+        assert allocated
+        assert max(math.prod(shape) for shape in allocated) <= 4 * periods.size
+
     def test_ragged_members_build_about_their_own_steps(self, monkeypatch):
         # every member starts at step 0, and a member that ends inside a slab
         # builds the rest of it: the maps stay within 10% of the members' own
