@@ -14,6 +14,11 @@ from .errors import FitFailureError, NoOscillationError
 from .model import Basis, DriveParameters, crossing_times, epsilon_at, mixing_angle_at
 from .propagator import Trajectory
 
+#: The fewest cycles `rabi_frequency` takes for an oscillation in its window
+_RABI_MIN_CYCLES = 3
+#: Width of `detect_steps`' window about a crossing, as a fraction of the period
+_STEP_WINDOW_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class AdiabaticMask:
@@ -145,7 +150,7 @@ def _peak_bin(mag: np.ndarray, k: int) -> float:
     return float(k)
 
 
-def rabi_frequency(traj: Trajectory, min_cycles: int = 3) -> FitResult:
+def rabi_frequency(traj: Trajectory) -> FitResult:
     """Dominant oscillation frequency of P0 from a uniformly sampled trajectory.
 
     Windowed DFT with local quadratic peak interpolation; the amplitude and
@@ -153,7 +158,7 @@ def rabi_frequency(traj: Trajectory, min_cycles: int = 3) -> FitResult:
     frequency, so offsets and time shifts do not bias the estimate.
     """
     x, dt = _uniform_signal(traj)
-    f_mhz, _, _ = _spectral_peak(x, dt, k_min=min_cycles)
+    f_mhz, _, _ = _spectral_peak(x, dt, k_min=_RABI_MIN_CYCLES)
     t = np.arange(x.size) * dt
     ph = 2e-3 * math.pi * f_mhz * t
     basis = np.column_stack([np.cos(ph), np.sin(ph), np.ones_like(t)])
@@ -244,9 +249,11 @@ def ramsey_fit(traj: Trajectory) -> FitResult:
         q = np.linalg.qr(basis[:, (lo < ac) & (ac < hi)])[0]
         return (x - basis @ ac, jac - q @ (q.T @ jac)), ac
 
-    # T* in [1e-3, 1e4] us and f in [1e-6, 1e4] MHz
+    # T* in [1e-3, 1e4] us and f in [1e-6, 500/dt] MHz, below the samples'
+    # Nyquist frequency, past which a fringe fits as well as its alias
     theta, resid = _least_squares(f"fit from f0={f0:.4g} MHz", lambda theta: fringe(theta)[0],
-                                  [float(t_us[-1] - t_us[0]) / 2, f0], [1e-3, 1e-6], [1e4, 1e4])
+                                  [float(t_us[-1] - t_us[0]) / 2, f0],
+                                  [1e-3, 1e-6], [1e4, 500 / dt])
     return FitResult(frequency_mhz=float(theta[1]), amplitude=float(abs(fringe(theta)[1][0])),
                      residual_rms=float(np.sqrt(np.mean(resid**2))), decay_time_us=float(theta[0]))
 
@@ -260,8 +267,8 @@ class StepEvent:
     complete: bool
 
 
-def detect_steps(traj: Trajectory, p: DriveParameters, window_fraction: float = 0.1) -> list[StepEvent]:
-    """Signed P0 change across a window of width T*window_fraction at each crossing.
+def detect_steps(traj: Trajectory, p: DriveParameters) -> list[StepEvent]:
+    """Signed P0 change across a window of width T*_STEP_WINDOW_FRACTION at each crossing.
 
     Windows clipped by the trajectory bounds yield a partial result flagged
     ``complete=False``.  The window width is a reporting choice, not physics;
@@ -269,7 +276,7 @@ def detect_steps(traj: Trajectory, p: DriveParameters, window_fraction: float = 
     """
     if traj.basis is not Basis.DIABATIC:
         raise ValueError("step detection expects diabatic populations")
-    half = p.period_ns * window_fraction / 2
+    half = p.period_ns * _STEP_WINDOW_FRACTION / 2
     t0, t1 = traj.times[0], traj.times[-1]
     events = []
     for tc in crossing_times(p):

@@ -151,8 +151,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.what != "rabi":
-        raise ConfigError(f"unknown analysis {args.what!r}; valid: rabi")
     meta, columns, data = read_series(Path(args.series))
     try:
         it, i0, i1 = columns.index("t_ns"), columns.index("P0"), columns.index("P1")

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .analysis import AdiabaticMask, _least_squares, detect_steps, rabi_frequency, to_adiabatic
+from .analysis import (_STEP_WINDOW_FRACTION, AdiabaticMask, _least_squares, detect_steps,
+                       rabi_frequency, to_adiabatic)
 from .model import DriveParameters, QubitState
 from .propagator import (
     IntegratorConfig,
@@ -240,7 +241,7 @@ def _double_passage(spec: ScenarioSpec, result: ExperimentResult) -> None:
     t_apex = spec.drive.period_ns / 2
     result.scalars["first_passage_transfer"] = float(np.interp(t_apex, ode.times, ode.p1))
     result.scalars["step_jumps_p0"] = [s.jump for s in detect_steps(ode, spec.drive)]
-    result.scalars["step_window_fraction"] = 0.1
+    result.scalars["step_window_fraction"] = _STEP_WINDOW_FRACTION
 
 
 def _rabi_fit(spec: ScenarioSpec, result: ExperimentResult) -> None:

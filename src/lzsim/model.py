@@ -14,6 +14,15 @@ The effective Hamiltonian in the frame rotating at the qubit frequency is
 where eps(t) is a symmetric triangle wave of amplitude eps_m and period T,
 starting at -eps_m, and delta is the drive-induced coupling (the gap of the
 avoided crossing at eps = 0).
+
+Phase convention
+----------------
+The triangle's origin is a trough, a time t lies t + t_offset_ns after it,
+and the detuning rises first.  ``_drive_phase`` splits that time as
+t + t_offset_ns = j T/2 + v with 0 <= v < T/2: after turning point j, eps is
+-eps_m + 4 eps_m v / T for an even j (a trough) and eps_m - 4 eps_m v / T for
+an odd j (an apex), zero at v = T/4.  Every other module reads the drive's
+phase through it; ``epsilon_at`` keeps its own ``np.mod`` form, the definition.
 """
 
 from __future__ import annotations
@@ -146,23 +155,15 @@ def epsilon_at(p: DriveParameters, t):
 def crossing_times(p: DriveParameters) -> list[float]:
     """Times in [0, n_periods*T] where eps(t) = 0, sorted ascending.
 
-    The triangle crosses zero twice per period, at T/4 and 3T/4 relative to
-    the period start.  Returns an empty list when epsilon_m = 0.
+    The triangle crosses zero twice per period, T/2 apart, from
+    ``first_crossing`` on.  Returns an empty list when epsilon_m = 0.
     """
     if p.epsilon_m_mhz == 0:
         return []
-    T = p.period_ns
-    t_end = p.total_time_ns
+    half, t_end = p.period_ns / 2, p.total_time_ns
     first = first_crossing(p)
-    times = []
-    k = 0
-    while True:
-        t = first + k * (T / 2)
-        if t > t_end + 1e-12:
-            break
-        times.append(t)
-        k += 1
-    return times
+    times = first + np.arange((t_end - first) // half + 2) * half
+    return times[times <= t_end + 1e-12].tolist()
 
 
 def first_crossing(p: DriveParameters) -> float:
@@ -173,8 +174,14 @@ def first_crossing(p: DriveParameters) -> float:
 
 def _first_crossing(T, t_offset_ns):
     """`first_crossing` of drives of periods ``T`` (an array), elementwise."""
-    first = np.fmod(T / 4 - t_offset_ns, T / 2)
-    return np.where(first < 0, first + T / 2, first)
+    return np.remainder(T / 4 - t_offset_ns, T / 2)
+
+
+def _drive_phase(T, t_offset_ns, t):
+    """(j, v) with t + t_offset_ns = j T/2 + v and 0 <= v < T/2, elementwise
+    over periods ``T`` and times ``t``: the detuning's slope after turning
+    point j has the sign (-1)**j (see the phase convention above)."""
+    return np.divmod(t + t_offset_ns, T / 2)
 
 
 def sweep_rate(p: DriveParameters) -> float:

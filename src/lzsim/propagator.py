@@ -87,6 +87,7 @@ from .model import (
     Basis,
     DriveParameters,
     QubitState,
+    _drive_phase,
     mhz_to_angular,
     angular_to_mhz,
 )
@@ -263,8 +264,9 @@ def _build_grid(
         tail = span - n_int * spacing > 1e-9 * np.maximum(span, 1.0)
         samples = n_int + 1 + tail
         # the turning point tp at or before t0 (t0 itself within rounding)
-        phase = np.remainder(t0 + p.t_offset_ns, T / 2) * ramp
-        phase *= (phase > 1e-12 * T) & (T / 2 - phase > 1e-12 * T)
+        j, phase = _drive_phase(T, p.t_offset_ns, t0)
+        after = T / 2 - phase <= 1e-12 * T  # t0 is the next turning point
+        phase *= ramp & (phase > 1e-12 * T) & ~after
         tp = t0 - phase
         # the kernel integrates no step past the span end, nor past one period
         steps = np.minimum(t1 - tp, T) / h
@@ -293,9 +295,8 @@ def _build_grid(
 
         replace(p, period_ns=float(v(T)))  # a period no drive may have is refused as such
         raise ValueError(next(message(v) for ok, message in checks if not v(ok)))
-    # w is -eps_m/2 at a trough (tp a whole number of periods after the
-    # drive's origin), +eps_m/2 at an apex
-    start = p.epsilon_m_ang / 2 * (1 - 2 * (np.remainder(tp + p.t_offset_ns + T / 4, T) < T / 2))
+    # w is -eps_m/2 at a trough (an even turning point), +eps_m/2 at an apex
+    start = -p.epsilon_m_ang / 2 * (-1.0) ** (j + after)
     L = L.astype(np.int64) if isinstance(L, np.ndarray) else int(L)
     dx = -2 * start / (L // 2)
     # every column past a member's samples repeats its last

@@ -45,7 +45,9 @@ The closed forms of these factors (N's entries, the quarter-period phase
 zeta/2, kappa and the first crossing's orientation) are evaluated in one
 place, ``_impulse_factors``, for a whole grid of periods or amplitudes at
 once, and ``_period_factors`` alone orders them, in the (p, q) form of the
-dense kernel's step maps.  ``resonance_scan`` reduces that chain to G1 and
+dense kernel's step maps.  Sweep directions and the free phase ``free_phase``
+between any two times are read off the drive's phase as ``model``'s
+``_drive_phase`` splits it, in closed form.  ``resonance_scan`` reduces that chain to G1 and
 returns its diagnostics as columns (``_period_rotations``),
 ``single_period_rotation`` is its one-point case, and ``stroboscopic_evolve``
 reads the maps to the turning-point samples off the same chain and G1's
@@ -69,6 +71,7 @@ from .model import (
     QubitState,
     eigenbasis_at,
     epsilon_at,
+    _drive_phase,
     _first_crossing,
     first_crossing,
     mhz_to_angular,
@@ -162,41 +165,22 @@ def _stokes_phases(d: np.ndarray) -> np.ndarray:
 def free_phase(p: DriveParameters, t1: float, t2: float) -> float:
     """Half the adiabatic phase, zeta = (1/2) int_t1^t2 sqrt(eps_ang^2 + Delta_ang^2) dt.
 
-    Evaluated in closed form on each linear branch of the triangle wave using
-    the antiderivative of sqrt(u^2 + m^2); branch kinks inside [t1, t2] are
-    split automatically.
+    On either branch, the gap integral from a turning point to v after it is
+    (A(s v - eps_m) + A(eps_m)) / s, A = ``_gap_area`` (odd), s = 4 eps_m / T,
+    and a half period holds 2 A(eps_m) / s.  So with ``_drive_phase``'s (j, v)
+    of t1 and t2, zeta = ((j2 - j1) 2 A(eps_m) + A(s v2 - eps_m) - A(s v1 -
+    eps_m)) / (2 s), and Delta (t2 - t1) / 2 for a constant drive (eps_m = 0).
     """
-    if t1 > t2:
-        raise ValueError(f"need t1 <= t2, got {t1} > {t2}")
-    if t1 == t2:
-        return 0.0
-    T = p.period_ns
+    if not 0 <= t1 <= t2:
+        raise ValueError(f"need 0 <= t1 <= t2, got {t1}, {t2}")
     m = p.delta_ang
-    slope = 4 * p.epsilon_m_ang / T  # |d eps_ang / dt| on each branch
-
-    # kink times (apex/trough) strictly inside (t1, t2)
-    half = T / 2
-    kinks = []
-    k = math.floor((t1 + p.t_offset_ns) / half) + 1
-    while True:
-        tk = k * half - p.t_offset_ns
-        if tk >= t2 - 1e-12 * T:
-            break
-        if tk > t1 + 1e-12 * T:
-            kinks.append(tk)
-        k += 1
-    edges = [t1, *kinks, t2]
-
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        ea = mhz_to_angular(epsilon_at(p, a))
-        eb = mhz_to_angular(epsilon_at(p, b))
-        if abs(eb - ea) < 1e-15 * max(1.0, abs(ea)):
-            total += (b - a) * math.hypot(ea, m)
-            continue
-        c1 = slope if eb > ea else -slope
-        total += (_gap_area(eb, m) - _gap_area(ea, m)) / c1
-    return float(total / 2)
+    if p.epsilon_m_mhz == 0:
+        return m * (t2 - t1) / 2
+    eps_m = p.epsilon_m_ang
+    s = 4 * eps_m / p.period_ns
+    j, v = _drive_phase(p.period_ns, p.t_offset_ns, np.array([t1, t2]))
+    a = _gap_area(s * v - eps_m, m)
+    return float(((j[1] - j[0]) * 2 * _gap_area(eps_m, m) + a[1] - a[0]) / (2 * s))
 
 
 def _gap_area(u, m):
@@ -266,10 +250,8 @@ def _impulse_factors(p: DriveParameters, epsilon_m_mhz: np.ndarray,
     alpha = np.sqrt(1.0 - p_lz) * np.exp(1j * _stokes_phases(d))
     quarter = _gap_area(eps_m, m) / (4 * eps_m / T) / 2
 
-    phase = np.fmod(_first_crossing(T, p.t_offset_ns) + p.t_offset_ns, T)
-    phase = np.where(phase < 0, phase + T, phase)
-    up = np.where(np.abs(phase - T / 4) < T / 8, 1.0, -1.0)
-    return alpha, np.sqrt(p_lz), quarter, _dressing_angle(p, eps_m, rate), up
+    j, _ = _drive_phase(T, p.t_offset_ns, _first_crossing(T, p.t_offset_ns))
+    return alpha, np.sqrt(p_lz), quarter, _dressing_angle(p, eps_m, rate), (-1.0) ** j
 
 
 #: Indices of the factors of ``_period_factors`` after which the samples of
@@ -402,9 +384,8 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
         psi = eigenbasis_at(p, 0.0).conj().T @ initial.as_array()
     start = eigenbasis_at(p, 0.0) @ psi
 
-    slope = mhz_to_angular(sweep_rate(p))
-    if np.mod(p.t_offset_ns, T) >= T / 2:  # t = 0 on the falling branch
-        slope = -slope
+    j, _ = _drive_phase(T, p.t_offset_ns, 0.0)
+    slope = mhz_to_angular(sweep_rate(p)) * (-1.0) ** j
     psi = _apply(rotation_x(_dressing_angle(p, mhz_to_angular(epsilon_at(p, 0.0)), slope)), psi)
     psi *= np.exp(np.array([1j, -1j]) * free_phase(p, 0.0, tc1))  # at the first crossing
     at_crossing = _apply(_powers(prefixes[-1], np.arange(n)), psi)  # G1^k psi_c

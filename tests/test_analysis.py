@@ -160,6 +160,15 @@ class TestRamseyFit:
         assert fit.frequency_mhz == pytest.approx(0.84, rel=1e-9)
         assert fit.residual_rms < 1e-9
 
+    def test_frequency_below_nyquist(self):
+        # a fringe sampled every 50.3 ns has an alias near 1948 MHz that fits
+        # as well as it does; f is bounded by the 9.94 MHz Nyquist frequency
+        t_us = np.linspace(0.0, 32.093, 639)
+        p0 = 0.5 + 0.5 * np.exp(-((t_us / 2.4818) ** 2)) * np.cos(2 * math.pi * 0.182 * t_us)
+        fit = ramsey_fit(Trajectory(t_us * 1e3, np.column_stack([p0, 1 - p0]), Basis.DIABATIC))
+        assert fit.frequency_mhz == pytest.approx(0.182, rel=1e-6)
+        assert fit.decay_time_us == pytest.approx(2.4818, rel=1e-6)
+
     def test_constant_signal_raises(self):
         t = np.linspace(0, 10000.0, 200)
         traj = Trajectory(t, np.column_stack([np.full(200, 0.5), np.full(200, 0.5)]),
@@ -178,7 +187,7 @@ class TestRamseyFit:
         xs, dt = _uniform_signal(traj)
         mag = np.abs(np.fft.rfft(xs - np.mean(xs)))
         f0 = _peak_bin(mag, int(np.argmax(mag[1:])) + 1) * (1e3 / (xs.size * dt))
-        lo, hi = [-2.0, 1e-3, 1e-6, -1.0], [2.0, 1e4, 1e4, 2.0]
+        lo, hi = [-2.0, 1e-3, 1e-6, -1.0], [2.0, 1e4, 500 / dt, 2.0]
         start = np.clip([x[0] - np.mean(x), (t_us[-1] - t_us[0]) / 2, f0, np.mean(x)], lo, hi)
 
         def model(t, a, t_star, f, c):
