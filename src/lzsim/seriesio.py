@@ -3,16 +3,18 @@
 Every file carries the schema version and a flattened provenance block.
 Floats are written in their shortest round-trip form, exactly as ``repr``
 writes them, so identical runs produce identical bytes.  The CSV body is
-rendered by orjson, whose shortest digits are ``repr``'s; only rows holding a
-cell that orjson writes in another notation (non-zero below 1e-4, from 1e16
-up, non-finite) go through ``repr``.  Writes go to a temporary file in the
-target directory followed by an atomic rename; a failed run leaves nothing
-behind.
+rendered by orjson, whose shortest digits are ``repr``'s, one flat dump per
+block of ``_BLOCK_ROWS`` rows; only rows holding a cell that orjson writes in
+another notation (non-zero below 1e-4, from 1e16 up, non-finite) go through
+``repr``.  Each block goes straight to a temporary file in the target
+directory, so no whole-file text is built, and an atomic rename ends the
+write; a failed run leaves nothing behind.
 
-orjson reads the CSV body too, one block of rows per call, when the body
-holds only the bytes lzsim writes; any other body is read cell by cell.  A
-row of the wrong width, or a cell that is not a number, is refused with the
-file and its line.
+orjson reads the CSV body too, one block of about ``_READ_BLOCK_BYTES`` cut at
+a line break per call, taken from the file's bytes without copying the body,
+when the body holds only the bytes lzsim writes; any other body is read cell
+by cell.  A row of the wrong width, or a cell that is not a number, is
+refused with the file and its line.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,10 @@ from .model import Basis, DriveParameters, epsilon_at
 from .propagator import Trajectory
 
 SCHEMA_VERSION = 1
-# rows per orjson call, written or read: one block's strings are alive at a time
+# rows per orjson dump and bytes per orjson parse: one block's buffers and
+# objects are alive at a time
 _BLOCK_ROWS = 4096
+_READ_BLOCK_BYTES = 1 << 18
 # the bytes of every CSV body lzsim writes
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
 
@@ -55,11 +58,21 @@ def _scalar_str(x) -> str:
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write text via a same-directory temp file and atomic rename."""
+    _atomic_write(path, (text.encode(),))
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write an iterable of bytes chunks via a same-directory temp file and
+    atomic rename.  The temp file is created as ``open()`` creates a file,
+    mode 0o666 less the umask, and the rename keeps that mode."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+    # a random name, and O_EXCL: an existing file is never opened
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -121,6 +134,13 @@ def series_table(
 def render_series_csv(columns, rows, provenance: dict) -> str:
     """Header, column names and one line per row; NaN cells are left empty, so
     a one-column table holding NaN is refused (readers skip a blank line)."""
+    return b"".join(_csv_chunks(columns, rows, provenance)).decode()
+
+
+def _csv_chunks(columns, rows, provenance: dict):
+    """The CSV file of ``render_series_csv`` as bytes chunks: the header, then
+    each block of ``_BLOCK_ROWS`` rows in one orjson buffer, split only around
+    the rows that go through ``repr``."""
     import orjson  # only commands that write a CSV pay its import
 
     data = np.ascontiguousarray(rows, dtype=np.float64)  # orjson refuses other layouts
@@ -131,19 +151,26 @@ def render_series_csv(columns, rows, provenance: dict) -> str:
     lines = [f"# lzsim-series schema={SCHEMA_VERSION}"]
     lines += [f"# {k} = {v}" for k, v in sorted(flat.items())]
     lines.append(",".join(columns))
+    yield ("\n".join(lines) + "\n").encode()
     for start in range(0, len(data), _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        block_lines = text[2:-2].split("],[")  # '[[a,b],[c,d]]' -> ['a,b', 'c,d']
+        # '[a,b,c,d]' -> '[a,b\nc,d\n': every n-th comma and the ']' end a row
+        buf = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+        b = np.frombuffer(buf, dtype=np.uint8)
+        ends = np.flatnonzero(b == 44)[block.shape[1] - 1::block.shape[1]]
+        b[ends] = b[-1] = 10
+        view = memoryview(buf)
         # orjson writes repr's digits, but in its own notation below 1e-4 and
         # from 1e16 up, and non-finite cells as 'null': those rows go through repr
         mag = np.abs(block)
         off_notation = (block != 0) & ~((mag >= 1e-4) & (mag < 1e16))
-        for i in np.flatnonzero(off_notation.any(axis=1)):
+        pos = 1  # past the '['
+        for i in np.flatnonzero(off_notation.any(axis=1)).tolist():
+            yield view[pos:ends[i - 1] + 1 if i else 1]
             # repr writes NaN as 'nan', and no other float's repr contains it
-            block_lines[i] = ",".join(map(repr, block[i].tolist())).replace("nan", "")
-        lines.append("\n".join(block_lines))
-    return "\n".join(lines) + "\n"
+            yield (",".join(map(repr, block[i].tolist())).replace("nan", "") + "\n").encode()
+            pos = ends[i] + 1 if i < ends.size else b.size
+        yield view[pos:]
 
 
 def render_series_json(columns, rows, provenance: dict) -> str:
@@ -167,12 +194,11 @@ def write_series(
 ) -> None:
     columns, rows = series_table(traj, drive=drive, adiabatic=adiabatic)
     if fmt == "csv":
-        text = render_series_csv(columns, rows, provenance)
+        _atomic_write(Path(path), _csv_chunks(columns, rows, provenance))
     elif fmt == "json":
-        text = render_series_json(columns, rows, provenance)
+        atomic_write_text(Path(path), render_series_json(columns, rows, provenance))
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    atomic_write_text(Path(path), text)
 
 
 def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
@@ -183,9 +209,10 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
     nested provenance dict.
 
     A CSV body made only of the bytes lzsim writes (digits, ``.eE+-``, commas
-    and line breaks) is parsed by orjson, ``_BLOCK_ROWS`` rows per call; any
-    other body (blanks, CR, ``nan``/``inf``, comment lines) is parsed cell by
-    cell as ``float()`` reads it, skipping blank lines and ``#`` comments.
+    and line breaks) is parsed by orjson, about ``_READ_BLOCK_BYTES`` per call;
+    any other body (blanks, CR, ``nan``/``inf``, comment lines) is parsed
+    cell by cell as ``float()`` reads it, skipping blank lines and ``#``
+    comments.
     Both read an empty cell as NaN.  A row whose width is not the number of
     columns, or a cell that is not a number, raises ValueError naming the file
     and its line; so does a header that is not UTF-8, and a JSON file that
@@ -222,71 +249,83 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
             columns = line.split(",")
     if not columns:
         raise ValueError(f"{path}: no column header found")
-    # the body without its leading and trailing line breaks, cut in one copy
+    # the body is raw[start:stop], without its leading and trailing line breaks
     stop = len(raw)
     while stop > start and raw[stop - 1] in b"\r\n":
         stop -= 1
     while start < stop and raw[start] in b"\r\n":
         start += 1
-    first_line = raw.count(b"\n", 0, start) + 1
-    body = raw[start:stop]
-    del raw  # parse with only the body alive
-    if not body or body.isspace():
+    if start == stop:
         return meta, columns, _table(path, columns, np.array([], dtype=float))
-    if body.translate(None, _PLAIN_BYTES):
-        return meta, columns, _parse_cells(path, body.splitlines(), first_line, columns)
-    return meta, columns, _parse_plain(path, body, first_line, columns)
+    return meta, columns, _parse_body(path, raw, start, stop, columns)
 
 
-def _parse_plain(path: Path, body: bytes, first_line: int, columns: list[str]) -> np.ndarray:
-    """A body of plain bytes as a (rows, columns) table: the widths checked
-    from the comma and line-break positions, the cells parsed by orjson."""
+def _parse_body(path: Path, raw: bytes, start: int, stop: int, columns: list[str]) -> np.ndarray:
+    """The body ``raw[start:stop]`` as a (rows, columns) table, read in blocks of
+    about ``_READ_BLOCK_BYTES`` cut at a line break.  A block of plain bytes has
+    its widths checked from the comma and line-break positions and its cells
+    parsed by orjson; a body with any other byte or a blank line is read cell
+    by cell, and so is a block holding a number JSON reads otherwise."""
     import orjson  # only commands that read a CSV pay its import
 
+    first_line = raw.count(b"\n", 0, start) + 1
     n = len(columns)
-    b = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(b == 10)  # the line break after every row but the last
-    if ends.size and (np.diff(ends) == 1).any():  # blank lines are skipped there
-        return _parse_cells(path, body.splitlines(), first_line, columns)
-    commas = np.flatnonzero(b == 44)
-    rows = ends.size + 1
-    # n - 1 commas in every row: as many in all, and each line break between
-    # the last comma of its row and the first of the next
-    even = commas.size == rows * (n - 1)
-    if even and n > 1:
-        by_row = commas.reshape(rows, n - 1)
-        even = bool(((by_row[:-1, -1] < ends) & (by_row[1:, 0] > ends)).all())
-    if not even:  # the first ragged row, for the message
-        widths = np.bincount(np.searchsorted(ends, commas), minlength=rows) + 1
-        row = int(np.flatnonzero(widths != n)[0])
-        raise ValueError(_width_error(path, first_line + row, int(widths[row]), columns))
-    # each cell ends at a separator: a comma, a line break or the body's end
-    seps = np.concatenate((commas, ends, [b.size]))
-    del commas
-    before = b[seps - 1]
-    has_empty = b[0] == 44 or bool(((before == 44) | (before == 10)).any())
-    # JSON reads the integer '-0' as 0, float() as -0.0: such bodies go cell by cell
-    minus_zero = seps[(before == 48) & (b[np.maximum(seps - 2, 0)] == 45)]
-    lead = b[np.maximum(minus_zero - 3, 0)]
-    if ((minus_zero == 2) | (lead == 44) | (lead == 10)).any():
-        return _parse_cells(path, body.splitlines(), first_line, columns)
-    del seps, before
-    # block k is body[cuts[k] + 1:cuts[k + 1]]
-    cuts = np.concatenate(([-1], ends[_BLOCK_ROWS - 1::_BLOCK_ROWS], [b.size])).tolist()
-    data = np.empty((rows, n))
-    for first, lo, hi in zip(range(0, rows, _BLOCK_ROWS), cuts, cuts[1:]):
-        chunk = body[lo + 1:hi]
-        text = b"[" + chunk.replace(b"\n", b",") + b"]"
-        if has_empty:  # an empty cell sits between two separators or at an end
-            for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
-                text = text.replace(b",,", b",null,")
-            text = text.replace(b"[,", b"[null,").replace(b",]", b",null]")
-        try:
-            cells = orjson.loads(text)
-        except orjson.JSONDecodeError:  # a number JSON does not write, such as '.5' or '1e400'
-            cells = _parse_cells(path, chunk.splitlines(), first_line + first, columns)
-        block = data[first:first + _BLOCK_ROWS]
-        block[...] = np.array(cells, dtype=float).reshape(block.shape)  # None -> NaN
+    cuts, lo = [], start  # each block's (start, stop)
+    while lo < stop:
+        hi = raw.find(b"\n", lo + _READ_BLOCK_BYTES, stop)
+        cuts.append((lo, stop if hi < 0 else hi))
+        lo = cuts[-1][1] + 1
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    data = np.empty((sum(int(np.count_nonzero(whole[lo:hi] == 10)) + 1 for lo, hi in cuts), n))
+    view = memoryview(raw)
+    row = 0  # the block's first row
+    for lo, hi in cuts:
+        # the block as '[cells]': '[' and ']' stand for the line breaks around it
+        buf = bytearray(hi - lo + 2)
+        buf[0], buf[1:-1], buf[-1] = 91, view[lo:hi], 93
+        if buf.translate(None, _PLAIN_BYTES) != b"[]":  # blanks, CR, letters, '#'
+            return _parse_cells(path, raw[start:stop].splitlines(), first_line, columns)
+        # each cell ends at a separator: a comma, a line break or the ']'; it is
+        # empty after another separator or the '['
+        b = np.frombuffer(buf, dtype=np.uint8)
+        is_sep = (b == 44) | (b == 10)
+        is_sep[-1] = True
+        seps = np.flatnonzero(is_sep)
+        ends_row = b[seps] != 44
+        before = b[seps - 1]
+        after_row = (before == 10) | (before == 91)
+        if (ends_row & after_row).any():  # a blank line
+            return _parse_cells(path, raw[start:stop].splitlines(), first_line, columns)
+        # every n-th separator ends a row: a line break, or the ']' at the end
+        rows = int(np.count_nonzero(ends_row))
+        if seps.size != rows * n or not ends_row[n - 1::n].all():
+            widths = np.diff(np.flatnonzero(ends_row), prepend=-1)
+            bad = int(np.flatnonzero(widths != n)[0])
+            raise ValueError(_width_error(path, first_line + row + bad, int(widths[bad]), columns))
+        has_empty = bool((after_row | (before == 44)).any())
+        # JSON reads the integer '-0' as 0, float() as -0.0: such blocks go cell by cell
+        minus_zero = seps[before == 48]
+        minus_zero = minus_zero[b[minus_zero - 2] == 45]
+        lead = b[minus_zero - 3]
+        cells = None
+        if not ((lead == 44) | (lead == 10) | (lead == 91)).any():
+            b[seps[:-1]] = 44  # '[a,b\nc,d]' -> '[a,b,c,d]'
+            if has_empty:
+                for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
+                    buf = buf.replace(b",,", b",null,")
+                buf = buf.replace(b"[,", b"[null,").replace(b",]", b",null]")
+            try:
+                cells = orjson.loads(buf)
+            except orjson.JSONDecodeError:  # a number JSON does not write, such as '.5' or '1e400'
+                pass
+        out = data[row:row + rows]
+        if cells is None:
+            out[...] = _parse_cells(path, raw[lo:hi].splitlines(), first_line + row, columns)
+        elif has_empty:
+            out[...] = np.array(cells, dtype=float).reshape(out.shape)  # None -> NaN
+        else:
+            out[...] = np.fromiter(cells, dtype=float, count=out.size).reshape(out.shape)
+        row += rows
     return data
 
 

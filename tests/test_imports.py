@@ -1,9 +1,10 @@
 """Start-up cost and run-time dependencies: importing the CLI, parsing configs,
-every command (the lz_probability sweep and its coupling fit included) and
-`ramsey_fit` load no scipy module; importing it costs more than most runs and
-doubles a sweep's peak memory.  orjson is imported only when a command
-renders a CSV, so start-up does not load it either, and the CLI's parser is
-built on the first `main` call, not at import."""
+every command (the lz_probability sweep and its coupling fit, and `analyze
+rabi` reading a series back, included) and `ramsey_fit` load no scipy
+module; importing it costs more than most runs and doubles a sweep's peak
+memory.  orjson is imported only when a command renders or reads a CSV, so
+start-up does not load it either, and the CLI's parser is built on the first
+`main` call, not at import."""
 
 import subprocess
 import sys
@@ -39,6 +40,8 @@ for argv in (["simulate", "dense.conf"], ["simulate", "impulse.conf"], ["sweep",
              ["sweep", "passages.conf"]):
     code = lzsim.cli.main([argv[0], str(out / argv[1]), "--out", str(out)])
     assert code == 0, (argv, code)
+# the transfer-matrix series read back by the CSV reader
+assert lzsim.cli.main(["analyze", "rabi", str(out / "custom_series.csv")]) == 0
 
 import math
 import numpy as np

@@ -3,6 +3,8 @@ dust, empty overlay cells, and the exact bytes of real outputs and of any
 table against one %r format."""
 
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -85,6 +87,53 @@ class TestBounds:
         with pytest.raises(ValueError, match="NaN at t_ns = 1.0"):
             write_series(path, _traj([0.0, 1.0], *p), {})
         assert not list(tmp_path.iterdir())
+
+
+class TestWrite:
+    """The streamed writer: the rendered text, block by block, into a file
+    made as open() makes one."""
+
+    def test_strobe_streams_the_rendered_text(self, tmp_path):
+        # the 20000-period strobe of the benchmark: 40001 rows, 2.2 MB
+        drive = DriveParameters(**FIG3A, n_periods=20000)
+        traj = stroboscopic_evolve(drive, 20000)
+        path = tmp_path / "strobe.csv"
+        write_series(path, traj, {}, drive=drive)  # the writer's imports are done before tracing
+        tracemalloc.start()
+        try:
+            write_series(path, traj, {}, drive=drive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns, rows = seriesio.series_table(traj, drive=drive)
+        assert path.read_text() == render_series_csv(columns, rows, {})
+        assert peak < 1.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_file_mode_follows_the_umask(self, tmp_path, umask):
+        traj = _traj([0.0, 1.0], [0.5, 0.25], [0.5, 0.75])
+        old = os.umask(umask)
+        try:
+            write_series(tmp_path / "s.csv", traj, {})
+            write_series(tmp_path / "s.json", traj, {}, fmt="json")
+            seriesio.atomic_write_text(tmp_path / "t.txt", "x\n")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["s.csv", "s.json", "t.txt"], 0o666 & ~umask)
+
+    def test_failed_stream_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield b"new"
+            raise ValueError("stopped mid-file")
+
+        with pytest.raises(ValueError, match="stopped mid-file"):
+            seriesio._atomic_write(path, chunks())
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        assert path.read_text() == "old\n"
 
 
 def _per_token_read(path):
@@ -242,6 +291,18 @@ class TestRenderBody:
         wrong_rows = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
         assert len(got) == len(want) and not wrong_rows[:3]
 
+    def test_repr_rows_at_block_edges(self):
+        # rows that go through repr (a cell below 1e-4, a NaN) at the first and
+        # last row of a block, two in a row, filling a whole block, and last
+        n = seriesio._BLOCK_ROWS
+        table = np.arange(3.0 * (2 * n + 5)).reshape(-1, 3) / 7 + 0.5
+        for i in (0, n - 1, 7, 8, 2 * n, 2 * n + 4):
+            table[i, i % 3] = 1e-5 if i % 2 else np.nan
+        table[n:2 * n, 1] = 2.5e-5  # the whole second block
+        body = render_series_csv(["a", "b", "c"], table, {}).split("\n", 2)[2]
+        assert "1e-05" in body and "2.5e-05" in body and "\n," in body
+        assert body == _percent_r_body(table)
+
 
 # the cells written through repr (below 1e-4, from 1e16 up, non-finite) beside
 # those orjson writes
@@ -250,8 +311,8 @@ _ROUND_TRIP_CELLS = st.one_of(_CELLS, st.sampled_from([1e-5, -1e-5, 1e16, -2.5e1
 
 @st.composite
 def _series_tables(draw):
-    """A table of up to three reading blocks, its NaN cells (written empty)
-    drawn as the one NaN the reader returns.  At least two columns: a
+    """A table of up to three writing blocks and several reading blocks, its
+    NaN cells (written empty) drawn as the one NaN the reader returns.  At least two columns: a
     one-column table holding NaN is refused by the writer."""
     n_rows = draw(st.sampled_from([*range(21), 4095, 4096, 4097, 8193]))
     n_cols = draw(st.integers(2, 6))
@@ -275,6 +336,27 @@ def _not_cell_by_cell(*args):
     raise AssertionError("a written body went cell by cell")
 
 
+def _reader_blocks(table):
+    """The first row of each block the reader cuts the written body of
+    ``table`` into: each ends at the first line break from
+    ``_READ_BLOCK_BYTES`` bytes past its start."""
+    body = _percent_r_body(table).encode().rstrip(b"\n")
+    starts, lo = [0], 0
+    while (hi := body.find(b"\n", lo + seriesio._READ_BLOCK_BYTES)) >= 0:
+        starts.append(starts[-1] + body.count(b"\n", lo, hi) + 1)
+        lo = hi + 1
+    return starts
+
+
+def _sevenths(n_rows):
+    return np.arange(3.0 * n_rows).reshape(n_rows, 3) / 7
+
+
+# the first row of the reader's second and third blocks of _sevenths(n) for
+# any n past them
+_SECOND, _THIRD = _reader_blocks(_sevenths(12000))[1:3]
+
+
 class TestRead:
     """Written tables read back bit for bit, across the reader's blocks."""
 
@@ -286,31 +368,41 @@ class TestRead:
         assert columns == [f"c{j}" for j in range(table.shape[1])]
         assert _same(data, table)
 
-    @pytest.mark.parametrize("n_rows", [4095, 4096, 4097, 8193])
+    # around the writer's 4096-row blocks, then around the reader's blocks of bytes
+    @pytest.mark.parametrize("n_rows", [4095, 4096, 4097, 8193,
+                                        _SECOND - 1, _SECOND, _SECOND + 1, _THIRD + 1])
     def test_block_boundaries(self, tmp_path, monkeypatch, n_rows):
         monkeypatch.setattr(seriesio, "_parse_cells", _not_cell_by_cell)
-        table = np.arange(3.0 * n_rows).reshape(n_rows, 3) / 7
+        table = _sevenths(n_rows)
+        assert len(_reader_blocks(table)) == 1 + (n_rows > _SECOND) + (n_rows > _THIRD)
         assert _same(read_series(_write_csv(tmp_path, table))[2], table)
 
     def test_empty_cells_at_block_ends(self, tmp_path, monkeypatch):
         monkeypatch.setattr(seriesio, "_parse_cells", _not_cell_by_cell)
-        # the first and the last cell of each of the three blocks, and a run
-        table = np.arange(3.0 * 8193).reshape(8193, 3) / 7
-        for first, last in ((0, 4095), (4096, 8191), (8192, 8192)):
-            table[first, 0] = table[last, -1] = np.nan
+        # the first and the last cell of each of the three blocks, and a run;
+        # an empty cell shortens its row and can move a cut, so they are
+        # placed again until the cuts stay
+        table = _sevenths(_THIRD + 100)
         table[5] = np.nan
-        path = _write_csv(tmp_path, table)
-        assert path.read_text().split("\n")[2 + 4096].startswith(",")  # file line 4099
-        assert _same(read_series(path)[2], table)
+        starts = [0]
+        for _ in range(5):
+            table[0, 0] = table[-1, -1] = np.nan
+            for cut in starts[1:]:
+                table[cut - 1, -1] = table[cut, 0] = np.nan
+            placed, starts = starts, _reader_blocks(table)
+            if starts == placed:
+                break
+        assert len(placed) == 3 and starts == placed
+        assert _same(read_series(_write_csv(tmp_path, table))[2], table)
 
     @pytest.mark.parametrize("edit, width", [("drop", 2), ("pull", 4), ("push", 2)])
     def test_ragged_row_in_second_block_names_its_line(self, tmp_path, edit, width):
-        # body row 4097 (file line 4099) loses its last cell, pulls in the next
-        # row's first cell, or pushes its last cell to the next row; the last
-        # two keep the count of cells in all
-        path = _write_csv(tmp_path, np.arange(3.0 * 8193).reshape(8193, 3) / 7)
+        # the second block's first row (file line _SECOND + 3) loses its last
+        # cell, pulls in the next row's first cell, or pushes its last cell to
+        # the next row; the last two keep the count of cells in all
+        path = _write_csv(tmp_path, _sevenths(_THIRD))
         lines = path.read_text().split("\n")
-        i = 2 + 4096
+        i = 2 + _SECOND
         if edit == "drop":
             lines[i] = lines[i].rpartition(",")[0]
         elif edit == "pull":
@@ -320,16 +412,18 @@ class TestRead:
             lines[i], _, cell = lines[i].rpartition(",")
             lines[i + 1] = cell + "," + lines[i + 1]
         path.write_text("\n".join(lines))
-        with pytest.raises(ValueError,
-                           match=rf"table\.csv: line 4099: a row of {width} cells under 3"):
+        with pytest.raises(ValueError, match=rf"table\.csv: line {_SECOND + 3}: "
+                                             rf"a row of {width} cells under 3"):
             read_series(path)
 
     def test_bad_cell_in_second_block_names_its_line(self, tmp_path):
-        path = _write_csv(tmp_path, np.arange(3.0 * 8193).reshape(8193, 3) / 7)
+        path = _write_csv(tmp_path, _sevenths(_THIRD))
         lines = path.read_text().split("\n")
-        lines[2 + 4096] = "1e5e" + lines[2 + 4096][lines[2 + 4096].index(","):]
+        i = 2 + _SECOND
+        lines[i] = "1e5e" + lines[i][lines[i].index(","):]
         path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match=r"table\.csv: line 4099: '1e5e' is not a number"):
+        with pytest.raises(ValueError,
+                           match=rf"table\.csv: line {_SECOND + 3}: '1e5e' is not a number"):
             read_series(path)
 
     @pytest.mark.parametrize("text", ["x,y\n-0,1.5\n2.5,-0\n-0,-0.0\n",
