@@ -155,15 +155,20 @@ def rabi_frequency(traj: Trajectory) -> FitResult:
 
     Windowed DFT with local quadratic peak interpolation; the amplitude and
     residual come from a linear least-squares cosine fit at the found
-    frequency, so offsets and time shifts do not bias the estimate.
+    frequency, so offsets and time shifts do not bias the estimate.  The fit
+    solves its 3x3 normal equations ``(B B^T) c = B x`` for the rows ``B`` =
+    (cos, sin, 1) at that frequency.  With at least ``_RABI_MIN_CYCLES`` cycles
+    in the window ``B B^T`` is close to ``diag(n/2, n/2, n)``; only a peak at
+    the Nyquist frequency makes it singular (the sin row is rounding), and the
+    solve then drops that direction as a least-squares fit on ``B`` does.
     """
     x, dt = _uniform_signal(traj)
     f_mhz, _, _ = _spectral_peak(x, dt, k_min=_RABI_MIN_CYCLES)
     t = np.arange(x.size) * dt
     ph = 2e-3 * math.pi * f_mhz * t
-    basis = np.column_stack([np.cos(ph), np.sin(ph), np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(basis, x, rcond=None)
-    resid = x - basis @ coef
+    basis = np.stack([np.cos(ph), np.sin(ph), np.ones_like(t)])
+    coef = np.linalg.lstsq(basis @ basis.T, basis @ x, rcond=1e-10)[0]
+    resid = x - coef @ basis
     amplitude = float(math.hypot(coef[0], coef[1]))
     return FitResult(
         frequency_mhz=float(f_mhz),

@@ -89,6 +89,9 @@ _SIMULATE_SCHEMA = {
 #: only together with t2_star_us
 _NOISE_KEYS = ("t2_star_us", "detuning_mhz", "preparation_rotation_rad", "readout_rotation_rad")
 
+#: the dense integrator's keys: method = transfer-matrix runs no integrator
+_INTEGRATOR_KEYS = ("steps_per_min_period", "max_step_ns", "norm_tolerance", "integrator_method")
+
 #: a resonance sweep peaks at about 320 bytes per point, so this is about 330 MB;
 #: checked before the grid is built, and also bounds the lists ``scan_values``
 #: and ``period_values_ns``
@@ -190,6 +193,13 @@ def parse_run_config(text: str, source: str = "<config>") -> RunConfig:
                 f"{source}: {key!r} applies only to the dephasing ensemble; set t2_star_us, "
                 f"or t2_star_us = inf to apply it without dephasing noise"
             )
+    # the header records the integrator only when it runs
+    changed = [k for k in _INTEGRATOR_KEYS if v[k] != _SIMULATE_SCHEMA[k][1]]
+    if changed and v["method"] == "transfer-matrix":
+        raise ConfigError(
+            f"{source}: method = transfer-matrix runs no integrator and would "
+            f"ignore {changed[0]!r}; use method = ode or both"
+        )
     if v["report_rabi"] and v["method"] == "transfer-matrix":
         # the fit reads the dense series, which the impulse model does not make
         raise ConfigError(

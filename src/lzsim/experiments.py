@@ -127,17 +127,19 @@ def _noise_provenance(noise: NoiseSpec | None, nodes: int | None) -> dict | None
 
 
 def _scenario_provenance(spec: ScenarioSpec, noise_nodes: int | None) -> dict:
-    return provenance({
-        "scenario": {
-            "name": spec.name,
-            "drive": asdict(spec.drive),
-            "method": spec.method,
-            "t_end_ns": spec.t_end_ns,
-            "sample_every_ns": spec.sample_every_ns,
-            "noise": _noise_provenance(spec.noise, noise_nodes),
-            "integrator": asdict(spec.integrator),
-        },
-    })
+    """The scenario's provenance; the integrator's settings only when the dense
+    route ran."""
+    scenario = {
+        "name": spec.name,
+        "drive": asdict(spec.drive),
+        "method": spec.method,
+        "t_end_ns": spec.t_end_ns,
+        "sample_every_ns": spec.sample_every_ns,
+        "noise": _noise_provenance(spec.noise, noise_nodes),
+    }
+    if spec.method != "transfer-matrix":
+        scenario["integrator"] = asdict(spec.integrator)
+    return provenance({"scenario": scenario})
 
 
 def run_scenario(spec: ScenarioSpec) -> ExperimentResult:

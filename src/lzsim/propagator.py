@@ -80,7 +80,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import IntegrationError
 from .model import (
@@ -776,6 +775,8 @@ def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
     k = math.ceil(k)
     n_hermite = math.ceil(8 + 5 * spread + spread * spread / 4)
     if n_hermite <= 2 * k + 1:
+        # only dephasing averages pay the import of the numpy.polynomial package
+        from numpy.polynomial.hermite_e import hermegauss
         x, w = hermegauss(n_hermite)
     else:
         x = 2 * math.pi / (spread + 8) * np.arange(-k, k + 1)

@@ -4,11 +4,12 @@ Every file carries the schema version and a flattened provenance block.
 Floats are written in their shortest round-trip form, exactly as ``repr``
 writes them, so identical runs produce identical bytes.  The CSV body is
 rendered by orjson, whose shortest digits are ``repr``'s, one flat dump per
-block of ``_BLOCK_ROWS`` rows; only rows holding a cell that orjson writes in
-another notation (non-zero below 1e-4, from 1e16 up, non-finite) go through
-``repr``.  Each block goes straight to a temporary file in the target
-directory, so no whole-file text is built, and an atomic rename ends the
-write; a failed run leaves nothing behind.
+block of ``_BLOCK_ROWS`` rows; only the cells that orjson writes in another
+notation (non-zero below 1e-4, from 1e16 up, non-finite) go through ``repr``,
+spliced into the block's buffer between their commas.  Each block goes
+straight to a temporary file in the target directory, so no whole-file text
+is built, and an atomic rename ends the write; a failed run leaves nothing
+behind.
 
 orjson reads the CSV body too, one block of about ``_READ_BLOCK_BYTES`` cut at
 a line break per call, taken from the file's bytes without copying the body,
@@ -114,16 +115,19 @@ def series_table(
         e[idx] = adiabatic.p1
         cols += [g, e]
     data = np.column_stack(cols).astype(float, copy=False)
-    # only the overlay cells may be NaN (outside its mask)
-    nan_rows = np.flatnonzero(np.isnan(data[:, 1:3]).any(axis=1))
-    if nan_rows.size:
-        raise ValueError(f"P0/P1 hold NaN at t_ns = {float(data[nan_rows[0], 0])}")
-    # probabilities must sit in [0, 1]; clamp defensible float dust only
+    # the checks read a contiguous copy of the P columns, P0 and P1 first: a
+    # column of the interleaved table is several times slower to scan
     p_cols = [j for j, name in enumerate(columns) if name.startswith("P")]
     probs = data[:, p_cols]
-    bad = np.argwhere((probs < -1e-9) | (probs > 1 + 1e-9))
-    if bad.size:
-        i, j = bad[0]
+    # only the overlay cells may be NaN (outside its mask)
+    nan = np.isnan(probs[:, :2])
+    if nan.any():
+        i = np.flatnonzero(nan.any(axis=1))[0]
+        raise ValueError(f"P0/P1 hold NaN at t_ns = {float(data[i, 0])}")
+    # probabilities must sit in [0, 1]; clamp defensible float dust only
+    bad = (probs < -1e-9) | (probs > 1 + 1e-9)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise ValueError(f"column {columns[p_cols[j]]} out of [0, 1]: {float(probs[i, j])}")
     np.clip(probs, 0.0, 1.0, out=probs)
     probs += 0.0  # turns a clamped -0.0 into 0.0
@@ -139,8 +143,8 @@ def render_series_csv(columns, rows, provenance: dict) -> str:
 
 def _csv_chunks(columns, rows, provenance: dict):
     """The CSV file of ``render_series_csv`` as bytes chunks: the header, then
-    each block of ``_BLOCK_ROWS`` rows in one orjson buffer, split only around
-    the rows that go through ``repr``."""
+    each block of ``_BLOCK_ROWS`` rows as one orjson buffer, with only the
+    cells that orjson writes in another notation spliced in through ``repr``."""
     import orjson  # only commands that write a CSV pay its import
 
     data = np.ascontiguousarray(rows, dtype=np.float64)  # orjson refuses other layouts
@@ -152,25 +156,29 @@ def _csv_chunks(columns, rows, provenance: dict):
     lines += [f"# {k} = {v}" for k, v in sorted(flat.items())]
     lines.append(",".join(columns))
     yield ("\n".join(lines) + "\n").encode()
+    n = data.shape[-1]
     for start in range(0, len(data), _BLOCK_ROWS):
-        block = data[start:start + _BLOCK_ROWS]
+        cells = data[start:start + _BLOCK_ROWS].ravel()
         # '[a,b,c,d]' -> '[a,b\nc,d\n': every n-th comma and the ']' end a row
-        buf = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+        buf = bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY))
         b = np.frombuffer(buf, dtype=np.uint8)
-        ends = np.flatnonzero(b == 44)[block.shape[1] - 1::block.shape[1]]
-        b[ends] = b[-1] = 10
+        commas = np.flatnonzero(b == 44)
+        b[commas[n - 1::n]] = b[-1] = 10
         view = memoryview(buf)
         # orjson writes repr's digits, but in its own notation below 1e-4 and
-        # from 1e16 up, and non-finite cells as 'null': those rows go through repr
-        mag = np.abs(block)
-        off_notation = (block != 0) & ~((mag >= 1e-4) & (mag < 1e16))
-        pos = 1  # past the '['
-        for i in np.flatnonzero(off_notation.any(axis=1)).tolist():
-            yield view[pos:ends[i - 1] + 1 if i else 1]
-            # repr writes NaN as 'nan', and no other float's repr contains it
-            yield (",".join(map(repr, block[i].tolist())).replace("nan", "") + "\n").encode()
-            pos = ends[i] + 1 if i < ends.size else b.size
-        yield view[pos:]
+        # from 1e16 up, and non-finite cells as 'null': those cells go through repr
+        mag = np.abs(cells)
+        off_notation = np.flatnonzero((cells != 0) & ~((mag >= 1e-4) & (mag < 1e16)))
+        # cell i lies between bounds[i] and bounds[i + 1]: the '[', the commas, the end
+        bounds = np.concatenate(([0], commas, [b.size - 1]))
+        parts, pos = [], 1  # past the '['
+        for lo, hi, x in zip(bounds[off_notation].tolist(), bounds[off_notation + 1].tolist(),
+                             cells[off_notation].tolist()):
+            # a NaN is an empty cell
+            parts += (view[pos:lo + 1], b"" if x != x else repr(x).encode())
+            pos = hi
+        parts.append(view[pos:])
+        yield b"".join(parts)
 
 
 def render_series_json(columns, rows, provenance: dict) -> str:

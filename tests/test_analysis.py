@@ -17,13 +17,14 @@ from lzsim import (
     lz_probability,
     rabi_frequency,
     ramsey_fit,
+    stroboscopic_evolve,
     to_adiabatic,
     to_diabatic,
 )
 from lzsim import analysis
 from lzsim.analysis import _peak_bin, _uniform_signal
 from lzsim.model import epsilon_at
-from conftest import FIG3B, FIG3D, basis_discrepancy
+from conftest import FIG3A, FIG3B, FIG3D, basis_discrepancy
 
 
 def slow_traj(n_periods=3):
@@ -131,6 +132,70 @@ class TestRabiFrequency:
         # value pinned by two independent integrators; guards regressions
         fit = rabi_frequency(fig3a_traj_8us)
         assert fit.frequency_mhz == pytest.approx(1.5508, abs=0.003)
+
+
+
+def _lstsq_fit(traj: Trajectory) -> tuple[float, float, float]:
+    """The frequency, amplitude and residual rms of the cosine fit solved by
+    ``np.linalg.lstsq`` on the column-stacked (n, 3) basis: the reference for
+    `rabi_frequency`'s normal equations."""
+    x, dt = _uniform_signal(traj)
+    f_mhz = analysis._spectral_peak(x, dt, k_min=analysis._RABI_MIN_CYCLES)[0]
+    ph = 2e-3 * math.pi * f_mhz * np.arange(x.size) * dt
+    basis = np.column_stack([np.cos(ph), np.sin(ph), np.ones_like(ph)])
+    coef = np.linalg.lstsq(basis, x, rcond=None)[0]
+    resid = x - basis @ coef
+    return f_mhz, math.hypot(coef[0], coef[1]), float(np.sqrt(np.mean(resid**2)))
+
+
+def _fringe(n: int, phase: float, noise: float = 1e-3) -> Trajectory:
+    """``_RABI_MIN_CYCLES`` cycles of a small fringe on a large offset over n
+    samples, plus seeded noise so the residual is more than rounding."""
+    t = np.arange(n) * 4.0
+    cycles = analysis._RABI_MIN_CYCLES * t / (n * 4.0)
+    p0 = (0.95 + 0.04 * np.cos(2 * math.pi * cycles + phase)
+          + noise * np.random.default_rng(n).standard_normal(n))
+    return Trajectory(t, np.column_stack([p0, 1 - p0]), Basis.DIABATIC)
+
+
+class TestRabiNormalEquations:
+    """The fit by its 3x3 normal equations against the least-squares fit on
+    the (n, 3) basis: the same frequency bit for bit, and the amplitude and
+    residual within 1e-12 (the offset is 24 times the amplitude; rounding in
+    either fit grows with that ratio)."""
+
+    def _check(self, traj):
+        fit = rabi_frequency(traj)
+        f_mhz, amplitude, rms = _lstsq_fit(traj)
+        assert fit.frequency_mhz == f_mhz
+        assert fit.amplitude == pytest.approx(amplitude, rel=1e-12, abs=0)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-12, abs=0)
+
+    def test_impulse_strobe(self):
+        # the benchmark's 20000-period strobe: 40001 samples
+        self._check(stroboscopic_evolve(DriveParameters(**FIG3A, n_periods=20000), 20000))
+
+    def test_fig3a_trajectory(self, fig3a_traj_8us):
+        self._check(fig3a_traj_8us)
+
+    # 12 samples are the fewest whose 3 cycles pass the spectral peak test
+    @pytest.mark.parametrize("n", [12, 13, 64, 1001])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 1.6, 3.0, 4.4])
+    def test_fringe_at_the_fewest_cycles(self, n, phase):
+        self._check(_fringe(n, phase))
+
+    @pytest.mark.parametrize("n", [12, 1000])
+    def test_fringe_at_the_nyquist_frequency(self, n):
+        # the sin row is rounding: a singular 3x3 system, whose direction the
+        # solve drops as lstsq does; the fit is exact
+        p0 = 0.5 + 0.4 * (-1.0) ** np.arange(n)
+        traj = Trajectory(np.arange(n) * 2.0, np.column_stack([p0, 1 - p0]), Basis.DIABATIC)
+        fit = rabi_frequency(traj)
+        f_mhz, amplitude, _ = _lstsq_fit(traj)
+        assert fit.frequency_mhz == f_mhz == 250.0
+        assert fit.amplitude == pytest.approx(amplitude, rel=1e-12, abs=0)
+        assert fit.amplitude == pytest.approx(0.4, rel=1e-12)
+        assert fit.residual_rms < 1e-13
 
 
 class TestRamseyFit:

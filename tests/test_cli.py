@@ -208,6 +208,35 @@ sample_every_ns = 64.0
             in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("line", ["steps_per_min_period = 800", "max_step_ns = 0.1",
+                                      "norm_tolerance = 1e-6",
+                                      "integrator_method = piecewise-exact"])
+    def test_transfer_matrix_refuses_integrator_keys(self, tmp_path, capsys, line):
+        # the impulse model runs no integrator; the header records none
+        conf = write(tmp_path, "run.conf", f"scenario = fig3a\nmethod = transfer-matrix\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", conf, "--out", str(out)]) == 2
+        key = line.partition(" = ")[0]
+        assert f"method = transfer-matrix runs no integrator and would ignore '{key}'" \
+            in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("method", ["ode", "transfer-matrix", "both"])
+    def test_header_records_the_integrator_only_when_it_runs(self, tmp_path, method):
+        conf = write(tmp_path, "run.conf", CUSTOM_CONF.replace("method = both",
+                                                               f"method = {method}"))
+        assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
+        want = {} if method == "transfer-matrix" else {
+            "scenario.integrator.max_step_ns": "None",
+            "scenario.integrator.method": "fixed-rk4",
+            "scenario.integrator.norm_drift_tolerance": "1e-08",
+            "scenario.integrator.steps_per_min_period": "400"}
+        paths = sorted(tmp_path.glob("custom*_series.csv"))
+        assert len(paths) == (2 if method == "both" else 1)
+        for path in paths:  # under both, the strobe's file records the dense run too
+            meta, _, _ = read_series(path)
+            assert {k: v for k, v in meta.items() if k.startswith("scenario.integrator.")} == want
+
     @pytest.mark.parametrize("key", ["detuning_mhz", "preparation_rotation_rad",
                                      "readout_rotation_rad"])
     def test_noise_key_without_t2_star_refused(self, tmp_path, capsys, key):

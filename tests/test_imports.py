@@ -4,7 +4,8 @@ rabi` reading a series back, included) and `ramsey_fit` load no scipy
 module; importing it costs more than most runs and doubles a sweep's peak
 memory.  orjson is imported only when a command renders or reads a CSV, so
 start-up does not load it either, and the CLI's parser is built on the first
-`main` call, not at import."""
+`main` call, not at import.  Nor does any command without a dephasing average
+load `numpy.polynomial`, whose Gauss-Hermite nodes only that average uses."""
 
 import subprocess
 import sys
@@ -42,6 +43,8 @@ for argv in (["simulate", "dense.conf"], ["simulate", "impulse.conf"], ["sweep",
     assert code == 0, (argv, code)
 # the transfer-matrix series read back by the CSV reader
 assert lzsim.cli.main(["analyze", "rabi", str(out / "custom_series.csv")]) == 0
+# only a dephasing average needs numpy.polynomial's Gauss-Hermite nodes
+assert "numpy.polynomial" not in sys.modules, "numpy.polynomial loaded without noise"
 
 import math
 import numpy as np

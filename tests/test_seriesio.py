@@ -292,15 +292,24 @@ class TestRenderBody:
         assert len(got) == len(want) and not wrong_rows[:3]
 
     def test_repr_rows_at_block_edges(self):
-        # rows that go through repr (a cell below 1e-4, a NaN) at the first and
-        # last row of a block, two in a row, filling a whole block, and last
+        # cells that go through repr (below 1e-4, from 1e16 up, non-finite) at
+        # the first and last row of a block, in two rows in a row, filling a
+        # whole block, and last; several in one row, in the first and the last
+        # column, and beside an empty cell
         n = seriesio._BLOCK_ROWS
         table = np.arange(3.0 * (2 * n + 5)).reshape(-1, 3) / 7 + 0.5
         for i in (0, n - 1, 7, 8, 2 * n, 2 * n + 4):
             table[i, i % 3] = 1e-5 if i % 2 else np.nan
         table[n:2 * n, 1] = 2.5e-5  # the whole second block
+        table[20] = [3e-7, -4e16, np.inf]  # every cell of a row
+        table[21, [0, 2]] = [-6e-5, 2e17]  # the first and the last column
+        table[22, :2] = [np.nan, 1e-9]  # beside an empty cell
+        table[23, 1:] = [1e-300, np.nan]
+        table[n + 3, [0, 2]] = [7e-08, np.nan]  # beside the second block's column
         body = render_series_csv(["a", "b", "c"], table, {}).split("\n", 2)[2]
         assert "1e-05" in body and "2.5e-05" in body and "\n," in body
+        assert "\n3e-07,-4e+16,inf\n-6e-05," in body and ",2e+17\n,1e-09," in body
+        assert ",1e-300,\n" in body and "\n7e-08,2.5e-05,\n" in body
         assert body == _percent_r_body(table)
 
 
@@ -394,6 +403,30 @@ class TestRead:
                 break
         assert len(placed) == 3 and starts == placed
         assert _same(read_series(_write_csv(tmp_path, table))[2], table)
+
+    def test_lzsim_outputs_take_the_block_parser(self, tmp_path, monkeypatch):
+        # the 20000-period strobe that `analyze rabi` reads, fig3c's series
+        # with its empty overlay cells, and a resonance sweep table: none goes
+        # cell by cell, and each reads as the cell-by-cell parser reads it
+        drive = DriveParameters(**FIG3A, n_periods=20000)
+        write_series(tmp_path / "strobe.csv", stroboscopic_evolve(drive, 20000), {}, drive=drive)
+        assert main(["reproduce", "fig3c", "--out", str(tmp_path)]) == 0
+        conf = tmp_path / "scan.conf"
+        conf.write_text("sweep = resonance\ndelta_mhz = 5.57\nepsilon_m_mhz = 100.0\n"
+                        "scan_start = 100.0\nscan_stop = 200.0\nscan_points = 2000\n")
+        assert main(["sweep", str(conf), "--out", str(tmp_path)]) == 0
+        parse_cells = seriesio._parse_cells
+        monkeypatch.setattr(seriesio, "_parse_cells", _not_cell_by_cell)
+        for name, rows, empty in [("strobe.csv", 40001, False), ("fig3c_series.csv", 481, True),
+                                  ("sweep_resonance.csv", 2000, False)]:
+            path = tmp_path / name
+            _, columns, data = read_series(path)
+            lines = [line for line in path.read_bytes().splitlines()
+                     if not line.startswith(b"#")][1:]
+            assert data.shape == (rows, len(columns))
+            assert np.isnan(data).any() == empty
+            assert np.array_equal(data, parse_cells(path, lines, 1, columns), equal_nan=True)
+        assert b"e-" in (tmp_path / "strobe.csv").read_bytes()  # cells written through repr
 
     @pytest.mark.parametrize("edit, width", [("drop", 2), ("pull", 4), ("push", 2)])
     def test_ragged_row_in_second_block_names_its_line(self, tmp_path, edit, width):
