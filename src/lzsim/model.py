@@ -146,7 +146,14 @@ def epsilon_at(p: DriveParameters, t):
     T = p.period_ns
     em = p.epsilon_m_mhz
     u = np.mod(t_arr + p.t_offset_ns, T)
-    value = np.where(u < T / 2, -em + 4 * em * u / T, em - 4 * em * (u - T / 2) / T)
+    s = (u >= T / 2) * -2.0
+    s += 1.0  # the slope's sign: 1 on the rise from -em, -1 on the fall from em
+    u -= (1 - s) * (T / 4)  # the time since the turning point: u, or u - T/2 (exact)
+    u *= 4 * em
+    u /= T
+    u *= s
+    value = u
+    value -= s * em  # -em + x on the rise and em - x on the fall, to the bit
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(value)
     return value

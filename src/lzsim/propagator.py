@@ -31,9 +31,11 @@ steps per period, so the map to a sample ``n = q L + r`` whole steps after
 ``tp`` is ``V = P C[r] U^q``, with ``C[r]`` the product of the first r
 steps, ``U = C[L]`` and ``P`` the sample's partial step.  Its state is
 ``V V0^-1 psi0``, V0 the first sample's map (the identity at a start on a
-turning point).  ``C`` is formed only at the r a sample uses, from a tree of
-pairwise products over each slab of steps, so a period costs about one
-product per step however the samples fall in it.  ``U^q`` comes in closed
+turning point).  ``C`` is formed only at the distinct r the samples use,
+from a tree of pairwise products over each slab of steps, so a period costs
+about one product per step however the samples fall in it: one gather takes
+the tree's blocks that the binary digits of every r select, and pairwise
+products halve them to ``C[r]`` (`_prefix_at`).  ``U^q`` comes in closed
 form from U's angle and norm (`_powers`), for every q at once.
 
 Mirrored period.  From a turning point the drive has two reflections over a
@@ -435,17 +437,18 @@ def _mirror(x: np.ndarray, flip: bool, inverse: bool = False) -> np.ndarray:
     """Maps x^T, or x^-T when ``inverse``, conjugated by sigma_x when ``flip``.
 
     In (p, q) form x^T = (p, -conj(q)), x^-T = (conj(p), conj(q))/(|p|^2 + |q|^2)
-    and sigma_x x sigma_x = (conj(p), -conj(q)).
+    and sigma_x x sigma_x = (conj(p), -conj(q)): p is conjugated when one of
+    the two applies, q's real part changes sign when both or neither apply,
+    and its imaginary part when ``flip``.
     """
-    p, q = x
-    if inverse:
-        norm = np.abs(p) ** 2 + np.abs(q) ** 2
-        p, q = p.conj() / norm, q.conj() / norm
-    else:
-        q = -q.conj()
+    y = np.conjugate(x) if inverse != flip else x.copy()
+    if inverse == flip:
+        np.negative(y[1].real, out=y[1].real)
     if flip:
-        p, q = p.conj(), -q.conj()
-    return np.stack([p, q])
+        np.negative(y[1].imag, out=y[1].imag)
+    if inverse:
+        y /= np.abs(x[0]) ** 2 + np.abs(x[1]) ** 2
+    return y
 
 
 def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -455,35 +458,48 @@ def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.stack([p * a0 + q * a1, p.conj() * a1 - q.conj() * a0], axis=-1)
 
 
-def _prefix_at(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _prefix_at(tree: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Maps (2, members, k): member i's ordered product x[:, i, c-1] @ ... @
-    x[:, i, 0] of the maps x (2, members, n), one per count c = counts[j],
-    a row (k,) of counts in 0..n shared by every member; a count of 0 is the
-    identity.  A tree of pairwise products (level l holds the products of
-    aligned blocks of 2**l maps) costs about n products per member; each
-    count then takes the blocks of its binary digits, highest first, one
-    column gather per digit and none per member.
+    x[:, i, 0] of the maps x (2, members, n) held in the first half of
+    ``tree`` (2, members, 2n), one per count c = counts[j], a row (k,) of
+    counts in 0..n shared by every member, in any order and with repeats; a
+    count of 0 is the identity.
+
+    The second half of ``tree`` is overwritten by the levels of pairwise
+    products over x (level l, from column at[l], holds the products of
+    aligned blocks of 2**l maps; x is level 0), which cost about n products
+    per member, and an identity column.  Count c's product is that of the
+    blocks its binary digits select: at level l, when digit l is set, the
+    block (c >> l) - 1, the latest steps at the lowest level.  One gather
+    takes every count's block at every level, (2, members, levels, k) maps
+    with the identity standing in for each digit that is not set (it
+    multiplies exactly), and pairwise products halve the digit axis, an odd
+    one left over joining the last pair.  The number of numpy calls follows
+    the tree's depth, not the depth times the number of digits set.
     """
-    levels = [x]
-    while levels[-1].shape[-1] > 1:
-        y = levels[-1]
-        n = y.shape[-1] // 2 * 2
-        levels.append(_mul(y[..., 1:n:2], y[..., 0:n:2]))
-    acc = _identity(x.shape[1], counts.size)
-    start = np.zeros_like(counts)
-    bits = int(np.bitwise_or.reduce(counts))
-    for level in reversed(range(len(levels))):
-        if bits >> level & 1:
-            at = (counts >> level & 1).nonzero()[0]
-            acc[..., at] = _mul(levels[level][..., start[at] >> level], acc[..., at])
-            start[at] += 1 << level
-    return acc
+    n = tree.shape[-1] // 2
+    depth = n.bit_length()
+    at = np.cumsum([0] + [n >> level for level in range(depth)])  # at[-1]: the identity
+    tree[0, :, at[-1]], tree[1, :, at[-1]] = 1.0, 0.0
+    for level in range(1, depth):
+        y = tree[..., at[level - 1]:at[level - 1] + 2 * (n >> level)]
+        _mul(y[..., 1::2], y[..., 0::2], tree[..., at[level]:at[level + 1]])
+    blocks = counts >> np.arange(depth)[:, None]
+    g = np.take(tree, np.where(blocks & 1, blocks + (at[:-1, None] - 1), at[-1]), axis=-1)
+    while g.shape[-2] > 1:
+        half = g.shape[-2] // 2 * 2
+        y = _mul(g[..., 0:half:2, :], g[..., 1:half:2, :])
+        if half < g.shape[-2]:  # an odd digit left over joins the last pair
+            y[..., -1, :] = _mul(y[..., -1, :], g[..., -1, :])
+        g = y
+    return g[..., 0, :]
 
 
 def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     """Maps (2, m, k): member i's product of its first c steps for each count
     c = counts[i, j] >= 0, where ``counts`` is (m, k), or one row shared by
-    every member; ``steps(rows, first, n)`` builds maps as `_ramp_maps` does.
+    every member; ``steps(rows, first, n, out)`` builds maps into ``out`` as
+    `_ramp_maps` does.
 
     Member i integrates its n_i = max_j counts[i, j] steps, from step 0 as
     every member does.  Steps stream in slabs: the slab [lo, hi) holds the
@@ -495,7 +511,13 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     the product of the slabs before it, ``done``.
 
     One shared row of counts takes the prefixes that end in a slab from
-    `_prefix_at`.  Counts of a member's own must each be 0 or n_i (a grid
+    `_prefix_at`, each distinct count once, so the maps it gathers per count
+    are bounded by a slab's.  Every slab's maps are built into the first
+    half of one buffer of the call, whose second half takes their tree, so
+    no slab allocates maps.  With the maps and each level of their tree
+    allocated apiece, the benchmark's dephasing average (9 members, two
+    slabs) made about 250 minor faults a request in its pass loop; it now
+    makes none.  Counts of a member's own must each be 0 or n_i (a grid
     per member sampled at anything else is refused), so they need no
     prefix: the maps past each member's last step are set to the identity,
     which multiplies exactly, and levels of pairwise products reduce the
@@ -511,8 +533,10 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     the benchmark's 120 passages, or none).
     """
     counts = counts.reshape(-1, counts.shape[-1])
-    n = counts.max(axis=1)
     own = counts.shape[0] > 1
+    if not own:
+        counts, back = _distinct_columns(counts)
+    n = counts.max(axis=1)
     if own and np.any((counts != 0) & (counts != n[:, None])):
         raise ValueError("a grid per member is sampled only where each member needs none "
                          "or all of its quarter (or half) period, as on turning points")
@@ -527,6 +551,8 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
 
         def view(buf, *shape):
             return buf[:math.prod(shape)].reshape(shape)
+    else:  # a slab's maps, then their tree
+        work = np.empty((2, m, 2 * min(total, max(1, _SLAB // m))), dtype=complex)
     lo = 0
     while lo < total:
         rows = (n > lo).nonzero()[0]
@@ -547,33 +573,31 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
                 x = y
             done[:, rows] = _mul(x[..., 0], done[:, rows])
         else:
+            steps(rows, lo, hi - lo, work[..., :hi - lo])
             local = counts[0] - lo
-            inside = (local > 0) & (local <= hi - lo)  # the counts that end in this slab
+            j = ((local > 0) & (local <= hi - lo)).nonzero()[0]  # the counts that end in this slab
             # the last column is the slab's own product
-            local = _prefix_at(steps(rows, lo, hi - lo),
-                               np.append(np.where(inside, local, 0), hi - lo))
+            local = _prefix_at(work[..., :2 * (hi - lo)], np.append(local[j], hi - lo))
             if lo:
                 local = _mul(local, done[..., None])
-            j = inside.nonzero()[0]
-            out[..., j] = local[..., j]
+            out[..., j] = local[..., :-1]
             done[:] = local[..., -1]
         lo = hi
-    return np.where(counts > 0, done[..., None], out) if own else out
+    return np.where(counts > 0, done[..., None], out) if own else out[..., back]
 
 
 def _distinct_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of the integer array ``a`` (rows, k), sorted by
     the first row, then the next, and the index of each column of ``a`` among
-    them (``np.unique(a, axis=1, return_inverse=True)``, without its slow
-    sort of whole columns)."""
-    if a.shape[0] == 1:
-        distinct = np.unique(a[0])
-        return distinct[None], np.searchsorted(distinct, a[0])
+    them (``np.unique(a, axis=1, return_inverse=True)``): the columns are
+    sorted and each one unlike its left neighbour starts a new distinct one.
+    This costs neither ``np.unique``'s sort of whole columns nor, for one
+    row, its hash table."""
     order = np.lexsort(a[::-1])
     a = a[:, order]
     new = np.empty(order.size, dtype=bool)
     new[0] = True
-    new[1:] = np.any(a[:, 1:] != a[:, :-1], axis=0)
+    np.any(a[:, 1:] != a[:, :-1], axis=0, out=new[1:])
     inverse = np.empty(order.size, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return a[:, new], inverse
@@ -599,14 +623,14 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.
     if np.all(need <= half):
         return _mirrored_prefix(steps, m, need, half, flips[1:])
     upper = need > half
-    inner, at = _distinct_columns(
-        np.concatenate([np.where(upper, span - need, need),
-                        half + np.zeros((need.shape[0], 1), dtype=need.dtype)], axis=1))
-    c = _mirrored_prefix(steps, m, inner, half, flips[1:])[..., at]
+    c = _mirrored_prefix(steps, m, np.concatenate(
+        [np.where(upper, span - need, need), half + np.zeros((need.shape[0], 1), dtype=need.dtype)],
+        axis=1), half, flips[1:])
     x = c[..., -1]  # C[half]
     full = _mul(_mirror(x, flips[0]), x)
     out = c[..., :-1]
-    return np.where(upper, _mul(_mirror(out, flips[0], inverse=True), full[..., None]), out)
+    np.copyto(out, _mul(_mirror(out, flips[0], inverse=True), full[..., None]), where=upper)
+    return out
 
 
 def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
@@ -625,20 +649,18 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
     q, r = np.divmod(grid.n, grid.L)
     # P C[r] is formed once per distinct (r, f), and P only where some f > 0
     ends, end_at = _distinct_columns(np.concatenate([r, grid.f.view(np.int64)]))
-    r, f = np.split(ends, 2)
-    f = f.view(float)
+    r, f = ends[:len(ends) // 2], ends[len(ends) // 2:].view(float)
     k = r.shape[1]
+    # C[L], when needed, is the last column
     if q.any():
         r = np.concatenate([r, grid.L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
-    # C[L], when needed, is the last column
-    need, r_at = _distinct_columns(r)
     steps = functools.partial(_ramp_maps, method, grid.h, x0, grid.dx, b)
-    prefix = _mirrored_prefix(steps, m, need, grid.L, flips)
+    prefix = _mirrored_prefix(steps, m, r, grid.L, flips)
     # U^q for each distinct q in closed form; with no q > 0 the last column
     # is no C[L], but its zeroth power is still the identity
     periods, q_at = _distinct_columns(q)
     powers = _powers(prefix[..., -1, None], periods)
-    rows = prefix[..., r_at[:k]]
+    rows = prefix[..., :k]
     at = (f > 0).any(axis=0).nonzero()[0]
     rows[..., at] = _mul(_partial_maps(method, grid, x0, b, r[:, at], f[:, at]), rows[..., at])
     rows = rows[..., end_at]

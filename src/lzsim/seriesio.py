@@ -311,9 +311,11 @@ def _parse_body(path: Path, raw: bytes, start: int, stop: int, columns: list[str
             bad = int(np.flatnonzero(widths != n)[0])
             raise ValueError(_width_error(path, first_line + row + bad, int(widths[bad]), columns))
         has_empty = bool((after_row | (before == 44)).any())
-        # JSON reads the integer '-0' as 0, float() as -0.0: such blocks go cell by cell
-        minus_zero = seps[before == 48]
-        minus_zero = minus_zero[b[minus_zero - 2] == 45]
+        # JSON reads the integer '-0' as 0, float() as -0.0: such blocks go cell
+        # by cell.  Few cells have a '-' just before their last byte, so that
+        # is looked for first
+        minus_zero = seps[b[seps - 2] == 45]
+        minus_zero = minus_zero[b[minus_zero - 1] == 48]
         lead = b[minus_zero - 3]
         cells = None
         if not ((lead == 44) | (lead == 10) | (lead == 91)).any():

@@ -296,10 +296,11 @@ def evolve_lab_frame_toy(delta_mhz, omega0_mhz, drive, t_span=None, sample_every
     def coupling(t):
         return delta * np.cos(omega0 * t + mhz_to_angular(epsilon_integral(drive, t)))
 
-    def steps(rows, first, n):
+    def steps(rows, first, n, out):
         t = grid.tp + grid.h * (first + np.arange(n + 1))[None]
         ends, mid = coupling(t), coupling(t[:, :-1] + grid.h / 2)
-        return rk4_maps(grid.h, w, w, w, ends[:, :-1], mid, ends[:, 1:])
+        out[...] = rk4_maps(grid.h, w, w, w, ends[:, :-1], mid, ends[:, 1:])
+        return out
 
     # each sample's whole steps, then its partial step of f h
     whole = propagator._products(steps, 1, grid.n)[:, 0]

@@ -102,14 +102,31 @@ def test_dense_grid_starts_at_the_turning_point(p, start):
     assert (w < 0) == _rises(p, grid.tp + p.period_ns / 8)
 
 
-def test_only_model_computes_the_drive_phase():
-    """The drive's phase is worked out in `model` alone: no other module
-    reduces a time modulo the period."""
+def _numpy_calls(names):
+    """{module: ["np.<name>:<line>", ...]}: lzsim's calls of the numpy
+    functions ``names``."""
     calls = {}
     for path in sorted(Path(lzsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
-                    and node.func.attr in ("mod", "fmod", "remainder")):
+                    and node.func.attr in names):
                 calls.setdefault(path.name, []).append(f"np.{node.func.attr}:{node.lineno}")
+    return calls
+
+
+def test_only_model_computes_the_drive_phase():
+    """The drive's phase is worked out in `model` alone: no other module
+    reduces a time modulo the period."""
+    calls = _numpy_calls(("mod", "fmod", "remainder"))
     assert set(calls) <= {"model.py"}, calls
+
+
+def test_kernel_finds_distinct_columns_without_unique():
+    """`propagator` sorts its own distinct columns (`_distinct_columns`):
+    numpy 2.4's `np.unique` hashes a row of ints (about 40 us for 1000) and
+    sorts whole columns along an axis, and `evolve` takes its distinct
+    columns on every call."""
+    calls = _numpy_calls(("unique", "unique_all", "unique_counts", "unique_inverse",
+                          "unique_values"))
+    assert "propagator.py" not in calls, calls

@@ -64,6 +64,26 @@ class TestTriangleWave:
         deriv = (epsilon_at(p, t + h) - epsilon_at(p, t - h)) / (2 * h)
         assert np.allclose(np.abs(deriv), 4 * 100.0 / 128.0, rtol=1e-9)
 
+    @pytest.mark.parametrize("em, T, off", [(100.0, 128.0, 0.0), (50.4, 606.0, 0.0),
+                                            (100.0, 592.0, 19.0), (3.3, 7.0, 2.5),
+                                            (1e-3, 0.3, 0.1), (0.0, 128.0, 5.0),
+                                            (171.1, 100.0, 150.0)])
+    def test_bit_identical_to_the_rise_and_fall_written_apiece(self, em, T, off):
+        # the one signed ramp against the two-branch form it replaced: on and
+        # next to every turning point, on every crossing and an eighth period
+        # either side, and at times up to 1e6 ns, arrays and scalars alike
+        p = drive(em=em, T=T, off=off)
+        k = np.arange(4000)
+        t = np.concatenate([k * T / 8 - off, np.nextafter(k * T / 2 - off, np.inf),
+                            np.nextafter(k * T / 2 - off, -np.inf),
+                            np.random.default_rng(11).uniform(0.0, 1e6, 20000), [1e6]])
+        t = t[t >= 0]
+        u = np.mod(t + off, T)
+        want = np.where(u < T / 2, -em + 4 * em * u / T, em - 4 * em * (u - T / 2) / T)
+        assert epsilon_at(p, t).tobytes() == want.tobytes()
+        assert all(np.float64(epsilon_at(p, float(x))).tobytes() == w.tobytes()
+                   for x, w in zip(t[::97], want[::97]))
+
     def test_offset_shifts_origin(self):
         p0, p_off = drive(), drive(off=17.0)
         t = np.linspace(5.0, 250.0, 57)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 
 from lzsim import (
@@ -597,9 +598,10 @@ class TestMirroredPeriod:
         offsets = np.array([mhz_to_angular(offset_mhz) / 2])
         built = []
 
-        def steps(rows, first, n):
+        def steps(rows, first, n, out):
             built.append(first + n)
-            return drive_step_maps(p, method, grid.h, 0.0, offsets, first, n)
+            out[...] = drive_step_maps(p, method, grid.h, 0.0, offsets, first, n)
+            return out
 
         return grid.L, steps, built
 
@@ -854,7 +856,7 @@ class TestStepMaps:
         w1, w2, w3, b1, b2, b3 = rng.normal(0.0, 5.0, (6, 3, 37))
         maps = rk4_maps(0.05, w1, w2, w3, b1, b2, b3)
         counts = np.array([1, 2, 5, 16, 17, 31, 36, 37])
-        got = propagator._prefix_at(maps, counts)
+        got = propagator._prefix_at(np.concatenate([maps, np.empty_like(maps)], axis=-1), counts)
         for i in range(3):
             acc = np.eye(2)
             for c in range(1, 38):
@@ -862,6 +864,42 @@ class TestStepMaps:
                 if c in counts:
                     j = int(np.searchsorted(counts, c))
                     assert np.max(np.abs(self.matrix(got[:, i, j]) - acc)) < 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_prefix_at_any_counts_match_sequential_products(self, data):
+        # counts as `_products` may pass them: unsorted, with zeros, repeats
+        # and n itself, for 1-3 members over n maps, odd at several levels
+        m = data.draw(st.integers(1, 3), label="members")
+        n = data.draw(st.sampled_from([1, 2, 3, 5, 37, 255, 256, 257, 321, 1282]), label="n")
+        drawn = data.draw(st.lists(st.integers(0, n), max_size=30), label="counts")
+        counts = np.array(data.draw(st.permutations(drawn + [0, n, n]), label="order"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # unitary maps, so that products of 1282 stay of size 1
+        maps = propagator._expm_maps(0.05, *rng.normal(0.0, 5.0, (2, m, n)))
+        got = propagator._prefix_at(np.concatenate([maps, np.empty_like(maps)], axis=-1), counts)
+        acc = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2))
+        want = np.empty((counts.size, m, 2, 2), dtype=complex)
+        for c in range(n + 1):
+            want[counts == c] = acc
+            if c < n:
+                acc = np.moveaxis(self.matrix(maps[:, :, c]), -1, 0) @ acc
+        assert np.max(np.abs(np.moveaxis(self.matrix(got), (2, 3), (1, 0)) - want)) < 1e-13
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_distinct_columns_are_numpy_unique(self, data):
+        # one row of counts, and (r, f) with f's bits as a second row; the
+        # columns come sorted by the first row, then the next, as np.unique's
+        k = data.draw(st.integers(1, 40), label="k")
+        r = np.array(data.draw(st.lists(st.integers(0, 12), min_size=k, max_size=k), label="r"))
+        f = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.5 + 2**-53]),
+                                        min_size=k, max_size=k), label="f"))
+        for a in (r[None], np.stack([r, f.view(np.int64)])):
+            got, at = propagator._distinct_columns(a)
+            want, inverse = np.unique(a, axis=1, return_inverse=True)
+            assert np.array_equal(got, want) and np.array_equal(at, inverse.ravel())
+            assert np.array_equal(got[:, at], a)
 
     def test_powers_match_repeated_products(self):
         # maps a little off unitary, as RK4's are, at random angles

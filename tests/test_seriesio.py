@@ -470,6 +470,30 @@ class TestRead:
         assert _same(data, _per_token_read(path)[2])
         assert np.signbit(data[0, 0]) and np.signbit(data[-1, -1])
 
+    def test_minus_zero_in_later_blocks_goes_cell_by_cell(self, tmp_path, monkeypatch):
+        # a '-0' cell opening a row of the second block ('-0,') and the last
+        # cell of the file ('-0]'): their blocks, and only those, are read by
+        # float(), which keeps the sign JSON would drop
+        table = _sevenths(_THIRD + 100)
+        path = _write_csv(tmp_path, table)
+        lines = path.read_text().split("\n")
+        i = 2 + _SECOND + 5
+        lines[i] = "-0" + lines[i][lines[i].index(","):]
+        lines[-2] = lines[-2].rpartition(",")[0] + ",-0"
+        path.write_text("\n".join(lines))
+        table[_SECOND + 5, 0] = table[-1, -1] = -0.0
+        parse_cells, firsts = seriesio._parse_cells, []
+
+        def counted(path, lines, first_line, columns):
+            firsts.append(first_line)
+            return parse_cells(path, lines, first_line, columns)
+
+        monkeypatch.setattr(seriesio, "_parse_cells", counted)
+        data = read_series(path)[2]
+        assert _same(data, table)
+        assert np.signbit(data[_SECOND + 5, 0]) and np.signbit(data[-1, -1])
+        assert len(firsts) == 2 and firsts[0] == _SECOND + 3 and firsts[1] > _SECOND + 3
+
     @pytest.mark.parametrize("body", ["1.5,2.5\n\n\n-1e-05,\n",
                                       "1.5,2.5\n# a note\n\n-1e-05,# inline\n"],
                              ids=["plain", "comments"])
