@@ -148,15 +148,16 @@ def epsilon_at(p: DriveParameters, t):
     u = np.mod(t_arr + p.t_offset_ns, T)
     s = (u >= T / 2) * -2.0
     s += 1.0  # the slope's sign: 1 on the rise from -em, -1 on the fall from em
-    u -= (1 - s) * (T / 4)  # the time since the turning point: u, or u - T/2 (exact)
+    u -= (1 - s) * (T / 4)  # v, the time since the turning point: u, or u - T/2 (exact)
     u *= 4 * em
     u /= T
     u *= s
-    value = u
-    value -= s * em  # -em + x on the rise and em - x on the fall, to the bit
+    # s (4 em v/T) - s em equals -em + 4 em v/T on the rise and em - 4 em v/T
+    # on the fall to the bit, the sign of a zero included
+    u -= s * em
     if np.isscalar(t) or t_arr.ndim == 0:
-        return float(value)
-    return value
+        return float(u)
+    return u
 
 
 def crossing_times(p: DriveParameters) -> list[float]:

@@ -868,8 +868,8 @@ class TestStepMaps:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_prefix_at_any_counts_match_sequential_products(self, data):
-        # counts as `_products` may pass them: unsorted, with zeros, repeats
-        # and n itself, for 1-3 members over n maps, odd at several levels
+        # counts in any order, with zeros, repeats and n itself, for 1-3
+        # members over n maps, n odd at several levels of the tree
         m = data.draw(st.integers(1, 3), label="members")
         n = data.draw(st.sampled_from([1, 2, 3, 5, 37, 255, 256, 257, 321, 1282]), label="n")
         drawn = data.draw(st.lists(st.integers(0, n), max_size=30), label="counts")
