@@ -514,15 +514,14 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     `_prefix_at`, each distinct count once, so the maps it gathers per count
     are bounded by a slab's.  Every slab's maps are built into the first
     half of one buffer of the call, whose second half takes their tree, so
-    no slab allocates maps.  With the maps and each level of their tree
-    allocated apiece, the benchmark's dephasing average (9 members, two
-    slabs) made about 250 minor faults a request in its pass loop; it now
-    makes none.  Counts of a member's own must each be 0 or n_i (a grid
-    per member sampled at anything else is refused), so they need no
-    prefix: the maps past each member's last step are set to the identity,
-    which multiplies exactly, and levels of pairwise products reduce the
-    slab to its product, an odd map left over at a level joining the last
-    pair.  Every member's product is then read off ``done``.  The maps and
+    no slab allocates maps: maps and levels allocated apiece had their pages
+    faulted in again on every call (about 250 minor faults a request for the
+    benchmark's dephasing average of 9 members in two slabs).  Counts of a
+    member's own must each be 0 or n_i (a grid per member sampled at
+    anything else is refused), so they need no prefix: the maps past each
+    member's last step are set to the identity, which multiplies exactly,
+    and levels of pairwise products reduce the slab to its product, an odd
+    map left over at a level joining the last pair.  Every member's product is then read off ``done``.  The maps and
     the levels they halve to are written, in turn, into two buffers of one
     workspace allocated per call (1.75 slabs of maps with `_mul`'s
     temporary), so a slab allocates only a few doubles a step of ramp
