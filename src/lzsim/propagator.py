@@ -15,7 +15,7 @@ lies on one ramp, with the midpoint detuning ``x0 + j dx`` and its ends
 steps after ``tp`` (0 <= f < 1) takes n whole steps and one partial ramp
 step of ``f h``, which never crosses a kink.  The integration begins at
 ``tp``, so a start off a turning point also costs the steps before it (at
-most a quarter period, or a half with offsets; see `_MAX_STEPS`).  A
+most a quarter period, or a half with a detuning; see `_MAX_STEPS`).  A
 constant drive is a ramp with ``dx = 0`` and a period of four steps.
 
 Step maps.  H = [[w, b], [b, -w]] is traceless and real-symmetric, so an RK4
@@ -47,8 +47,14 @@ symmetric, so every mirrored step is the transpose of a computed one.  Only
 the first quarter ``Q`` is integrated; ``U(T/2) = sigma_x Q^T sigma_x Q``,
 ``U(T) = U(T/2)^T U(T/2)``, and every other prefix is
 ``C[r] = sigma_x C[L/2 - r]^-T Q^T sigma_x Q`` on the second quarter and
-``C[r] = C[L - r]^-T U`` on the second half.  A static offset keeps only the
-time reversal, so members with offsets integrate the first half.
+``C[r] = C[L - r]^-T U`` on the second half.  A static offset d keeps the
+time reversal, and the parity maps it onto -d: ``H_d(T/2 - t) = sigma_x
+H_-d(t) sigma_x``, so members whose offsets pair off +-d on one grid (the
+nodes of a noise quadrature) still integrate only the first quarter, each
+reading its mirrored factors from its partner's: ``C_d[r] = sigma_x
+C_-d[L/2 - r]^-T Q_-d^T sigma_x Q_d`` (`_partners`).  Only a detuning, or
+offsets that are not symmetric, leave the time reversal alone, and then the
+members integrate the first half.
 
 Members.  The kernel has a leading member axis: member i sees its own ramp
 plus a static offset of its own, on one grid shared by all members or on a
@@ -118,9 +124,10 @@ _MAX_STEPS = 1 << 32
 
 #: Most samples of one run: one member's (samples, 2) complex states then take
 #: at most 1 GiB.  With the maps gathered per sample and their temporaries, a
-#: run peaks at about 180 bytes per sample and member (tracemalloc, 256401
-#: fig3a samples, on or off a turning point), about 6 GiB at the cap.  Past it
-#: the run is refused before the sample times are made.
+#: run peaks at about 210 bytes per sample and member (tracemalloc: 193 for
+#: fig3a's 256201 or 320501 samples a step apart, on or off a turning point,
+#: 212 for 40001 samples on turning points), about 6.6 GiB at the cap.  Past
+#: it the run is refused before the sample times are made.
 _MAX_SAMPLES = 1 << 25
 
 
@@ -602,7 +609,8 @@ def _distinct_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[:, new], inverse
 
 
-def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.ndarray:
+def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple,
+                     partner=slice(None)) -> np.ndarray:
     """Maps (2, m, k): member i's product C[r] of its first r steps for each
     count r = need[i, j] in 0..span, where ``need`` is (m, k), or (k,) shared
     by every member, and ``span`` an int, or (m, 1) with a span per member.
@@ -613,23 +621,50 @@ def _mirrored_prefix(steps, m: int, need: np.ndarray, span, flips: tuple) -> np.
     ``C[span] = R(X^T) X`` with ``X = C[span/2]`` and ``R`` that conjugation
     (or none), and ``C[r] = R(C[span - r]^-T) C[span]`` past the middle, so
     only the counts up to the middle are formed, by the next reflection or,
-    when none is left, by integrating ``steps``.
+    when none is left, by integrating ``steps``.  A sigma_x reflection maps
+    member i's steps onto those of member ``partner[i]`` (an index array, or
+    the default slice for every member its own partner), whose X and
+    ``C[span - r]`` it reads: ``C_i[span] = R(X_p^T) X_i``.  A member's
+    partner must need the same counts, as when ``need`` is one shared row.
     """
     need = need.reshape(-1, need.shape[-1])
     if not flips:
         return _products(steps, m, need)
     half = span // 2
     if np.all(need <= half):
-        return _mirrored_prefix(steps, m, need, half, flips[1:])
+        return _mirrored_prefix(steps, m, need, half, flips[1:], partner)
     upper = need > half
     c = _mirrored_prefix(steps, m, np.concatenate(
         [np.where(upper, span - need, need), half + np.zeros((need.shape[0], 1), dtype=need.dtype)],
-        axis=1), half, flips[1:])
-    x = c[..., -1]  # C[half]
-    full = _mul(_mirror(x, flips[0]), x)
+        axis=1), half, flips[1:], partner)
+    mirrored = c[:, partner] if flips[0] else c
+    full = _mul(_mirror(mirrored[..., -1], flips[0]), c[..., -1])  # from C[half]
     out = c[..., :-1]
-    np.copyto(out, _mul(_mirror(out, flips[0], inverse=True), full[..., None]), where=upper)
+    np.copyto(out, _mul(_mirror(mirrored[..., :-1], flips[0], inverse=True), full[..., None]),
+              where=upper)
     return out
+
+
+def _partners(grid: _Grid, offsets: np.ndarray):
+    """The member whose steps are each member's sigma_x mirror image, for
+    `_mirrored_prefix`, or None when the reflection does not hold.
+
+    Without an offset ``H(T/2 - t) = sigma_x H(t) sigma_x``, and every member
+    is its own partner.  With offsets ``sigma_x H_d(t) sigma_x = H_-d(T/2 - t)``
+    maps the member at offset d onto the one at -d, so members on one grid
+    whose sorted offsets equal their negated reverse (a noise quadrature
+    without a detuning) pair off, a member at 0 with itself.  A detuning, or
+    offsets that are not symmetric, leave only the time reversal.
+    """
+    if not np.any(offsets):
+        return slice(None)
+    if np.ndim(grid.h) == 0:
+        order = np.argsort(offsets, kind="stable")
+        if np.array_equal(offsets[order], -offsets[order[::-1]]):
+            partner = np.empty_like(order)
+            partner[order] = order[::-1]
+            return partner
+    return None
 
 
 def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
@@ -639,12 +674,16 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
 
     Member i sees its ramp plus offsets[i] and the constant coupling b.
     ``C[r]`` and ``U^q`` are formed only at the r and q a sample uses, from
-    the first quarter of the period, or the first half when any member
-    carries an offset, which breaks the sigma_x reflection.
+    the first quarter of the period, its second quarter the sigma_x mirror
+    of the first quarter of the member at the opposite offset (every member
+    its own partner without offsets); offsets that do not pair off +-d on a
+    shared grid (a detuning) break that reflection, and the first half is
+    integrated.
     """
     m = offsets.size
     x0 = grid.x0 + offsets[:, None]
-    flips = (False,) if np.any(offsets) else (False, True)
+    partner = _partners(grid, offsets)
+    flips = (False,) if partner is None else (False, True)
     q, r = np.divmod(grid.n, grid.L)
     # P C[r] is formed once per distinct (r, f), and P only where some f > 0
     ends, end_at = _distinct_columns(np.concatenate([r, grid.f.view(np.int64)]))
@@ -654,7 +693,7 @@ def _propagate(grid: _Grid, b: float, offsets: np.ndarray, psi0: np.ndarray,
     if q.any():
         r = np.concatenate([r, grid.L + np.zeros((r.shape[0], 1), dtype=r.dtype)], axis=1)
     steps = functools.partial(_ramp_maps, method, grid.h, x0, grid.dx, b)
-    prefix = _mirrored_prefix(steps, m, r, grid.L, flips)
+    prefix = _mirrored_prefix(steps, m, r, grid.L, flips, partner)
     # U^q for each distinct q in closed form; with no q > 0 the last column
     # is no C[L], but its zeroth power is still the identity
     periods, q_at = _distinct_columns(q)
@@ -796,13 +835,22 @@ def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:
     k = math.ceil(k)
     n_hermite = math.ceil(8 + 5 * spread + spread * spread / 4)
     if n_hermite <= 2 * k + 1:
-        # only dephasing averages pay the import of the numpy.polynomial package
-        from numpy.polynomial.hermite_e import hermegauss
-        x, w = hermegauss(n_hermite)
-    else:
-        x = 2 * math.pi / (spread + 8) * np.arange(-k, k + 1)
-        w = np.exp(-x * x / 2)
+        return _hermite_rule(n_hermite)
+    x = 2 * math.pi / (spread + 8) * np.arange(-k, k + 1)
+    w = np.exp(-x * x / 2)
     return x, w / w.sum()
+
+
+@functools.cache
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Hermite rule of `_noise_nodes`, read-only, built once
+    per node count (`_noise_nodes` uses 9 to 37 nodes)."""
+    # only dephasing averages pay the import of the numpy.polynomial package
+    from numpy.polynomial.hermite_e import hermegauss
+    x, w = hermegauss(n)
+    w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def evolve_ensemble_dephased(
@@ -857,9 +905,13 @@ def _dephased(p: DriveParameters, cfg: IntegratorConfig | None, t2_star_us: floa
     extra = mhz_to_angular(float(np.max(np.abs(angular_to_mhz(offsets_ang) + detuning_mhz))))
     grid = _build_grid(p, cfg, t_span, sample_every, extra_omega_ang=extra)
     pops = np.zeros((grid.times.size, 2))
+    # the nodes are symmetric about 0: taken from both ends inwards, every
+    # chunk (an even number of members) holds whole +- pairs (see `_partners`)
+    ends = np.arange(nodes.size)
+    order = np.stack([ends, ends[::-1]], axis=1).ravel()[:nodes.size]
     for idx, states in _member_states(grid, p.delta_ang / 2,
                                       (offsets_ang + mhz_to_angular(detuning_mhz)) / 2,
-                                      initial.as_array(), cfg, np.arange(nodes.size)):
+                                      initial.as_array(), cfg, order):
         if readout_rotation:
             states = _apply(rotation_x(readout_rotation), states)
         pops += np.tensordot(weights[idx], np.abs(states) ** 2, axes=1)

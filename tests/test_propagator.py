@@ -90,6 +90,20 @@ def count_ramp_maps(monkeypatch):
     return built
 
 
+def record_partners(monkeypatch):
+    """The partners `propagator._partners` picks from now on, one per kernel
+    call (None where the sigma_x reflection does not hold)."""
+    picked = []
+    partners = propagator._partners
+
+    def recorded(grid, offsets):
+        picked.append(partners(grid, offsets))
+        return picked[-1]
+
+    monkeypatch.setattr(propagator, "_partners", recorded)
+    return picked
+
+
 class TestNumericalQuality:
     def test_norm_conservation_100k_steps(self):
         p = DriveParameters(**FIG3A, n_periods=25)
@@ -365,6 +379,15 @@ class TestNoiseQuadrature:
         assert abs(w.sum() - 1.0) < 1e-15
         assert np.max(np.abs(np.cos(np.outer(a, x)) @ w - np.exp(-a * a / 2))) < 1e-13
 
+    def test_gauss_hermite_rule_is_built_once_per_node_count(self):
+        # spreads 1.7 and 1.75 both take 18 nodes: the second request reads
+        # the first one's read-only arrays, numpy's rule with weights summing to 1
+        x, w = propagator._noise_nodes(1.7)
+        assert all(a is b for a, b in zip(propagator._noise_nodes(1.75), (x, w)))
+        assert not (x.flags.writeable or w.flags.writeable)
+        x18, w18 = hermegauss(18)
+        assert np.array_equal(x, x18) and np.array_equal(w, w18 / w18.sum())
+
     def test_node_count_follows_the_spread(self):
         counts = [propagator._noise_nodes(a)[0].size for a in (0.0, 0.11, 1.7, 11.3, 100.0)]
         assert counts == [1, 9, 18, 55, 295]
@@ -452,16 +475,18 @@ class TestPeriodicKernel:
         stepped = step_by_step(p, grid, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
 
+    @pytest.mark.parametrize("detuning", [1.3, 0.0])
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
-    def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method):
-        # quadrature nodes as members (Gauss-Hermite at T2* = 0.5 us, trapezoid
-        # at 0.1 us), a shared detuning and a readout pulse, on a grid of
-        # several periods from the turning point before the start, every
-        # sample a partial step past it; the small slab runs the members in
-        # chunks of four over 4-step slabs
+    def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method, detuning):
+        # quadrature nodes as members (Gauss-Hermite at T2* = 0.5 us, 14 nodes,
+        # trapezoid at 0.1 us, 39 nodes), with a shared detuning or paired off
+        # +-d without one, and a readout pulse, on a grid of several periods
+        # from the turning point before the start, every sample a partial
+        # step past it; the small slab runs the members in chunks of four
+        # over 4-step slabs
         p = DriveParameters(**FIG3A, n_periods=3, t_offset_ns=37.0)
         cfg = IntegratorConfig(method=method, **self.CFG)
-        detuning, readout = 1.3, math.pi / 3
+        readout = math.pi / 3
         psi0 = QubitState(0.6, 0.8j)
         for t2_star_us in (0.5, 0.1):
             kw = dict(t2_star_us=t2_star_us, initial=psi0, t_span=(0.0, 384.0),
@@ -479,10 +504,13 @@ class TestPeriodicKernel:
             ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
             for slab in (propagator._SLAB, 16):
                 monkeypatch.setattr(propagator, "_SLAB", slab)
+                picked = record_partners(monkeypatch)
                 ens = evolve_ensemble_dephased(p, cfg, **kw)
                 assert ens.noise_nodes == nodes.size > 4
                 assert np.array_equal(ens.times, grid.times)
                 assert np.max(np.abs(ens.populations - ref)) < 1e-11
+                assert len(picked) == -(-nodes.size // math.isqrt(slab))
+                assert all((partner is None) == bool(detuning) for partner in picked)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("slab", [3, 8])
@@ -589,18 +617,19 @@ class TestMirroredPeriod:
               "T=37.3": dict(FIG3A, period_ns=37.3)}
 
     @staticmethod
-    def _steps(drive, method, offset_mhz=0.0):
-        """Steps of one period from t = 0, and the list of step counts built."""
+    def _steps(drive, method, *offsets_mhz):
+        """Steps of one period from t = 0 of a member per offset (one member
+        at 0 when none is given), and the list of step counts built."""
         p = DriveParameters(**drive)
         grid = propagator._build_grid(p, IntegratorConfig(method=method), (0.0, p.period_ns),
                                       None)
         assert grid.tp == 0.0 and grid.L % 4 == 0
-        offsets = np.array([mhz_to_angular(offset_mhz) / 2])
+        offsets = mhz_to_angular(np.array(offsets_mhz or [0.0])) / 2
         built = []
 
         def steps(rows, first, n, out):
             built.append(first + n)
-            out[...] = drive_step_maps(p, method, grid.h, 0.0, offsets, first, n)
+            out[...] = drive_step_maps(p, method, grid.h, 0.0, offsets[rows], first, n)
             return out
 
         return grid.L, steps, built
@@ -624,7 +653,7 @@ class TestMirroredPeriod:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_offset_keeps_only_the_time_reversal(self, method):
-        L, steps, built = self._steps(FIG3A, method, offset_mhz=0.37)
+        L, steps, built = self._steps(FIG3A, method, 0.37)
         plain = propagator._products(steps, 1, np.arange(1, L + 1))[:, 0]
         built.clear()
         mirrored = propagator._mirrored_prefix(steps, 1, np.arange(L + 1), L, (False,))[:, 0, 1:]
@@ -633,6 +662,62 @@ class TestMirroredPeriod:
         # the sigma_x reflection does not hold once eps(t) is offset
         wrong = propagator._mirrored_prefix(steps, 1, np.array([L]), L, (False, True))[:, 0, 0]
         assert np.max(np.abs(wrong - plain[:, -1])) > 1e-3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_offsets_paired_off_from_one_quarter(self, method):
+        # members at +d, -d and 0: the second quarter of each is the sigma_x
+        # mirror of its partner's first, C_d[r] = sigma_x C_-d[L/2 - r]^-T
+        # Q_-d^T sigma_x Q_d, and the zero member is its own partner
+        L, steps, built = self._steps(FIG3A, method, 0.37, -0.37, 0.0)
+        plain = propagator._products(steps, 3, np.arange(1, L + 1))
+        built.clear()
+        mirrored = propagator._mirrored_prefix(steps, 3, np.arange(L + 1), L, (False, True),
+                                               np.array([1, 0, 2]))[..., 1:]
+        assert max(built) == L // 4
+        assert np.max(np.abs(mirrored - plain)) < 1e-12
+        # each member its own partner is the reflection of a drive without offsets
+        wrong = propagator._mirrored_prefix(steps, 3, np.array([L]), L, (False, True))[..., 0]
+        assert np.max(np.abs(wrong[:, :2] - plain[:, :2, -1])) > 1e-3
+        assert np.max(np.abs(wrong[:, 2] - plain[:, 2, -1])) < 1e-12
+
+    def test_partners_pair_each_offset_with_its_negative(self):
+        pick = propagator._partners
+        grid = propagator._build_grid(DriveParameters(**FIG3A), IntegratorConfig(),
+                                      (0.0, 128.0), None)
+        assert pick(grid, np.zeros(3)) == slice(None)
+        assert pick(grid, np.array([-2.0, 2.0, -1.0, 1.0, 0.0])).tolist() == [1, 0, 3, 2, 4]
+        offsets = np.array([0.5, 0.5, -0.5, 0.0, -0.5])
+        partner = pick(grid, offsets)
+        assert sorted(partner) == list(range(5)) and np.array_equal(offsets[partner], -offsets)
+        # a single run's offset, a detuning, offsets that are not symmetric
+        for offsets in ([0.3], [-0.9, 1.1], [-1.0, 0.0, 0.5, 1.0]):
+            assert pick(grid, np.array(offsets)) is None
+        # members on grids of their own share no steps
+        T = np.array([[128.0], [64.0]])
+        own = propagator._build_grid(DriveParameters(**FIG3A), IntegratorConfig(),
+                                     (0.0, T / 2), T / 2, periods=T)
+        assert pick(own, np.zeros(2)) == slice(None)
+        assert pick(own, np.array([-1.0, 1.0])) is None
+
+    def test_zero_detuning_builds_a_quarter_period_per_member(self, monkeypatch):
+        # the benchmark's dephasing average (fig3a over 512 ns at T2* = 6.56
+        # us, 9 nodes, every sample on a step): paired off +-d, each member
+        # builds its first quarter; a detuning breaks the sigma_x reflection,
+        # and each member builds its first half
+        built = count_ramp_maps(monkeypatch)
+        p = DriveParameters(**FIG3A, n_periods=4)
+        sigma = math.sqrt(2) / 6.56 / 1000
+        nodes = propagator._noise_nodes(sigma * 512.0)[0]
+        for detuning, part in ((0.0, 4), (0.37, 2)):
+            extra = mhz_to_angular(np.max(np.abs(angular_to_mhz(sigma * nodes) + detuning)))
+            grid = propagator._build_grid(p, IntegratorConfig(), (0.0, 512.0), None,
+                                          extra_omega_ang=extra)
+            assert not grid.f.any()
+            built.clear()
+            ens = evolve_ensemble_dephased(p, t2_star_us=6.56, t_span=(0.0, 512.0),
+                                           detuning_mhz=detuning)
+            assert ens.noise_nodes == 9
+            assert sum(built) == 9 * (grid.L // part)
 
     CFG = dict(steps_per_min_period=100, norm_drift_tolerance=1e-6)
     CASES = {
@@ -665,13 +750,16 @@ class TestMirroredPeriod:
         assert np.max(np.abs(traj.amplitudes - stepped)) < 1e-11
 
 
+    @pytest.mark.parametrize("detuning, t2_star_us", [(0.37, 0.5), (0.0, 0.5), (0.0, 0.6)])
     @pytest.mark.parametrize("method", METHODS)
-    def test_ensemble_in_small_slabs_matches_step_by_step(self, monkeypatch, method):
-        # noise nodes plus a detuning as members on a mirrored grid: each
-        # member's half period from 4-step slabs, in chunks of two members
+    def test_ensemble_in_small_slabs_matches_step_by_step(self, monkeypatch, method, detuning,
+                                                          t2_star_us):
+        # noise nodes as members on a mirrored grid, in chunks of two members
+        # over 4-step slabs: plus a detuning, each member's half period, and
+        # without one, each +-d pair's quarters (14 Gauss-Hermite nodes at
+        # T2* = 0.5 us, or 13 at 0.6 us, the zero node a chunk of its own)
         p = DriveParameters(**FIG3A, n_periods=3)
         cfg = IntegratorConfig(method=method, **self.CFG)
-        detuning, t2_star_us = 0.37, 0.5
         sigma = math.sqrt(2) / t2_star_us / 1000
         nodes, weights = propagator._noise_nodes(sigma * 384.0)
         offsets_ang = sigma * nodes + mhz_to_angular(detuning)
@@ -681,11 +769,17 @@ class TestMirroredPeriod:
         stepped = step_by_step(p, grid, offsets_ang, QubitState.ket0().as_array(), method)
         ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
         monkeypatch.setattr(propagator, "_SLAB", 8)
+        built, picked = count_ramp_maps(monkeypatch), record_partners(monkeypatch)
         ens = evolve_ensemble_dephased(p, cfg, t2_star_us=t2_star_us, t_span=(0.0, 384.0),
                                        sample_every=7.3, detuning_mhz=detuning)
         assert ens.noise_nodes == nodes.size > 4
         assert np.array_equal(ens.times, grid.times)
         assert np.max(np.abs(ens.populations - ref)) < 1e-11
+        assert len(picked) == -(-nodes.size // 2)
+        assert all((partner is None) == bool(detuning) for partner in picked)
+        # every sample on a step: a half or a quarter period of steps a member
+        assert not grid.f.any()
+        assert sum(built) == nodes.size * grid.L // (2 if detuning else 4)
 
 
 class TestRampMaps:
