@@ -475,9 +475,8 @@ class TestPeriodicKernel:
         stepped = step_by_step(p, grid, np.zeros(1), psi0, method)[0]
         assert np.max(np.abs(dense - stepped)) < 1e-11
 
-    @pytest.mark.parametrize("detuning", [1.3, 0.0])
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
-    def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method, detuning):
+    def test_ensemble_matches_step_by_step_batch(self, monkeypatch, method):
         # quadrature nodes as members (Gauss-Hermite at T2* = 0.5 us, 14 nodes,
         # trapezoid at 0.1 us, 39 nodes), with a shared detuning or paired off
         # +-d without one, and a readout pulse, on a grid of several periods
@@ -488,7 +487,7 @@ class TestPeriodicKernel:
         cfg = IntegratorConfig(method=method, **self.CFG)
         readout = math.pi / 3
         psi0 = QubitState(0.6, 0.8j)
-        for t2_star_us in (0.5, 0.1):
+        for detuning, t2_star_us in [(d, t) for d in (1.3, 0.0) for t in (0.5, 0.1)]:
             kw = dict(t2_star_us=t2_star_us, initial=psi0, t_span=(0.0, 384.0),
                       sample_every=10.0, detuning_mhz=detuning, readout_rotation=readout)
             # the ensemble's members and grid, rebuilt from its nodes
@@ -750,36 +749,37 @@ class TestMirroredPeriod:
         assert np.max(np.abs(traj.amplitudes - stepped)) < 1e-11
 
 
-    @pytest.mark.parametrize("detuning, t2_star_us", [(0.37, 0.5), (0.0, 0.5), (0.0, 0.6)])
     @pytest.mark.parametrize("method", METHODS)
-    def test_ensemble_in_small_slabs_matches_step_by_step(self, monkeypatch, method, detuning,
-                                                          t2_star_us):
+    def test_ensemble_in_small_slabs_matches_step_by_step(self, monkeypatch, method):
         # noise nodes as members on a mirrored grid, in chunks of two members
         # over 4-step slabs: plus a detuning, each member's half period, and
         # without one, each +-d pair's quarters (14 Gauss-Hermite nodes at
         # T2* = 0.5 us, or 13 at 0.6 us, the zero node a chunk of its own)
         p = DriveParameters(**FIG3A, n_periods=3)
         cfg = IntegratorConfig(method=method, **self.CFG)
-        sigma = math.sqrt(2) / t2_star_us / 1000
-        nodes, weights = propagator._noise_nodes(sigma * 384.0)
-        offsets_ang = sigma * nodes + mhz_to_angular(detuning)
-        grid = propagator._build_grid(p, cfg, (0.0, 384.0), 7.3,
-                                      extra_omega_ang=float(np.max(np.abs(offsets_ang))))
-        assert grid.tp == 0.0 and np.diff(grid.n[0])[-1] < np.diff(grid.n[0])[0]  # a short last interval
-        stepped = step_by_step(p, grid, offsets_ang, QubitState.ket0().as_array(), method)
-        ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
-        monkeypatch.setattr(propagator, "_SLAB", 8)
-        built, picked = count_ramp_maps(monkeypatch), record_partners(monkeypatch)
-        ens = evolve_ensemble_dephased(p, cfg, t2_star_us=t2_star_us, t_span=(0.0, 384.0),
-                                       sample_every=7.3, detuning_mhz=detuning)
-        assert ens.noise_nodes == nodes.size > 4
-        assert np.array_equal(ens.times, grid.times)
-        assert np.max(np.abs(ens.populations - ref)) < 1e-11
-        assert len(picked) == -(-nodes.size // 2)
-        assert all((partner is None) == bool(detuning) for partner in picked)
-        # every sample on a step: a half or a quarter period of steps a member
-        assert not grid.f.any()
-        assert sum(built) == nodes.size * grid.L // (2 if detuning else 4)
+        for detuning, t2_star_us in ((0.37, 0.5), (0.0, 0.5), (0.0, 0.6)):
+            sigma = math.sqrt(2) / t2_star_us / 1000
+            nodes, weights = propagator._noise_nodes(sigma * 384.0)
+            offsets_ang = sigma * nodes + mhz_to_angular(detuning)
+            grid = propagator._build_grid(p, cfg, (0.0, 384.0), 7.3,
+                                          extra_omega_ang=float(np.max(np.abs(offsets_ang))))
+            # a short last interval
+            assert grid.tp == 0.0 and np.diff(grid.n[0])[-1] < np.diff(grid.n[0])[0]
+            stepped = step_by_step(p, grid, offsets_ang, QubitState.ket0().as_array(), method)
+            ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
+            monkeypatch.setattr(propagator, "_SLAB", 8)
+            built, picked = count_ramp_maps(monkeypatch), record_partners(monkeypatch)
+            ens = evolve_ensemble_dephased(p, cfg, t2_star_us=t2_star_us, t_span=(0.0, 384.0),
+                                           sample_every=7.3, detuning_mhz=detuning)
+            assert ens.noise_nodes == nodes.size > 4
+            assert np.array_equal(ens.times, grid.times)
+            assert np.max(np.abs(ens.populations - ref)) < 1e-11
+            assert len(picked) == -(-nodes.size // 2)
+            assert all((partner is None) == bool(detuning) for partner in picked)
+            # every sample on a step: a half or a quarter period of steps a member
+            assert not grid.f.any()
+            assert sum(built) == nodes.size * grid.L // (2 if detuning else 4)
+            monkeypatch.undo()
 
 
 class TestRampMaps:
