@@ -208,7 +208,7 @@ class LZSweepResult:
 def run_lz_probability_sweep(
     delta_mhz: float,
     epsilon_m_mhz: float,
-    periods_ns: list[float],
+    periods_ns,
     cfg: IntegratorConfig | None = None,
 ) -> LZSweepResult:
     """Single-passage |0> -> |1> transfer vs sweep period, via the ODE.
@@ -218,11 +218,12 @@ def run_lz_probability_sweep(
     periods run as the members of one dense kernel call
     (`passage_transfers`).  The curve is then fitted to
     1 - exp(-pi^2 delta^2 T / (4 eps_m) * 1e-3) to recover the coupling, the
-    same extraction used on measured sweep data.  Points are in grid order.
+    same extraction used on measured sweep data.  Points are in grid order;
+    ``periods_ns`` is a sequence or an array of periods.
     """
-    if not periods_ns:
-        raise ValueError("periods_ns must not be empty")
     t_arr = np.array(periods_ns, dtype=float)
+    if not t_arr.size:
+        raise ValueError("periods_ns must not be empty")
     p_arr = passage_transfers(delta_mhz, epsilon_m_mhz, t_arr, cfg)
     points = list(zip(t_arr.tolist(), p_arr.tolist()))
 

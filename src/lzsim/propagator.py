@@ -65,16 +65,17 @@ average runs the nodes of a quadrature over the Gaussian offset, plus the
 detuning, as members of one grid and keeps only their weighted populations;
 `evolve` is its one-node case, whose member's states are the amplitudes.
 `passage_transfers` runs a passage per period, each on its own grid.  Step
-counts are ragged: every member starts at step 0, and a slab of steps holds
-only the members that have steps left, so the work is about the members'
-own steps.  A member on a grid of its own needs only the product of all of
-its steps (a passage needs its whole first quarter), so its slab is reduced
-without gathering any prefix: the maps past its last step are set to the
-identity, which multiplies exactly, levels of pairwise products reduce each
-slab to its product, and the slabs' products are chained; every slab is
-built and halved in one workspace of the call, so slabs allocate no maps.  A
-slab holds at most ``_SLAB`` maps over members and steps, so memory grows
-with the number of samples, not of steps or members.
+counts are ragged: every member starts at step 0 and builds about its own
+steps.  A member on a grid of its own needs only the product of all of its
+steps (a passage needs its whole first quarter), so no prefix is gathered:
+its steps are cut into blocks of ``_BLOCK``, the first led by identity maps
+(which multiply exactly) that round it up to whole blocks, batches of blocks
+laid across members are halved to their block products, and these wait in a
+table, a row per member, whose halving gives each member's product, once per
+call in the common case (`_whole_products`).  A batch, like a slab of a
+shared grid, holds at most ``_SLAB`` maps over members and steps, and every
+batch is built and halved in one workspace of the call, so memory grows with
+the number of samples, not of steps or members.
 
 Norm drift is a quality signal: it is checked against a tolerance at every
 sample (of every member) and an `IntegrationError` is raised on violation.
@@ -106,6 +107,12 @@ _METHODS = ("fixed-rk4", "piecewise-exact")
 #: spans at least as many steps as a chunk has members.
 _SLAB = 1 << 14
 
+#: Steps per block of a member on a grid of its own (`_whole_products`): a
+#: power of two, so a block halves to its product in exactly log2 of it levels
+#: of pairwise products.  The benchmark's 120 passages ran about 5% faster in
+#: blocks of 64 steps than of 32, and no faster in blocks of 128.
+_BLOCK = 1 << 6
+
 #: Most quadrature nodes of a dephasing average; past it the run is refused
 #: before anything is allocated.
 _MAX_NODES = 1 << 20
@@ -116,10 +123,10 @@ _MAX_NODES = 1 << 20
 #: the quarter, a step or two of a constant drive), so the cap bounds each run's
 #: work; a start off a turning point counts the steps from the turning point
 #: before it, where its integration begins.  The RK4 kernel integrates about
-#: 2e7 steps/s (one member's quarter of 1e6 steps, or the 2.5e5 quarter steps
-#: of the benchmark's 120 passages, on one core of a 2-vCPU Xeon), so 2**32
-#: steps would take about 4 min; past it the run is refused before any step
-#: is taken.
+#: 3e7 steps/s (one member's quarter of 1e6 steps in 33 ms, or the 2.5e5
+#: quarter steps of the benchmark's 120 passages in 8 ms, on one core of a
+#: 2-vCPU Xeon), so 2**32 steps would take about 2.5 min; past it the run is
+#: refused before any step is taken.
 _MAX_STEPS = 1 << 32
 
 #: Most samples of one run: one member's (samples, 2) complex states then take
@@ -381,12 +388,13 @@ def _ramp_map(method, h, x, dx, b, out=None) -> np.ndarray:
     return out
 
 
-def _ramp_maps(method, h, x0, dx, b, rows: np.ndarray, first: int, n: int,
+def _ramp_maps(method, h, x0, dx, b, rows: np.ndarray, first: int | np.ndarray, n: int,
                out=None) -> np.ndarray:
     """Maps (2, rows, n) of the steps first..first+n-1 of the first half
-    period of each member in ``rows`` (an index array of the member axis),
-    into ``out`` when given: step j of member i has the midpoint value
-    x0[i] + j dx.
+    period of each member in ``rows`` (an index array of the member axis,
+    which may repeat a member), into ``out`` when given: step j of member i
+    has the midpoint value x0[i] + j dx.  ``first`` is one step shared by
+    every row, or a (rows, 1) column with a first step each.
 
     ``x0`` is a (members, 1) array; ``h`` and ``dx`` are numbers shared by
     every member, or (members, 1) arrays.
@@ -509,87 +517,129 @@ def _products(steps, m: int, counts: np.ndarray) -> np.ndarray:
     `_ramp_maps` does.
 
     Member i integrates its n_i = max_j counts[i, j] steps, from step 0 as
-    every member does.  Steps stream in slabs: the slab [lo, hi) holds the
-    members with n_i > lo, ``rows``, over ``_SLAB // rows.size`` steps, so it
-    holds at most ``_SLAB`` maps (members only drop out as lo grows) and
-    nearly as many in every slab.  The work is the members' own steps,
-    however ragged, plus the steps past n_i of the slab a member ends in,
-    which are built and never used.  Each slab's product is chained onto
-    the product of the slabs before it, ``done``.
+    every member does.  Counts of a member's own must each be 0 or n_i (a
+    grid per member sampled at anything else is refused), so they need no
+    prefix, only the product of all of the member's steps (`_whole_products`).
 
-    One shared row of counts takes the prefixes that end in a slab from
-    `_prefix_at`, each distinct count once, so the maps it gathers per count
-    are bounded by a slab's.  Every slab's maps are built into the first
-    half of one buffer of the call, whose second half takes their tree, so
-    no slab allocates maps: maps and levels allocated apiece had their pages
-    faulted in again on every call (about 250 minor faults a request for the
-    benchmark's dephasing average of 9 members in two slabs).  Counts of a
-    member's own must each be 0 or n_i (a grid per member sampled at
-    anything else is refused), so they need no prefix: the maps past each
-    member's last step are set to the identity, which multiplies exactly,
-    and levels of pairwise products reduce the slab to its product, an odd
-    map left over at a level joining the last pair.  Every member's product is then read off ``done``.  The maps and
-    the levels they halve to are written, in turn, into two buffers of one
-    workspace allocated per call (1.75 slabs of maps with `_mul`'s
-    temporary), so a slab allocates only a few doubles a step of ramp
-    temporaries.  Maps allocated and freed per slab made a call's time depend
-    on the heap's layout: where freeing them left the heap's free top past
-    the allocator's trim threshold, their pages were returned and faulted in
-    again in every slab (about 1500 minor faults and a fifth more time for
-    the benchmark's 120 passages, or none).
+    One shared row of counts streams its steps in slabs: the slab [lo, hi)
+    holds every member over ``_SLAB // m`` steps, so at most ``_SLAB`` maps.
+    The prefixes that end in a slab come from `_prefix_at`, each distinct
+    count once, so the maps it gathers per count are bounded by a slab's,
+    and each slab's product is chained onto the product of the slabs before
+    it, ``done``.  Every slab's maps are built into the first half of one
+    buffer of the call, whose second half takes their tree, so no slab
+    allocates maps: maps and levels allocated apiece had their pages faulted
+    in again on every call (about 250 minor faults a request for the
+    benchmark's dephasing average of 9 members in two slabs).
     """
     counts = counts.reshape(-1, counts.shape[-1])
-    own = counts.shape[0] > 1
-    if not own:
-        counts, back = _distinct_columns(counts)
-    n = counts.max(axis=1)
-    if own and np.any((counts != 0) & (counts != n[:, None])):
-        raise ValueError("a grid per member is sampled only where each member needs none "
-                         "or all of its quarter (or half) period, as on turning points")
-    n = np.broadcast_to(n, m)
-    total = int(n.max())
+    if counts.shape[0] > 1:
+        n = counts.max(axis=1)
+        if np.any((counts != 0) & (counts != n[:, None])):
+            raise ValueError("a grid per member is sampled only where each member needs none "
+                             "or all of its quarter (or half) period, as on turning points")
+        return np.where(counts > 0, _whole_products(steps, n)[..., None], _identity(1, 1))
+    counts, back = _distinct_columns(counts)
+    total = int(counts.max())
     out = _identity(m, counts.shape[1])
     done = _identity(m)
-    if own:  # two buffers for a slab's maps and its levels, and one for _mul's temporary
-        cap = max(_SLAB, m)
-        work = np.empty(7 * cap // 2, dtype=complex)
-        slabs, temp = (work[:2 * cap], work[2 * cap:3 * cap]), work[3 * cap:]
-
-        def view(buf, *shape):
-            return buf[:math.prod(shape)].reshape(shape)
-    else:  # a slab's maps, then their tree
-        work = np.empty((2, m, 2 * min(total, max(1, _SLAB // m))), dtype=complex)
+    # a slab's maps, then their tree
+    work = np.empty((2, m, 2 * min(total, max(1, _SLAB // m))), dtype=complex)
+    rows = np.arange(m)
     lo = 0
     while lo < total:
-        rows = (n > lo).nonzero()[0]
-        hi = min(lo + max(1, _SLAB // rows.size), total)
-        # the slab's maps are built here, so none outlives its products
-        if own:
-            x = steps(rows, lo, hi - lo, view(slabs[0], 2, rows.size, hi - lo))
-            past = np.arange(lo, hi) >= n[rows, None]
-            x[0][past], x[1][past] = 1.0, 0.0
-            level = 0
-            while x.shape[-1] > 1:
-                k = x.shape[-1] // 2 * 2
-                level += 1
-                y = _mul(x[..., 1:k:2], x[..., 0:k:2], view(slabs[level % 2], 2, rows.size, k // 2),
-                         view(temp, rows.size, k // 2))
-                if k < x.shape[-1]:
-                    y[..., -1] = _mul(x[..., -1], y[..., -1])
-                x = y
-            done[:, rows] = _mul(x[..., 0], done[:, rows])
-        else:
-            steps(rows, lo, hi - lo, work[..., :hi - lo])
-            local = counts[0] - lo
-            j = ((local > 0) & (local <= hi - lo)).nonzero()[0]  # the counts that end in this slab
-            # the last column is the slab's own product
-            local = _prefix_at(work[..., :2 * (hi - lo)], np.append(local[j], hi - lo))
-            if lo:
-                local = _mul(local, done[..., None])
-            out[..., j] = local[..., :-1]
-            done[:] = local[..., -1]
+        hi = min(lo + max(1, _SLAB // m), total)
+        steps(rows, lo, hi - lo, work[..., :hi - lo])
+        local = counts[0] - lo
+        j = ((local > 0) & (local <= hi - lo)).nonzero()[0]  # the counts that end in this slab
+        # the last column is the slab's own product
+        local = _prefix_at(work[..., :2 * (hi - lo)], np.append(local[j], hi - lo))
+        if lo:
+            local = _mul(local, done[..., None])
+        out[..., j] = local[..., :-1]
+        done[:] = local[..., -1]
         lo = hi
-    return np.where(counts > 0, done[..., None], out) if own else out[..., back]
+    return out[..., back]
+
+
+def _whole_products(steps, n: np.ndarray) -> np.ndarray:
+    """Maps (2, m): member i's product of its first n[i] steps, ``steps`` as
+    in `_products`.
+
+    Each member's steps are cut into blocks of ``_BLOCK``, the first block
+    led by the steps before step 0 that round the member up to whole
+    blocks, whose maps are set to the identity (it multiplies exactly): a
+    member builds fewer than ``_BLOCK`` maps past its own steps.  Blocks are
+    laid across members, block c of every member that has one before block
+    c + 1, so the leading blocks come first, and built ``_SLAB // _BLOCK`` at
+    a time: ``rows`` holds the member of each block and ``first`` its first
+    step, a column.  log2(_BLOCK) levels of pairwise products halve such a
+    batch to its block products (the batch is halved as one row: a pair
+    never straddles two blocks).  These wait in a table, a row per member
+    with blocks left and a column per block, padded with the identity, and
+    halving the table gives each member's product of its run of blocks,
+    chained onto ``done``.  The table holds at most ``_SLAB`` maps, so it is
+    halved once per call unless a member has more blocks than a row holds
+    (``_SLAB // rows``, to a power of two: 128 blocks, 8192 steps, for 120
+    members), and then once for each further run.  Halving the block
+    products of every batch instead took nearly all of the gain over ragged
+    slabs of steps.
+
+    The members run in order of their block counts, most first, so block c
+    of those that have one is a leading run of ``rows``.  Every map buffer
+    (a batch's maps, the levels they halve to, `_mul`'s temporary and the
+    table) is a view of one workspace of the call, and the index of the
+    blocks pending is two integers a block, so memory is bounded however
+    many steps a member takes, and no batch allocates maps.  Maps allocated
+    and freed per slab made a call's time depend on the heap's layout: where
+    freeing them left the heap's free top past the allocator's trim
+    threshold, their pages were returned and faulted in again in every slab
+    (about 1500 minor faults and a fifth more time for the benchmark's 120
+    passages, or none).
+    """
+    m, size = n.size, _BLOCK
+    blocks = -(-n // size)
+    lead = blocks * size - n  # the identity steps before each member's step 0
+    order = np.argsort(-blocks, kind="stable")
+    per = max(1, _SLAB // size)  # blocks built at once
+    cap = max(per * size, _SLAB, m)
+    work = np.empty(11 * cap // 2, dtype=complex)
+    # a batch's maps and the levels they halve to, _mul's temporary, the table
+    halves = (work[:2 * cap], work[2 * cap:3 * cap])
+    temp, table = work[3 * cap:7 * cap // 2], work[7 * cap // 2:]
+
+    def halve(x, levels):  # maps (2, k 2**levels) to the products (2, k) of their runs
+        for level in range(1, levels + 1):
+            k = x.shape[1] // 2
+            x = _mul(x[:, 1::2], x[:, 0::2], halves[level % 2][:2 * k].reshape(2, k), temp[:k])
+        return x
+
+    done = _identity(m)
+    lo = 0
+    while lo < blocks[order[0]]:  # the blocks lo.. of the members that have them
+        rows = order[:np.count_nonzero(blocks > lo)]
+        # the blocks left, or as many as the table holds, a power of two
+        width = min(1 << int(blocks[rows[0]] - lo - 1).bit_length(),
+                    1 << ((cap // rows.size).bit_length() - 1))
+        pending = table[:2 * rows.size * width].reshape(2, -1)
+        pending[0], pending[1] = 1.0, 0.0
+        # block lo + c of the first k[c] rows, then block lo + c + 1
+        k = np.count_nonzero(lo + np.arange(width)[:, None] < blocks[rows], axis=1)
+        cs = np.repeat(np.arange(width), k)
+        rs = np.arange(cs.size) - (np.cumsum(k) - k)[cs]
+        for start in range(0, cs.size, per):
+            c, r = cs[start:start + per], rs[start:start + per]
+            member = rows[r]
+            first = (lo + c[:, None]) * size - lead[member, None]
+            x = steps(member, first, size, halves[0][:2 * size * c.size].reshape(2, -1, size))
+            head = rows.size - start if lo == 0 else 0  # the blocks that lead a member
+            if head > 0:
+                x[:, :head] = np.where(first[:head] + np.arange(size) < 0, _identity(1, 1),
+                                       x[:, :head])
+            pending[:, r * width + c] = halve(x.reshape(2, -1), size.bit_length() - 1)
+        done[:, rows] = _mul(halve(pending, width.bit_length() - 1), done[:, rows])
+        lo += width
+    return done
 
 
 def _distinct_columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -786,7 +836,7 @@ def passage_transfers(
     chunks of members), on the grid `evolve` builds for that passage, so
     every step cap, both step rules and the norm check apply per member.
     Each member integrates only its own first quarter, whose step count
-    grows with its period (see `_products`).
+    grows with its period (see `_whole_products`).
     """
     cfg = cfg or IntegratorConfig()
     periods = np.fromiter(map(float, periods_ns), dtype=float)

@@ -93,6 +93,19 @@ class TestLZSweep:
         res = run_lz_probability_sweep(5.57, 100.0, [160, 320, 640, 1280, 2560])
         assert res.delta_fit_mhz == pytest.approx(5.57, rel=0.02)
 
+    def test_periods_as_an_array(self):
+        # an array of periods runs as the list of them does, and is checked by
+        # its size: a zero period gets the drive's own message, not "empty"
+        periods = [160.0, 320.0, 640.0]
+        assert (run_lz_probability_sweep(5.57, 100.0, np.array(periods))
+                == run_lz_probability_sweep(5.57, 100.0, periods))
+        for zero in ([0.0], np.array([0.0])):
+            with pytest.raises(ValueError, match="period_ns must be positive, got 0.0"):
+                run_lz_probability_sweep(5.57, 100.0, zero)
+        for empty in ([], np.array([])):
+            with pytest.raises(ValueError, match="periods_ns must not be empty"):
+                run_lz_probability_sweep(5.57, 100.0, empty)
+
     def test_adiabatic_and_sudden_limits(self):
         res = run_lz_probability_sweep(5.57, 100.0, [20.0, 20000.0])
         by_period = dict(res.points)

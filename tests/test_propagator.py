@@ -1032,10 +1032,14 @@ class TestPassageBatch:
     @pytest.mark.parametrize("method", ["fixed-rk4", "piecewise-exact"])
     def test_matches_one_evolve_per_period(self, monkeypatch, method):
         # shuffled, with a repeat and both extremes: quarters of 100 to 200000
-        # steps; 64-map slabs run chunks of 8 members, which end inside slabs.
-        # Also: a member alone, and two members, whose quarters of 2**14
-        # steps fill whole default slabs, and five copies of the periods, more
-        # members than one default chunk
+        # steps, the longest more blocks than a row of the default table
+        # holds.  Also: a member alone, and two members, whose quarters of
+        # 2**14 steps fill whole default batches, five copies of the periods,
+        # more members than one default chunk, and quarters of 1, B - 1, B
+        # and B + 1 steps (B = _BLOCK), with steps of at most 0.05 ns (a
+        # quarter of 5T of them, rounded up).  64-map batches hold one block,
+        # and a 64-map table a row of 64 // members blocks: the two members
+        # fold their table into their products eight times instead of once
         rng = np.random.default_rng(12)
         slab = 4 * (propagator._SLAB - 0.5) * 1e3 / math.hypot(100.0, 5.57) / 400
         periods = rng.permutation(np.concatenate(
@@ -1046,13 +1050,32 @@ class TestPassageBatch:
         assert grid.L // 4 == propagator._SLAB
         many = rng.permutation(np.tile(periods, 5))
         assert many.size > math.isqrt(propagator._SLAB)
-        want = {T: one_passage(5.57, 100.0, T, cfg) for T in periods}
+        B = propagator._BLOCK
+        fine = IntegratorConfig(max_step_ns=0.05, steps_per_min_period=4, method=method)
+        short = [(q - 0.5) / 5 for q in (1, B - 1, B, B + 1)]
+        T = np.array(short)[:, None]
+        grid = propagator._build_grid(DriveParameters(5.57, 100.0, short[0]), fine, (0.0, T / 2),
+                                      T / 2, periods=T)
+        assert (grid.L[:, 0] // 4).tolist() == [1, B - 1, B, B + 1]
+        want = {(T, cfg): one_passage(5.57, 100.0, T, cfg) for T in periods}
+        want.update({(T, fine): one_passage(5.57, 100.0, T, fine) for T in short})
+        folds = []
+        mul = propagator._mul
+
+        def counted_mul(x, y, out=None, t=None):  # each fold chains a (2, members) product
+            folds[-1] += out is None and y.ndim == 2
+            return mul(x, y, out, t)
+
+        monkeypatch.setattr(propagator, "_mul", counted_mul)
         for size, runs in ((propagator._SLAB, (periods, [slab], [slab, slab], many)),
                            (64, (periods, [slab], [slab, slab]))):
             monkeypatch.setattr(propagator, "_SLAB", size)
-            for chosen in runs:
-                got = propagator.passage_transfers(5.57, 100.0, chosen, cfg)
-                assert np.max(np.abs(got - [want[T] for T in chosen])) < 1e-12
+            for chosen, config in (*((chosen, cfg) for chosen in runs), (short, fine)):
+                folds.append(0)
+                got = propagator.passage_transfers(5.57, 100.0, chosen, config)
+                assert np.max(np.abs(got - [want[T, config] for T in chosen])) < 1e-12
+        # the two members: 256 blocks each, in rows of 8192 blocks, then of 32
+        assert folds[7] - folds[2] == 7
 
     def test_grid_per_member_sampled_inside_refused(self):
         # members of their own grids are reduced to whole quarters only: a
@@ -1082,10 +1105,11 @@ class TestPassageBatch:
         assert long < 1.2 * short
 
     def test_slabs_reuse_one_workspace(self, monkeypatch):
-        # 120 passages over about 17 slabs: every slab's maps and the levels
-        # they halve to are written into one workspace of the call, so no map
-        # array a slab builds or multiplies is allocated anew, and what is
-        # allocated holds a few maps per member
+        # 120 passages in about 16 batches of blocks: every batch's maps, the
+        # levels they halve to and the table of block products are written
+        # into one workspace of the call, so no map array a batch builds or
+        # multiplies is allocated anew, and what is allocated holds a few maps
+        # per member
         allocated = []
         mul, ramp_map = propagator._mul, propagator._ramp_map
 
@@ -1118,6 +1142,18 @@ class TestPassageBatch:
         own = int(np.sum(grid.L // 4))
         propagator.passage_transfers(5.57, 100.0, periods)
         assert own <= sum(built) <= 1.1 * own
+
+    def test_blocks_build_fewer_than_a_block_past_each_member(self, monkeypatch):
+        # each quarter is cut into blocks of _BLOCK steps, and only a member's
+        # last block runs past its own steps
+        built = count_ramp_maps(monkeypatch)
+        periods = np.round(np.random.default_rng(3).uniform(20.0, 400.0, 120), 1)
+        T = periods[:, None]
+        grid = propagator._build_grid(DriveParameters(5.57, 100.0, periods[0]),
+                                      IntegratorConfig(), (0.0, T / 2), T / 2, periods=T)
+        own = int(np.sum(grid.L // 4))
+        propagator.passage_transfers(5.57, 100.0, periods)
+        assert own <= sum(built) <= own + (propagator._BLOCK - 1) * periods.size
 
     def test_step_cap_applies_per_member(self):
         # coarse steps of the exact (unitary) rule, about 2.5 ns, capped at 0.05 ns
