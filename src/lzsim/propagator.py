@@ -566,34 +566,22 @@ def _whole_products(steps, n: np.ndarray) -> np.ndarray:
     """Maps (2, m): member i's product of its first n[i] steps, ``steps`` as
     in `_products`.
 
-    Each member's steps are cut into blocks of ``_BLOCK``, the first block
-    led by the steps before step 0 that round the member up to whole
-    blocks, whose maps are set to the identity (it multiplies exactly): a
-    member builds fewer than ``_BLOCK`` maps past its own steps.  Blocks are
-    laid across members, block c of every member that has one before block
-    c + 1, so the leading blocks come first, and built ``_SLAB // _BLOCK`` at
-    a time: ``rows`` holds the member of each block and ``first`` its first
-    step, a column.  log2(_BLOCK) levels of pairwise products halve such a
-    batch to its block products (the batch is halved as one row: a pair
-    never straddles two blocks).  These wait in a table, a row per member
-    with blocks left and a column per block, padded with the identity, and
-    halving the table gives each member's product of its run of blocks,
-    chained onto ``done``.  The table holds at most ``_SLAB`` maps, so it is
-    halved once per call unless a member has more blocks than a row holds
-    (``_SLAB // rows``, to a power of two: 128 blocks, 8192 steps, for 120
-    members), and then once for each further run.  Halving the block
-    products of every batch instead took nearly all of the gain over ragged
-    slabs of steps.
-
-    The members run in order of their block counts, most first, so block c
-    of those that have one is a leading run of ``rows``.  Every map buffer
-    (a batch's maps, the levels they halve to, `_mul`'s temporary and the
-    table) is a view of one workspace of the call, and the index of the
-    blocks pending is two integers a block, so memory is bounded however
-    many steps a member takes, and no batch allocates maps.  Maps allocated
-    and freed per slab made a call's time depend on the heap's layout: where
-    freeing them left the heap's free top past the allocator's trim
-    threshold, their pages were returned and faulted in again in every slab
+    A member's steps are cut into blocks of ``_BLOCK``, the first led by the
+    identity maps (which multiply exactly) that round it up to whole blocks,
+    so a member builds fewer than ``_BLOCK`` maps past its own steps.  The
+    members run in order of their block counts, most first, and block c of
+    those that have one comes before block c + 1, so the leading blocks come
+    first.  A batch of ``_SLAB // _BLOCK`` blocks (``rows`` holds the member
+    of each and ``first`` its first step, a column) is halved as one row in
+    log2(_BLOCK) levels of pairwise products, whose pairs never straddle two
+    blocks.  The block products wait in a table, a row per member, padded
+    with the identity and halved into each member's product once every block
+    is in, or sooner when a member has more blocks than a row of a table of
+    ``_SLAB`` maps holds (128 for 120 members); halving each batch's block
+    products at once lost nearly all of the gain over halving ragged slabs
+    of steps.  Every map buffer is a view of one workspace of the call, so
+    memory is bounded however many steps a member takes: maps allocated per
+    slab had their pages faulted in again where the heap returned them
     (about 1500 minor faults and a fifth more time for the benchmark's 120
     passages, or none).
     """
