@@ -109,8 +109,9 @@ _SLAB = 1 << 14
 
 #: Steps per block of a member on a grid of its own (`_whole_products`): a
 #: power of two, so a block halves to its product in exactly log2 of it levels
-#: of pairwise products.  The benchmark's 120 passages ran about 5% faster in
-#: blocks of 64 steps than of 32, and no faster in blocks of 128.
+#: of pairwise products.  The benchmark's 120 passages ran about 2% faster in
+#: blocks of 64 steps than of 32, and about 2% slower than in blocks of 128,
+#: which build twice as many maps past the members' own steps.
 _BLOCK = 1 << 6
 
 #: Most quadrature nodes of a dephasing average; past it the run is refused

@@ -1145,7 +1145,8 @@ class TestPassageBatch:
 
     def test_blocks_build_fewer_than_a_block_past_each_member(self, monkeypatch):
         # each quarter is cut into blocks of _BLOCK steps, and only a member's
-        # last block runs past its own steps
+        # first block holds maps besides its own steps, the identity that
+        # rounds it up to whole blocks
         built = count_ramp_maps(monkeypatch)
         periods = np.round(np.random.default_rng(3).uniform(20.0, 400.0, 120), 1)
         T = periods[:, None]
