@@ -156,6 +156,12 @@ def cmd_analyze(args) -> int:
         it, i0, i1 = columns.index("t_ns"), columns.index("P0"), columns.index("P1")
     except ValueError as exc:
         raise ConfigError(f"{args.series}: missing required columns t_ns/P0/P1") from exc
+    # an empty (CSV) or null (JSON) cell reads as NaN, which no fit may take
+    finite = np.isfinite(data[:, (it, i0, i1)])
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ConfigError(f"{args.series}: row {i + 1}: column {('t_ns', 'P0', 'P1')[j]} "
+                          f"holds {data[i, (it, i0, i1)[j]]}, not a finite number")
     traj = Trajectory(data[:, it], data[:, (i0, i1)], Basis.DIABATIC)
     fit = rabi_frequency(traj)
     _emit({

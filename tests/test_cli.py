@@ -825,6 +825,26 @@ sample_every_ns = 4.0
         assert main(["analyze", "rabi", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: line {line}: ")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, row", [("t_ns", 200), ("P0", 18), ("P1", 1)])
+    def test_missing_cell_in_fitted_column_exits_2(self, tmp_path, capsys, fmt, column, row):
+        # a 200-row oscillation with one empty (CSV) or null (JSON) cell: it
+        # read as NaN, and the fit printed NaN and a made-up frequency
+        t = np.arange(200.0)
+        table = np.column_stack([t, 0.5 + 0.5 * np.cos(0.3 * t), 0.5 - 0.5 * np.cos(0.3 * t)])
+        rows = table.tolist()
+        rows[row - 1][["t_ns", "P0", "P1"].index(column)] = None
+        if fmt == "csv":
+            lines = [",".join("" if x is None else repr(x) for x in r) for r in rows]
+            path = write(tmp_path, "gap.csv", "\n".join(["# lzsim-series schema=1", "t_ns,P0,P1",
+                                                         *lines]) + "\n")
+        else:
+            path = write(tmp_path, "gap.json", _series_json(rows))
+        assert main(["analyze", "rabi", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: row {row}: column {column} holds nan, not a finite number\n"
+
     @pytest.mark.parametrize("cell", ["abc", "é", "1e5e"])
     def test_csv_cell_not_a_number_names_its_line(self, tmp_path, capsys, cell):
         path = write(tmp_path, "bad.csv",

@@ -331,6 +331,43 @@ def _series_tables(draw):
     return table
 
 
+# cells JSON reads as float() does, and cells float() reads that JSON reads
+# otherwise ('-0') or not at all ('.5', '1e400', '+1', '007'); an empty cell is NaN
+_JSON_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.integers(-99, 99).map(str))
+_FLOAT_CELLS = st.one_of(
+    _JSON_CELLS,
+    st.sampled_from(["", "0", "-0", "-0.0", ".5", "5.", "1e400", "-1e400", "+1", "007",
+                     "1e-0", "-1E5", "2.5e-05"]),
+)
+
+
+@st.composite
+def _hand_bodies(draw):
+    """Column names and a CSV body over them, as a hand-edited file may hold
+    it: in some bodies blank lines, comments, spaces and CRs among the rows;
+    and either ragged rows of cells float() reads or rows of the full width
+    holding any run of digits and ``.eE+-``.  Not both: a ragged row is
+    refused before a cell that is not a number earlier in its block."""
+    n = draw(st.integers(1, 4))
+    ragged, edited = draw(st.booleans()), draw(st.booleans())
+    cell = draw(st.sampled_from([_JSON_CELLS, _FLOAT_CELLS] if ragged else [
+        _JSON_CELLS, st.one_of(_FLOAT_CELLS, st.text("0123456789.eE+-", min_size=1, max_size=5))]))
+    pad = st.sampled_from(["", "", "", " "] if edited else [""])
+    end = st.sampled_from([b""] * 6 + [b"\r", b"#1,2"] if edited else [b""])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if edited and draw(st.integers(0, 9)) < 2:
+            lines.append(draw(st.sampled_from([b"", b"# a note"])))
+            continue
+        # a row one cell short or long, alone or beside one that makes up the count
+        for width in draw(st.sampled_from([[n], [n - 1], [n + 1], [n + 1, n - 1], [n - 1, n + 1]]
+                                          if ragged else [[n]])):
+            lines.append(",".join(draw(pad) + draw(cell) for _ in range(width)).encode()
+                         + draw(end))
+    return [f"c{j}" for j in range(n)], b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+
+
 def _write_csv(tmp_path, table):
     path = tmp_path / "table.csv"
     path.write_text(render_series_csv([f"c{j}" for j in range(table.shape[1])], table, {}))
@@ -493,6 +530,60 @@ class TestRead:
         assert _same(data, table)
         assert np.signbit(data[_SECOND + 5, 0]) and np.signbit(data[-1, -1])
         assert len(firsts) == 2 and firsts[0] == _SECOND + 3 and firsts[1] > _SECOND + 3
+
+    @pytest.mark.parametrize("edit", [".5", " ", "\r"], ids=["no-lead", "space", "cr"])
+    def test_second_block_routing(self, tmp_path, monkeypatch, edit):
+        # in the second block, a '.5' cell, which JSON refuses but float()
+        # reads, sends only that block cell by cell; a space before a cell or
+        # a CR before a line break, bytes lzsim never writes, send the whole
+        # body cell by cell
+        table = _sevenths(_THIRD + 100)
+        path = _write_csv(tmp_path, table)
+        lines = path.read_text().split("\n")
+        i = 2 + _SECOND + 5
+        if edit == ".5":
+            lines[i] = ".5" + lines[i][lines[i].index(","):]
+            table[_SECOND + 5, 0] = 0.5
+        elif edit == " ":
+            lines[i] = lines[i].replace(",", ", ", 1)
+        else:
+            lines[i] += "\r"
+        path.write_bytes("\n".join(lines).encode())
+        parse_cells, calls = seriesio._parse_cells, []
+
+        def counted(path, lines, first_line, columns):
+            calls.append((first_line, len(lines)))
+            return parse_cells(path, lines, first_line, columns)
+
+        monkeypatch.setattr(seriesio, "_parse_cells", counted)
+        assert _same(read_series(path)[2], table)
+        if edit == ".5":
+            assert len(calls) == 1 and calls[0][0] == _SECOND + 3
+        else:
+            assert calls == [(3, len(table))]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_hand_bodies(), st.sampled_from([1, 16, 64, 1 << 18]))
+    def test_blocks_read_as_cell_by_cell(self, tmp_path_factory, hand, block_bytes):
+        # any body, cut into blocks of a few bytes and up: the same bits as
+        # reading it cell by cell, or the same error
+        columns, body = hand
+        path = tmp_path_factory.mktemp("hand") / "hand.csv"
+        path.write_bytes(b"# lzsim-series schema=1\n" + ",".join(columns).encode() + b"\n" + body)
+        try:
+            want = seriesio._parse_cells(path, body.splitlines(), 3, columns)
+        except ValueError as exc:
+            want = str(exc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seriesio, "_READ_BLOCK_BYTES", block_bytes)
+            try:
+                got = read_series(path)[2]
+            except ValueError as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str) and _same(got, want)
 
     @pytest.mark.parametrize("body", ["1.5,2.5\n\n\n-1e-05,\n",
                                       "1.5,2.5\n# a note\n\n-1e-05,# inline\n"],
