@@ -12,10 +12,10 @@ is built, and an atomic rename ends the write; a failed run leaves nothing
 behind.
 
 orjson reads the CSV body too, one block of about ``_READ_BLOCK_BYTES`` cut at
-a line break per call, made a JSON list by one translate and checked by one
-scan for its commas; a body holding a byte lzsim does not write, or a blank
-line, is read cell by cell.  A row of the wrong width, or a cell that is not
-a number, is refused with the file and its line.
+a line break per call, taken from the file's bytes without copying the body,
+when the body holds only the bytes lzsim writes, and its floats are packed
+into the table; any other body is read cell by cell.  A row of the wrong
+width, or a cell that is not a number, is refused with the file and its line.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ SCHEMA_VERSION = 1
 # objects are alive at a time
 _BLOCK_ROWS = 4096
 _READ_BLOCK_BYTES = 1 << 18
-# a CSV block as JSON: line breaks to commas, and any byte but those lzsim
-# writes (digits, '.eE+-', commas, line breaks) to '#', which JSON refuses
-_CSV_TO_JSON = bytes(44 if c == 10 else c if c in b"0123456789.eE+-," else 35 for c in range(256))
+# the bytes of every CSV body lzsim writes
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -172,17 +171,14 @@ def _csv_chunks(columns, rows, provenance: dict):
         # from 1e16 up, and non-finite cells as 'null': those cells go through repr
         mag = np.abs(cells)
         off_notation = np.flatnonzero((cells != 0) & ~((mag >= 1e-4) & (mag < 1e16)))
-        if not off_notation.size:
-            yield view[1:]
-            continue
-        parts, pos = [], 1  # past the '['
+        parts, pos = [], 1  # past the first separator
         for lo, hi, x in zip(seps[off_notation].tolist(), seps[off_notation + 1].tolist(),
                              cells[off_notation].tolist()):
             # a NaN is an empty cell
             parts += (view[pos:lo + 1], b"" if x != x else repr(x).encode())
             pos = hi
         parts.append(view[pos:])
-        yield b"".join(parts)
+        yield b"".join(parts) if len(parts) > 1 else parts[0]  # no splice: the buffer itself
 
 
 def render_series_json(columns, rows, provenance: dict) -> str:
@@ -274,67 +270,71 @@ def read_series(path: Path) -> tuple[dict, list[str], np.ndarray]:
 
 def _parse_body(path: Path, raw: bytes, start: int, stop: int, columns: list[str]) -> np.ndarray:
     """The body ``raw[start:stop]`` as a (rows, columns) table, read in blocks of
-    about ``_READ_BLOCK_BYTES`` cut at a line break.  Each block is translated
-    once through ``_CSV_TO_JSON``, scanned once for its commas, which check the
-    widths and find ``-0`` cells, and parsed by orjson into the table.  Where
-    orjson refuses it, a byte lzsim does not write or a blank line sends the
-    body cell by cell, empty cells are retried as null, and a number JSON
-    reads otherwise sends the block cell by cell."""
+    about ``_READ_BLOCK_BYTES`` cut at a line break.  A block of plain bytes has
+    its widths checked from the comma and line-break positions and its cells
+    parsed by orjson into the table; a body with any other byte or a blank line
+    is read cell by cell, and so is a block holding a number JSON reads otherwise."""
     import orjson  # only commands that read a CSV pay its import
 
-    if stop == len(raw):  # each block is copied with the byte on either side
-        raw += b"\n"
     first_line = raw.count(b"\n", 0, start) + 1
     n = len(columns)
-    whole = np.frombuffer(raw, dtype=np.uint8)
-    cuts, lo = [], start  # each block's (start, stop, rows)
+    cuts, lo = [], start  # each block's (start, stop)
     while lo < stop:
         hi = raw.find(b"\n", lo + _READ_BLOCK_BYTES, stop)
-        hi = stop if hi < 0 else hi
-        cuts.append((lo, hi, int(np.count_nonzero(whole[lo:hi] == 10)) + 1))
-        lo = hi + 1
-    data = np.empty((sum(rows for _, _, rows in cuts), n))
+        cuts.append((lo, stop if hi < 0 else hi))
+        lo = cuts[-1][1] + 1
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    data = np.empty((sum(int(np.count_nonzero(whole[lo:hi] == 10)) + 1 for lo, hi in cuts), n))
     view = memoryview(raw)
     row = 0  # the block's first row
-    for lo, hi, rows in cuts:
-        # ',cells,', the line breaks as commas; the commas at the ends become '[' and ']'
-        b = bytearray(view[lo - 1:hi + 1]).translate(_CSV_TO_JSON)
-        b[0] = b[-1] = 44
-        bb = np.frombuffer(b, dtype=np.uint8)
-        seps = np.flatnonzero(bb == 44)  # cell i lies between seps[i] and seps[i + 1]
+    for lo, hi in cuts:
+        # the block as '[cells]': '[' and ']' stand for the line breaks around it
+        buf = bytearray(hi - lo + 2)
+        buf[0], buf[1:-1], buf[-1] = 91, view[lo:hi], 93
+        if buf.translate(None, _PLAIN_BYTES) != b"[]":  # blanks, CR, letters, '#'
+            return _parse_cells(path, raw[start:stop].splitlines(), first_line, columns)
+        # each cell ends at a separator: a comma, a line break or the ']'; it is
+        # empty after another separator or the '['
+        b = np.frombuffer(buf, dtype=np.uint8)
+        is_sep = (b == 44) | (b == 10)
+        is_sep[-1] = True
+        seps = np.flatnonzero(is_sep)
+        ends_row = b[seps] != 44
+        before = b[seps - 1]
+        after_row = (before == 10) | (before == 91)
+        if (ends_row & after_row).any():  # a blank line
+            return _parse_cells(path, raw[start:stop].splitlines(), first_line, columns)
+        # every n-th separator ends a row: a line break, or the ']' at the end
+        rows = int(np.count_nonzero(ends_row))
+        if seps.size != rows * n or not ends_row[n - 1::n].all():
+            widths = np.diff(np.flatnonzero(ends_row), prepend=-1)
+            bad = int(np.flatnonzero(widths != n)[0])
+            raise ValueError(_width_error(path, first_line + row + bad, int(widths[bad]), columns))
+        has_empty = bool((after_row | (before == 44)).any())
         # JSON reads the integer '-0' as 0, float() as -0.0: such blocks go cell
         # by cell.  Few cells have a '-' just before their last byte, so that
         # is looked for first
-        minus_zero = seps[bb[seps - 2] == 45]
-        minus_zero = ((bb[minus_zero - 1] == 48) & (bb[minus_zero - 3] == 44)).any()
-        b[0], b[-1] = 91, 93
-        try:
-            cells = orjson.loads(b)
-        except orjson.JSONDecodeError:  # a '#', an empty cell, or a number such as '.5' or '1e400'
-            if b"#" in b or raw.find(b"\n\n", lo - 1, hi + 1) >= 0:  # a foreign byte, a blank line
-                return _parse_cells(path, raw[start:stop].splitlines(), first_line, columns)
-            cells = None
-        # every n-th separator ends a row
-        if seps.size != rows * n + 1 or not (whole[lo - 1 + seps[n:-1:n]] == 10).all():
-            ends = whole[lo - 1 + seps] == 10
-            ends[[0, -1]] = True
-            widths = np.diff(np.flatnonzero(ends))
-            bad = int(np.flatnonzero(widths != n)[0])
-            raise ValueError(_width_error(path, first_line + row + bad, int(widths[bad]), columns))
-        out = data[row:row + rows]
-        if minus_zero:
-            cells = None
-        elif cells is not None:
-            struct.pack_into(f"{out.size}d", out, 0, *cells)  # no array of the list between
-        else:  # empty cells as null: a run of n needs two non-overlapping passes
-            b = b.replace(b",,", b",null,").replace(b",,", b",null,")
+        minus_zero = seps[b[seps - 2] == 45]
+        minus_zero = minus_zero[b[minus_zero - 1] == 48]
+        lead = b[minus_zero - 3]
+        cells = None
+        if not ((lead == 44) | (lead == 10) | (lead == 91)).any():
+            b[seps[:-1]] = 44  # '[a,b\nc,d]' -> '[a,b,c,d]'
+            if has_empty:
+                for _ in range(2):  # a run of n empty cells needs two non-overlapping passes
+                    buf = buf.replace(b",,", b",null,")
+                buf = buf.replace(b"[,", b"[null,").replace(b",]", b",null]")
             try:
-                cells = orjson.loads(b.replace(b"[,", b"[null,").replace(b",]", b",null]"))
-                out[...] = np.array(cells, dtype=float).reshape(out.shape)  # None -> NaN
-            except orjson.JSONDecodeError:
+                cells = orjson.loads(buf)
+            except orjson.JSONDecodeError:  # a number JSON does not write, such as '.5' or '1e400'
                 pass
+        out = data[row:row + rows]
         if cells is None:
             out[...] = _parse_cells(path, raw[lo:hi].splitlines(), first_line + row, columns)
+        elif has_empty:
+            out[...] = np.array(cells, dtype=float).reshape(out.shape)  # None -> NaN
+        else:
+            struct.pack_into(f"{out.size}d", out, 0, *cells)
         row += rows
     return data
 
