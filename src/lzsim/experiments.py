@@ -20,13 +20,12 @@ from .analysis import (_STEP_WINDOW_FRACTION, AdiabaticMask, _least_squares, det
 from .model import DriveParameters, QubitState
 from .propagator import (
     IntegratorConfig,
-    _apply,
     Trajectory,
     evolve,
     evolve_ensemble_dephased,
     passage_transfers,
-    rotation_x,
 )
+from .su2 import _apply, rotation_x
 from .transfer_matrix import lz_probability, single_period_rotation, stroboscopic_evolve
 
 

@@ -39,6 +39,14 @@ from .errors import DegenerateDriveError
 #: rad/ns per MHz; exactly 2*pi*1e-3.
 RAD_PER_NS_PER_MHZ = 2.0e-3 * math.pi
 
+#: Most samples of one run, on either route: one member's (samples, 2) complex
+#: states then take at most 1 GiB.  With the maps gathered per sample and their
+#: temporaries, a dense run peaks at about 210 bytes per sample and member
+#: (tracemalloc: 193 for fig3a's 256201 or 320501 samples a step apart, on or
+#: off a turning point, 212 for 40001 samples on turning points), about 6.6 GiB
+#: at the cap.  Past it the run is refused before the sample times are made.
+_MAX_SAMPLES = 1 << 25
+
 
 def mhz_to_angular(f_mhz):
     """Ordinary frequency in MHz -> angular frequency in rad/ns."""

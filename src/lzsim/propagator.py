@@ -3,7 +3,7 @@
 The integrator is a fixed-step classical RK4 on the 2x2 system
 ``i d|psi>/dt = H(t)|psi>`` (hbar = 1, angular units).  For a linear ODE the
 four RK4 stages collapse into a per-step transfer map, so propagation is a
-product of 2x2 maps built vectorized over slabs of steps.
+product of 2x2 ``su2`` maps built vectorized over slabs of steps.
 
 Step grid.  Every grid starts on the triangle's turning point ``tp`` at or
 before the span start (possibly before t = 0) with a whole number of steps
@@ -17,14 +17,6 @@ step of ``f h``, which never crosses a kink.  The integration begins at
 ``tp``, so a start off a turning point also costs the steps before it (at
 most a quarter period, or a half with a detuning; see `_MAX_STEPS`).  A
 constant drive is a ramp with ``dx = 0`` and a period of four steps.
-
-Step maps.  H = [[w, b], [b, -w]] is traceless and real-symmetric, so an RK4
-step, the piecewise-exact step ``exp(-i h H_mid)`` and every product of them
-is a real quaternion ``a I + c i*sigma_y - i (bx sigma_x + bz sigma_z)``
-(the Cayley-Klein form of an SU(2) map that need not be exactly unitary).
-A map is stored as the pair ``(p, q) = (a - i bz, c - i bx)``, meaning
-``[[p, q], [-conj(q), conj(p)]]``; steps are built from closed forms in
-float arithmetic and multiplied as ``(p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2))``.
 
 Periodic kernel.  The drive is exactly T-periodic and the grid holds L
 steps per period, so the map to a sample ``n = q L + r`` whole steps after
@@ -90,6 +82,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import model
 from .errors import IntegrationError
 from .model import (
     Basis,
@@ -99,6 +92,7 @@ from .model import (
     mhz_to_angular,
     angular_to_mhz,
 )
+from .su2 import _apply, _identity, _mirror, _mul, _powers, rotation_x
 
 _METHODS = ("fixed-rk4", "piecewise-exact")
 
@@ -129,14 +123,6 @@ _MAX_NODES = 1 << 20
 #: 2-vCPU Xeon), so 2**32 steps would take about 2.5 min; past it the run is
 #: refused before any step is taken.
 _MAX_STEPS = 1 << 32
-
-#: Most samples of one run: one member's (samples, 2) complex states then take
-#: at most 1 GiB.  With the maps gathered per sample and their temporaries, a
-#: run peaks at about 210 bytes per sample and member (tracemalloc: 193 for
-#: fig3a's 256201 or 320501 samples a step apart, on or off a turning point,
-#: 212 for 40001 samples on turning points), about 6.6 GiB at the cap.  Past
-#: it the run is refused before the sample times are made.
-_MAX_SAMPLES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -295,9 +281,9 @@ def _build_grid(
             (sample_every > 0, lambda v: "sample_every must be positive"),
             (per_sample < 2**63,
              lambda v: f"sample_every {v(sample_every)} ns is {v(per_sample):.3g} steps: too many"),
-            (samples <= _MAX_SAMPLES,
-             lambda v: f"{v(samples):.3g} samples exceed {_MAX_SAMPLES}; raise sample_every_ns "
-                       "or shorten the span"),
+            (samples <= model._MAX_SAMPLES,
+             lambda v: f"{v(samples):.3g} samples exceed {model._MAX_SAMPLES}; "
+                       "raise sample_every_ns or shorten the span"),
             (steps <= _MAX_STEPS,
              lambda v: f"{v(steps):.3g} steps per member exceed {_MAX_STEPS}; "
                        "lower steps_per_min_period or raise max_step_ns"),
@@ -326,15 +312,8 @@ def _build_grid(
 
 
 # ---------------------------------------------------------------------------
-# step maps (p, q), vectorized over (member, step); the leading axis of a map
-# array holds p and q
+# step rules and their products, vectorized over (member, step)
 # ---------------------------------------------------------------------------
-
-
-def _identity(*shape: int) -> np.ndarray:
-    out = np.zeros((2, *shape), dtype=complex)
-    out[0] = 1.0
-    return out
 
 
 def _expm_maps(h, w, b, out=None) -> np.ndarray:
@@ -414,64 +393,6 @@ def _partial_maps(method, grid: _Grid, x0: np.ndarray, b, r: np.ndarray,
     dx = np.where(falling, -grid.dx, grid.dx)
     mid = x0 + grid.dx * np.where(falling, grid.L - 1 - r, r)
     return _ramp_map(method, f * grid.h, mid - (1 - f) * dx / 2, f * dx, b)
-
-
-def _mul(x: np.ndarray, y: np.ndarray, out=None, t=None) -> np.ndarray:
-    """Batched product x @ y of maps: (p1 p2 - q1 conj(q2), p1 q2 + q1 conj(p2)),
-    the row (p1, q1) times the rows (p2, q2) and (-conj(q2), conj(p2)) of y,
-    into ``out`` when given.  Its one temporary, ``t`` when given, is half
-    the size of the product."""
-    out = x[0] * y if out is None else np.multiply(x[0], y, out=out)
-    t = np.conjugate(y[1], out=np.empty_like(out[0]) if t is None else t)
-    out[0] -= np.multiply(x[1], t, out=t)
-    out[1] += np.multiply(x[1], np.conjugate(y[0], out=t), out=t)
-    return out
-
-
-def _polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, a, s) of maps x = r (cos a I + sin a B), B^2 = -I: s = sqrt(Im p^2
-    + |q|^2) is the size of the traceless part, r = hypot(Re p, s) (r^2 =
-    |p|^2 + |q|^2 is the determinant) and a = atan2(s, Re p) in [0, pi]."""
-    p, q = x
-    s = np.sqrt(p.imag ** 2 + q.real ** 2 + q.imag ** 2)
-    return np.hypot(p.real, s), np.arctan2(s, p.real), s
-
-
-def _powers(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Maps x^k for maps x and integers k >= 0 broadcasting against them:
-    with x = r (cos a I + sin a B) (`_polar`), (r^k cos ka + i Im p c, q c),
-    c = r^k sin(ka)/s.  r^k keeps the norm growth of a map that is not quite
-    unitary (RK4's), so the norm check still sees it.  c tends to k r^(k-1) as
-    s -> 0, and at s = 0 multiplies Im p = q = 0: any finite c gives +-r^k I."""
-    r, a, s = _polar(x)
-    rk, ka = r ** k, k * a
-    c = rk * np.sin(ka) / np.where(s > 0, s, 1.0)
-    return np.stack([rk * np.cos(ka) + 1j * x[0].imag * c, x[1] * c])
-
-
-def _mirror(x: np.ndarray, flip: bool, inverse: bool = False) -> np.ndarray:
-    """Maps x^T, or x^-T when ``inverse``, conjugated by sigma_x when ``flip``.
-
-    In (p, q) form x^T = (p, -conj(q)), x^-T = (conj(p), conj(q))/(|p|^2 + |q|^2)
-    and sigma_x x sigma_x = (conj(p), -conj(q)): p is conjugated when one of
-    the two applies, q's real part changes sign when both or neither apply,
-    and its imaginary part when ``flip``.
-    """
-    y = np.conjugate(x) if inverse != flip else x.copy()
-    if inverse == flip:
-        np.negative(y[1].real, out=y[1].real)
-    if flip:
-        np.negative(y[1].imag, out=y[1].imag)
-    if inverse:
-        y /= np.abs(x[0]) ** 2 + np.abs(x[1]) ** 2
-    return y
-
-
-def _apply(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """States x @ psi for maps x and states psi (..., 2)."""
-    p, q = x
-    a0, a1 = psi[..., 0], psi[..., 1]
-    return np.stack([p * a0 + q * a1, p.conj() * a1 - q.conj() * a0], axis=-1)
 
 
 def _prefix_at(tree: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -842,13 +763,6 @@ def passage_transfers(
                                       np.argsort(periods, kind="stable")):
         transfers[idx] = np.abs(states[:, -1, 1]) ** 2
     return transfers
-
-
-def rotation_x(angle) -> np.ndarray:
-    """Instantaneous x-rotations exp(-i angle/2 sigma_x) (ideal pulses) as
-    maps (cos(angle/2), -i sin(angle/2)), for an angle or an array of them."""
-    half = np.asarray(angle, dtype=float) / 2
-    return np.stack([np.cos(half) + 0j, -1j * np.sin(half)])
 
 
 def _noise_nodes(spread: float) -> tuple[np.ndarray, np.ndarray]:

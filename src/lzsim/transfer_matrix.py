@@ -44,14 +44,14 @@ zeta + phi_s = pi/2 mod pi; with the kicks this holds to O(kappa).
 The closed forms of these factors (N's entries, the quarter-period phase
 zeta/2, kappa and the first crossing's orientation) are evaluated in one
 place, ``_impulse_factors``, for a whole grid of periods or amplitudes at
-once, and ``_period_factors`` alone orders them, in the (p, q) form of the
-dense kernel's step maps.  Sweep directions and the free phase ``free_phase``
-between any two times are read off the drive's phase as ``model``'s
-``_drive_phase`` splits it, in closed form.  ``resonance_scan`` reduces that chain to G1 and
-returns its diagnostics as columns (``_period_rotations``),
-``single_period_rotation`` is its one-point case, and ``stroboscopic_evolve``
-reads the maps to the turning-point samples off the same chain and G1's
-powers from the dense kernel's ``_powers``.
+once, and ``_period_factors`` alone orders them as ``su2`` (p, q) maps, the
+form of the dense kernel's steps too.  Sweep directions and the free phase
+``free_phase`` between any two times are read off the drive's phase as
+``model``'s ``_drive_phase`` splits it, in closed form.  ``resonance_scan``
+reduces that chain to G1 and returns its angle and axis (``su2._rotation``)
+as columns (``_period_rotations``), ``single_period_rotation`` is its
+one-point case, and ``stroboscopic_evolve`` reads the maps to the
+turning-point samples off the same chain and G1's powers (``su2._powers``).
 """
 
 from __future__ import annotations
@@ -59,11 +59,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DegenerateDriveError, ModelAccuracyWarning
 from .model import (
     Basis,
@@ -77,7 +79,8 @@ from .model import (
     mhz_to_angular,
     sweep_rate,
 )
-from .propagator import _MAX_SAMPLES, Trajectory, _apply, _mul, _polar, _powers, rotation_x
+from .propagator import Trajectory
+from .su2 import _apply, _mul, _polar, _powers, _rotation, rotation_x
 
 
 @dataclass(frozen=True)
@@ -89,11 +92,11 @@ class PeriodRotation:
     axis: np.ndarray
 
     def __post_init__(self):
-        if abs(abs(np.linalg.det(self.g1)) - 1.0) > 1e-12:
+        if not abs(abs(np.linalg.det(self.g1)) - 1.0) <= 1e-12:  # a NaN fails too
             raise ValueError("g1 must be unitary (|det| = 1)")
         if not 0.0 <= self.rotation_angle <= math.pi + 1e-12:
             raise ValueError("rotation_angle must lie in [0, pi]")
-        if abs(np.linalg.norm(self.axis) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.axis) - 1.0) <= 1e-12:
             raise ValueError("axis must be a unit vector")
 
 
@@ -282,43 +285,21 @@ def _period_rotations(
     """G1 and its rotation for every (epsilon_m, T) pair of a grid.
 
     The drives share ``p``'s gap and start offset.  G1 is the product of the
-    chain of ``_period_factors``, composed for the whole grid at once with the
-    dense kernel's ``_mul``, from the last factor back: near angle 0 the axis
-    is a ratio of entries of size sin(angle/2), and this order rounds them
-    about three times less than the forward one does.
-
-    Angle and axis follow the convention of an SU(2) rotation, read from
-    G1 = r (cos a I + sin a B) (``_polar``): r^2 = |p|^2 + |q|^2 is the
-    determinant, the rotation angle 2 min(a, pi - a) in [0, pi] (the global
-    phase fixed so that the trace is real-positive), and the axis is along
-    -(Im q, Re q, Im p), with the opposite sign where Re p < 0; at angle pi
-    the leftover sign is broken by preferring a non-negative z, then x, then
-    y axis component.
+    chain of ``_period_factors``, composed for the whole grid at once with
+    ``su2._mul``, from the last factor back: near angle 0 the axis is a ratio
+    of entries of size sin(angle/2), and this order rounds them about three
+    times less than the forward one does.  Its angle and axis are read by
+    ``su2._rotation``, in the convention of ``su2``'s module docstring.
 
     Returns ``g1`` as (p, q) rows (2, n), ``angles`` (n,) and ``axes`` (n, 3).
     """
     chain = _period_factors(*_impulse_factors(p, epsilon_m_mhz, period_ns))
     g1 = functools.reduce(_mul, reversed(chain))
-    r, a, s = _polar(g1)
+    r = _polar(g1)[0]
     err = np.max(np.abs(r * r - 1.0))  # G1^H G1 = r^2 I
     if not err <= 1e-12:
         raise ValueError(f"G1 not unitary: max deviation {err:.2e}")
-
-    angles = 2 * np.minimum(a, np.pi - a)
-    axes = np.stack([g1[1].imag, g1[1].real, g1[0].imag], axis=1)
-    # s is zero only at angle 0, set below
-    axes *= (np.where(g1[0].real < 0, 1.0, -1.0) / np.where(s > 0, s, 1.0))[:, None]
-    at_pi = np.abs(angles - np.pi) < 1e-12
-    if np.any(at_pi):
-        zxy = axes[:, [2, 0, 1]]
-        lead = zxy[np.arange(zxy.shape[0]), np.argmax(np.abs(zxy) > 1e-12, axis=1)]
-        axes[at_pi & (lead < 0)] *= -1
-    still = np.sin(angles / 2) < 1e-12
-    angles[still] = 0.0
-    axes[still] = (0.0, 0.0, 1.0)
-    if not np.all((angles >= 0.0) & (angles <= np.pi + 1e-12)):
-        raise ValueError("rotation angles must lie in [0, pi]")
-    return g1, angles, axes
+    return g1, *_rotation(g1)
 
 
 def single_period_rotation(p: DriveParameters) -> PeriodRotation:
@@ -360,15 +341,18 @@ def stroboscopic_evolve(p: DriveParameters, n: int, initial: QubitState | None =
     from the first crossing to the two turning-point samples are its
     prefixes, so the samples of period k are first G1^k psi_c and second
     G1^k psi_c, with psi_c the state at the first crossing and every power
-    G1^k in closed form (``_powers``).  Only the lead-in from t = 0 to the
-    first crossing is a ``free_phase`` of its own.  The 2n + 1 samples are
-    refused past ``_MAX_SAMPLES``, as the dense route's are, before anything
-    is allocated.
+    G1^k in closed form (``su2._powers``).  Only the lead-in from t = 0 to
+    the first crossing is a ``free_phase`` of its own.  ``n`` is an integer
+    (not a bool), and the 2n + 1 samples are refused past
+    ``model._MAX_SAMPLES``, as the dense route's are, before anything is
+    allocated.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if 2 * n + 1 > _MAX_SAMPLES:
-        raise ValueError(f"{2 * n + 1:.3g} samples of {n} periods exceed {_MAX_SAMPLES}; "
+    if 2 * n + 1 > model._MAX_SAMPLES:
+        raise ValueError(f"{2 * n + 1:.3g} samples of {n} periods exceed {model._MAX_SAMPLES}; "
                          "lower n_periods")
     initial = initial or QubitState.ket0()
     _check_impulse_regime(p.delta_mhz, p.epsilon_m_mhz)

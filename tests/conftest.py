@@ -22,7 +22,7 @@ from lzsim import (
     stokes_phase,
     sweep_rate,
 )
-from lzsim import propagator
+from lzsim import propagator, su2
 from lzsim.model import eigenbasis_at, epsilon_at, first_crossing
 from lzsim.transfer_matrix import _dressing_angle, _impulse_factors, adiabaticity
 
@@ -84,8 +84,8 @@ def su2_axis_angle(g):
     The global phase is removed by dividing out sqrt(det) and fixing the
     trace real-positive; at angle pi the leftover sign ambiguity is broken
     by preferring non-negative z, then x, then y axis components.  Written
-    per matrix, independently of the batched extraction in
-    ``transfer_matrix._period_rotations``, which it serves to check.
+    per matrix, independently of the batched reader ``su2._rotation``,
+    which it serves to check.
     """
     det = np.linalg.det(g)
     gs = g / cmath.sqrt(det)
@@ -306,7 +306,7 @@ def evolve_lab_frame_toy(delta_mhz, omega0_mhz, drive, t_span=None, sample_every
     whole = propagator._products(steps, 1, grid.n)[:, 0]
     t, dt = grid.tp + grid.h * grid.n[0], grid.h * grid.f[0]
     partial = rk4_maps(dt, w, w, w, coupling(t), coupling(t + dt / 2), coupling(t + dt))
-    states = propagator._apply(propagator._mul(partial, whole), QubitState.ket0().as_array())
+    states = su2._apply(su2._mul(partial, whole), QubitState.ket0().as_array())
     propagator._check_norms(states, cfg.norm_drift_tolerance)
     return Trajectory(grid.times, np.abs(states) ** 2, Basis.DIABATIC, amplitudes=states)
 

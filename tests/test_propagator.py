@@ -16,7 +16,7 @@ from lzsim import (
     evolve,
     evolve_ensemble_dephased,
 )
-from lzsim import propagator
+from lzsim import model, propagator, su2
 from lzsim.model import angular_to_mhz, epsilon_at, mhz_to_angular
 from conftest import (FIG3A, FIG3B, FIG3D, drive_step_maps, evolve_lab_frame_toy, rk4_maps,
                       step_by_step)
@@ -284,7 +284,7 @@ def weighted_populations(grid, b, half_offsets, weights, psi0, cfg, readout=0.0)
     for idx, states in propagator._member_states(grid, b, half_offsets, psi0, cfg,
                                                  np.arange(half_offsets.size)):
         if readout:
-            states = propagator._apply(propagator.rotation_x(readout), states)
+            states = su2._apply(su2.rotation_x(readout), states)
         pops += np.tensordot(weights[idx], np.abs(states) ** 2, axes=1)
     return pops
 
@@ -499,7 +499,7 @@ class TestPeriodicKernel:
             assert grid.n.max() > grid.L and grid.f.all() and grid.tp < 0
             stepped = step_by_step(p, grid, offsets_ang + mhz_to_angular(detuning),
                                    psi0.as_array(), method)
-            stepped = propagator._apply(propagator.rotation_x(readout), stepped)
+            stepped = su2._apply(su2.rotation_x(readout), stepped)
             ref = np.tensordot(weights, np.abs(stepped) ** 2, axes=1)
             for slab in (propagator._SLAB, 16):
                 monkeypatch.setattr(propagator, "_SLAB", slab)
@@ -879,14 +879,14 @@ class TestSampleCap:
         # 10 intervals and a tail: 12 samples
         p = DriveParameters(**FIG3A, n_periods=1)
         cfg = IntegratorConfig()
-        monkeypatch.setattr(propagator, "_MAX_SAMPLES", 12)
+        monkeypatch.setattr(model, "_MAX_SAMPLES", 12)
         assert propagator._build_grid(p, cfg, (0.0, 105.0), 10.0).times.size == 12
-        monkeypatch.setattr(propagator, "_MAX_SAMPLES", 11)
+        monkeypatch.setattr(model, "_MAX_SAMPLES", 11)
         with pytest.raises(ValueError, match="12 samples exceed 11"):
             propagator._build_grid(p, cfg, (0.0, 105.0), 10.0)
 
     def test_one_member_state_array_stays_under_1_gib(self):
-        assert propagator._MAX_SAMPLES * 2 * np.dtype(complex).itemsize <= 1 << 30
+        assert model._MAX_SAMPLES * 2 * np.dtype(complex).itemsize <= 1 << 30
 
 
 class TestStepMaps:
@@ -1001,21 +1001,21 @@ class TestStepMaps:
         x = rng.normal(size=(2, 30)) + 1j * rng.normal(size=(2, 30))
         x *= (1 + 1e-4 * rng.normal(size=30)) / np.linalg.norm(x, axis=0)
         k = np.array([0, 1, 2, 5, 1000])
-        got = propagator._powers(x[..., None], k)
-        acc = propagator._identity(30)
+        got = su2._powers(x[..., None], k)
+        acc = su2._identity(30)
         for j in range(k[-1] + 1):
             if j in k:
                 want = acc
                 i = int(np.searchsorted(k, j))
                 err = np.linalg.norm(got[..., i] - want, axis=0) / np.linalg.norm(want, axis=0)
                 assert np.max(err) <= 1e-12
-            acc = propagator._mul(x, acc)
+            acc = su2._mul(x, acc)
 
     def test_rotation_x_powers(self):
         angles = np.array([-2.0, 0.0, 0.3, math.pi, 5.0])
-        got = propagator._powers(propagator.rotation_x(angles), 7)
-        assert np.max(np.abs(got - propagator.rotation_x(7 * angles))) < 1e-14
-        full = self.matrix(propagator.rotation_x(0.3))
+        got = su2._powers(su2.rotation_x(angles), 7)
+        assert np.max(np.abs(got - su2.rotation_x(7 * angles))) < 1e-14
+        full = self.matrix(su2.rotation_x(0.3))
         assert np.allclose(full, [[math.cos(0.15), -1j * math.sin(0.15)],
                                   [-1j * math.sin(0.15), math.cos(0.15)]], rtol=0, atol=1e-16)
 

@@ -11,6 +11,7 @@ from lzsim import (
     DegenerateDriveError,
     DriveParameters,
     ModelAccuracyWarning,
+    PeriodRotation,
     QubitState,
     evolve,
     free_phase,
@@ -22,7 +23,7 @@ from lzsim import (
     stroboscopic_evolve,
 )
 from lzsim.model import crossing_times, eigenbasis_at, epsilon_at
-from lzsim.propagator import _apply, _powers
+from lzsim.su2 import _apply, _powers
 from lzsim.transfer_matrix import _arg_gamma, adiabaticity
 from conftest import (
     FIG3A,
@@ -235,6 +236,15 @@ class TestPeriodRotation:
         with pytest.raises(DegenerateDriveError):
             single_period_rotation(DriveParameters(5.0, 0.0, 128.0))
 
+    @pytest.mark.parametrize("g1, axis, message", [
+        (np.full((2, 2), math.nan), [0.0, 0.0, 1.0], "unitary"),
+        (np.full((2, 2), math.inf), [0.0, 0.0, 1.0], "unitary"),
+        (np.eye(2), [math.nan, 0.0, 0.0], "unit vector"),
+    ], ids=["nan-g1", "inf-g1", "nan-axis"])
+    def test_refuses_non_finite_fields(self, g1, axis, message):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            PeriodRotation(g1, 0.5, np.array(axis))
+
     @pytest.mark.parametrize("params", [FIG3A, FIG3B, FIG3D], ids=["fig3a", "fig3b", "fig3d"])
     def test_angle_matches_dense_one_period_map(self, params):
         # G1 and the dense propagator over one period from the first crossing
@@ -373,6 +383,12 @@ class TestStroboscopic:
     def test_requires_positive_periods(self):
         with pytest.raises(ValueError):
             stroboscopic_evolve(FAST, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.nan, "3", True],
+                             ids=["fraction", "float", "nan", "str", "bool"])
+    def test_requires_an_integer_period_count(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            stroboscopic_evolve(FAST, n)
 
     @pytest.mark.parametrize("n, tol", [(200, 1e-12), (20000, 1e-10)])
     def test_closed_form_powers_match_the_period_loop(self, n, tol):
