@@ -103,17 +103,34 @@ def to_diabatic(traj: Trajectory, p: DriveParameters) -> Trajectory:
 
 
 def _uniform_signal(traj: Trajectory) -> tuple[np.ndarray, float]:
-    """P0 samples on a uniform grid; a trailing partial sample is dropped."""
+    """P0 samples on a uniform grid, and their interval.  A first or last
+    interval off the second one drops its outer sample: a trailing partial
+    sample, or the impulse strobe's start sample at t = 0, which sits off
+    its turning-point grid unless ``t_offset_ns`` puts a turning point there.
+    """
     t = traj.times
     if t.size < 8:
         raise ValueError("trajectory too short for spectral analysis")
     dt = np.diff(t)
-    x = traj.p0
-    if not math.isclose(dt[-1], dt[0], rel_tol=1e-6):
-        t, x, dt = t[:-1], x[:-1], dt[:-1]
-    if not np.allclose(dt, dt[0], rtol=1e-6):
+    # np.allclose's test at rtol 1e-6, against the second interval
+    uniform = np.abs(dt - dt[1]) <= 1e-8 + 1e-6 * abs(dt[1])
+    lo, hi = int(not uniform[0]), dt.size - int(not uniform[-1])
+    if not uniform[lo:hi].all():
         raise ValueError("spectral analysis requires uniform sampling")
-    return np.asarray(x, dtype=float), float(dt[0])
+    return np.asarray(traj.p0[lo:hi + 1], dtype=float), float(dt[lo])
+
+
+def _unit_phases(step: float, n: int) -> np.ndarray:
+    """``exp(i k step)`` for k = 0..n-1, by angle addition: the outer product
+    of ``exp(i j B step)`` over whole blocks of B = isqrt(n) samples and
+    ``exp(i b step)`` for b < B, about 2 sqrt(n) complex exponentials and n
+    complex products in place of n cosines and n sines.  Each phase is
+    rounded once before its exponential, as ``np.cos(k * step)`` rounds it,
+    so an entry is within ``(1 + k step) 4e-16`` of ``exp(i k step)``."""
+    block = math.isqrt(n) or 1
+    table = np.exp(1j * step * np.concatenate((np.arange(0, n, block), np.arange(block))))
+    blocks = table.size - block
+    return (table[:blocks, None] * table[blocks:]).ravel()[:n]
 
 
 def _spectral_peak(x: np.ndarray, dt_ns: float, k_min: int) -> tuple[float, float, float]:
@@ -121,12 +138,15 @@ def _spectral_peak(x: np.ndarray, dt_ns: float, k_min: int) -> tuple[float, floa
 
     Returns (frequency_mhz, peak_magnitude, median_floor); bins below k_min
     are excluded, which also enforces a minimum cycle count in the window.
+    The window is ``np.hanning``'s, ``0.5 - 0.5 cos(2 pi k / (n - 1))``, with
+    the cosines read off `_unit_phases`: equal to it up to the rounding of
+    the phases, which ``np.hanning`` pays as well.
     """
     x = x - np.mean(x)
     # anything below ~1e-9 is integrator truncation noise, not an oscillation
     if float(np.std(x)) < 1e-9:
         raise NoOscillationError("signal is constant")
-    w = np.hanning(x.size)
+    w = 0.5 - 0.5 * _unit_phases(2 * math.pi / (x.size - 1), x.size).real
     mag = np.abs(np.fft.rfft(x * w))
     if k_min + 1 >= mag.size - 1:
         raise ValueError("too few samples for the requested minimum frequency")
@@ -161,13 +181,24 @@ def rabi_frequency(traj: Trajectory) -> FitResult:
     in the window ``B B^T`` is close to ``diag(n/2, n/2, n)``; only a peak at
     the Nyquist frequency makes it singular (the sin row is rounding), and the
     solve then drops that direction as a least-squares fit on ``B`` does.
+    The cos and sin rows are the real and imaginary parts of `_unit_phases`
+    at the step ``2 pi f dt``: angle addition over blocks of about sqrt(n)
+    samples, whose phases are rounded once each, as ``np.cos`` of the
+    sampled phases rounds them, so the fit moves only at that rounding.
     """
     x, dt = _uniform_signal(traj)
     f_mhz, _, _ = _spectral_peak(x, dt, k_min=_RABI_MIN_CYCLES)
-    t = np.arange(x.size) * dt
-    ph = 2e-3 * math.pi * f_mhz * t
-    basis = np.stack([np.cos(ph), np.sin(ph), np.ones_like(t)])
-    coef = np.linalg.lstsq(basis @ basis.T, basis @ x, rcond=1e-10)[0]
+    basis = np.ones((3, x.size))
+    # the cos and sin rows, read off the (re, im) pairs; no phase outlives them
+    basis[:2] = _unit_phases(2e-3 * math.pi * f_mhz * dt, x.size).view(float).reshape(-1, 2).T
+    # B B^T: numpy sends ``basis @ basis.T``, a buffer times its own
+    # transpose, to BLAS syrk, about ten times slower here than the general
+    # product of the top two rows with ``basis.T``; the last row is n and
+    # that product's last column
+    gram = np.empty((3, 3))
+    gram[:2] = basis[:2] @ basis.T
+    gram[2] = gram[0, 2], gram[1, 2], x.size
+    coef = np.linalg.lstsq(gram, basis @ x, rcond=1e-10)[0]
     resid = x - coef @ basis
     amplitude = float(math.hypot(coef[0], coef[1]))
     return FitResult(

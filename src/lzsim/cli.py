@@ -112,10 +112,15 @@ def cmd_sweep(args) -> int:
         cfg = replace(cfg, format=args.format)
     out = _out_dir(args.out, cfg.out_dir)
 
+    # only the drive keys the kind reads, so that a config built from the
+    # header reruns the sweep; a period scan's ``period_ns`` is not read
+    read = {"delta_mhz", "epsilon_m_mhz"}
+    if cfg.kind == "resonance":
+        read |= {"t_offset_ns"} | ({"period_ns"} if cfg.scan_parameter == "epsilon_m_mhz" else set())
     prov = provenance({
         "sweep": cfg.kind,
         "scan_parameter": cfg.scan_parameter,
-        "drive": asdict(cfg.drive),
+        "drive": {k: v for k, v in asdict(cfg.drive).items() if k in read},
         # named as the sweep config keys, so the header reruns the sweep
         "integrator": {
             "steps_per_min_period": cfg.integrator.steps_per_min_period,

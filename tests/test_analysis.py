@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzsim import (
     AdiabaticMask,
@@ -17,6 +19,7 @@ from lzsim import (
     lz_probability,
     rabi_frequency,
     ramsey_fit,
+    run_figure,
     stroboscopic_evolve,
     to_adiabatic,
     to_diabatic,
@@ -196,6 +199,92 @@ class TestRabiNormalEquations:
         assert fit.amplitude == pytest.approx(amplitude, rel=1e-12, abs=0)
         assert fit.amplitude == pytest.approx(0.4, rel=1e-12)
         assert fit.residual_rms < 1e-13
+
+
+def _np_trig_fit(traj: Trajectory) -> tuple[float, float, float]:
+    """The frequency, amplitude and residual rms of `rabi_frequency` with
+    ``np.hanning``'s window and a basis of ``np.cos``/``np.sin`` of the
+    sampled phases: the reference for the window and basis that
+    ``analysis._unit_phases`` forms by angle addition."""
+    x, dt = _uniform_signal(traj)
+    k_min = analysis._RABI_MIN_CYCLES
+    mag = np.abs(np.fft.rfft((x - np.mean(x)) * np.hanning(x.size)))
+    f_mhz = _peak_bin(mag, int(np.argmax(mag[k_min:])) + k_min) * (1e3 / (x.size * dt))
+    t = np.arange(x.size) * dt
+    ph = 2e-3 * math.pi * f_mhz * t
+    basis = np.stack([np.cos(ph), np.sin(ph), np.ones_like(t)])
+    coef = np.linalg.lstsq(basis @ basis.T, basis @ x, rcond=1e-10)[0]
+    resid = x - coef @ basis
+    return f_mhz, math.hypot(coef[0], coef[1]), float(np.sqrt(np.mean(resid**2)))
+
+
+def _nyquist_fringe(n: int) -> Trajectory:
+    p0 = 0.5 + 0.4 * (-1.0) ** np.arange(n)
+    return Trajectory(np.arange(n) * 2.0, np.column_stack([p0, 1 - p0]), Basis.DIABATIC)
+
+
+class TestAngleAddition:
+    """The window and the cosine basis by angle addition against the
+    transcendental calls they replace: both round each phase k step once
+    before its cos and sin, so the fit moves only at that rounding."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(step=st.floats(1e-6, math.pi), n=st.integers(1, 50_000))
+    def test_unit_phases_match_mpmath(self, step, n):
+        z = analysis._unit_phases(step, n)
+        assert z.shape == (n,) and z.dtype == complex
+        block = math.isqrt(n)
+        # both ends, the first block's edge and points between
+        ks = {0, 1, block - 1, block, block + 1, n - 2, n - 1, *np.linspace(0, n - 1, 13).astype(int)}
+        with mpmath.workprec(113):
+            for k in sorted(i for i in ks if 0 <= i < n):
+                exact = mpmath.expj(k * mpmath.mpf(step))
+                assert abs(mpmath.mpc(complex(z[k])) - exact) <= (1 + k * step) * 4e-16
+
+    def test_window_is_hanning(self):
+        for n in (12, 161, 241, 1003, 40001):
+            w = 0.5 - 0.5 * analysis._unit_phases(2 * math.pi / (n - 1), n).real
+            assert np.max(np.abs(w - np.hanning(n))) < 1e-15
+
+    @pytest.mark.parametrize("name", ["strobe", "fig3a", "fig3b", "fig3d", "fewest", "nyquist12",
+                                      "nyquist1000"])
+    def test_fit_matches_np_trig(self, name):
+        if name == "strobe":  # the benchmark's 20000-period strobe: 40001 samples
+            traj = stroboscopic_evolve(DriveParameters(**FIG3A, n_periods=20000), 20000)
+        elif name.startswith("fig"):  # the presets' series: 1003, 241 and 161 samples
+            traj = run_figure(name).series["ode"]
+        elif name == "fewest":
+            traj = _fringe(12, 0.7)
+        else:
+            traj = _nyquist_fringe(int(name[7:]))
+        fit = rabi_frequency(traj)
+        f_mhz, amplitude, rms = _np_trig_fit(traj)
+        assert fit.frequency_mhz == pytest.approx(f_mhz, rel=1e-12, abs=0)
+        assert fit.amplitude == pytest.approx(amplitude, rel=0, abs=1e-12)
+        assert fit.residual_rms == pytest.approx(rms, rel=0, abs=1e-12)
+
+
+class TestUniformSignal:
+    def _traj(self, times):
+        p0 = 0.5 + 0.4 * np.cos(0.3 * np.arange(times.size))
+        return Trajectory(times, np.column_stack([p0, 1 - p0]), Basis.DIABATIC)
+
+    @pytest.mark.parametrize("first, last", [(0.0, 44.0), (19.0, 44.0), (0.0, 20.0), (45.0, 19.0)])
+    def test_an_odd_first_or_last_interval_drops_its_sample(self, first, last):
+        times = np.arange(10) * 64.0 + 100.0
+        times[0] -= first
+        times[-1] -= last
+        x, dt = _uniform_signal(self._traj(times))
+        lo, hi = int(first != 0), 10 - int(last != 0)
+        assert dt == 64.0
+        assert np.array_equal(x, self._traj(times).p0[lo:hi])
+
+    @pytest.mark.parametrize("where", [2, 5, 8])
+    def test_an_odd_interior_interval_is_refused(self, where):
+        times = np.arange(10) * 64.0
+        times[where:] += 3.0
+        with pytest.raises(ValueError, match="^spectral analysis requires uniform sampling$"):
+            _uniform_signal(self._traj(times))
 
 
 class TestRamseyFit:

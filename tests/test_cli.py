@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lzsim import cli, propagator
+from lzsim import (Basis, DriveParameters, Trajectory, cli, propagator, rabi_frequency,
+                   stroboscopic_evolve)
 from lzsim.cli import main
 from lzsim.config import load_sweep_config, parse_run_config
 from lzsim.errors import ConfigError
@@ -715,6 +716,31 @@ norm_tolerance = 1e-9
         assert meta2 == meta
         assert np.array_equal(data2, data)
 
+    @pytest.mark.parametrize("text", [
+        "sweep = lz_probability\nperiod_values_ns = 20, 100, 400\n",
+        # the period scan reads no period_ns, so its header holds none
+        "sweep = resonance\nscan_start = 100\nscan_stop = 200\nscan_points = 5\n"
+        "period_ns = 999\nt_offset_ns = 3.0\n",
+        "sweep = resonance\nscan_parameter = epsilon_m_mhz\nscan_values = 50, 100, 150\n"
+        "period_ns = 128.0\n",
+    ], ids=["lz_probability", "period_scan", "epsilon_scan"])
+    def test_every_header_key_reruns_the_sweep(self, tmp_path, text):
+        conf = write(tmp_path, "sweep.conf", text + "delta_mhz = 5.57\nepsilon_m_mhz = 100.0\n")
+        assert main(["sweep", conf, "--out", str(tmp_path)]) == 0
+        path = next(tmp_path.glob("sweep_*.csv"))
+        meta, _, data = read_series(path)
+        # a period is recorded only where the kind reads it: an amplitude scan
+        assert ("drive.period_ns" in meta) == (meta["scan_parameter"] == "epsilon_m_mhz")
+        # every key of the header but the versions, as the config key it names
+        keys = {key.rpartition(".")[2]: value for key, value in meta.items()
+                if key not in ("generator", "numpy_version", "schema_version")}
+        grid = "period_values_ns" if meta["sweep"] == "lz_probability" else "scan_values"
+        keys[grid] = ", ".join(map(repr, data[:, 0].tolist()))
+        rerun = write(tmp_path, "rerun.conf", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "rerun"
+        assert main(["sweep", rerun, "--out", str(out)]) == 0
+        assert (out / path.name).read_bytes() == path.read_bytes()
+
     def test_removed_flags_are_usage_errors(self, tmp_path, capsys):
         conf = write(tmp_path, "sweep.conf", "sweep = resonance\nscan_values = 128.0\n"
                      "delta_mhz = 5.57\nepsilon_m_mhz = 100.0\n")
@@ -772,6 +798,22 @@ t_end_ns = 1000.0
         assert main(["analyze", "rabi", str(tmp_path / "custom_series.csv")]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["frequency_mhz"] == pytest.approx(5.0, rel=0.005)
+
+    @pytest.mark.parametrize("t_offset_ns", [19.0, 50.0])
+    def test_rabi_on_a_strobe_with_its_turning_points_off_t0(self, tmp_path, capsys, t_offset_ns):
+        # the strobe's start sample at t = 0 is off its turning points' grid
+        # and is dropped; the fit is that of the t_offset_ns = 0 strobe
+        # without its start sample
+        conf = write(tmp_path, "run.conf", "delta_mhz = 5.57\nepsilon_m_mhz = 100.0\n"
+                     "period_ns = 128.0\nn_periods = 200\nmethod = transfer-matrix\n"
+                     f"t_offset_ns = {t_offset_ns}\n")
+        assert main(["simulate", conf, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "rabi", str(tmp_path / "custom_series.csv")]) == 0
+        strobe = stroboscopic_evolve(DriveParameters(5.57, 100.0, 128.0, n_periods=200), 200)
+        at_t0 = rabi_frequency(Trajectory(strobe.times[1:], strobe.populations[1:], Basis.DIABATIC))
+        assert json.loads(capsys.readouterr().out)["frequency_mhz"] == pytest.approx(
+            at_t0.frequency_mhz, rel=0, abs=1e-6)
 
     def test_no_oscillation_exit_code(self, tmp_path, capsys):
         conf = write(tmp_path, "run.conf", """\
